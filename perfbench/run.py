@@ -2,12 +2,12 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload train_crm --seed 0 --seconds 8 --trace 0
+    python3 perfbench/run.py --workload train_crm --seed 0 --seconds 30 --trace 0
 
 Workloads (see README.md for why each exists):
-    train_crm   harness.train of CRM_FULL on cross-structure data, reference protocol
+    train_crm   harness.train of CRM_FULL on cross-structure data, reference protocol,
+                with harness.predict_logits passes of the saved, reloaded model
     train_pwcs  the same data, seeds and protocol with the parameter-free PWCS head
-    eval_crm    repeated harness.predict_logits passes of a saved, reloaded CRM_FULL model
 
 --trace 0 measures the end-to-end metrics with nothing wrapped.  --trace 1
 wraps the calls into each layer (see LAYERS) from outside the package and
@@ -18,6 +18,7 @@ Every operation (one training run or one eval pass) goes through a
 correctness gate; see Gate and the *_problems checks.  The last line of
 standard output is one JSON object: correct, attempted, failed, metrics.
 The sources are imported from src/ of the checkout this file sits in.
+OpenBLAS runs one thread (BLAS_THREADS), set before numpy is imported.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import ctypes
 import glob
 import hashlib
 import importlib
-import itertools
 import json
 import os
 import platform
@@ -39,7 +39,16 @@ import time
 import traceback
 from dataclasses import dataclass
 
-import numpy as np
+# One BLAS thread per run: on a shared 2-vCPU VM the default of two spread the
+# training times more (CRM_FULL 10.1-12.6 s against 10.7-11.3 s with one) and
+# doubled the CPU time, and two busy threads per process measure the
+# scheduler as soon as anything else runs.  environment() records what
+# OpenBLAS reports.
+BLAS_THREADS = "1"
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = BLAS_THREADS
+
+import numpy as np  # noqa: E402  (after the thread settings)
 
 from tracing import Tracer, layer_totals, percentile, steps, tail
 
@@ -48,11 +57,7 @@ ROOT = os.path.dirname(HERE)
 OUT_DIR = os.path.join(ROOT, ".perfbench_out")
 REFERENCE_FILE = os.path.join(HERE, "reference.json")
 
-WORKLOADS = {
-    "train_crm": ("train", "CRM_FULL"),
-    "train_pwcs": ("train", "PWCS"),
-    "eval_crm": ("eval", "CRM_FULL"),
-}
+WORKLOADS = {"train_crm": "CRM_FULL", "train_pwcs": "PWCS"}
 
 # span name -> the name its caller resolves ("module:attribute path")
 LAYERS = {
@@ -77,10 +82,9 @@ LAYERS = {
 }
 
 SETUP_REPEATS = 15  # set-ups per CPU; see timed_setup
-MIN_TRAININGS = 2  # a training workload trains at least this often, however short --seconds is
-EVAL_PASSES_AFTER_TRAINING = 60  # timed passes after each of the first MIN_TRAININGS trainings
+MIN_TRAININGS = 3  # a run trains at least this often, however short --seconds is
+PASSES_PER_ROUND = 60  # timed eval passes after each training
 WARMUP_PASSES = 3
-MIN_TIMED_PASSES = 21  # eval_crm runs at least this many, so the tail has 10 passes beyond it
 TRACED_EVAL_PASSES = 40
 STEP_TOLERANCE = 0.05  # traced phases plus loop_other must sum to the step time within this share
 RTOL = 1e-12
@@ -279,13 +283,11 @@ def timed_setup(make):
     return statistics.fmean(medians), value
 
 
-def eval_passes(gate, xr, model, patches, check, count=0, deadline=None):
-    """Run at least `count` passes, and more until `deadline`; (wall, cpu) of each that passes."""
+def eval_passes(gate, xr, model, patches, check, count):
+    """Run `count` passes; (wall, cpu) of each that passes."""
     out = []
-    done = 0
-    while done < count or (deadline is not None and time.perf_counter() < deadline):
+    for _ in range(count):
         result = gate.attempt("eval pass", lambda: timed_pass(xr, model, patches), lambda r: check(r[0]))
-        done += 1
         if result is not None:
             out.append(result[1:])
     return out
@@ -298,51 +300,43 @@ def generate(xr, seed: int):
 # --- workloads ----------------------------------------------------------------------
 
 
-def run_training_workload(xr, gate, head, seed, seconds):
-    """Trainings on the same inputs until `seconds` pass (at least MIN_TRAININGS),
-    with timed eval passes of the model after each of the first MIN_TRAININGS."""
+def run_workload(xr, gate, head, seed, seconds):
+    """Set up, train, save and reload the model, then alternate PASSES_PER_ROUND
+    timed eval passes of the reloaded model with further trainings on the same
+    inputs until `seconds` pass (at least MIN_TRAININGS trainings in all).
+
+    Returns (setup_s, trainings, passes, images per pass); setup_s is None if
+    the first training or the in-memory pass failed.
+    """
     pinned = load_pins(head, seed)
-    setup_s, ds = timed_setup(lambda: generate(xr, seed))
+    generate_s, ds = timed_setup(lambda: generate(xr, seed))
     config = make_config(xr, head, seed)
-    trainings, passes, first, check = [], [], None, None
+    num_images = ds.test_labels.shape[0]
     deadline = time.perf_counter() + seconds
-    for attempt in itertools.count():
+    first = gate.attempt(
+        "train", lambda: timed_train(xr, config, ds), lambda r: training_problems(r.report, pinned, None)
+    )
+    if first is None:
+        return None, [], [], num_images
+    check = in_memory_check(gate, xr, first, ds, pinned)
+    if check is None:
+        return None, [first], [], num_images
+    with tempfile.TemporaryDirectory(dir=OUT_DIR) as tmp:
+        reload_s, (loaded_ds, model) = save_and_reload(xr, tmp, first, ds)
+    eval_passes(gate, xr, model, loaded_ds.test_patches, check, count=WARMUP_PASSES)
+    trainings, passes = [first], []
+    while True:
+        passes += eval_passes(gate, xr, model, loaded_ds.test_patches, check, count=PASSES_PER_ROUND)
+        if len(trainings) >= MIN_TRAININGS and time.perf_counter() >= deadline:
+            break
         done = gate.attempt(
-            "train", lambda: timed_train(xr, config, ds), lambda r: training_problems(r.report, pinned, first)
+            "train",
+            lambda: timed_train(xr, config, ds),
+            lambda r: training_problems(r.report, pinned, first.report),
         )
         if done is not None:
             trainings.append(done)
-            if first is None:
-                first = done.report
-                check = EvalCheck(ds.test_labels, done.report, pinned)
-            if attempt < MIN_TRAININGS:
-                passes += eval_passes(
-                    gate, xr, done.model, ds.test_patches, check, count=EVAL_PASSES_AFTER_TRAINING
-                )
-        if attempt + 1 >= MIN_TRAININGS and time.perf_counter() >= deadline:
-            break
-    return setup_s, trainings, passes, ds.test_labels.shape[0]
-
-
-def run_eval_workload(xr, gate, head, seed, seconds):
-    """Train and save a model, then time reloads (set-up) and eval passes until `seconds` pass."""
-    pinned = load_pins(head, seed)
-    ds = generate(xr, seed)
-    config = make_config(xr, head, seed)
-    trained = gate.attempt(
-        "train", lambda: timed_train(xr, config, ds), lambda r: training_problems(r.report, pinned, None)
-    )
-    if trained is None:
-        return None, [], [], ds.test_labels.shape[0]
-    check = in_memory_check(gate, xr, trained, ds, pinned)
-    if check is None:
-        return None, [trained], [], ds.test_labels.shape[0]
-    with tempfile.TemporaryDirectory(dir=OUT_DIR) as tmp:
-        setup_s, (loaded_ds, model) = save_and_reload(xr, tmp, trained, ds)
-    eval_passes(gate, xr, model, loaded_ds.test_patches, check, count=WARMUP_PASSES)
-    deadline = time.perf_counter() + seconds
-    passes = eval_passes(gate, xr, model, loaded_ds.test_patches, check, count=MIN_TIMED_PASSES, deadline=deadline)
-    return setup_s, [trained], passes, loaded_ds.test_labels.shape[0]
+    return generate_s + reload_s, trainings, passes, num_images
 
 
 def in_memory_check(gate, xr, trained, ds, pinned):
@@ -355,6 +349,7 @@ def in_memory_check(gate, xr, trained, ds, pinned):
 
 
 def save_and_reload(xr, tmp, trained, ds):
+    """Save the model and dataset with the library's writers; (set-up time, (dataset, model)) of reloading them."""
     model_dir, data_file = os.path.join(tmp, "model"), os.path.join(tmp, "data.xrvd")
     xr.harness.save_model(model_dir, trained.model, trained.report)
     xr.data.save_dataset(data_file, ds)
@@ -384,32 +379,28 @@ def end_to_end_metrics(setup_s, trainings, passes, num_images):
 
 
 def run_untraced(xr, gate, workload, seed, seconds):
-    kind, head = WORKLOADS[workload]
-    runner = run_training_workload if kind == "train" else run_eval_workload
-    setup_s, trainings, passes, num_images = runner(xr, gate, head, seed, seconds)
-    if setup_s is None or not trainings or len(passes) <= 10:
+    setup_s, trainings, passes, num_images = run_workload(xr, gate, WORKLOADS[workload], seed, seconds)
+    if setup_s is None or len(passes) <= 10:
         return None, {}
     return end_to_end_metrics(setup_s, trainings, passes, num_images)
 
 
 def run_traced(xr, gate, workload, seed):
-    """One untraced and one traced training on the same inputs, then the traced section.
+    """One untraced and one traced training on the same inputs, then traced
+    reloads and eval passes of the traced model.
 
-    The section whose spans give the per-layer metrics is the set-up and the
-    traced training on the training workloads, and the reloads and eval
-    passes on eval_crm.
+    The per-layer metrics cover every span: the set-ups (data.generate, and
+    load_dataset + load_model), the traced training and TRACED_EVAL_PASSES
+    eval passes of the reloaded model.
     """
-    kind, head = WORKLOADS[workload]
+    head = WORKLOADS[workload]
     pinned = load_pins(head, seed)
     tracer = Tracer()
     targets = layer_targets()
     config = make_config(xr, head, seed)
 
-    if kind == "train":
-        with tracer.installed(targets):
-            ds = timed_setup(lambda: generate(xr, seed))[1]
-    else:
-        ds = generate(xr, seed)
+    with tracer.installed(targets):
+        ds = timed_setup(lambda: generate(xr, seed))[1]
     untraced = gate.attempt(
         "train", lambda: timed_train(xr, config, ds), lambda r: training_problems(r.report, pinned, None)
     )
@@ -425,29 +416,26 @@ def run_traced(xr, gate, workload, seed):
         )
     if traced is None:
         return None, {}, tracer
-
-    mark, model = 0, traced.model
-    if kind == "eval":
-        check = in_memory_check(gate, xr, traced, ds, pinned)
-        if check is None:
-            return None, {}, tracer
-        mark = len(tracer.spans)
-        with tempfile.TemporaryDirectory(dir=OUT_DIR) as tmp, tracer.installed(targets):
-            loaded_ds, model = save_and_reload(xr, tmp, traced, ds)[1]
-            eval_passes(gate, xr, model, loaded_ds.test_patches, check, count=TRACED_EVAL_PASSES)
+    check = in_memory_check(gate, xr, traced, ds, pinned)
+    if check is None:
+        return None, {}, tracer
+    eval_mark = len(tracer.spans)
+    with tempfile.TemporaryDirectory(dir=OUT_DIR) as tmp, tracer.installed(targets):
+        loaded_ds, model = save_and_reload(xr, tmp, traced, ds)[1]
+        eval_passes(gate, xr, model, loaded_ds.test_patches, check, count=TRACED_EVAL_PASSES)
 
     metrics = {}
-    for span, totals in layer_totals(tracer.spans, LAYERS, first=mark).items():
+    for span, totals in layer_totals(tracer.spans, LAYERS).items():
         metrics[f"{span}.self_s"] = (totals["self_s"], "s")
         metrics[f"{span}.cpu_s"] = (totals["cpu_s"], "s")
         metrics[f"{span}.calls"] = (totals["calls"], "count")
-    step_list = steps(tracer.spans, "numerics.zero_grads", "numerics.sgd_step", first=mark)
-    step_ms = [s.seconds * 1e3 for s in step_list] or [0.0]
+    step_list = steps(tracer.spans, "numerics.zero_grads", "numerics.sgd_step", first=train_mark)
+    step_ms = [s.seconds * 1e3 for s in step_list]
     metrics["harness.step_ms_p50"] = (statistics.median(step_ms), "ms")
     metrics["harness.step_ms_p99"] = (percentile(step_ms, 99), "ms")
     metrics["harness.loop_other_s"] = (sum(s.other_s for s in step_list), "s")
     metrics["numerics.param_count"] = (model.param_count(), "count")
-    metrics["prompts.encode_useful_ratio"] = (encode_useful_ratio(tracer.spans, mark), "ratio")
+    metrics["prompts.encode_useful_ratio"] = (encode_useful_ratio(tracer.spans, eval_mark), "ratio")
     metrics["trace.overhead_frac"] = (traced.wall / untraced.wall - 1.0, "fraction")
     details = {
         "untraced_train_s": untraced.wall,
@@ -456,7 +444,7 @@ def run_traced(xr, gate, workload, seed):
         "step_s": sum(s.seconds for s in step_list),
         "step_phases_s": sum(s.phases_s for s in step_list),
         "spans": len(tracer.spans),
-        "section_first_span": mark,
+        "eval_first_span": eval_mark,
     }
     return metrics, details, tracer
 
@@ -571,7 +559,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=int, default=8)
+    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if args.seed < 0 or args.seconds < 1:
