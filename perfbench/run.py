@@ -303,10 +303,11 @@ def generate(xr, seed: int):
 def run_workload(xr, gate, head, seed, seconds):
     """Set up, train, save and reload the model, then alternate PASSES_PER_ROUND
     timed eval passes of the reloaded model with further trainings on the same
-    inputs until `seconds` pass (at least MIN_TRAININGS trainings in all).
+    inputs until `seconds` pass (at least MIN_TRAININGS trainings attempted in all).
 
-    Returns (setup_s, trainings, passes, images per pass); setup_s is None if
-    the first training or the in-memory pass failed.
+    Returns (setup_s, trainings, rounds, images per pass), where rounds holds
+    the (wall, cpu) of each round's passes; setup_s is None if the first
+    training or the in-memory pass failed.
     """
     pinned = load_pins(head, seed)
     generate_s, ds = timed_setup(lambda: generate(xr, seed))
@@ -324,11 +325,12 @@ def run_workload(xr, gate, head, seed, seconds):
     with tempfile.TemporaryDirectory(dir=OUT_DIR) as tmp:
         reload_s, (loaded_ds, model) = save_and_reload(xr, tmp, first, ds)
     eval_passes(gate, xr, model, loaded_ds.test_patches, check, count=WARMUP_PASSES)
-    trainings, passes = [first], []
+    trainings, rounds, attempts = [first], [], 1
     while True:
-        passes += eval_passes(gate, xr, model, loaded_ds.test_patches, check, count=PASSES_PER_ROUND)
-        if len(trainings) >= MIN_TRAININGS and time.perf_counter() >= deadline:
+        rounds.append(eval_passes(gate, xr, model, loaded_ds.test_patches, check, count=PASSES_PER_ROUND))
+        if attempts >= MIN_TRAININGS and time.perf_counter() >= deadline:
             break
+        attempts += 1
         done = gate.attempt(
             "train",
             lambda: timed_train(xr, config, ds),
@@ -336,7 +338,7 @@ def run_workload(xr, gate, head, seed, seconds):
         )
         if done is not None:
             trainings.append(done)
-    return generate_s + reload_s, trainings, passes, num_images
+    return generate_s + reload_s, trainings, rounds, num_images
 
 
 def in_memory_check(gate, xr, trained, ds, pinned):
@@ -356,9 +358,14 @@ def save_and_reload(xr, tmp, trained, ds):
     return timed_setup(lambda: (xr.data.load_dataset(data_file), xr.harness.load_model(model_dir)[0]))
 
 
-def end_to_end_metrics(setup_s, trainings, passes, num_images):
+def end_to_end_metrics(setup_s, trainings, rounds, num_images):
+    """eval_ms_tail is the median over the rounds of each round's tail: a
+    stretch of slow passes (the VM preempted for a second or two) moves the
+    tail of the round it falls in, not the run's figure."""
+    passes = [p for r in rounds for p in r]
     walls = [p[0] for p in passes]
-    tail_s, tail_pct = tail(walls)
+    tails = [tail([p[0] for p in r]) for r in rounds]
+    tail_s = statistics.median(t[0] for t in tails)
     metrics = {
         "setup_s": (setup_s, "s"),
         "train_s": (statistics.median(t.wall for t in trainings), "s"),
@@ -372,17 +379,19 @@ def end_to_end_metrics(setup_s, trainings, passes, num_images):
     details = {
         "train_runs": len(trainings),
         "eval_passes": len(walls),
-        "eval_ms_tail_percentile": tail_pct,
+        "eval_passes_per_round": [len(r) for r in rounds],
+        "eval_ms_tail_percentile": [t[1] for t in tails],
         "eval_images_per_pass": num_images,
     }
     return metrics, details
 
 
 def run_untraced(xr, gate, workload, seed, seconds):
-    setup_s, trainings, passes, num_images = run_workload(xr, gate, WORKLOADS[workload], seed, seconds)
-    if setup_s is None or len(passes) <= 10:
+    setup_s, trainings, rounds, num_images = run_workload(xr, gate, WORKLOADS[workload], seed, seconds)
+    rounds = [r for r in rounds if len(r) > 10]  # tail() needs more than 10 passes
+    if setup_s is None or not rounds:
         return None, {}
-    return end_to_end_metrics(setup_s, trainings, passes, num_images)
+    return end_to_end_metrics(setup_s, trainings, rounds, num_images)
 
 
 def run_traced(xr, gate, workload, seed):

@@ -6,6 +6,7 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -152,3 +153,24 @@ def test_eval_check_compares_later_passes_with_the_first():
     assert len(check(nudged)) == 1
     flipped = logits[:, ::-1].copy()
     assert len(check(flipped)) == 2
+
+
+def test_failed_trainings_are_counted_and_the_run_still_ends(monkeypatch):
+    make_config = run.make_config
+    monkeypatch.setattr(run, "make_config", lambda *a: dataclasses.replace(make_config(*a), epochs=2))
+    monkeypatch.setattr(run, "PASSES_PER_ROUND", 2)
+    real_train, calls = run.timed_train, []
+
+    def train_once_then_raise(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise RuntimeError("injected")
+        return real_train(*args)
+
+    monkeypatch.setattr(run, "timed_train", train_once_then_raise)
+    os.makedirs(run.OUT_DIR, exist_ok=True)
+    gate = run.Gate()
+    setup_s, trainings, rounds, _ = run.run_workload(xr, gate, "PWCS", 5, seconds=0)
+    assert setup_s > 0
+    assert len(trainings) == 1 and [len(r) for r in rounds] == [2] * run.MIN_TRAININGS
+    assert len(calls) == run.MIN_TRAININGS and gate.failed == run.MIN_TRAININGS - 1
