@@ -26,6 +26,7 @@ import numpy as np
 
 from .container import Reader, Writer
 from .errors import DataError, FormatError
+from .report import write_atomic_bytes
 
 DATASET_MAGIC = b"XRVD"
 DATASET_VERSION = 1
@@ -278,8 +279,7 @@ def save_dataset(path: str, ds: Dataset) -> None:
             "part_names": ds.part_names,
         }
     )
-    with open(path, "wb") as f:
-        f.write(w.bytes())
+    write_atomic_bytes(path, w.bytes())
 
 
 def load_dataset(path: str) -> Dataset:

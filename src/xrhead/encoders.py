@@ -16,6 +16,7 @@ import numpy as np
 from .container import Reader, Writer
 from .errors import FormatError, ShapeMismatchError
 from .numerics import Tensor, add, constant, matmul, mean_axis, tanh
+from .report import write_atomic_bytes
 
 FEATURE_MAGIC = b"XRVF"
 FEATURE_VERSION = 1
@@ -78,7 +79,10 @@ class FrozenImageEncoder:
             raise ShapeMismatchError(
                 f"expected patches (..., {self.patch_dim}), got {patches.shape}"
             )
-        return np.tanh(patches @ self._w + self._b)
+        # one output array, updated in place: fewer large temporaries per call
+        out = patches @ self._w
+        out += self._b
+        return np.tanh(out, out=out)
 
     def checksum(self) -> str:
         h = hashlib.sha256()
@@ -98,8 +102,7 @@ def save_features(path: str, values: np.ndarray, metadata: dict | None = None) -
     w = Writer(FEATURE_MAGIC, FEATURE_VERSION)
     w.array(values, np.dtype("<f4"))
     w.metadata(metadata or {})
-    with open(path, "wb") as f:
-        f.write(w.bytes())
+    write_atomic_bytes(path, w.bytes())
 
 
 def load_features(path: str) -> tuple[np.ndarray, dict]:

@@ -25,7 +25,7 @@ from .attention import PartAttention
 from .container import Reader, Writer
 from .data import Dataset, SyntheticSpec, few_shot_split, generate, load_dataset
 from .encoders import FrozenImageEncoder, FrozenTextEncoder, load_features
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError, FormatError, NumericError
 from .heads import HeadKind, build_head
 from .numerics import Parameter, Sgd, Tensor, backward, constant, cross_entropy, no_grad
 from .prompts import PromptBank, PromptFeatures, manual_features
@@ -388,9 +388,11 @@ def predict_logits(model: Model, patches: np.ndarray, chunk: int = 256) -> np.nd
     feats = model.image_encoder.encode(patches)
     outs = []
     with no_grad():
+        # eval mode: the prompt features are the same for every chunk
+        prompts = model.prompt_features()
         for start in range(0, feats.shape[0], chunk):
-            block = constant(feats[start : start + chunk])
-            outs.append(model.logits(block, training=False).values)
+            v, _ = model.attention.forward(constant(feats[start : start + chunk]), training=False)
+            outs.append(model.head.logits(v, prompts, training=False).values)
     return np.concatenate(outs, axis=0)
 
 
@@ -434,13 +436,18 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
         lrs.append(opt.lr())
         order = shuffle_rng.permutation(n)
         total, seen = 0.0, 0
-        for start in range(0, n, config.batch_size):
+        for step, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
             if idx.size < 2:
                 continue
             opt.zero_grads(params)
             loss = model.loss(constant(feats[idx]), labels[idx], training=True)
-            backward(loss)
+            try:
+                backward(loss)
+            except NumericError as e:
+                raise NumericError(
+                    f"training diverged at epoch {epoch}, step {step} (0-based): {e}"
+                ) from e
             opt.step(params)
             total += float(loss.values) * idx.size
             seen += idx.size
@@ -607,6 +614,7 @@ def sweep_parts(
     if len(set(parts)) != len(parts):
         raise ConfigError(f"duplicate part counts: {parts}")
     ds = dataset if dataset is not None else config_dataset(config)
+    default_parts = TrainConfig().num_parts
 
     by_key: dict[int, RunReport] = {}
     for s in parts:
@@ -622,7 +630,7 @@ def sweep_parts(
                 "num_parts": s,
                 "train_accuracy": r.train_accuracy,
                 "test_accuracy": r.test_accuracy,
-                "is_default": s == 4,
+                "is_default": s == default_parts,
                 "train_cpu_seconds": r.timing["train_cpu_seconds"],
             }
         )
@@ -630,7 +638,7 @@ def sweep_parts(
     ordered = sorted(rows, key=lambda r: r["num_parts"])
     runtimes = [r["train_cpu_seconds"] for r in ordered]
     best = max(rows, key=lambda r: (r["test_accuracy"], -r["num_parts"]))
-    default_rows = [r for r in rows if r["num_parts"] == 4]
+    default_rows = [r for r in rows if r["is_default"]]
     flags = {
         "runtime_monotone": bool(
             all(a < b for a, b in zip(runtimes, runtimes[1:]))

@@ -37,11 +37,16 @@ class Sgd:
     total_epochs: int = 1
     epoch: int = 0
     velocities: dict[int, np.ndarray] = field(default_factory=dict)
+    # per-parameter work array for the decayed gradient, then lr * v
+    _work: dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def lr(self) -> float:
         return cosine_lr(self.epoch, self.total_epochs, self.lr0)
 
     def step(self, params: list[Parameter]) -> None:
+        """Update in place; the operations and their order match the formula above."""
         lr = self.lr()
         for p in params:
             if p.frozen:
@@ -49,11 +54,19 @@ class Sgd:
             t = p.tensor
             if t.grad is None:
                 raise ConfigError(f"parameter {p.name} does not track gradients")
-            g = t.grad + self.weight_decay * t.values
+            g = self._work.get(id(p))
+            if g is None:
+                g = self._work[id(p)] = np.empty_like(t.values)
+            np.multiply(t.values, self.weight_decay, out=g)
+            np.add(t.grad, g, out=g)
             v = self.velocities.get(id(p))
-            v = g if v is None else self.momentum * v + g
-            self.velocities[id(p)] = v
-            t.values -= lr * v
+            if v is None:
+                self.velocities[id(p)] = v = g.copy()
+            else:
+                v *= self.momentum
+                v += g
+            np.multiply(v, lr, out=g)
+            t.values -= g
 
     def zero_grads(self, params: list[Parameter]) -> None:
         for p in params:

@@ -1,10 +1,13 @@
 """Reverse-mode autodiff over float64 numpy arrays.
 
-A Tensor wraps an ndarray plus an optional adjoint of the same shape.  Ops
-build a tape of parent links; backward() walks the tape once per call and
-adds dloss/dnode into every node that tracks gradients, so repeated calls
-accumulate.  Values are treated as immutable once an op has consumed them;
-the optimizer mutates parameter values in place only between tapes.
+A Tensor wraps an ndarray.  A leaf created with requires_grad=True also holds
+an adjoint of the same shape in .grad; op results that track gradients hold
+none, only tape links to their parents.  backward() walks the tape once per
+call, routes each intermediate's gradient to its parents without storing it,
+and adds dloss/dleaf into the .grad of every tracking leaf, so repeated calls
+accumulate.  An op computes no gradient for a parent that does not track
+gradients.  Values are treated as immutable once an op has consumed them; the
+optimizer mutates parameter values in place only between tapes.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ def no_grad():
 
 
 class Tensor:
-    """values (ndarray, float64) + adjoint in .grad when requires_grad."""
+    """values (ndarray, float64) + adjoint in .grad for a requires_grad leaf."""
 
     __slots__ = ("values", "requires_grad", "grad", "_parents", "_bw")
 
@@ -87,10 +90,14 @@ def _as_tensor(x) -> Tensor:
 
 
 def _from_op(values: np.ndarray, parents, bw) -> Tensor:
-    """Wrap an op result; record the tape edge only when a parent needs it."""
-    track = _grad_enabled and any(p.requires_grad for p in parents)
-    out = Tensor(values, requires_grad=track)
-    if track:
+    """Wrap an op result; record the tape edge only when a parent needs it.
+
+    A tracked result holds no adjoint: backward passes its gradient on to
+    the parents through the tape.
+    """
+    out = Tensor(values)
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = tuple(parents)
         out._bw = bw
     return out
@@ -114,29 +121,38 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.values + b.values
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return _unbroadcast(g, a.values.shape), _unbroadcast(g, b.values.shape)
+        return (
+            _unbroadcast(g, a.values.shape) if need_a else None,
+            _unbroadcast(g, b.values.shape) if need_b else None,
+        )
 
     return _from_op(out, (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.values - b.values
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return _unbroadcast(g, a.values.shape), _unbroadcast(-g, b.values.shape)
+        return (
+            _unbroadcast(g, a.values.shape) if need_a else None,
+            _unbroadcast(-g, b.values.shape) if need_b else None,
+        )
 
     return _from_op(out, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.values * b.values
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
         return (
-            _unbroadcast(g * b.values, a.values.shape),
-            _unbroadcast(g * a.values, b.values.shape),
+            _unbroadcast(g * b.values, a.values.shape) if need_a else None,
+            _unbroadcast(g * a.values, b.values.shape) if need_b else None,
         )
 
     return _from_op(out, (a, b), bw)
@@ -144,11 +160,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     out = a.values / b.values
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
         return (
-            _unbroadcast(g / b.values, a.values.shape),
-            _unbroadcast(-g * a.values / (b.values * b.values), b.values.shape),
+            _unbroadcast(g / b.values, a.values.shape) if need_a else None,
+            _unbroadcast(-g * a.values / (b.values * b.values), b.values.shape) if need_b else None,
         )
 
     return _from_op(out, (a, b), bw)
@@ -197,9 +214,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul inner dims differ: {a.values.shape} @ {b.values.shape}"
         )
     out = a.values @ b.values
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return g @ b.values.T, a.values.T @ g
+        return (g @ b.values.T if need_a else None, a.values.T @ g if need_b else None)
 
     return _from_op(out, (a, b), bw)
 
@@ -215,9 +233,13 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
             f"bmm shapes incompatible: {a.values.shape} @ {b.values.shape}"
         )
     out = a.values @ b.values
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return g @ b.values.swapaxes(-1, -2), a.values.swapaxes(-1, -2) @ g
+        return (
+            g @ b.values.swapaxes(-1, -2) if need_a else None,
+            a.values.swapaxes(-1, -2) @ g if need_b else None,
+        )
 
     return _from_op(out, (a, b), bw)
 
@@ -246,6 +268,21 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _from_op(out, (a,), bw)
 
 
+def _scatter_add(ga: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
+    """ga[idx] += g along axis 0 of a zeroed ga.
+
+    Without repeated indices this is a plain store: the same values (0 + x
+    == x) at a fraction of np.add.at's cost.  The check runs only on
+    backward, so untracked forward passes never pay for it.
+    """
+    hits = np.zeros(ga.shape[0], dtype=bool)
+    hits[idx] = True
+    if np.count_nonzero(hits) == idx.size:
+        ga[idx] = g
+    else:
+        np.add.at(ga, idx, g)
+
+
 def gather_rows(a: Tensor, idx) -> Tensor:
     """a (n, d), idx (k,) int -> (k, d); duplicate rows accumulate on backward."""
     if a.values.ndim != 2:
@@ -255,7 +292,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 
     def bw(g):
         ga = np.zeros_like(a.values)
-        np.add.at(ga, idx, g)
+        _scatter_add(ga, idx, g)
         return (ga,)
 
     return _from_op(out, (a,), bw)
@@ -270,7 +307,7 @@ def gather_cols(a: Tensor, idx) -> Tensor:
 
     def bw(g):
         ga = np.zeros_like(a.values)
-        np.add.at(ga.T, idx, g.T)  # scatter-add per column through the view
+        _scatter_add(ga.T, idx, g.T)  # scatter per column through the view
         return (ga,)
 
     return _from_op(out, (a,), bw)
@@ -411,7 +448,11 @@ def _topo_order(root: Tensor):
 
 
 def backward(loss: Tensor) -> None:
-    """Add dloss/dnode into .grad of every gradient-tracking node."""
+    """Add dloss/dleaf into .grad of every gradient-tracking leaf.
+
+    Gradients of intermediate nodes only pass through: each is summed over
+    its consumers, handed to the node's parents and then dropped.
+    """
     if loss.values.size != 1:
         raise ShapeMismatchError(f"backward needs a scalar loss, got shape {loss.values.shape}")
     if not np.isfinite(loss.values):

@@ -77,8 +77,9 @@ class PromptBank:
         rng = np.random.default_rng(seed)
         ctx = rng.normal(0.0, init_std, size=(self.num_classes, num_parts, ctx_len, self.word_dim))
         self.contexts = Parameter("prompts.contexts", Tensor(ctx, requires_grad=True))
+        # frozen: tracks no gradient, so backward never scatters into it
         self.class_embeddings = Parameter(
-            "prompts.class_embeddings", Tensor(class_embeddings, requires_grad=True), frozen=True
+            "prompts.class_embeddings", Tensor(class_embeddings), frozen=True
         )
 
     def params(self) -> list[Parameter]:

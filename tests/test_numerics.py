@@ -166,14 +166,32 @@ def test_no_grad_blocks_tape():
     assert out._bw is None
 
 
-def test_adjoint_present_iff_requires_grad():
+def test_adjoint_present_iff_leaf_requires_grad():
     a = leaf([1.0])
     b = constant([2.0])
-    assert a.grad is not None and b.grad is None
+    assert a.grad is not None and not np.any(a.grad) and b.grad is None
+    with no_grad():
+        assert leaf([1.0]).grad is None
     out = mul(a, b)
-    assert out.requires_grad and out.grad is not None
+    assert out.requires_grad and out.grad is None
     out2 = mul(b, b)
     assert not out2.requires_grad and out2.grad is None
+    backward(tsum(mul(out, out)))
+    np.testing.assert_allclose(a.grad, [8.0])  # d(4a^2)/da
+    assert out.grad is None and b.grad is None
+
+
+@pytest.mark.parametrize("op", [add, sub, mul, div, matmul, bmm])
+def test_constant_operand_gets_no_gradient(op):
+    rng = np.random.default_rng(0)
+    shape = (2, 3, 3) if op is bmm else (3, 3)
+    x = leaf(rng.normal(size=shape))
+    k = constant(rng.normal(size=shape) + 5.0)
+    g = rng.normal(size=shape)
+    gx, gk = op(x, k)._bw(g)
+    assert gx is not None and gk is None
+    gk, gx = op(k, x)._bw(g)
+    assert gk is None and gx is not None
 
 
 def test_relu_subgradient_zero_at_kink():
@@ -203,6 +221,30 @@ def test_gather_cols_duplicates_accumulate():
     np.testing.assert_allclose(out.values, [[0, 0, 2], [3, 3, 5]])
     backward(tsum(out))
     np.testing.assert_allclose(x.grad, [[2, 0, 1], [2, 0, 1]])
+
+
+@pytest.mark.parametrize(
+    "idx",
+    [
+        np.random.default_rng(3).permutation(12),  # permutation
+        np.arange(1, 12, 3),  # strided pick
+        np.array([5, 0, 5, 11, 0, 5]),  # duplicates
+    ],
+    ids=["permutation", "strided", "duplicates"],
+)
+@pytest.mark.parametrize("axis", [0, 1], ids=["rows", "cols"])
+def test_gather_backward_matches_add_at_oracle(idx, axis):
+    rng = np.random.default_rng(4)
+    x = leaf(rng.normal(size=(12, 12)))
+    out = gather_rows(x, idx) if axis == 0 else gather_cols(x, idx)
+    g = rng.normal(size=out.values.shape)
+    backward(tsum(mul(out, constant(g))))  # upstream gradient is exactly g
+    oracle = np.zeros((12, 12))
+    if axis == 0:
+        np.add.at(oracle, idx, g)
+    else:
+        np.add.at(oracle.T, idx, g.T)
+    assert x.grad.tobytes() == oracle.tobytes()
 
 
 def test_l2_normalize_rejects_zero_row():

@@ -4,11 +4,14 @@ import csv
 import io
 import os
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from xrhead import report as rpt
+from xrhead.data import SyntheticSpec, generate, load_dataset, save_dataset
+from xrhead.encoders import load_features, save_features
 
 
 def test_csv_text_rfc4180_quoting():
@@ -42,6 +45,37 @@ def test_write_atomic_bytes(tmp_path):
     path = tmp_path / "blob.bin"
     rpt.write_atomic_bytes(str(path), b"\x00\x01\x02")
     assert path.read_bytes() == b"\x00\x01\x02"
+
+
+def _dataset(seed):
+    spec = SyntheticSpec(num_classes=4, num_superclasses=2, train_per_class=2, test_per_class=2)
+    return generate(replace(spec, seed=seed))
+
+
+def _features(seed):
+    return np.full((2, 3), float(seed))
+
+
+@pytest.mark.parametrize(
+    "save, load, make",
+    [(save_dataset, load_dataset, _dataset), (save_features, load_features, _features)],
+    ids=["dataset", "features"],
+)
+def test_failed_save_keeps_old_file(tmp_path, monkeypatch, save, load, make):
+    path = tmp_path / "file.bin"
+    save(str(path), make(0))
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save(str(path), make(1))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["file.bin"]
+    load(str(path))
 
 
 def test_json_text_sorted_and_newline_terminated():
