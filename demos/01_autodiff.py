@@ -21,7 +21,7 @@ from xrhead.numerics import (
     mul,
     no_grad,
     relu,
-    sum_axis,
+    tsum,
 )
 
 rng = np.random.default_rng(0)
@@ -38,7 +38,7 @@ w2 = Parameter("w2", Tensor(rng.standard_normal((8, 1)) * 0.5, requires_grad=Tru
 def loss_fn():
     pred = matmul(relu(matmul(x, w1.tensor)), w2.tensor)
     err = add(pred, constant(-y))
-    return sum_axis(mul(err, err), 0) * (1.0 / 16.0)
+    return tsum(mul(err, err)) * (1.0 / 16.0)  # scalar loss, shape ()
 
 
 # one forward pass, one backward pass

@@ -12,23 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeMismatchError
-from .numerics import (
-    Affine,
-    BatchNorm,
-    Parameter,
-    Tensor,
-    bmm,
-    constant,
-    div,
-    gather_cols,
-    mul,
-    power,
-    relu,
-    reshape,
-    softmax_rows,
-    sum_axis,
-    transpose,
-)
+from .numerics import Affine, BatchNorm, Parameter, Tensor, reshape
+from .numerics.tensor import from_op, recording, unbroadcast
 
 
 class PartAttention:
@@ -62,27 +47,85 @@ class PartAttention:
 
     def attention(self, tokens: Tensor, training: bool) -> Tensor:
         """tokens (b, n, feat_dim) -> weights (b, n, num_parts + 1), rows sum to 1."""
-        b, n, _ = self._check(tokens)
-        flat = reshape(tokens, (b * n, self.feat_dim))
-        scores = relu(self.score(self.bn(flat, training)))
-        return reshape(softmax_rows(scores), (b, n, self.num_parts + 1))
+        return self.forward(tokens, training)[1]
 
     def forward(self, tokens: Tensor, training: bool) -> tuple[Tensor, Tensor]:
         """tokens (b, n, feat_dim) -> (parts (b, num_parts, proj_dim), weights).
 
         Part features are the attention-weighted sums of projected tokens,
         rescaled per image to Frobenius norm `scale` (or by the squared norm
-        when squared_denominator is set).
+        when squared_denominator is set).  The parts are one tape op over the
+        tokens and the six parameters; its backward repeats, bit for bit, the
+        gradients of the composed chain kept in tests/bruteforce.py.  The
+        weights are values only.
         """
-        b, n, _ = self._check(tokens)
-        s = self.num_parts
-        flat = reshape(tokens, (b * n, self.feat_dim))
-        scores = relu(self.score(self.bn(flat, training)))
-        weights = softmax_rows(scores)
-        picked = reshape(gather_cols(weights, np.arange(s)), (b, n, s))
-        projected = reshape(self.proj(flat), (b, n, self.proj_dim))
-        pooled = bmm(transpose(picked), projected)  # (b, s, proj_dim)
-        return self._rescale(pooled), reshape(weights, (b, n, s + 1))
+        b, n, f = self._check(tokens)
+        s, p = self.num_parts, self.proj_dim
+        gamma, beta = self.bn.gamma.tensor, self.bn.beta.tensor
+        ws, bs = self.score.weight.tensor, self.score.bias.tensor
+        wp, bp = self.proj.weight.tensor, self.proj.bias.tensor
+        parents = (tokens, gamma, beta, ws, bs, wp, bp)
+        record = recording(parents)
+        need_x = record and tokens.requires_grad
+
+        flat = tokens.values.reshape(b * n, f)
+        normed, bn_backward = self.bn.normalize(flat, training, record, need_x)
+        weights = normed @ ws.values
+        weights += bs.values
+        active = weights > 0.0 if record else None  # relu subgradient 0 at the kink
+        np.maximum(weights, 0.0, out=weights)
+        weights -= weights.max(axis=1, keepdims=True)
+        np.exp(weights, out=weights)
+        weights /= weights.sum(axis=1, keepdims=True)
+        picked = np.ascontiguousarray(weights[:, :s]).reshape(b, n, s)
+        projected = flat @ wp.values
+        projected += bp.values
+        projected = projected.reshape(b, n, p)
+        pooled = picked.swapaxes(-1, -2) @ projected  # (b, s, p)
+
+        total = (pooled * pooled).reshape(b, s * p).sum(axis=1, keepdims=True)
+        if np.any(total == 0.0):
+            raise DegenerateInputError("pooled part features have zero norm")
+        denom = total if self.squared_denominator else total**0.5
+        factor = (self.scale / denom).reshape(b, 1, 1)
+        slots = Tensor(weights.reshape(b, n, s + 1))
+        if not record:
+            pooled *= factor
+            return from_op(pooled, parents, None), slots
+
+        def backward(g):
+            # rescale: pooled feeds the product and, twice, its own square
+            g_factor = unbroadcast(g * pooled, factor.shape).reshape(b, 1)
+            g_denom = -g_factor * self.scale / (denom * denom)
+            if self.squared_denominator:
+                g_total = g_denom
+            else:
+                g_total = g_denom * 0.5 * total ** (0.5 - 1.0)
+            sq = g_total.reshape(b, 1, 1) * pooled
+            g_pooled = g * factor + sq + sq
+            # pooling bmm, part pick, softmax, relu
+            g_weights = np.zeros_like(weights)
+            g_picked = (g_pooled @ projected.swapaxes(-1, -2)).swapaxes(-1, -2)
+            g_weights.reshape(b, n, s + 1)[:, :, :s] = g_picked
+            g_scores = weights * (g_weights - (g_weights * weights).sum(axis=1, keepdims=True))
+            g_scores *= active
+            g_proj = (picked @ g_pooled).reshape(b * n, p)
+            g_normed = g_scores @ ws.values.T
+            g_flat, g_gamma, g_beta = bn_backward(g_normed)
+            g_tokens = None
+            if need_x:
+                g_tokens = (g_flat + g_proj @ wp.values.T).reshape(b, n, f)
+            return (
+                g_tokens,
+                g_gamma,
+                g_beta,
+                normed.T @ g_scores,
+                unbroadcast(g_scores, bs.values.shape),
+                flat.T @ g_proj,
+                unbroadcast(g_proj, bp.values.shape),
+            )
+
+        return from_op(pooled * factor, parents, backward), slots
 
     def forward_single(self, tokens: Tensor, training: bool = False) -> tuple[Tensor, Tensor]:
         """tokens (n, feat_dim) -> (parts (num_parts, proj_dim), weights (n, num_parts + 1))."""
@@ -94,16 +137,6 @@ class PartAttention:
             reshape(parts, (self.num_parts, self.proj_dim)),
             reshape(weights, (n, self.num_parts + 1)),
         )
-
-    def _rescale(self, pooled: Tensor) -> Tensor:
-        b, s, d = pooled.values.shape
-        squares = reshape(mul(pooled, pooled), (b, s * d))
-        total = sum_axis(squares, 1, keepdims=True)  # (b, 1) squared Frobenius norm
-        if np.any(total.values == 0.0):
-            raise DegenerateInputError("pooled part features have zero norm")
-        denom = total if self.squared_denominator else power(total, 0.5)
-        factor = div(constant(self.scale), denom)
-        return mul(pooled, reshape(factor, (b, 1, 1)))
 
     def _check(self, tokens: Tensor):
         if tokens.values.ndim != 3 or tokens.values.shape[2] != self.feat_dim:

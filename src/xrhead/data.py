@@ -92,7 +92,10 @@ class SyntheticSpec:
         if unknown:
             raise DataError(f"unknown dataset spec keys: {sorted(unknown)}")
         spec = cls(**raw)
-        spec.validate()
+        try:
+            spec.validate()
+        except TypeError as e:  # a value of the wrong type, e.g. from a JSON file
+            raise DataError(f"dataset spec value of the wrong type: {e}") from None
         return spec
 
 
@@ -311,14 +314,21 @@ def load_dataset(path: str) -> Dataset:
     missing = needed - set(arrays)
     if missing:
         raise FormatError(f"dataset file missing arrays: {sorted(missing)}")
+    names = {key: meta.get(key, []) for key in ("class_names", "part_names")}
+    for key, value in names.items():
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise FormatError(f"dataset metadata {key!r} must be a list of strings")
+    spec_raw = meta.get("spec", {})
+    if not isinstance(spec_raw, dict):
+        raise FormatError("dataset metadata 'spec' must be a JSON object")
     try:
-        spec = SyntheticSpec.from_dict(meta.get("spec", {}))
+        spec = SyntheticSpec.from_dict(spec_raw)
     except (DataError, TypeError) as e:
         raise FormatError(f"dataset metadata has an invalid spec: {e}") from None
     ds = Dataset(
         spec=spec,
-        class_names=list(meta.get("class_names", [])),
-        part_names=list(meta.get("part_names", [])),
+        class_names=names["class_names"],
+        part_names=names["part_names"],
         **{k: arrays[k] for k in needed},
     )
     n, t = spec.num_classes * spec.train_per_class, spec.tokens_per_image

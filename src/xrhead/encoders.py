@@ -15,7 +15,7 @@ import numpy as np
 
 from .container import Reader, Writer
 from .errors import FormatError, ShapeMismatchError
-from .numerics import Tensor, add, constant, matmul, mean_axis, tanh
+from .numerics import Tensor, add, affine, constant, mean_axis, tanh
 from .report import write_atomic_bytes
 
 FEATURE_MAGIC = b"XRVF"
@@ -52,8 +52,8 @@ class FrozenTextEncoder:
             )
         x = add(sequences, constant(self._positions))
         pooled = mean_axis(x, 1)
-        h = tanh(add(matmul(pooled, constant(self._w1)), constant(self._b1)))
-        return add(matmul(h, constant(self._w2)), constant(self._b2))
+        h = tanh(affine(pooled, constant(self._w1), constant(self._b1)))
+        return affine(h, constant(self._w2), constant(self._b2))
 
     def checksum(self) -> str:
         h = hashlib.sha256()

@@ -41,6 +41,16 @@ REPORT_FILE = "report.json"
 
 # --- configuration -------------------------------------------------------------
 
+# the JSON value types TrainConfig.from_dict accepts per field annotation
+_JSON_TYPES = {
+    "int": int,
+    "float": (int, float),
+    "bool": bool,
+    "str": str,
+    "dict": dict,
+    "None": type(None),
+}
+
 
 @dataclass
 class TrainConfig:
@@ -116,6 +126,11 @@ class TrainConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         cfg = cls(**raw)
+        for f in fields(cls):
+            allowed = tuple(_JSON_TYPES[t.strip()] for t in f.type.split("|"))
+            value = getattr(cfg, f.name)
+            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+                raise ConfigError(f"config key {f.name!r} must be {f.type}, got {value!r}")
         cfg.validate()
         return cfg
 
@@ -124,7 +139,7 @@ class TrainConfig:
         with open(path, encoding="utf-8") as f:
             try:
                 raw = json.load(f)
-            except json.JSONDecodeError as e:
+            except (json.JSONDecodeError, UnicodeDecodeError) as e:
                 raise ConfigError(f"invalid JSON in {path}: {e}") from e
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
@@ -266,10 +281,10 @@ def _assemble(
         else:
             if class_embeddings is None:
                 raise ConfigError("learned prompt_mode needs class embeddings")
-            if class_embeddings.shape[1] != config.word_dim:
+            if class_embeddings.ndim != 2 or class_embeddings.shape[1] != config.word_dim:
                 raise ConfigError(
-                    f"class embedding dim {class_embeddings.shape[1]} "
-                    f"does not match word_dim {config.word_dim}"
+                    f"class embeddings {class_embeddings.shape} do not match "
+                    f"word_dim {config.word_dim}"
                 )
             bank = PromptBank(
                 class_embeddings,
@@ -793,8 +808,14 @@ def save_model(dir_path: str, model: Model, report: RunReport | None = None) -> 
 
 
 def load_model(dir_path: str) -> tuple[Model, RunReport | None]:
-    """Rebuild a model from a save_model directory."""
-    config = TrainConfig.from_json_file(os.path.join(dir_path, CONFIG_FILE))
+    """Rebuild a model from a save_model directory.
+
+    A damaged or inconsistent directory raises FormatError or DataError.
+    """
+    try:
+        config = TrainConfig.from_json_file(os.path.join(dir_path, CONFIG_FILE))
+    except (ConfigError, DataError) as e:
+        raise FormatError(f"model config is invalid: {e}") from e
     with open(os.path.join(dir_path, PARAMS_FILE), "rb") as f:
         r = Reader(f.read())
     r.magic(MODEL_MAGIC)
@@ -806,17 +827,23 @@ def load_model(dir_path: str) -> tuple[Model, RunReport | None]:
         arrays[name] = values
     meta = r.metadata()
     r.done()
-    for key in ("num_classes", "patch_dim"):
+    for key, least in (("num_classes", 2), ("patch_dim", 1)):
         if key not in meta:
             raise FormatError(f"model metadata missing {key!r}", offset=0)
+        value = meta[key]
+        if type(value) is not int or value < least:
+            raise FormatError(f"model metadata {key!r} must be an integer >= {least}: {value!r}")
 
-    model = _assemble(
-        config,
-        int(meta["num_classes"]),
-        int(meta["patch_dim"]),
-        arrays.get("prompts.class_embeddings"),
-        arrays.get("prompts.manual"),
-    )
+    try:
+        model = _assemble(
+            config,
+            meta["num_classes"],
+            meta["patch_dim"],
+            arrays.get("prompts.class_embeddings"),
+            arrays.get("prompts.manual"),
+        )
+    except ConfigError as e:
+        raise DataError(f"model file does not match its config: {e}") from e
     for p in model.params():
         if p.name not in arrays:
             raise DataError(f"model file missing parameter {p.name!r}")
@@ -836,6 +863,9 @@ def load_model(dir_path: str) -> tuple[Model, RunReport | None]:
     report = None
     report_path = os.path.join(dir_path, REPORT_FILE)
     if os.path.exists(report_path):
-        with open(report_path, encoding="utf-8") as f:
-            report = RunReport.from_json(f.read())
+        try:
+            with open(report_path, encoding="utf-8") as f:
+                report = RunReport.from_json(f.read())
+        except (ValueError, TypeError, ConfigError) as e:  # bad UTF-8 or JSON, wrong keys
+            raise FormatError(f"model report is invalid: {e}") from e
     return model, report

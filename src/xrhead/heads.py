@@ -26,12 +26,13 @@ from .numerics import (
     Parameter,
     Tensor,
     add,
+    bmm,
     gather_cols,
     gather_rows,
     l2_normalize_rows,
     matmul,
-    mul,
     reshape,
+    sum_axis,
     transpose,
 )
 from .prompts import PromptFeatures
@@ -133,15 +134,11 @@ def align_predict(v: Tensor, t: Tensor) -> Tensor:
 def pwcs_batch(v: Tensor, t: Tensor) -> Tensor:
     """Mean per-part cosine similarity: (b, s, d) x (w, s, d) -> (b, w)."""
     b, s, d, w = _check_pair(v, t)
-    vn = l2_normalize_rows(reshape(v, (b * s, d)))
-    tn = l2_normalize_rows(reshape(t, (w * s, d)))
-    acc = None
-    for part in range(s):
-        vs = gather_rows(vn, np.arange(b) * s + part)
-        ts = gather_rows(tn, np.arange(w) * s + part)
-        sims = matmul(vs, transpose(ts))
-        acc = sims if acc is None else add(acc, sims)
-    return acc * (1.0 / s)
+    vn = reshape(l2_normalize_rows(reshape(v, (b * s, d))), (b, s, d))
+    tn = reshape(l2_normalize_rows(reshape(t, (w * s, d))), (w, s, d))
+    # one product per part: (s, b, d) @ (s, d, w), then the parts summed in order
+    sims = bmm(transpose(vn, (1, 0, 2)), transpose(tn, (1, 2, 0)))
+    return sum_axis(sims, 0) * (1.0 / s)
 
 
 def pwcs_predict(v: Tensor, t: Tensor) -> Tensor:

@@ -1,4 +1,4 @@
-"""Small trainable building blocks composed from tensor primitives."""
+"""Small trainable building blocks, each one fused tape op."""
 
 from __future__ import annotations
 
@@ -6,17 +6,7 @@ import numpy as np
 
 from ..errors import BatchSizeError, ShapeMismatchError
 from .optim import Parameter
-from .tensor import (
-    Tensor,
-    add,
-    constant,
-    matmul,
-    mean_axis,
-    mul,
-    power,
-    relu,
-    sub,
-)
+from .tensor import Tensor, affine, from_op, recording, relu, unbroadcast
 
 
 class Affine:
@@ -43,12 +33,7 @@ class Affine:
             self.bias = Parameter(f"{name}.bias", Tensor(np.zeros((1, d_out)), requires_grad=True))
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.values.ndim != 2 or x.values.shape[1] != self.d_in:
-            raise ShapeMismatchError(
-                f"affine expects (b, {self.d_in}), got {x.values.shape}"
-            )
-        out = matmul(x, self.weight.tensor)
-        return out if self.bias is None else add(out, self.bias.tensor)
+        return affine(x, self.weight.tensor, None if self.bias is None else self.bias.tensor)
 
     def params(self) -> list[Parameter]:
         return [self.weight] if self.bias is None else [self.weight, self.bias]
@@ -72,24 +57,70 @@ class BatchNorm:
         self.running_var = np.ones(dim)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        if x.values.ndim != 2 or x.values.shape[1] != self.dim:
-            raise ShapeMismatchError(f"batch norm expects (b, {self.dim}), got {x.values.shape}")
-        if training:
-            b = x.values.shape[0]
-            if b < 2:
-                raise BatchSizeError(f"batch norm needs at least 2 rows to train, got {b}")
-            mean = mean_axis(x, 0, keepdims=True)
-            centered = sub(x, mean)
-            var = mean_axis(mul(centered, centered), 0, keepdims=True)
-            inv = power(add(var, constant(self.eps)), -0.5)
-            xhat = mul(centered, inv)
-            m = self.momentum
-            self.running_mean = (1.0 - m) * self.running_mean + m * mean.values[0]
-            self.running_var = (1.0 - m) * self.running_var + m * var.values[0]
-        else:
-            inv = constant(1.0 / np.sqrt(self.running_var + self.eps))
-            xhat = mul(sub(x, constant(self.running_mean)), inv)
-        return add(mul(xhat, self.gamma.tensor), self.beta.tensor)
+        parents = (x, self.gamma.tensor, self.beta.tensor)
+        out, bw = self.normalize(x.values, training, recording(parents), x.requires_grad)
+        return from_op(out, parents, bw)
+
+    def normalize(self, x: np.ndarray, training: bool, record: bool, need_x: bool):
+        """Values of one batch norm op on x (b, dim), and its backward when `record`.
+
+        backward(g) -> (dx or None, dgamma, dbeta).  The values and the
+        gradients are those of the composed chain (mean, center, variance,
+        power -0.5, scale, shift) bit for bit: the same numpy calls in the
+        same order, fan-in sums included.
+        """
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise ShapeMismatchError(f"batch norm expects (b, {self.dim}), got {x.shape}")
+        gamma, beta = self.gamma.tensor.values, self.beta.tensor.values
+        if not training:
+            inv = 1.0 / np.sqrt(self.running_var + self.eps)
+            if not record:
+                out = x - self.running_mean
+                out *= inv
+                out *= gamma
+                out += beta
+                return out, None
+            xhat = (x - self.running_mean) * inv
+            out = xhat * gamma
+            out += beta
+
+            def backward_eval(g):
+                gx = (g * gamma) * inv if need_x else None
+                return gx, unbroadcast(g * xhat, gamma.shape), unbroadcast(g, beta.shape)
+
+            return out, backward_eval
+
+        b = x.shape[0]
+        if b < 2:
+            raise BatchSizeError(f"batch norm needs at least 2 rows to train, got {b}")
+        mean = x.mean(axis=0, keepdims=True)
+        centered = x - mean
+        var = (centered * centered).mean(axis=0, keepdims=True)
+        shifted = var + self.eps
+        inv = shifted**-0.5
+        xhat = centered * inv
+        out = xhat * gamma
+        out += beta
+        m = self.momentum
+        self.running_mean = (1.0 - m) * self.running_mean + m * mean[0]
+        self.running_var = (1.0 - m) * self.running_var + m * var[0]
+        if not record:
+            return out, None
+        if not need_x:
+            centered = inv = shifted = None  # backward reads only xhat
+
+        def backward(g):
+            gx = None
+            if need_x:
+                g_xhat = g * gamma
+                g_inv = unbroadcast(g_xhat * centered, inv.shape)
+                g_var = g_inv * -0.5 * shifted ** (-0.5 - 1.0)
+                a = (g_var / b) * centered  # each operand of centered * centered
+                g_centered = g_xhat * inv + a + a
+                gx = g_centered + unbroadcast(-g_centered, mean.shape) / b
+            return gx, unbroadcast(g * xhat, gamma.shape), unbroadcast(g, beta.shape)
+
+        return out, backward
 
     def params(self) -> list[Parameter]:
         return [self.gamma, self.beta]

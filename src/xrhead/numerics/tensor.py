@@ -89,21 +89,30 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
 
 
-def _from_op(values: np.ndarray, parents, bw) -> Tensor:
+def recording(parents) -> bool:
+    """True when an op over `parents` goes on the tape.
+
+    Fused ops ask this before they keep anything for their backward.
+    """
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
+def from_op(values: np.ndarray, parents, bw) -> Tensor:
     """Wrap an op result; record the tape edge only when a parent needs it.
 
     A tracked result holds no adjoint: backward passes its gradient on to
-    the parents through the tape.
+    the parents through the tape.  bw(g) returns one gradient (or None) per
+    parent and must not write into g, which may be a read-only view.
     """
     out = Tensor(values)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._bw = bw
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+def unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum g down to `shape`, undoing numpy broadcasting."""
     if g.shape == shape:
         return g
@@ -125,11 +134,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         return (
-            _unbroadcast(g, a.values.shape) if need_a else None,
-            _unbroadcast(g, b.values.shape) if need_b else None,
+            unbroadcast(g, a.values.shape) if need_a else None,
+            unbroadcast(g, b.values.shape) if need_b else None,
         )
 
-    return _from_op(out, (a, b), bw)
+    return from_op(out, (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -138,11 +147,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         return (
-            _unbroadcast(g, a.values.shape) if need_a else None,
-            _unbroadcast(-g, b.values.shape) if need_b else None,
+            unbroadcast(g, a.values.shape) if need_a else None,
+            unbroadcast(-g, b.values.shape) if need_b else None,
         )
 
-    return _from_op(out, (a, b), bw)
+    return from_op(out, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -151,11 +160,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         return (
-            _unbroadcast(g * b.values, a.values.shape) if need_a else None,
-            _unbroadcast(g * a.values, b.values.shape) if need_b else None,
+            unbroadcast(g * b.values, a.values.shape) if need_a else None,
+            unbroadcast(g * a.values, b.values.shape) if need_b else None,
         )
 
-    return _from_op(out, (a, b), bw)
+    return from_op(out, (a, b), bw)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -164,11 +173,11 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         return (
-            _unbroadcast(g / b.values, a.values.shape) if need_a else None,
-            _unbroadcast(-g * a.values / (b.values * b.values), b.values.shape) if need_b else None,
+            unbroadcast(g / b.values, a.values.shape) if need_a else None,
+            unbroadcast(-g * a.values / (b.values * b.values), b.values.shape) if need_b else None,
         )
 
-    return _from_op(out, (a, b), bw)
+    return from_op(out, (a, b), bw)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -178,7 +187,7 @@ def relu(a: Tensor) -> Tensor:
     def bw(g):
         return (g * mask,)
 
-    return _from_op(out, (a,), bw)
+    return from_op(out, (a,), bw)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -187,7 +196,7 @@ def tanh(a: Tensor) -> Tensor:
     def bw(g):
         return (g * (1.0 - out * out),)
 
-    return _from_op(out, (a,), bw)
+    return from_op(out, (a,), bw)
 
 
 def power(a: Tensor, p: float) -> Tensor:
@@ -197,7 +206,7 @@ def power(a: Tensor, p: float) -> Tensor:
     def bw(g):
         return (g * p * a.values ** (p - 1.0),)
 
-    return _from_op(out, (a,), bw)
+    return from_op(out, (a,), bw)
 
 
 # --- matrix products --------------------------------------------------------
@@ -219,7 +228,37 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         return (g @ b.values.T if need_a else None, a.values.T @ g if need_b else None)
 
-    return _from_op(out, (a, b), bw)
+    return from_op(out, (a, b), bw)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x (n, d_in) @ w (d_in, d_out), plus a bias row b (1, d_out) when given.
+
+    One tape node with the values and gradients of add(matmul(x, w), b).
+    """
+    if x.values.ndim != 2 or w.values.ndim != 2 or x.values.shape[1] != w.values.shape[0]:
+        raise ShapeMismatchError(
+            f"affine needs (n, m) @ (m, k), got {x.values.shape} @ {w.values.shape}"
+        )
+    if b is not None and b.values.shape != (1, w.values.shape[1]):
+        raise ShapeMismatchError(
+            f"affine bias must be (1, {w.values.shape[1]}), got {b.values.shape}"
+        )
+    out = x.values @ w.values
+    parents = (x, w)
+    if b is not None:
+        out += b.values
+        parents = (x, w, b)
+    need_x, need_w = x.requires_grad, w.requires_grad
+
+    def bw(g):
+        gx = g @ w.values.T if need_x else None
+        gw = x.values.T @ g if need_w else None
+        if b is None:
+            return gx, gw
+        return gx, gw, unbroadcast(g, b.values.shape) if b.requires_grad else None
+
+    return from_op(out, parents, bw)
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -241,19 +280,30 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
             a.values.swapaxes(-1, -2) @ g if need_b else None,
         )
 
-    return _from_op(out, (a, b), bw)
+    return from_op(out, (a, b), bw)
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes (ndim >= 2)."""
-    if a.values.ndim < 2:
-        raise ShapeMismatchError(f"transpose needs ndim >= 2, got {a.values.shape}")
-    out = a.values.swapaxes(-1, -2)
+def transpose(a: Tensor, axes=None) -> Tensor:
+    """Swap the last two axes (ndim >= 2), or permute the axes as np.transpose(a, axes)."""
+    if axes is None:
+        if a.values.ndim < 2:
+            raise ShapeMismatchError(f"transpose needs ndim >= 2, got {a.values.shape}")
+        out = a.values.swapaxes(-1, -2)
 
-    def bw(g):
-        return (g.swapaxes(-1, -2),)
+        def bw(g):
+            return (g.swapaxes(-1, -2),)
 
-    return _from_op(out, (a,), bw)
+    else:
+        axes = tuple(axes)
+        if sorted(axes) != list(range(a.values.ndim)):
+            raise ShapeMismatchError(f"axes {axes} do not permute the axes of {a.values.shape}")
+        out = a.values.transpose(axes)
+        inverse = tuple(np.argsort(axes))
+
+        def bw(g):
+            return (g.transpose(inverse),)
+
+    return from_op(out, (a,), bw)
 
 
 # --- shape and indexing -----------------------------------------------------
@@ -265,7 +315,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def bw(g):
         return (g.reshape(a.values.shape),)
 
-    return _from_op(out, (a,), bw)
+    return from_op(out, (a,), bw)
 
 
 def _scatter_add(ga: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
@@ -295,7 +345,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
         _scatter_add(ga, idx, g)
         return (ga,)
 
-    return _from_op(out, (a,), bw)
+    return from_op(out, (a,), bw)
 
 
 def gather_cols(a: Tensor, idx) -> Tensor:
@@ -310,26 +360,23 @@ def gather_cols(a: Tensor, idx) -> Tensor:
         _scatter_add(ga.T, idx, g.T)  # scatter per column through the view
         return (ga,)
 
-    return _from_op(out, (a,), bw)
+    return from_op(out, (a,), bw)
 
 
-def concat_rows(parts) -> Tensor:
-    """Stack 2-d tensors along axis 0."""
+def concat(parts, axis: int = 0) -> Tensor:
+    """Join tensors along axis (0 <= axis < ndim); all other axes must agree."""
     parts = list(parts)
-    for p in parts:
-        if p.values.ndim != 2:
-            raise ShapeMismatchError(f"concat_rows needs 2-d tensors, got {p.values.shape}")
-    out = np.concatenate([p.values for p in parts], axis=0)
-    sizes = [p.values.shape[0] for p in parts]
+    shapes = [p.values.shape for p in parts]
+    rest = {(len(s),) + s[:axis] + s[axis + 1 :] for s in shapes}
+    if len(rest) != 1 or not 0 <= axis < len(shapes[0]):
+        raise ShapeMismatchError(f"concat along axis {axis} needs matching shapes, got {shapes}")
+    out = np.concatenate([p.values for p in parts], axis=axis)
+    bounds = np.cumsum([s[axis] for s in shapes])[:-1]
 
     def bw(g):
-        grads, at = [], 0
-        for n in sizes:
-            grads.append(g[at : at + n])
-            at += n
-        return tuple(grads)
+        return tuple(np.split(g, bounds, axis=axis))
 
-    return _from_op(out, tuple(parts), bw)
+    return from_op(out, tuple(parts), bw)
 
 
 # --- reductions -------------------------------------------------------------
@@ -340,9 +387,9 @@ def tsum(a: Tensor) -> Tensor:
     out = np.asarray(a.values.sum())
 
     def bw(g):
-        return (np.broadcast_to(g, a.values.shape).copy(),)
+        return (np.broadcast_to(g, a.values.shape),)
 
-    return _from_op(out, (a,), bw)
+    return from_op(out, (a,), bw)
 
 
 def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
@@ -351,9 +398,9 @@ def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     def bw(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.values.shape).copy(),)
+        return (np.broadcast_to(g, a.values.shape),)
 
-    return _from_op(out, (a,), bw)
+    return from_op(out, (a,), bw)
 
 
 def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
@@ -363,9 +410,9 @@ def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     def bw(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.values.shape).copy() / n,)
+        return (np.broadcast_to(g / n, a.values.shape),)
 
-    return _from_op(out, (a,), bw)
+    return from_op(out, (a,), bw)
 
 
 # --- normalizers and loss ---------------------------------------------------
@@ -382,7 +429,7 @@ def softmax_rows(a: Tensor) -> Tensor:
     def bw(g):
         return (out * (g - (g * out).sum(axis=1, keepdims=True)),)
 
-    return _from_op(out, (a,), bw)
+    return from_op(out, (a,), bw)
 
 
 def l2_normalize_rows(a: Tensor) -> Tensor:
@@ -400,7 +447,7 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
         dot = (g * a.values).sum(axis=1, keepdims=True)
         return (g / norms - a.values * dot / norms**3,)
 
-    return _from_op(out, (a,), bw)
+    return from_op(out, (a,), bw)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -423,7 +470,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         gl[np.arange(b), labels] -= 1.0
         return (gl * (g / b),)
 
-    return _from_op(out, (logits,), bw)
+    return from_op(out, (logits,), bw)
 
 
 # --- backward pass ----------------------------------------------------------

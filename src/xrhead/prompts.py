@@ -13,14 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatchError
-from .numerics import (
-    Parameter,
-    Tensor,
-    concat_rows,
-    constant,
-    gather_rows,
-    reshape,
-)
+from .numerics import Parameter, Tensor, concat, constant, gather_rows, reshape
 
 
 @dataclass
@@ -94,19 +87,14 @@ class PromptBank:
         base = (class_id * s + part_id) * self.ctx_len
         rows = gather_rows(ctx2, np.arange(base, base + self.ctx_len))
         cls = gather_rows(self.class_embeddings.tensor, [class_id])
-        return concat_rows([rows, cls])
+        return concat([rows, cls])
 
     def all_sequences(self) -> Tensor:
         """All prompts stacked: (W * S, ctx_len + 1, word_dim), row i = class i // S, part i % S."""
         w, s, m, d = self.num_classes, self.num_parts, self.ctx_len, self.word_dim
-        ctx2 = reshape(self.contexts.tensor, (w * s * m, d))
-        cls_rep = gather_rows(self.class_embeddings.tensor, np.arange(w * s) // s)
-        stacked = concat_rows([ctx2, cls_rep])
-        # interleave: for prompt i, its m context rows then its class row
-        order = np.empty((w * s, m + 1), dtype=np.intp)
-        order[:, :m] = np.arange(w * s * m).reshape(w * s, m)
-        order[:, m] = w * s * m + np.arange(w * s)
-        return reshape(gather_rows(stacked, order.reshape(-1)), (w * s, m + 1, d))
+        ctx = reshape(self.contexts.tensor, (w * s, m, d))
+        cls = np.repeat(self.class_embeddings.tensor.values, s, axis=0).reshape(w * s, 1, d)
+        return concat([ctx, constant(cls)], axis=1)
 
     def encode(self, encoder) -> PromptFeatures:
         """Run every prompt through the frozen text encoder: (W, S, feat_dim)."""

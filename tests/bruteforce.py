@@ -1,10 +1,34 @@
 """Brute-force reference implementations used by unit and acceptance tests.
 
-Everything here is deliberately written as plain python loops over numpy
-rows, independent of the library's batched tensor code paths.
+The first group is deliberately written as plain python loops over numpy
+rows, independent of the library's batched tensor code paths.  The second
+group rebuilds the fused layers from primitive tape ops, as bitwise oracles.
 """
 
 import numpy as np
+
+from xrhead.numerics import (
+    add,
+    bmm,
+    concat,
+    constant,
+    cross_entropy,
+    div,
+    gather_cols,
+    gather_rows,
+    l2_normalize_rows,
+    matmul,
+    mean_axis,
+    mul,
+    power,
+    relu,
+    reshape,
+    softmax_rows,
+    sub,
+    sum_axis,
+    tanh,
+    transpose,
+)
 
 
 def relation_flat(v: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -38,3 +62,135 @@ def align_logits(v: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.array(
         [float(np.dot(v, row)) / (np.linalg.norm(v) * np.linalg.norm(row)) for row in t]
     )
+
+
+# --- composed tape chains --------------------------------------------------------
+#
+# The library runs each hot layer as one fused tape op with a hand-written
+# backward.  Below are the chains of primitive tape ops those layers are made
+# of.  A fused op must give the same bits as its chain: forward values, every
+# leaf gradient and the batch-norm running statistics.
+
+
+def composed_affine(x, w, b=None):
+    out = matmul(x, w)
+    return out if b is None else add(out, b)
+
+
+def composed_batch_norm(bn, x, training: bool):
+    if training:
+        mean = mean_axis(x, 0, keepdims=True)
+        centered = sub(x, mean)
+        var = mean_axis(mul(centered, centered), 0, keepdims=True)
+        inv = power(add(var, constant(bn.eps)), -0.5)
+        xhat = mul(centered, inv)
+        m = bn.momentum
+        bn.running_mean = (1.0 - m) * bn.running_mean + m * mean.values[0]
+        bn.running_var = (1.0 - m) * bn.running_var + m * var.values[0]
+    else:
+        inv = constant(1.0 / np.sqrt(bn.running_var + bn.eps))
+        xhat = mul(sub(x, constant(bn.running_mean)), inv)
+    return add(mul(xhat, bn.gamma.tensor), bn.beta.tensor)
+
+
+def composed_mlp(mlp, x, training: bool):
+    h = composed_affine(x, mlp.fc1.weight.tensor)
+    h = relu(composed_batch_norm(mlp.bn, h, training))
+    return composed_affine(h, mlp.fc2.weight.tensor, mlp.fc2.bias.tensor)
+
+
+def composed_attention(attn, tokens, training: bool):
+    """PartAttention.forward as a chain: (parts, weights), both on the tape."""
+    b, n, f = tokens.values.shape
+    s = attn.num_parts
+    flat = reshape(tokens, (b * n, f))
+    normed = composed_batch_norm(attn.bn, flat, training)
+    scores = relu(composed_affine(normed, attn.score.weight.tensor, attn.score.bias.tensor))
+    weights = softmax_rows(scores)
+    picked = reshape(gather_cols(weights, np.arange(s)), (b, n, s))
+    projected = composed_affine(flat, attn.proj.weight.tensor, attn.proj.bias.tensor)
+    pooled = bmm(transpose(picked), reshape(projected, (b, n, attn.proj_dim)))
+    # rescale each image's block to Frobenius norm `scale`
+    squares = reshape(mul(pooled, pooled), (b, s * attn.proj_dim))
+    total = sum_axis(squares, 1, keepdims=True)
+    denom = total if attn.squared_denominator else power(total, 0.5)
+    factor = div(constant(attn.scale), denom)
+    parts = mul(pooled, reshape(factor, (b, 1, 1)))
+    return parts, reshape(weights, (b, n, s + 1))
+
+
+def composed_pwcs(v, t):
+    """pwcs_batch as a loop over parts: gather, matmul and add per part."""
+    b, s, d = v.values.shape
+    w = t.values.shape[0]
+    vn = l2_normalize_rows(reshape(v, (b * s, d)))
+    tn = l2_normalize_rows(reshape(t, (w * s, d)))
+    acc = None
+    for part in range(s):
+        vs = gather_rows(vn, np.arange(b) * s + part)
+        ts = gather_rows(tn, np.arange(w) * s + part)
+        sims = matmul(vs, transpose(ts))
+        acc = sims if acc is None else add(acc, sims)
+    return acc * (1.0 / s)
+
+
+def composed_sequences(bank):
+    """PromptBank.all_sequences as a row interleave of contexts and class rows."""
+    w, s, m, d = bank.num_classes, bank.num_parts, bank.ctx_len, bank.word_dim
+    ctx2 = reshape(bank.contexts.tensor, (w * s * m, d))
+    cls_rep = gather_rows(bank.class_embeddings.tensor, np.arange(w * s) // s)
+    stacked = concat([ctx2, cls_rep])
+    order = np.empty((w * s, m + 1), dtype=np.intp)
+    order[:, :m] = np.arange(w * s * m).reshape(w * s, m)
+    order[:, m] = w * s * m + np.arange(w * s)
+    return reshape(gather_rows(stacked, order.reshape(-1)), (w * s, m + 1, d))
+
+
+def composed_text_encode(enc, sequences):
+    x = add(sequences, constant(enc._positions))
+    pooled = mean_axis(x, 1)
+    h = tanh(composed_affine(pooled, constant(enc._w1), constant(enc._b1)))
+    return composed_affine(h, constant(enc._w2), constant(enc._b2))
+
+
+def composed_model_loss(model, feats, labels, training: bool = True):
+    """Model.loss with every fused layer replaced by its chain."""
+    from xrhead.heads import HeadKind, relation_batch
+    from xrhead.prompts import PromptFeatures
+
+    v, _ = composed_attention(model.attention, feats, training)
+    b, s, d = v.values.shape
+    head = model.head
+    if model.kind == HeadKind.MLPS:
+        flat = reshape(v, (b * s, d))
+        acc = None
+        for part, mlp in enumerate(head.mlps):
+            out = composed_mlp(mlp, gather_rows(flat, np.arange(b) * s + part), training)
+            acc = out if acc is None else add(acc, out)
+        return cross_entropy(acc * (1.0 / s), labels)
+    if model.manual is not None:
+        t = model.manual.tensor
+    else:
+        bank = model.bank
+        feats_t = composed_text_encode(model.text_encoder, composed_sequences(bank))
+        t = reshape(feats_t, (bank.num_classes, bank.num_parts, feats_t.values.shape[1]))
+    w = t.values.shape[0]
+    if model.kind == HeadKind.PWCS:
+        logits = composed_pwcs(v, t)
+    elif model.kind == HeadKind.ALIGN:
+        logits = head.logits(v, PromptFeatures(t, "learned"), training)
+    else:
+        flat = relation_batch(v, t, head.normalize_prompts)
+        if model.kind == HeadKind.CRM_FULL:
+            logits = composed_mlp(head.clf, flat, training)
+        else:
+            picked = gather_cols(flat, head.pick)
+            if model.kind == HeadKind.CRM_XCLASS:
+                logits = composed_mlp(head.clf, picked, training)
+            else:
+                per_class = head.pick.size // w
+                scores = composed_mlp(head.clf, reshape(picked, (b * w, per_class)), training)
+                logits = reshape(scores, (b, w))
+    if model.kind in (HeadKind.ALIGN, HeadKind.PWCS):
+        logits = logits * model.config.cosine_loss_scale
+    return cross_entropy(logits, labels)

@@ -1,0 +1,390 @@
+"""Fused tape ops: bit for bit equal to their composed chains, and gradient-checked.
+
+Each hot layer runs as one tape op with a hand-written backward.  The chains
+of primitive ops it replaced live in bruteforce.py; here the fused op and its
+chain see identical inputs and an identical upstream gradient, and must give
+identical bytes: forward values, every leaf gradient and the batch-norm
+running statistics.
+"""
+
+import numpy as np
+import pytest
+
+import bruteforce
+from xrhead.attention import PartAttention
+from xrhead.data import SyntheticSpec, generate
+from xrhead.encoders import FrozenTextEncoder
+from xrhead.harness import TrainConfig, build_model, few_shot_split
+from xrhead.heads import pwcs_batch
+from xrhead.numerics import (
+    Affine,
+    BatchNorm,
+    Parameter,
+    Tensor,
+    affine,
+    backward,
+    concat,
+    constant,
+    finite_diff_check,
+    mean_axis,
+    mul,
+    sum_axis,
+    transpose,
+    tsum,
+)
+from xrhead.numerics.tensor import _topo_order
+from xrhead.prompts import PromptBank
+
+
+def jitter(params, seed):
+    """Move parameters off their exact initial values (ones, zeros)."""
+    rng = np.random.default_rng(seed)
+    for p in params:
+        p.tensor.values += 0.3 * rng.normal(size=p.tensor.values.shape)
+
+
+def bits(out, leaves, seed=0):
+    """Bytes of out and of every leaf gradient after backward of sum(out * K)."""
+    k = constant(np.random.default_rng(seed).normal(size=out.values.shape))
+    backward(tsum(mul(out, k)))
+    return [out.values.tobytes()] + [t.grad.tobytes() for t in leaves if t.requires_grad]
+
+
+def assert_same_bits(make, fused, composed):
+    """make() -> (state, leaves), built twice; fused and composed must agree in bytes."""
+    state, leaves = make()
+    got = bits(fused(state), leaves)
+    twin, twin_leaves = make()
+    want = bits(composed(twin), twin_leaves)
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a == b, f"entry {i} (0 = values, then leaf gradients) differs"
+    return state, twin
+
+
+def grad_check(loss, leaves, tol=1e-6, max_coords=None):
+    params = [Parameter(f"p{i}", t) for i, t in enumerate(leaves) if t.requires_grad]
+    worst = finite_diff_check(loss, params, max_coords_per_param=max_coords)
+    assert max(worst.values()) < tol, worst
+
+
+# --- affine -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+@pytest.mark.parametrize("tracked", [True, False], ids=["tracked", "constant"])
+def test_affine_matches_composed(bias, tracked):
+    def make():
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.normal(size=(7, 5)), requires_grad=tracked)
+        w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(1, 3)), requires_grad=True) if bias else None
+        return (x, w, b), [t for t in (x, w, b) if t is not None]
+
+    assert_same_bits(make, lambda s: affine(*s), lambda s: bruteforce.composed_affine(*s))
+    (x, w, b), leaves = make()
+    k = constant(np.random.default_rng(2).normal(size=(7, 3)))
+    grad_check(lambda: tsum(mul(affine(x, w, b), k)), leaves)
+
+
+def test_affine_layer_and_constant_weights():
+    rng = np.random.default_rng(3)
+    layer = Affine(5, 3, rng, name="fc")
+    x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    out = layer(x)
+    assert out._parents == (x, layer.weight.tensor, layer.bias.tensor)
+    # frozen weights (as in the text encoder): only the input gets a gradient
+    frozen = affine(x, constant(np.ones((5, 3))), constant(np.ones((1, 3))))
+    gx, gw, gb = frozen._bw(np.ones((4, 3)))
+    assert gx is not None and gw is None and gb is None
+
+
+# --- batch norm -------------------------------------------------------------------
+
+
+def make_bn(tracked, seed=4):
+    bn = BatchNorm(5, name="bn")
+    jitter(bn.params(), seed)
+    rng = np.random.default_rng(seed + 1)
+    bn.running_mean = rng.normal(size=5)
+    bn.running_var = rng.uniform(0.5, 2.0, size=5)
+    x = Tensor(rng.normal(size=(6, 5)) * 3.0 + 1.0, requires_grad=tracked)
+    return bn, x
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("tracked", [True, False], ids=["tracked", "constant"])
+def test_batch_norm_matches_composed(training, tracked):
+    def make():
+        bn, x = make_bn(tracked)
+        return (bn, x), [x, bn.gamma.tensor, bn.beta.tensor]
+
+    (bn, _), (twin, _) = assert_same_bits(
+        make,
+        lambda s: s[0](s[1], training),
+        lambda s: bruteforce.composed_batch_norm(s[0], s[1], training),
+    )
+    assert bn.running_mean.tobytes() == twin.running_mean.tobytes()
+    assert bn.running_var.tobytes() == twin.running_var.tobytes()
+
+
+def test_batch_norm_untracked_forward_matches_composed():
+    # eval without a tape writes into one buffer; the values must not move
+    bn, x = make_bn(tracked=False)
+    twin, x2 = make_bn(tracked=False)
+    bn.gamma.tensor.requires_grad = twin.gamma.tensor.requires_grad = False
+    bn.beta.tensor.requires_grad = twin.beta.tensor.requires_grad = False
+    got = bn(x, training=False)
+    assert not got.requires_grad
+    want = bruteforce.composed_batch_norm(twin, x2, training=False)
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_batch_norm_gradients(training):
+    bn, x = make_bn(tracked=True)
+    k = constant(np.random.default_rng(6).normal(size=(6, 5)))
+    mean, var = bn.running_mean.copy(), bn.running_var.copy()
+
+    def loss():
+        bn.running_mean, bn.running_var = mean.copy(), var.copy()
+        return tsum(mul(bn(x, training), k))
+
+    grad_check(loss, [x, bn.gamma.tensor, bn.beta.tensor], tol=1e-5)
+
+
+# --- part attention ---------------------------------------------------------------
+
+
+def make_attention(num_parts, squared, tracked, seed=7):
+    attn = PartAttention(feat_dim=6, num_parts=num_parts, seed=seed, squared_denominator=squared)
+    jitter(attn.params(), seed)
+    rng = np.random.default_rng(seed + 1)
+    attn.bn.running_mean = rng.normal(size=6)
+    attn.bn.running_var = rng.uniform(0.5, 2.0, size=6)
+    tokens = Tensor(rng.normal(size=(3, 5, 6)), requires_grad=tracked)
+    return attn, tokens
+
+
+@pytest.mark.parametrize("num_parts", [1, 4])
+@pytest.mark.parametrize("squared", [False, True], ids=["norm", "squared"])
+@pytest.mark.parametrize("tracked", [True, False], ids=["tracked", "constant"])
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_attention_matches_composed(num_parts, squared, tracked, training):
+    def make():
+        attn, tokens = make_attention(num_parts, squared, tracked)
+        return (attn, tokens), [tokens] + [p.tensor for p in attn.params()]
+
+    weights = {}
+
+    def fused(s):
+        parts, weights["fused"] = s[0].forward(s[1], training)
+        return parts
+
+    def composed(s):
+        parts, weights["composed"] = bruteforce.composed_attention(s[0], s[1], training)
+        return parts
+
+    (attn, _), (twin, _) = assert_same_bits(make, fused, composed)
+    assert weights["fused"].values.tobytes() == weights["composed"].values.tobytes()
+    assert attn.bn.running_mean.tobytes() == twin.bn.running_mean.tobytes()
+    assert attn.bn.running_var.tobytes() == twin.bn.running_var.tobytes()
+
+
+def test_attention_untracked_forward_matches_composed():
+    attn, tokens = make_attention(4, False, tracked=False)
+    twin, tokens2 = make_attention(4, False, tracked=False)
+    for p in attn.params() + twin.params():
+        p.tensor.requires_grad = False
+    parts, weights = attn.forward(tokens, training=False)
+    assert not parts.requires_grad and parts._bw is None
+    want_parts, want_weights = bruteforce.composed_attention(twin, tokens2, training=False)
+    assert parts.values.tobytes() == want_parts.values.tobytes()
+    assert weights.values.tobytes() == want_weights.values.tobytes()
+
+
+@pytest.mark.parametrize("num_parts", [1, 4])
+@pytest.mark.parametrize("squared", [False, True], ids=["norm", "squared"])
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_attention_gradients(num_parts, squared, training):
+    attn, tokens = make_attention(num_parts, squared, tracked=True)
+    k = constant(np.random.default_rng(9).normal(size=(3, num_parts, 6)))
+    mean, var = attn.bn.running_mean.copy(), attn.bn.running_var.copy()
+
+    def loss():
+        attn.bn.running_mean, attn.bn.running_var = mean.copy(), var.copy()
+        parts, _ = attn.forward(tokens, training)
+        return tsum(mul(parts, k))
+
+    grad_check(loss, [tokens] + [p.tensor for p in attn.params()], tol=1e-5, max_coords=12)
+
+
+def test_attention_weights_are_values_only():
+    attn, tokens = make_attention(4, False, tracked=True)
+    parts, weights = attn.forward(tokens, training=True)
+    assert parts.requires_grad and not weights.requires_grad
+    np.testing.assert_array_equal(weights.values, attn.attention(tokens, training=True).values)
+
+
+# --- PWCS head --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("num_parts", [1, 4])
+def test_pwcs_matches_composed(num_parts):
+    def make():
+        rng = np.random.default_rng(10)
+        v = Tensor(rng.normal(size=(5, num_parts, 6)), requires_grad=True)
+        t = Tensor(rng.normal(size=(7, num_parts, 6)), requires_grad=True)
+        return (v, t), [v, t]
+
+    assert_same_bits(make, lambda s: pwcs_batch(*s), lambda s: bruteforce.composed_pwcs(*s))
+    (v, t), leaves = make()
+    k = constant(np.random.default_rng(11).normal(size=(5, 7)))
+    grad_check(lambda: tsum(mul(pwcs_batch(v, t), k)), leaves)
+
+
+# --- prompt bank and text encoder -------------------------------------------------
+
+
+def make_prompts():
+    emb = np.random.default_rng(12).normal(size=(4, 6))
+    bank = PromptBank(emb, num_parts=3, ctx_len=2, seed=13, init_std=0.5)
+    enc = FrozenTextEncoder(seed=14, word_dim=6, feat_dim=5, num_positions=3)
+    return (bank, enc), [bank.contexts.tensor]
+
+
+def test_all_sequences_matches_composed():
+    assert_same_bits(
+        make_prompts,
+        lambda s: s[0].all_sequences(),
+        lambda s: bruteforce.composed_sequences(s[0]),
+    )
+
+
+def test_text_encode_matches_composed():
+    assert_same_bits(
+        make_prompts,
+        lambda s: s[1].encode(s[0].all_sequences()),
+        lambda s: bruteforce.composed_text_encode(s[1], bruteforce.composed_sequences(s[0])),
+    )
+    (bank, enc), leaves = make_prompts()
+    k = constant(np.random.default_rng(15).normal(size=(4, 3, 5)))
+    grad_check(lambda: tsum(mul(bank.encode(enc).tensor, k)), leaves)
+
+
+# --- shape ops used by the fused layers --------------------------------------------
+
+
+def test_concat_and_permute_gradients():
+    rng = np.random.default_rng(16)
+    a = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 1, 4)), requires_grad=True)
+    k = constant(rng.normal(size=(3, 3, 4)))
+    grad_check(lambda: tsum(mul(concat([a, b], axis=1), k)), [a, b])
+    kp = constant(rng.normal(size=(2, 4, 3)))
+    grad_check(lambda: tsum(mul(transpose(a, (1, 2, 0)), kp)), [a])
+
+
+def test_reduction_gradients_are_broadcast_views():
+    # tsum, sum_axis and mean_axis hand back a read-only view of their upstream
+    # gradient: same values as a copy, without materializing it
+    a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    for out, g, want in (
+        (tsum(a), np.array(2.0), np.full((2, 3), 2.0)),
+        (sum_axis(a, 0), np.array([1.0, 2.0, 3.0]), np.tile([1.0, 2.0, 3.0], (2, 1))),
+        (mean_axis(a, 1), np.array([3.0, 6.0]), np.array([[1.0] * 3, [2.0] * 3])),
+    ):
+        (ga,) = out._bw(g)
+        assert not ga.flags.writeable
+        np.testing.assert_array_equal(ga, want)
+
+
+# --- whole training steps ------------------------------------------------------------
+
+TINY_SPEC = {
+    "num_classes": 6,
+    "num_superclasses": 3,
+    "noise": 0.1,
+    "train_per_class": 6,
+    "test_per_class": 2,
+    "tokens_per_image": 6,
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset():
+    return generate(SyntheticSpec.from_dict(TINY_SPEC))
+
+
+def step_inputs(config, dataset):
+    patches, labels, _ = few_shot_split(dataset, config.shots, config.seed_data)
+    model = build_model(config, dataset)
+    return model, constant(model.image_encoder.encode(patches[:9])), labels[:9]
+
+
+def tiny_config(**overrides):
+    base = dict(shots=4, feat_dim=12, ctx_len=3, head_hidden=10, data_spec=TINY_SPEC)
+    base.update(overrides)
+    return TrainConfig(**base)
+
+
+STEP_CASES = {
+    "ALIGN": dict(head="ALIGN", num_parts=1),
+    "PWCS": dict(head="PWCS"),
+    "PWCS_one_part": dict(head="PWCS", num_parts=1),
+    "MLPS": dict(head="MLPS"),
+    "MLPS_one_part": dict(head="MLPS", num_parts=1),
+    "CRM_FULL": dict(head="CRM_FULL"),
+    "CRM_FULL_squared_normalized": dict(
+        head="CRM_FULL", squared_denominator=True, normalize_prompts=True
+    ),
+    "CRM_BASE": dict(head="CRM_BASE"),
+    "CRM_XCLASS": dict(head="CRM_XCLASS", normalize_prompts=True),
+    "CRM_XPART": dict(head="CRM_XPART"),
+}
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_model_step_matches_composed(case, training, tiny_dataset):
+    cfg = tiny_config(**STEP_CASES[case])
+    model, feats, labels = step_inputs(cfg, tiny_dataset)
+    twin, _, _ = step_inputs(cfg, tiny_dataset)
+    for m, seed in ((model, 17), (twin, 17)):
+        jitter([p for p in m.params() if not p.frozen], seed)
+    loss = model.loss(feats, labels, training)
+    want = bruteforce.composed_model_loss(twin, feats, labels, training)
+    assert loss.values.tobytes() == want.values.tobytes()
+    backward(loss)
+    backward(want)
+    for p, q in zip(model.params(), twin.params()):
+        assert p.name == q.name
+        if p.tensor.grad is not None:
+            assert p.tensor.grad.tobytes() == q.tensor.grad.tobytes(), p.name
+    for name, bn in model.batch_norms().items():
+        other = twin.batch_norms()[name]
+        assert bn.running_mean.tobytes() == other.running_mean.tobytes(), name
+        assert bn.running_var.tobytes() == other.running_var.tobytes(), name
+
+
+# Tracked op nodes (leaves excluded) on the tape of one training step.  The
+# composed layers recorded 58 (PWCS), 52 (CRM_FULL), 55 (CRM_BASE) and 82
+# (MLPS); a change that splits a fused layer back into primitives fails here.
+PINNED_STEP_NODES = {
+    "ALIGN": 17,
+    "PWCS": 22,
+    "MLPS": 27,
+    "CRM_FULL": 20,
+    "CRM_BASE": 23,
+    "CRM_XCLASS": 21,
+    "CRM_XPART": 23,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_STEP_NODES))
+def test_training_step_tape_size(kind, tiny_dataset):
+    cfg = tiny_config(head=kind, num_parts=1 if kind == "ALIGN" else 4)
+    model, feats, labels = step_inputs(cfg, tiny_dataset)
+    loss = model.loss(feats, labels, training=True)
+    ops = [node for node in _topo_order(loss) if node._parents]
+    assert len(ops) == PINNED_STEP_NODES[kind]

@@ -21,7 +21,7 @@ from xrhead.numerics import (
     add,
     backward,
     bmm,
-    concat_rows,
+    concat,
     constant,
     cosine_lr,
     cross_entropy,
@@ -333,7 +333,7 @@ def test_grad_shape_ops():
 
     b = leaf(rng.normal(size=(2, 6)))
     kcat = constant(rng.normal(size=(6, 6)))
-    check_op(lambda: tsum(mul(concat_rows([a, b]), kcat)), [a, b])
+    check_op(lambda: tsum(mul(concat([a, b]), kcat)), [a, b])
 
 
 def test_grad_reductions():

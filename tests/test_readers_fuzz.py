@@ -1,0 +1,296 @@
+"""Fuzzed binary readers: damaged input raises FormatError or DataError, never anything else.
+
+Each reader gets a valid file with one corruption drawn by hypothesis:
+truncation, bit flips, overwritten byte runs, or a well-formed container
+whose metadata holds wrong values.  Loading may still succeed when the
+damage lands in payload values; any exception other than the two reader
+errors fails the test.
+"""
+
+import json
+import os
+import shutil
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from xrhead.container import Reader, Writer
+from xrhead.data import (
+    DATASET_MAGIC,
+    DATASET_VERSION,
+    SyntheticSpec,
+    generate,
+    load_dataset,
+    save_dataset,
+)
+from xrhead.encoders import load_features, save_features
+from xrhead.errors import DataError, FormatError
+from xrhead.harness import MODEL_MAGIC, MODEL_VERSION, TrainConfig, load_model, save_model, train
+
+READER_ERRORS = (FormatError, DataError)
+FUZZ = settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+SMALL_SPEC = {
+    "num_classes": 4,
+    "num_superclasses": 2,
+    "true_parts": 2,
+    "tokens_per_image": 4,
+    "patch_dim": 5,
+    "train_per_class": 3,
+    "test_per_class": 2,
+    "embed_dim": 6,
+}
+
+
+@st.composite
+def corrupted(draw, raw: bytes):
+    """raw with one kind of damage: cut, flipped bits or an overwritten run of bytes."""
+    kind = draw(st.sampled_from(["truncate", "flip", "overwrite"]))
+    data = bytearray(raw)
+    if kind == "truncate":
+        return bytes(data[: draw(st.integers(0, len(raw) - 1))])
+    if kind == "flip":
+        for _ in range(draw(st.integers(1, 8))):
+            at = draw(st.integers(0, len(raw) - 1))
+            data[at] ^= 1 << draw(st.integers(0, 7))
+        return bytes(data)
+    at = draw(st.integers(0, len(raw) - 1))
+    run = draw(st.binary(min_size=1, max_size=12))
+    data[at : at + len(run)] = run
+    return bytes(data[: len(raw)])
+
+
+# JSON values of every type, small enough that no reader allocates much from them
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def mutated_dict(base: dict):
+    """base with some keys dropped, some values replaced by arbitrary JSON and some keys added."""
+    keys = sorted(base)
+    return st.tuples(
+        st.sets(st.sampled_from(keys)),
+        st.dictionaries(st.sampled_from(keys), json_values, max_size=3),
+        st.dictionaries(st.text(max_size=8), json_values, max_size=2),
+    ).map(lambda t: {**{k: v for k, v in base.items() if k not in t[0]}, **t[1], **t[2]})
+
+
+def must_load_or_refuse(load, *args):
+    try:
+        load(*args)
+    except READER_ERRORS:
+        pass
+
+
+@pytest.fixture(scope="module")
+def workdir():
+    path = tempfile.mkdtemp(prefix="xrhead-fuzz-")
+    yield path
+    shutil.rmtree(path)
+
+
+def write(path: str, data: bytes) -> str:
+    with open(path, "wb") as f:
+        f.write(data)
+    return path
+
+
+# --- container.Reader ------------------------------------------------------------
+
+
+def container_bytes() -> bytes:
+    w = Writer(b"TEST", 3)
+    w.u32(2)
+    w.tagged_array("ints", np.arange(6).reshape(2, 3), np.int64)
+    w.tagged_array("floats", np.linspace(0.0, 1.0, 4), np.float64)
+    w.array(np.ones((2, 2)), np.float32)
+    w.metadata({"a": [1, 2], "b": "x"})
+    return w.bytes()
+
+
+def read_container(data: bytes) -> None:
+    r = Reader(data)
+    r.magic(b"TEST")
+    r.version(3)
+    for _ in range(r.u32("count")):
+        r.tagged_array("array")
+    r.array("plain")
+    r.metadata()
+    r.done()
+
+
+def test_container_round_trip():
+    read_container(container_bytes())
+
+
+@FUZZ
+@given(data=corrupted(container_bytes()))
+def test_container_reader_refuses_damage(data):
+    must_load_or_refuse(read_container, data)
+
+
+@FUZZ
+@given(data=st.binary(max_size=64))
+def test_container_reader_refuses_noise(data):
+    must_load_or_refuse(read_container, b"TEST\x03\x00\x00\x00" + data)
+
+
+# --- feature files (.xrvf) -------------------------------------------------------
+
+
+def feature_bytes(workdir) -> bytes:
+    path = os.path.join(workdir, "base.xrvf")
+    save_features(path, np.arange(12.0).reshape(3, 4), {"class_names": ["a", "b", "c"]})
+    with open(path, "rb") as f:
+        return f.read()
+
+
+@pytest.fixture(scope="module")
+def features_raw(workdir):
+    return feature_bytes(workdir)
+
+
+@FUZZ
+@given(data=st.data())
+def test_feature_reader_refuses_damage(data, workdir, features_raw):
+    path = write(os.path.join(workdir, "fuzz.xrvf"), data.draw(corrupted(features_raw)))
+    must_load_or_refuse(load_features, path)
+
+
+# --- dataset files (.xrvd) -------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def dataset(workdir):
+    ds = generate(SyntheticSpec.from_dict(SMALL_SPEC))
+    path = os.path.join(workdir, "base.xrvd")
+    save_dataset(path, ds)
+    with open(path, "rb") as f:
+        return ds, f.read()
+
+
+def dataset_with_metadata(ds, meta) -> bytes:
+    """A well-formed dataset container holding ds's arrays and the given metadata."""
+    arrays = {k: v for k, v in vars(ds).items() if isinstance(v, np.ndarray)}
+    w = Writer(DATASET_MAGIC, DATASET_VERSION)
+    w.u32(len(arrays))
+    for name, values in sorted(arrays.items()):
+        dtype = np.int64 if values.dtype.kind == "i" else np.float64
+        w.tagged_array(name, values, dtype)
+    w.metadata(meta)
+    return w.bytes()
+
+
+def test_dataset_with_metadata_round_trips(dataset, workdir):
+    ds, _ = dataset
+    meta = {"spec": SMALL_SPEC, "class_names": ds.class_names, "part_names": ds.part_names}
+    path = write(os.path.join(workdir, "meta.xrvd"), dataset_with_metadata(ds, meta))
+    np.testing.assert_array_equal(load_dataset(path).test_patches, ds.test_patches)
+
+
+@FUZZ
+@given(data=st.data())
+def test_dataset_reader_refuses_damage(data, workdir, dataset):
+    _, raw = dataset
+    path = write(os.path.join(workdir, "fuzz.xrvd"), data.draw(corrupted(raw)))
+    must_load_or_refuse(load_dataset, path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_dataset_reader_refuses_wrong_metadata(data, workdir, dataset):
+    ds, _ = dataset
+    base = {
+        "spec": data.draw(st.one_of(mutated_dict(SMALL_SPEC), json_values)),
+        "class_names": ds.class_names,
+        "part_names": ds.part_names,
+    }
+    meta = data.draw(mutated_dict(base))
+    path = write(os.path.join(workdir, "meta.xrvd"), dataset_with_metadata(ds, meta))
+    must_load_or_refuse(load_dataset, path)
+
+
+# --- model directories -----------------------------------------------------------
+
+MODEL_CONFIG = dict(epochs=1, shots=2, batch_size=4, feat_dim=8, ctx_len=2, num_parts=2)
+
+
+@pytest.fixture(scope="module", params=["CRM_FULL", "MLPS"])
+def model_dir(request, workdir):
+    ds = generate(SyntheticSpec.from_dict(SMALL_SPEC))
+    cfg = TrainConfig(head=request.param, data_spec=SMALL_SPEC, word_dim=6, **MODEL_CONFIG)
+    model, report = train(cfg, ds)
+    path = os.path.join(workdir, f"model-{request.param}")
+    save_model(path, model, report)
+    return path
+
+
+def damaged_copy(src: str, dst: str, name: str, data: bytes) -> str:
+    if os.path.exists(dst):
+        shutil.rmtree(dst)
+    shutil.copytree(src, dst)
+    return write(os.path.join(dst, name), data)
+
+
+def test_model_dir_round_trip(model_dir):
+    model, report = load_model(model_dir)
+    assert report is not None and model.param_count() > 0
+
+
+@FUZZ
+@given(data=st.data())
+def test_model_reader_refuses_damage(data, model_dir, workdir):
+    name = data.draw(st.sampled_from(["params.xrvp", "config.json", "report.json"]))
+    with open(os.path.join(model_dir, name), "rb") as f:
+        raw = f.read()
+    dst = os.path.join(workdir, "fuzz-model")
+    damaged_copy(model_dir, dst, name, data.draw(corrupted(raw)))
+    must_load_or_refuse(load_model, dst)
+
+
+@FUZZ
+@given(data=st.data())
+def test_model_reader_refuses_wrong_metadata(data, model_dir, workdir):
+    with open(os.path.join(model_dir, "params.xrvp"), "rb") as f:
+        r = Reader(f.read())
+    r.magic(MODEL_MAGIC)
+    r.version(MODEL_VERSION)
+    arrays = [r.tagged_array("array") for _ in range(r.u32("count"))]
+    meta = r.metadata()
+    w = Writer(MODEL_MAGIC, MODEL_VERSION)
+    w.u32(len(arrays))
+    for name, values in arrays:
+        w.tagged_array(name, values, np.float64)
+    w.metadata(data.draw(mutated_dict(meta)))
+    dst = os.path.join(workdir, "meta-model")
+    damaged_copy(model_dir, dst, "params.xrvp", w.bytes())
+    with open(os.path.join(model_dir, "config.json"), encoding="utf-8") as f:
+        config = json.load(f)
+    if data.draw(st.booleans()):
+        config = data.draw(mutated_dict(config))
+        write(os.path.join(dst, "config.json"), json.dumps(config).encode("utf-8"))
+    must_load_or_refuse(load_model, dst)
+
+
+def test_unbuildable_model_metadata_is_a_format_error(model_dir, workdir):
+    with open(os.path.join(model_dir, "config.json"), encoding="utf-8") as f:
+        config = json.load(f)
+    config["epochs"] = "many"
+    dst = os.path.join(workdir, "bad-config")
+    damaged_copy(model_dir, dst, "config.json", json.dumps(config).encode("utf-8"))
+    with pytest.raises(FormatError):
+        load_model(dst)
+    damaged_copy(model_dir, dst, "config.json", b"\xff\xfe{")
+    with pytest.raises(FormatError):
+        load_model(dst)
