@@ -323,7 +323,7 @@ def load_dataset(path: str) -> Dataset:
         raise FormatError("dataset metadata 'spec' must be a JSON object")
     try:
         spec = SyntheticSpec.from_dict(spec_raw)
-    except (DataError, TypeError) as e:
+    except DataError as e:
         raise FormatError(f"dataset metadata has an invalid spec: {e}") from None
     ds = Dataset(
         spec=spec,

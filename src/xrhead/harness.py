@@ -52,6 +52,15 @@ _JSON_TYPES = {
 }
 
 
+def _json_types(annotation: str) -> tuple:
+    """The JSON value types a field annotated e.g. 'int | None' accepts."""
+    names = [t.strip() for t in annotation.split("|")]
+    unmapped = [t for t in names if t not in _JSON_TYPES]
+    if unmapped:
+        raise TypeError(f"no JSON type for annotation {annotation!r}: {unmapped}")
+    return tuple(_JSON_TYPES[t] for t in names)
+
+
 @dataclass
 class TrainConfig:
     head: str = "CRM_FULL"
@@ -127,7 +136,7 @@ class TrainConfig:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         cfg = cls(**raw)
         for f in fields(cls):
-            allowed = tuple(_JSON_TYPES[t.strip()] for t in f.type.split("|"))
+            allowed = _FIELD_JSON_TYPES[f.name]
             value = getattr(cfg, f.name)
             if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
                 raise ConfigError(f"config key {f.name!r} must be {f.type}, got {value!r}")
@@ -147,6 +156,10 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+# built at import, so a field annotation without a JSON type fails here, not on load
+_FIELD_JSON_TYPES = {f.name: _json_types(f.type) for f in fields(TrainConfig)}
 
 
 def config_dataset(config: TrainConfig) -> Dataset:

@@ -284,24 +284,20 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
-    """Swap the last two axes (ndim >= 2), or permute the axes as np.transpose(a, axes)."""
+    """Permute the axes as np.transpose(a, axes); by default swap the last two (ndim >= 2)."""
+    nd = a.values.ndim
     if axes is None:
-        if a.values.ndim < 2:
+        if nd < 2:
             raise ShapeMismatchError(f"transpose needs ndim >= 2, got {a.values.shape}")
-        out = a.values.swapaxes(-1, -2)
+        axes = tuple(range(nd - 2)) + (nd - 1, nd - 2)
+    axes = tuple(axes)
+    if sorted(axes) != list(range(nd)):
+        raise ShapeMismatchError(f"axes {axes} do not permute the axes of {a.values.shape}")
+    out = a.values.transpose(axes)
+    inverse = tuple(np.argsort(axes))
 
-        def bw(g):
-            return (g.swapaxes(-1, -2),)
-
-    else:
-        axes = tuple(axes)
-        if sorted(axes) != list(range(a.values.ndim)):
-            raise ShapeMismatchError(f"axes {axes} do not permute the axes of {a.values.shape}")
-        out = a.values.transpose(axes)
-        inverse = tuple(np.argsort(axes))
-
-        def bw(g):
-            return (g.transpose(inverse),)
+    def bw(g):
+        return (g.transpose(inverse),)
 
     return from_op(out, (a,), bw)
 

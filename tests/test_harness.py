@@ -6,7 +6,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ import pytest
 from xrhead.data import SyntheticSpec, generate
 from xrhead.encoders import save_features
 from xrhead.errors import ConfigError, DataError, FormatError, NumericError
+from xrhead import harness
 from xrhead.harness import (
     ComparisonResult,
     Model,
@@ -79,6 +80,12 @@ def test_config_defaults_match_protocol():
     assert cfg.ctx_len == 16
     assert cfg.scale == 64.0
     assert cfg.shots == 16
+
+
+def test_every_config_field_has_a_json_type():
+    assert set(harness._FIELD_JSON_TYPES) == {f.name for f in fields(TrainConfig)}
+    with pytest.raises(TypeError, match="no JSON type"):
+        harness._json_types("list[int] | None")
 
 
 def test_config_rejects_unknown_keys():
