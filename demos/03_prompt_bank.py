@@ -22,14 +22,14 @@ bank = PromptBank(class_embeddings, num_parts=S, ctx_len=M, seed=1)
 print(f"contexts        {bank.contexts.tensor.values.shape}  (W, S, M, word_dim), trainable")
 print(f"class rows      {bank.class_embeddings.tensor.values.shape}  frozen")
 
-# one sequence = M context rows then the class embedding row
-seq = bank.sequence(class_id=2, part_id=1)
-print(f"sequence        {seq.values.shape}  (M + 1, word_dim)")
-print(f"last row is     class embedding: {np.array_equal(seq.values[-1], class_embeddings[2])}")
-
 # all W * S sequences stacked in class-major order
 stacked = bank.all_sequences()
 print(f"all sequences   {stacked.values.shape}  row i = (class i // S, part i % S)")
+
+# one sequence = M context rows then the class embedding row
+seq = stacked.values[2 * S + 1]  # class 2, part 1
+print(f"sequence        {seq.shape}  (M + 1, word_dim)")
+print(f"last row is     class embedding: {np.array_equal(seq[-1], class_embeddings[2])}")
 
 # encode through the frozen text encoder: one feature row per (class, part)
 encoder = FrozenTextEncoder(seed=7, word_dim=D, feat_dim=24, num_positions=M + 1)

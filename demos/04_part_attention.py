@@ -20,7 +20,8 @@ tokens = constant(rng.standard_normal((B, N, D)))
 attn = PartAttention(feat_dim=D, num_parts=S, seed=5)
 
 # attention rows are distributions over (background, part 1..S)
-weights = attn.attention(tokens, training=False).values
+parts, weights = attn.forward(tokens, training=False)
+weights = weights.values
 print(f"weights         {weights.shape}  (B, N, S + 1)")
 print(f"rows sum to 1   max |sum - 1| = {np.abs(weights.sum(axis=2) - 1).max():.2e}")
 print(f"first image, first 4 tokens:")
@@ -28,7 +29,6 @@ for row in weights[0, :4]:
     print("   ", "  ".join(f"{v:.3f}" for v in row))
 
 # pooling: weighted sums of projected tokens, one feature row per part
-parts, _ = attn.forward(tokens, training=False)
 print(f"part features   {parts.values.shape}  (B, S, proj_dim)")
 
 # every image's part block lands exactly on the tau = 64 sphere

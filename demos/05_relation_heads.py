@@ -10,23 +10,17 @@ is the full head; the baselines restrict what it may look at.
 
 import numpy as np
 
-from xrhead.heads import (
-    CrmHead,
-    HeadKind,
-    align_predict,
-    build_head,
-    cross_relation,
-    flat_index,
-    pwcs_predict,
-)
+from xrhead.heads import CrmHead, HeadKind, build_head, flat_index, pwcs_batch, relation_batch
 from xrhead.numerics import Tensor
+from xrhead.prompts import manual_features
 
-# worked example: 2 parts, 2 classes, identity part features. Class 0's
-# prompts match parts in order; class 1's prompts are swapped.
-v = np.eye(2)
+# worked example: one image with 2 parts, 2 classes, identity part features.
+# Class 0's prompts match parts in order; class 1's prompts are swapped.
+# Every head takes a batch of images, here a batch of one.
+v = np.eye(2)[None]
 t = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
-rel = cross_relation(Tensor(v), Tensor(t))
-print(f"relation vector {rel.flat.values}  length S*S*W = {rel.flat.values.size}")
+flat = relation_batch(Tensor(v), Tensor(t)).values[0]
+print(f"relation vector {flat}  length S*S*W = {flat.size}")
 
 # layout: flat[s * (S * W) + s2 * W + w]; the cross terms expose the swap
 print("entries (s, s2, w) -> value:")
@@ -34,26 +28,26 @@ for s in range(2):
     for s2 in range(2):
         for w in range(2):
             idx = flat_index(s, s2, w, num_parts=2, num_classes=2)
-            print(f"    ({s}, {s2}, {w}) at {idx}: {rel.entry(s, s2, w):+.1f}")
+            print(f"    ({s}, {s2}, {w}) at {idx}: {flat[idx]:+.1f}")
 
-# part-wise cosine scoring averages only the s == s2 diagonal, so the two
-# classes tie here: per-part marginals cannot see the pairing
-logits = pwcs_predict(Tensor(v), Tensor(t)).values
-print(f"pwcs logits     {logits}  (tie: diagonal view loses the swap)")
+# part-wise cosine scoring averages only the s == s2 diagonal, so class 1
+# scores 0 although its prompts hold the same features, paired the other
+# way; only the cross terms above see that pairing
+logits = pwcs_batch(Tensor(v), Tensor(t)).values[0]
+print(f"pwcs logits     {logits}  (diagonal only: class 1's swap reads as no match)")
 
-# with one part, part-wise scoring collapses to the plain cosine baseline
-v1, t1 = np.array([[3.0, 4.0]]), Tensor(np.array([[[1.0, 0.0]], [[0.0, 1.0]]]))
-print(f"S=1 pwcs        {pwcs_predict(Tensor(v1), t1).values}")
-print(f"   == align     {align_predict(Tensor(v1[0]), Tensor(t1.values[:, 0, :])).values}")
+# with one part, part-wise scoring is the plain cosine baseline: ALIGN is
+# the PWCS head at S = 1
+v1, t1 = np.array([[[3.0, 4.0]]]), np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
+print(f"S=1 pwcs        {pwcs_batch(Tensor(v1), Tensor(t1)).values[0]}")
+print(f"   == cosine    {v1[0, 0] @ t1[:, 0].T / np.linalg.norm(v1[0, 0])}")
 
 # the BASE head reads exactly the s == s2 diagonal of the full vector
 base = CrmHead(HeadKind.CRM_BASE, num_classes=2, num_parts=2, hidden=4, seed=0)
-print(f"BASE picks      {base.pick}  -> {rel.flat.values[base.pick]}")
+print(f"BASE picks      {base.pick}  -> {flat[base.pick]}")
 
 # every head kind maps part features to per-class logits; ALIGN is the
 # single-prompt special case and insists on S = 1
-from xrhead.prompts import manual_features
-
 rng = np.random.default_rng(0)
 v8 = Tensor(rng.standard_normal((2, 6, 8)))  # batch of 2, S=6 parts, dim 8
 feats = manual_features(rng.standard_normal((4, 6, 8)))  # W=4 classes

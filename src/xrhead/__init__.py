@@ -5,7 +5,7 @@ Layout:
     encoders   deterministic frozen text/image encoder stubs, feature files
     prompts    learnable multi-part prompt bank
     attention  token-to-part attention pooling
-    heads      aligning, per-part cosine, relation-matrix and MLP heads
+    heads      batched per-part cosine (ALIGN at one part), relation-matrix and MLP heads
     data       synthetic fine-grained benchmark generator and dataset files
     harness    training, evaluation, comparisons, sweeps, analyses
     cli        the xrhead command line front end

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeMismatchError
-from .numerics import Affine, BatchNorm, Parameter, Tensor, reshape
+from .numerics import Affine, BatchNorm, Parameter, Tensor
 from .numerics.tensor import from_op, recording, unbroadcast
 
 
@@ -44,10 +44,6 @@ class PartAttention:
 
     def params(self) -> list[Parameter]:
         return self.bn.params() + self.score.params() + self.proj.params()
-
-    def attention(self, tokens: Tensor, training: bool) -> Tensor:
-        """tokens (b, n, feat_dim) -> weights (b, n, num_parts + 1), rows sum to 1."""
-        return self.forward(tokens, training)[1]
 
     def forward(self, tokens: Tensor, training: bool) -> tuple[Tensor, Tensor]:
         """tokens (b, n, feat_dim) -> (parts (b, num_parts, proj_dim), weights).
@@ -126,17 +122,6 @@ class PartAttention:
             )
 
         return from_op(pooled * factor, parents, backward), slots
-
-    def forward_single(self, tokens: Tensor, training: bool = False) -> tuple[Tensor, Tensor]:
-        """tokens (n, feat_dim) -> (parts (num_parts, proj_dim), weights (n, num_parts + 1))."""
-        if tokens.values.ndim != 2:
-            raise ShapeMismatchError(f"expected tokens (n, d), got {tokens.values.shape}")
-        n = tokens.values.shape[0]
-        parts, weights = self.forward(reshape(tokens, (1, n, self.feat_dim)), training)
-        return (
-            reshape(parts, (self.num_parts, self.proj_dim)),
-            reshape(weights, (n, self.num_parts + 1)),
-        )
 
     def _check(self, tokens: Tensor):
         if tokens.values.ndim != 3 or tokens.values.shape[2] != self.feat_dim:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .container import Reader, Writer
 from .errors import DataError, FormatError
-from .report import write_atomic_bytes
+from .report import write_atomic
 
 DATASET_MAGIC = b"XRVD"
 DATASET_VERSION = 1
@@ -282,7 +282,7 @@ def save_dataset(path: str, ds: Dataset) -> None:
             "part_names": ds.part_names,
         }
     )
-    write_atomic_bytes(path, w.bytes())
+    write_atomic(path, w.bytes())
 
 
 def load_dataset(path: str) -> Dataset:

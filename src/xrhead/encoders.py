@@ -16,7 +16,7 @@ import numpy as np
 from .container import Reader, Writer
 from .errors import FormatError, ShapeMismatchError
 from .numerics import Tensor, add, affine, constant, mean_axis, tanh
-from .report import write_atomic_bytes
+from .report import write_atomic
 
 FEATURE_MAGIC = b"XRVF"
 FEATURE_VERSION = 1
@@ -102,7 +102,7 @@ def save_features(path: str, values: np.ndarray, metadata: dict | None = None) -
     w = Writer(FEATURE_MAGIC, FEATURE_VERSION)
     w.array(values, np.dtype("<f4"))
     w.metadata(metadata or {})
-    write_atomic_bytes(path, w.bytes())
+    write_atomic(path, w.bytes())
 
 
 def load_features(path: str) -> tuple[np.ndarray, dict]:

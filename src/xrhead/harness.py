@@ -194,7 +194,6 @@ class Model:
         head,
     ):
         self.config = config
-        self.kind = HeadKind.parse(config.head)
         self.num_classes = num_classes
         self.patch_dim = patch_dim
         self.text_encoder = text_encoder
@@ -216,11 +215,10 @@ class Model:
         return int(sum(p.tensor.values.size for p in self.params() if not p.frozen))
 
     def prompt_features(self) -> PromptFeatures | None:
-        if self.kind == HeadKind.MLPS:
-            return None
-        if self.manual is not None:
-            return self.manual
-        return self.bank.encode(self.text_encoder)
+        """The learned bank's encoding, the manual features, or None (MLPS)."""
+        if self.bank is not None:
+            return self.bank.encode(self.text_encoder)
+        return self.manual
 
     def logits(self, feats: Tensor, training: bool) -> Tensor:
         """feats (b, tokens, feat_dim) -> logits (b, classes)."""
@@ -235,18 +233,12 @@ class Model:
         cosines and argmax predictions are unaffected.
         """
         logits = self.logits(feats, training)
-        if self.kind in (HeadKind.ALIGN, HeadKind.PWCS):
+        if self.head.cosine_logits:
             logits = logits * self.config.cosine_loss_scale
         return cross_entropy(logits, labels)
 
     def batch_norms(self) -> dict:
-        out = {"attn.bn": self.attention.bn}
-        if self.kind == HeadKind.MLPS:
-            for i, mlp in enumerate(self.head.mlps):
-                out[f"head.part{i}.bn"] = mlp.bn
-        elif self.kind not in (HeadKind.ALIGN, HeadKind.PWCS):
-            out["head.clf.bn"] = self.head.clf.bn
-        return out
+        return {"attn.bn": self.attention.bn, **self.head.batch_norms()}
 
     def frozen_checksums(self) -> dict[str, str]:
         import hashlib
@@ -812,9 +804,10 @@ def save_model(dir_path: str, model: Model, report: RunReport | None = None) -> 
             "num_classes": model.num_classes,
             "patch_dim": model.patch_dim,
             "head": model.config.head,
+            "frozen_checksums": model.frozen_checksums(),
         }
     )
-    rpt.write_atomic_bytes(os.path.join(dir_path, PARAMS_FILE), w.bytes())
+    rpt.write_atomic(os.path.join(dir_path, PARAMS_FILE), w.bytes())
     rpt.write_atomic(os.path.join(dir_path, CONFIG_FILE), rpt.json_text(model.config.to_dict()))
     if report is not None:
         rpt.write_atomic(os.path.join(dir_path, REPORT_FILE), report.to_json())
@@ -840,9 +833,10 @@ def load_model(dir_path: str) -> tuple[Model, RunReport | None]:
         arrays[name] = values
     meta = r.metadata()
     r.done()
-    for key, least in (("num_classes", 2), ("patch_dim", 1)):
+    for key in ("num_classes", "patch_dim", "frozen_checksums"):
         if key not in meta:
             raise FormatError(f"model metadata missing {key!r}", offset=0)
+    for key, least in (("num_classes", 2), ("patch_dim", 1)):
         value = meta[key]
         if type(value) is not int or value < least:
             raise FormatError(f"model metadata {key!r} must be an integer >= {least}: {value!r}")
@@ -857,6 +851,10 @@ def load_model(dir_path: str) -> tuple[Model, RunReport | None]:
         )
     except ConfigError as e:
         raise DataError(f"model file does not match its config: {e}") from e
+    # the encoders are rebuilt from seeds and shapes, so only their checksums
+    # can show that patch_dim or encoder_seed differ from the saved model's
+    if model.frozen_checksums() != meta["frozen_checksums"]:
+        raise DataError("frozen encoders or embeddings differ from the saved model's")
     for p in model.params():
         if p.name not in arrays:
             raise DataError(f"model file missing parameter {p.name!r}")

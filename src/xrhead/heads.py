@@ -16,12 +16,12 @@ of diagonals across classes, or the full per-class block.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatchError
 from .numerics import (
+    BatchNorm,
     Mlp,
     Parameter,
     Tensor,
@@ -66,21 +66,6 @@ def flat_index(s: int, s2: int, w: int, num_parts: int, num_classes: int) -> int
     return s * (num_parts * num_classes) + s2 * num_classes + w
 
 
-@dataclass
-class CrossRelation:
-    """Flattened part-to-prompt inner products for one image."""
-
-    flat: Tensor  # (num_parts * num_parts * num_classes,)
-    num_parts: int
-    num_classes: int
-
-    def index(self, s: int, s2: int, w: int) -> int:
-        return flat_index(s, s2, w, self.num_parts, self.num_classes)
-
-    def entry(self, s: int, s2: int, w: int) -> float:
-        return float(self.flat.values[self.index(s, s2, w)])
-
-
 def _check_pair(v: Tensor, t: Tensor):
     if v.values.ndim != 3:
         raise ShapeMismatchError(f"part features must be (b, s, d), got {v.values.shape}")
@@ -109,93 +94,27 @@ def relation_batch(v: Tensor, t: Tensor, normalize_prompts: bool = False) -> Ten
     return reshape(products, (b, s * s * w))
 
 
-def cross_relation(v: Tensor, t: Tensor, normalize_prompts: bool = False) -> CrossRelation:
-    """Single image: v (s, d), t (w, s, d) -> CrossRelation."""
-    if v.values.ndim != 2:
-        raise ShapeMismatchError(f"expected part features (s, d), got {v.values.shape}")
-    s, d = v.values.shape
-    w = t.values.shape[0]
-    flat = relation_batch(reshape(v, (1, s, d)), t, normalize_prompts)
-    return CrossRelation(reshape(flat, (s * s * w,)), num_parts=s, num_classes=w)
-
-
-def align_predict(v: Tensor, t: Tensor) -> Tensor:
-    """Single-prompt cosine baseline: v (d,), t (w, d) -> logits (w,)."""
-    if v.values.ndim != 1 or t.values.ndim != 2 or t.values.shape[1] != v.values.shape[0]:
-        raise ShapeMismatchError(
-            f"expected v (d,) and t (w, d), got {v.values.shape} and {t.values.shape}"
-        )
-    d = v.values.shape[0]
-    w = t.values.shape[0]
-    sims = matmul(l2_normalize_rows(reshape(v, (1, d))), transpose(l2_normalize_rows(t)))
-    return reshape(sims, (w,))
-
-
 def pwcs_batch(v: Tensor, t: Tensor) -> Tensor:
     """Mean per-part cosine similarity: (b, s, d) x (w, s, d) -> (b, w)."""
     b, s, d, w = _check_pair(v, t)
-    vn = reshape(l2_normalize_rows(reshape(v, (b * s, d))), (b, s, d))
-    tn = reshape(l2_normalize_rows(reshape(t, (w * s, d))), (w, s, d))
+    vn, tn = l2_normalize_rows(v), l2_normalize_rows(t)
     # one product per part: (s, b, d) @ (s, d, w), then the parts summed in order
     sims = bmm(transpose(vn, (1, 0, 2)), transpose(tn, (1, 2, 0)))
     return sum_axis(sims, 0) * (1.0 / s)
 
 
-def pwcs_predict(v: Tensor, t: Tensor) -> Tensor:
-    """Single image: v (s, d), t (w, s, d) -> logits (w,)."""
-    if v.values.ndim != 2:
-        raise ShapeMismatchError(f"expected part features (s, d), got {v.values.shape}")
-    s, d = v.values.shape
-    w = t.values.shape[0]
-    return reshape(pwcs_batch(reshape(v, (1, s, d)), t), (w,))
-
-
-def crm_predict(rel: CrossRelation, head: "CrmHead", training: bool = False) -> Tensor:
-    """Single image: a CrossRelation through a relation-matrix head -> logits (w,)."""
-    n = rel.flat.values.shape[0]
-    logits = head.logits_from_relation(reshape(rel.flat, (1, n)), training)
-    return reshape(logits, (rel.num_classes,))
-
-
-def mlps_predict(v: Tensor, head: "MlpsHead", training: bool = False) -> Tensor:
-    """Single image: v (s, d) through the per-part MLP baseline -> logits (w,)."""
-    if v.values.ndim != 2:
-        raise ShapeMismatchError(f"expected part features (s, d), got {v.values.shape}")
-    s, d = v.values.shape
-    logits = head.logits(reshape(v, (1, s, d)), None, training)
-    return reshape(logits, (head.num_classes,))
-
-
-# --- trainable heads ----------------------------------------------------------
-
-
-class AlignHead:
-    """Parameter-free single-prompt baseline; requires num_parts == 1."""
-
-    kind = HeadKind.ALIGN
-
-    def __init__(self, num_classes: int, num_parts: int):
-        if num_parts != 1:
-            raise ConfigError(f"ALIGN needs num_parts == 1, got {num_parts}")
-        self.num_classes = num_classes
-        self.num_parts = num_parts
-
-    def logits(self, v: Tensor, feats: PromptFeatures, training: bool) -> Tensor:
-        b, s, d, w = _check_pair(v, feats.tensor)
-        sims = matmul(
-            l2_normalize_rows(reshape(v, (b, d))),
-            transpose(l2_normalize_rows(reshape(feats.tensor, (w, d)))),
-        )
-        return sims
-
-    def params(self) -> list[Parameter]:
-        return []
+# --- heads ---------------------------------------------------------------------
+#
+# A head's whole contract: logits(v, feats, training) -> (b, w), params(), and
+# batch_norms() (name -> BatchNorm, the names used in model files).  Heads
+# whose logits are cosines in [-1, 1] set cosine_logits, and training scales
+# those logits by a fixed temperature.
 
 
 class PwcsHead:
-    """Parameter-free mean per-part cosine head."""
+    """Parameter-free mean per-part cosine head; ALIGN is this head at num_parts == 1."""
 
-    kind = HeadKind.PWCS
+    cosine_logits = True
 
     def __init__(self, num_classes: int, num_parts: int):
         self.num_classes = num_classes
@@ -207,11 +126,14 @@ class PwcsHead:
     def params(self) -> list[Parameter]:
         return []
 
+    def batch_norms(self) -> dict[str, BatchNorm]:
+        return {}
+
 
 class MlpsHead:
     """Baseline without prompts: one MLP per part, logits averaged."""
 
-    kind = HeadKind.MLPS
+    cosine_logits = False
 
     def __init__(self, num_classes: int, num_parts: int, feat_dim: int, hidden: int, seed: int):
         self.num_classes = num_classes
@@ -238,6 +160,9 @@ class MlpsHead:
     def params(self) -> list[Parameter]:
         return [p for mlp in self.mlps for p in mlp.params()]
 
+    def batch_norms(self) -> dict[str, BatchNorm]:
+        return {f"head.part{i}.bn": mlp.bn for i, mlp in enumerate(self.mlps)}
+
 
 class CrmHead:
     """Relation-matrix heads: a classifier over flattened inner products.
@@ -247,6 +172,8 @@ class CrmHead:
     XCLASS  one classifier on concatenated diagonals, s*w -> w
     XPART   shared classifier on each full class block, s*s -> 1
     """
+
+    cosine_logits = False
 
     def __init__(
         self,
@@ -307,6 +234,9 @@ class CrmHead:
     def params(self) -> list[Parameter]:
         return self.clf.params()
 
+    def batch_norms(self) -> dict[str, BatchNorm]:
+        return {"head.clf.bn": self.clf.bn}
+
 
 def default_hidden(kind: HeadKind, num_parts: int) -> int:
     if kind in (HeadKind.CRM_BASE, HeadKind.CRM_XPART):
@@ -327,9 +257,9 @@ def build_head(
     if num_classes < 2:
         raise ConfigError(f"need at least 2 classes, got {num_classes}")
     hidden = hidden or default_hidden(kind, num_parts)
-    if kind == HeadKind.ALIGN:
-        return AlignHead(num_classes, num_parts)
-    if kind == HeadKind.PWCS:
+    if kind == HeadKind.ALIGN and num_parts != 1:
+        raise ConfigError(f"ALIGN needs num_parts == 1, got {num_parts}")
+    if kind in (HeadKind.ALIGN, HeadKind.PWCS):
         return PwcsHead(num_classes, num_parts)
     if kind == HeadKind.MLPS:
         return MlpsHead(num_classes, num_parts, feat_dim, hidden, seed)

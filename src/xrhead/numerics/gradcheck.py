@@ -21,8 +21,9 @@ def finite_diff_check(
     """Compare analytic and central-difference gradients per parameter.
 
     loss_fn must rebuild the forward pass from current parameter values on
-    every call and be deterministic.  Returns the max relative error per
-    parameter name, with relative error |a - n| / max(|a|, |n|, 1e-8).
+    every call and be deterministic; its loss may have any shape of size 1,
+    as for backward.  Returns the max relative error per parameter name,
+    with relative error |a - n| / max(|a|, |n|, 1e-8).
     When a parameter has more coordinates than max_coords_per_param, a
     random subset is checked.
     """
@@ -53,10 +54,10 @@ def finite_diff_check(
             keep = flat[i]
             flat[i] = keep + eps
             with no_grad():
-                up = float(loss_fn().values)
+                up = loss_fn().values.item()
             flat[i] = keep - eps
             with no_grad():
-                down = float(loss_fn().values)
+                down = loss_fn().values.item()
             flat[i] = keep
             numeric = (up - down) / (2.0 * eps)
             a = float(a_flat[i])

@@ -429,18 +429,18 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 
 def l2_normalize_rows(a: Tensor) -> Tensor:
-    """Scale each row of a (n, d) to unit euclidean norm."""
-    if a.values.ndim != 2:
+    """Scale each row (last axis) of a (..., d) to unit euclidean norm, ndim >= 2."""
+    if a.values.ndim < 2:
         raise ShapeMismatchError(
-            f"l2_normalize_rows needs a 2-d tensor, got {a.values.shape}"
+            f"l2_normalize_rows needs a tensor of at least 2 dims, got {a.values.shape}"
         )
-    norms = np.sqrt((a.values * a.values).sum(axis=1, keepdims=True))
+    norms = np.sqrt((a.values * a.values).sum(axis=-1, keepdims=True))
     if np.any(norms == 0.0):
         raise DegenerateInputError("cannot l2-normalize a zero row")
     out = a.values / norms
 
     def bw(g):
-        dot = (g * a.values).sum(axis=1, keepdims=True)
+        dot = (g * a.values).sum(axis=-1, keepdims=True)
         return (g / norms - a.values * dot / norms**3,)
 
     return from_op(out, (a,), bw)

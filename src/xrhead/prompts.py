@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatchError
-from .numerics import Parameter, Tensor, concat, constant, gather_rows, reshape
+from .numerics import Parameter, Tensor, concat, constant, reshape
 
 
 @dataclass
@@ -77,17 +77,6 @@ class PromptBank:
 
     def params(self) -> list[Parameter]:
         return [self.contexts, self.class_embeddings]
-
-    def sequence(self, class_id: int, part_id: int) -> Tensor:
-        """One prompt sequence (ctx_len + 1, word_dim): contexts then class row."""
-        w, s = self.num_classes, self.num_parts
-        if not (0 <= class_id < w and 0 <= part_id < s):
-            raise IndexError(f"prompt ({class_id}, {part_id}) outside ({w}, {s})")
-        ctx2 = reshape(self.contexts.tensor, (w * s * self.ctx_len, self.word_dim))
-        base = (class_id * s + part_id) * self.ctx_len
-        rows = gather_rows(ctx2, np.arange(base, base + self.ctx_len))
-        cls = gather_rows(self.class_embeddings.tensor, [class_id])
-        return concat([rows, cls])
 
     def all_sequences(self) -> Tensor:
         """All prompts stacked: (W * S, ctx_len + 1, word_dim), row i = class i // S, part i % S."""

@@ -155,13 +155,12 @@ def composed_text_encode(enc, sequences):
 
 def composed_model_loss(model, feats, labels, training: bool = True):
     """Model.loss with every fused layer replaced by its chain."""
-    from xrhead.heads import HeadKind, relation_batch
-    from xrhead.prompts import PromptFeatures
+    from xrhead.heads import CrmHead, HeadKind, MlpsHead, relation_batch
 
     v, _ = composed_attention(model.attention, feats, training)
     b, s, d = v.values.shape
     head = model.head
-    if model.kind == HeadKind.MLPS:
+    if isinstance(head, MlpsHead):
         flat = reshape(v, (b * s, d))
         acc = None
         for part, mlp in enumerate(head.mlps):
@@ -175,22 +174,14 @@ def composed_model_loss(model, feats, labels, training: bool = True):
         feats_t = composed_text_encode(model.text_encoder, composed_sequences(bank))
         t = reshape(feats_t, (bank.num_classes, bank.num_parts, feats_t.values.shape[1]))
     w = t.values.shape[0]
-    if model.kind == HeadKind.PWCS:
-        logits = composed_pwcs(v, t)
-    elif model.kind == HeadKind.ALIGN:
-        logits = head.logits(v, PromptFeatures(t, "learned"), training)
-    else:
-        flat = relation_batch(v, t, head.normalize_prompts)
-        if model.kind == HeadKind.CRM_FULL:
-            logits = composed_mlp(head.clf, flat, training)
-        else:
-            picked = gather_cols(flat, head.pick)
-            if model.kind == HeadKind.CRM_XCLASS:
-                logits = composed_mlp(head.clf, picked, training)
-            else:
-                per_class = head.pick.size // w
-                scores = composed_mlp(head.clf, reshape(picked, (b * w, per_class)), training)
-                logits = reshape(scores, (b, w))
-    if model.kind in (HeadKind.ALIGN, HeadKind.PWCS):
-        logits = logits * model.config.cosine_loss_scale
-    return cross_entropy(logits, labels)
+    if not isinstance(head, CrmHead):  # PWCS, and ALIGN as PWCS at one part
+        return cross_entropy(composed_pwcs(v, t) * model.config.cosine_loss_scale, labels)
+    flat = relation_batch(v, t, head.normalize_prompts)
+    if head.kind == HeadKind.CRM_FULL:
+        return cross_entropy(composed_mlp(head.clf, flat, training), labels)
+    picked = gather_cols(flat, head.pick)
+    if head.kind == HeadKind.CRM_XCLASS:
+        return cross_entropy(composed_mlp(head.clf, picked, training), labels)
+    per_class = head.pick.size // w
+    scores = composed_mlp(head.clf, reshape(picked, (b * w, per_class)), training)
+    return cross_entropy(reshape(scores, (b, w)), labels)

@@ -28,15 +28,7 @@ from xrhead.harness import (
     sweep_parts,
     train,
 )
-from xrhead.heads import (
-    CrmHead,
-    HeadKind,
-    align_predict,
-    cross_relation,
-    flat_index,
-    pwcs_predict,
-    relation_batch,
-)
+from xrhead.heads import CrmHead, HeadKind, flat_index, pwcs_batch, relation_batch
 from xrhead.numerics import Tensor, constant, finite_diff_check
 
 # --- shared fixtures -----------------------------------------------------------------
@@ -117,22 +109,22 @@ def test_oracle_equivalence():
         s = int(rng.integers(1, 5))
         d = int(rng.integers(1, 7))
         w = int(rng.integers(2, 8))
-        v = rng.standard_normal((s, d))
+        v = rng.standard_normal((1, s, d))
         t = rng.standard_normal((w, s, d))
 
-        rel = cross_relation(Tensor(v), Tensor(t))
-        expected_flat = bruteforce.relation_flat(v, t)
-        worst_rel = max(worst_rel, float(np.abs(rel.flat.values - expected_flat).max()))
+        flat = relation_batch(Tensor(v), Tensor(t)).values[0]
+        expected_flat = bruteforce.relation_flat(v[0], t)
+        worst_rel = max(worst_rel, float(np.abs(flat - expected_flat).max()))
 
-        logits = pwcs_predict(Tensor(v), Tensor(t)).values
-        expected_logits = bruteforce.pwcs_logits(v, t)
+        logits = pwcs_batch(Tensor(v), Tensor(t)).values[0]
+        expected_logits = bruteforce.pwcs_logits(v[0], t)
         worst_pwcs = max(worst_pwcs, float(np.abs(logits - expected_logits).max()))
 
         # BASE head reads exactly the s == s2 diagonal of the FULL relation vector
         head = CrmHead(HeadKind.CRM_BASE, num_classes=w, num_parts=s, hidden=4, seed=0)
-        picked = rel.flat.values[head.pick]
+        picked = flat[head.pick]
         diagonal = np.array(
-            [rel.entry(s_idx, s_idx, w_idx) for w_idx in range(w) for s_idx in range(s)]
+            [flat[flat_index(i, i, c, s, w)] for c in range(w) for i in range(s)]
         )
         assert np.array_equal(picked, diagonal)
 
@@ -140,10 +132,10 @@ def test_oracle_equivalence():
     assert worst_pwcs < 1e-9
 
     # documented layout on a worked example: identity parts, swapped prompts
-    v = np.eye(2)
+    v = np.eye(2)[None]
     t = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
-    flat = cross_relation(Tensor(v), Tensor(t)).flat.values
-    assert np.array_equal(flat, [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+    flat = relation_batch(Tensor(v), Tensor(t)).values
+    assert np.array_equal(flat, [[1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0]])
     print(
         f"[PASS] oracle equivalence: relation err {worst_rel:.1e},"
         f" pwcs err {worst_pwcs:.1e} < 1e-9 over 100 instances"
@@ -159,20 +151,19 @@ def test_normalization_invariants():
     attn = PartAttention(feat_dim=16, num_parts=4, seed=3)
     tokens = constant(rng.standard_normal((5, 12, 16)))
 
-    weights = attn.attention(tokens, training=False).values
-    row_err = float(np.abs(weights.sum(axis=2) - 1.0).max())
+    parts, weights = attn.forward(tokens, training=False)
+    row_err = float(np.abs(weights.values.sum(axis=2) - 1.0).max())
     assert row_err < 1e-9
 
-    parts, _ = attn.forward(tokens, training=False)
     norms = np.sqrt((parts.values**2).sum(axis=(1, 2)))
     norm_err = float(np.abs(norms - 64.0).max())
     assert norm_err < 1e-6
 
     # one part degenerates to the plain cosine baseline
-    v = rng.standard_normal((1, 9))
+    v = rng.standard_normal((1, 1, 9))
     t = rng.standard_normal((6, 1, 9))
-    pwcs = pwcs_predict(Tensor(v), Tensor(t)).values
-    align = align_predict(Tensor(v[0]), Tensor(t[:, 0, :])).values
+    pwcs = pwcs_batch(Tensor(v), Tensor(t)).values[0]
+    align = bruteforce.align_logits(v[0, 0], t[:, 0, :])
     degen_err = float(np.abs(pwcs - align).max())
     assert degen_err < 1e-12
     print(
@@ -209,8 +200,8 @@ def test_equivariance_suite():
         )
         assert np.array_equal(flat_c, flat[:, src])
 
-        logits = pwcs_predict(Tensor(v[0]), Tensor(t)).values
-        logits_c = pwcs_predict(Tensor(v[0]), Tensor(t[class_perm])).values
+        logits = pwcs_batch(Tensor(v[:1]), Tensor(t)).values[0]
+        logits_c = pwcs_batch(Tensor(v[:1]), Tensor(t[class_perm])).values[0]
         assert np.array_equal(logits_c, logits[class_perm])
 
         # synchronized part relabeling: apply rho to image parts and prompt parts
@@ -226,7 +217,7 @@ def test_equivariance_suite():
         )
         assert np.array_equal(flat_p, flat[:, src])
 
-        logits_p = pwcs_predict(Tensor(v[0, part_perm]), Tensor(t[:, part_perm])).values
+        logits_p = pwcs_batch(Tensor(v[:1, part_perm]), Tensor(t[:, part_perm])).values[0]
         assert float(np.abs(logits_p - logits).max()) < 1e-12
     print("[PASS] equivariance: class and part relabelings permute values exactly (20 trials)")
 

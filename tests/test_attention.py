@@ -57,12 +57,15 @@ def test_token_permutation_equivariance():
 
 
 def test_single_image_matches_batch_row():
+    # eval mode pools each image on its own, so a batch of one gives that row
     attn = PartAttention(feat_dim=8, num_parts=3, seed=6)
-    tokens = make_tokens(b=1, n=5, d=8, seed=6)
+    tokens = make_tokens(b=4, n=5, d=8, seed=6)
     v_b, w_b = attn.forward(constant(tokens), training=False)
-    v_s, w_s = attn.forward_single(constant(tokens[0]), training=False)
-    np.testing.assert_allclose(v_s.values, v_b.values[0], atol=1e-15)
-    np.testing.assert_allclose(w_s.values, w_b.values[0], atol=1e-15)
+    for i in range(4):
+        v_s, w_s = attn.forward(constant(tokens[i : i + 1]), training=False)
+        assert v_s.values.shape == (1, 3, 8) and w_s.values.shape == (1, 5, 4)
+        np.testing.assert_allclose(v_s.values[0], v_b.values[i], atol=1e-15)
+        np.testing.assert_allclose(w_s.values[0], w_b.values[i], atol=1e-15)
 
 
 def test_degenerate_tokens_rejected():
@@ -80,7 +83,7 @@ def test_validation():
     with pytest.raises(ShapeMismatchError):
         attn.forward(constant(np.zeros((2, 5, 7))), training=True)
     with pytest.raises(ShapeMismatchError):
-        attn.forward_single(constant(np.zeros((2, 5, 7))), training=True)
+        attn.forward(constant(np.zeros((5, 8))), training=True)
 
 
 def test_gradients_through_pooling():

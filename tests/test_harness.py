@@ -550,16 +550,74 @@ def test_attention_alignment_beats_permuted_baseline():
 # --- persistence -----------------------------------------------------------------------------
 
 
-def test_save_load_model_round_trip(tmp_path, tiny_dataset):
-    model, report = train(tiny_config(), tiny_dataset)
+# the batch norms each head kind stores in its model file, by name
+HEAD_BATCH_NORMS = {
+    "ALIGN": [],
+    "PWCS": [],
+    "MLPS": [f"head.part{i}.bn" for i in range(4)],
+    "CRM_FULL": ["head.clf.bn"],
+    "CRM_BASE": ["head.clf.bn"],
+    "CRM_XCLASS": ["head.clf.bn"],
+    "CRM_XPART": ["head.clf.bn"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HEAD_BATCH_NORMS))
+def test_save_load_model_round_trip(kind, tmp_path, tiny_dataset):
+    cfg = tiny_config(head=kind, num_parts=1 if kind == "ALIGN" else 4)
+    model, report = train(cfg, tiny_dataset)
     out = tmp_path / "model"
     save_model(str(out), model, report)
     loaded, loaded_report = load_model(str(out))
     assert loaded_report == report
-    np.testing.assert_array_equal(
-        predict_logits(model, tiny_dataset.test_patches[:6]),
-        predict_logits(loaded, tiny_dataset.test_patches[:6]),
-    )
+    patches = tiny_dataset.test_patches[:6]
+    assert predict_logits(model, patches).tobytes() == predict_logits(loaded, patches).tobytes()
+    names = sorted(model.batch_norms())
+    assert names == sorted(loaded.batch_norms()) == ["attn.bn"] + HEAD_BATCH_NORMS[kind]
+
+
+def _params_with_metadata(path, edit):
+    """Rewrite a params file with edit(metadata) applied, arrays untouched."""
+    from xrhead.container import Reader, Writer
+
+    r = Reader(path.read_bytes())
+    r.magic(harness.MODEL_MAGIC)
+    r.version(harness.MODEL_VERSION)
+    arrays = [r.tagged_array("array") for _ in range(r.u32("count"))]
+    meta = r.metadata()
+    edit(meta)
+    w = Writer(harness.MODEL_MAGIC, harness.MODEL_VERSION)
+    w.u32(len(arrays))
+    for name, values in arrays:
+        w.tagged_array(name, values, np.float64)
+    w.metadata(meta)
+    path.write_bytes(w.bytes())
+
+
+def test_load_model_refuses_other_encoders(tmp_path, tiny_dataset):
+    # the frozen encoders are rebuilt from patch_dim and encoder_seed; their
+    # checksums in the params file catch an edit to either
+    model, _ = train(tiny_config(), tiny_dataset)
+    out = tmp_path / "model"
+    save_model(str(out), model)
+    params = out / "params.xrvp"
+    saved = params.read_bytes()
+
+    _params_with_metadata(params, lambda meta: meta.update(patch_dim=meta["patch_dim"] + 1))
+    with pytest.raises(DataError, match="frozen"):
+        load_model(str(out))
+
+    params.write_bytes(saved)
+    _params_with_metadata(params, lambda meta: meta.pop("frozen_checksums"))
+    with pytest.raises(FormatError, match="frozen_checksums"):
+        load_model(str(out))
+
+    params.write_bytes(saved)
+    config = json.loads((out / "config.json").read_text())
+    config["encoder_seed"] += 1
+    (out / "config.json").write_text(json.dumps(config))
+    with pytest.raises(DataError, match="frozen"):
+        load_model(str(out))
 
 
 def test_save_load_mlps_model(tmp_path, tiny_dataset):

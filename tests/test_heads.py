@@ -6,30 +6,16 @@ import pytest
 from bruteforce import align_logits, pwcs_logits, relation_flat
 from xrhead.errors import ConfigError, ShapeMismatchError
 from xrhead.heads import (
-    AlignHead,
     CrmHead,
     HeadKind,
     MlpsHead,
     PwcsHead,
-    align_predict,
     build_head,
-    crm_predict,
-    cross_relation,
     flat_index,
-    mlps_predict,
     pwcs_batch,
-    pwcs_predict,
     relation_batch,
 )
-from xrhead.numerics import (
-    Parameter,
-    Tensor,
-    backward,
-    constant,
-    cross_entropy,
-    finite_diff_check,
-    reshape,
-)
+from xrhead.numerics import Parameter, Tensor, constant, cross_entropy, finite_diff_check
 from xrhead.prompts import manual_features
 
 
@@ -54,14 +40,15 @@ def test_flat_index_layout():
         flat_index(3, 0, 0, s, w)
 
 
-def test_cross_relation_matches_bruteforce():
+def test_relation_single_image_matches_bruteforce():
     for seed in range(5):
         v3, t3 = random_pair(b=1, seed=seed)
-        rel = cross_relation(constant(v3[0]), constant(t3))
-        expected = relation_flat(v3[0], t3)
-        np.testing.assert_allclose(rel.flat.values, expected, atol=1e-12)
-        # named entry accessor agrees with direct dot products
-        assert rel.entry(2, 1, 3) == pytest.approx(float(np.dot(v3[0, 2], t3[3, 1])))
+        flat = relation_batch(constant(v3), constant(t3)).values
+        assert flat.shape == (1, 4 * 4 * 5)
+        np.testing.assert_allclose(flat[0], relation_flat(v3[0], t3), atol=1e-12)
+        # flat_index names the entry that holds a direct dot product
+        entry = flat[0, flat_index(2, 1, 3, num_parts=4, num_classes=5)]
+        assert entry == pytest.approx(float(np.dot(v3[0, 2], t3[3, 1])))
 
 
 def test_relation_batch_rows_match_singles():
@@ -86,8 +73,9 @@ def test_relation_normalized_prompts():
 def test_pwcs_matches_bruteforce():
     for seed in range(5):
         v3, t3 = random_pair(b=1, seed=20 + seed)
-        got = pwcs_predict(constant(v3[0]), constant(t3))
-        np.testing.assert_allclose(got.values, pwcs_logits(v3[0], t3), atol=1e-12)
+        got = pwcs_batch(constant(v3), constant(t3))
+        assert got.values.shape == (1, 5)
+        np.testing.assert_allclose(got.values[0], pwcs_logits(v3[0], t3), atol=1e-12)
 
 
 def test_pwcs_batch_rows_match_singles():
@@ -99,29 +87,24 @@ def test_pwcs_batch_rows_match_singles():
 
 def test_align_matches_bruteforce():
     rng = np.random.default_rng(40)
-    v = rng.normal(size=6)
-    t = rng.normal(size=(5, 6))
-    got = align_predict(constant(v), constant(t))
-    np.testing.assert_allclose(got.values, align_logits(v, t), atol=1e-12)
+    v = rng.normal(size=(3, 1, 6))
+    t = rng.normal(size=(5, 1, 6))
+    head = build_head(HeadKind.ALIGN, 5, 1, 6, seed=0)
+    got = head.logits(constant(v), manual_features(t), training=False)
+    for i in range(3):
+        np.testing.assert_allclose(got.values[i], align_logits(v[i, 0], t[:, 0]), atol=1e-12)
 
 
 def test_single_part_pwcs_equals_align():
+    # at one part the mean of per-part cosines is the plain cosine matrix,
+    # bit for bit: normalize the rows, one matmul, a sum over one part, * 1.0
     rng = np.random.default_rng(41)
-    v3 = rng.normal(size=(1, 6))
+    v3 = rng.normal(size=(4, 1, 6))
     t3 = rng.normal(size=(5, 1, 6))
-    a = pwcs_predict(constant(v3), constant(t3))
-    b = align_predict(constant(v3[0]), constant(t3[:, 0]))
-    np.testing.assert_allclose(a.values, b.values, atol=1e-12)
-    # head objects agree too
-    head_a = AlignHead(5, 1)
-    head_p = PwcsHead(5, 1)
-    feats = manual_features(t3)
-    batch = constant(v3[None])
-    np.testing.assert_allclose(
-        head_a.logits(batch, feats, training=False).values,
-        head_p.logits(batch, feats, training=False).values,
-        atol=1e-12,
-    )
+    got = pwcs_batch(constant(v3), constant(t3)).values
+    vn = v3[:, 0] / np.sqrt((v3[:, 0] * v3[:, 0]).sum(axis=1, keepdims=True))
+    tn = t3[:, 0] / np.sqrt((t3[:, 0] * t3[:, 0]).sum(axis=1, keepdims=True))
+    assert got.tobytes() == (vn @ tn.T).tobytes()
 
 
 def test_pwcs_logits_bounded():
@@ -179,14 +162,15 @@ def test_crm_full_matches_manual_classifier():
 
 
 def test_crm_single_sample_matches_batch():
-    v3, t3 = random_pair(b=1, seed=51)
+    v3, t3 = random_pair(b=4, seed=51)
     for kind in (HeadKind.CRM_FULL, HeadKind.CRM_BASE, HeadKind.CRM_XCLASS, HeadKind.CRM_XPART):
         head = CrmHead(kind, 5, 4, hidden=8, seed=2)
         feats = manual_features(t3)
         batch_logits = head.logits(constant(v3), feats, training=False)
-        rel = cross_relation(constant(v3[0]), constant(t3))
-        single = crm_predict(rel, head, training=False)
-        np.testing.assert_allclose(single.values, batch_logits.values[0], atol=1e-12)
+        for i in range(4):
+            single = head.logits(constant(v3[i : i + 1]), feats, training=False)
+            assert single.values.shape == (1, 5)
+            np.testing.assert_allclose(single.values[0], batch_logits.values[i], atol=1e-12)
 
 
 def test_mlps_average_of_parts():
@@ -197,12 +181,12 @@ def test_mlps_average_of_parts():
     for p, mlp in enumerate(head.mlps):
         manual += mlp(constant(v3[:, p, :]), training=False).values
     np.testing.assert_allclose(got.values, manual / 4.0, atol=1e-12)
-    single = mlps_predict(constant(v3[0]), head)
-    np.testing.assert_allclose(single.values, got.values[0], atol=1e-12)
+    single = head.logits(constant(v3[:1]), None, training=False)
+    np.testing.assert_allclose(single.values, got.values[:1], atol=1e-12)
 
 
 def test_build_head_dispatch_and_validation():
-    assert isinstance(build_head(HeadKind.ALIGN, 5, 1, 6, seed=0), AlignHead)
+    assert isinstance(build_head(HeadKind.ALIGN, 5, 1, 6, seed=0), PwcsHead)
     assert isinstance(build_head(HeadKind.PWCS, 5, 4, 6, seed=0), PwcsHead)
     assert isinstance(build_head(HeadKind.MLPS, 5, 4, 6, seed=0), MlpsHead)
     for kind in (HeadKind.CRM_FULL, HeadKind.CRM_BASE, HeadKind.CRM_XCLASS, HeadKind.CRM_XPART):
@@ -232,7 +216,7 @@ def test_shape_mismatch_errors():
     with pytest.raises(ShapeMismatchError):
         pwcs_batch(constant(v3[:, :, :4]), constant(t3))
     with pytest.raises(ShapeMismatchError):
-        align_predict(constant(np.zeros(3)), constant(np.zeros((4, 5))))
+        pwcs_batch(constant(v3[0]), constant(t3))
 
 
 def test_gradients_through_relation_heads():

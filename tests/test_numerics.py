@@ -250,6 +250,10 @@ def test_gather_backward_matches_add_at_oracle(idx, axis):
 def test_l2_normalize_rejects_zero_row():
     with pytest.raises(DegenerateInputError):
         l2_normalize_rows(constant([[0.0, 0.0]]))
+    with pytest.raises(DegenerateInputError):
+        l2_normalize_rows(constant(np.ones((2, 2, 3)) * [[[1.0]], [[0.0]]]))
+    with pytest.raises(ShapeMismatchError):
+        l2_normalize_rows(constant([3.0, 4.0]))
 
 
 def test_cross_entropy_label_bounds():
@@ -355,6 +359,12 @@ def test_grad_normalizers_and_loss():
     k = constant(rng.normal(size=(4, 5)))
     check_op(lambda: tsum(mul(softmax_rows(a), k)), [a])
     check_op(lambda: tsum(mul(l2_normalize_rows(a), k)), [a])
+    a3 = leaf(rng.normal(size=(2, 3, 5)))
+    k3 = constant(rng.normal(size=(2, 3, 5)))
+    check_op(lambda: tsum(mul(l2_normalize_rows(a3), k3)), [a3])
+    # rows of a 3-d tensor normalize exactly as the rows of its 2-d view
+    flat = l2_normalize_rows(constant(a3.values.reshape(6, 5))).values
+    assert l2_normalize_rows(a3).values.tobytes() == flat.tobytes()
 
     labels = np.array([0, 3, 1, 4])
     check_op(lambda: cross_entropy(a, labels), [a])
@@ -399,3 +409,16 @@ def test_finite_diff_sampling_budget():
         lambda: tsum(mul(big, k)), params, max_coords_per_param=16
     )
     assert worst["big"] < 1e-8
+
+
+def test_finite_diff_accepts_size_one_loss():
+    # backward takes any loss of size 1; so must the gradient check
+    rng = np.random.default_rng(9)
+    a = leaf(rng.normal(size=(4, 3)))
+    k = constant(rng.normal(size=(3, 1)))
+
+    def loss():
+        return sum_axis(matmul(a, k), 0)
+
+    assert loss().values.shape == (1,)
+    check_op(loss, [a])

@@ -28,25 +28,21 @@ def test_bank_shapes_and_init():
 
 def test_sequence_layout():
     bank = make_bank()
-    seq = bank.sequence(2, 1)
-    assert seq.values.shape == (3, 6)  # ctx_len + 1 rows
-    np.testing.assert_array_equal(seq.values[:2], bank.contexts.tensor.values[2, 1])
-    np.testing.assert_array_equal(seq.values[2], bank.class_embeddings.tensor.values[2])
-    with pytest.raises(IndexError):
-        bank.sequence(4, 0)
-    with pytest.raises(IndexError):
-        bank.sequence(0, 3)
+    seq = bank.all_sequences().values[2 * 3 + 1]  # class 2, part 1
+    assert seq.shape == (3, 6)  # ctx_len + 1 rows
+    np.testing.assert_array_equal(seq[:2], bank.contexts.tensor.values[2, 1])
+    np.testing.assert_array_equal(seq[2], bank.class_embeddings.tensor.values[2])
 
 
 def test_all_sequences_matches_singles():
     bank = make_bank()
     all_seqs = bank.all_sequences()
     assert all_seqs.values.shape == (12, 3, 6)
+    ctx, cls = bank.contexts.tensor.values, bank.class_embeddings.tensor.values
     for k in range(4):
         for s in range(3):
-            np.testing.assert_array_equal(
-                all_seqs.values[k * 3 + s], bank.sequence(k, s).values
-            )
+            want = np.vstack([ctx[k, s], cls[k : k + 1]])
+            np.testing.assert_array_equal(all_seqs.values[k * 3 + s], want)
 
 
 def test_encode_shape_and_determinism():

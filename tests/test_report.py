@@ -41,10 +41,13 @@ def test_write_atomic_content_and_no_leftovers(tmp_path):
     assert [p.name for p in (tmp_path / "sub").iterdir()] == ["out.txt"]
 
 
-def test_write_atomic_bytes(tmp_path):
+def test_write_atomic_binary_and_utf8_text(tmp_path):
     path = tmp_path / "blob.bin"
-    rpt.write_atomic_bytes(str(path), b"\x00\x01\x02")
+    rpt.write_atomic(str(path), b"\x00\x01\x02")
     assert path.read_bytes() == b"\x00\x01\x02"
+    # text is written as UTF-8, whatever the locale
+    rpt.write_atomic(str(path), "caf\u00e9\n")
+    assert path.read_bytes() == b"caf\xc3\xa9\n"
 
 
 def _dataset(seed):
