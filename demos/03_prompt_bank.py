@@ -11,8 +11,8 @@ gradients reach only the contexts.
 import numpy as np
 
 from xrhead.encoders import FrozenTextEncoder
-from xrhead.numerics import backward, tsum
-from xrhead.prompts import PromptBank, manual_features
+from xrhead.numerics import backward, constant, tsum
+from xrhead.prompts import PromptBank
 
 W, S, M, D = 5, 3, 4, 16  # classes, parts, context length, word dim
 rng = np.random.default_rng(0)
@@ -20,7 +20,7 @@ class_embeddings = rng.standard_normal((W, D))
 
 bank = PromptBank(class_embeddings, num_parts=S, ctx_len=M, seed=1)
 print(f"contexts        {bank.contexts.tensor.values.shape}  (W, S, M, word_dim), trainable")
-print(f"class rows      {bank.class_embeddings.tensor.values.shape}  frozen")
+print(f"class rows      {bank.class_embeddings.shape}  frozen, a plain array")
 
 # all W * S sequences stacked in class-major order
 stacked = bank.all_sequences()
@@ -34,15 +34,14 @@ print(f"last row is     class embedding: {np.array_equal(seq[-1], class_embeddin
 # encode through the frozen text encoder: one feature row per (class, part)
 encoder = FrozenTextEncoder(seed=7, word_dim=D, feat_dim=24, num_positions=M + 1)
 features = bank.encode(encoder)
-print(f"prompt features {features.tensor.values.shape}  source={features.source}")
+print(f"prompt features {features.values.shape}  (W, S, feat_dim)")
 
 # only the contexts accumulate gradient; the class embeddings stay frozen
-backward(tsum(features.tensor))
+backward(tsum(features))
 ctx_norm = np.linalg.norm(bank.contexts.tensor.grad)
 print(f"context grad    {ctx_norm:.4f}")
-print(f"frozen param    marked frozen: {bank.class_embeddings.frozen}")
+print(f"trained params  {[p.name for p in bank.params()]}")
 
 # manual mode skips the bank entirely: fixed features, nothing to train
-fixed = manual_features(rng.standard_normal((W, S, 24)))
-print(f"manual features {fixed.tensor.values.shape}  source={fixed.source}")
-print(f"manual grads    requires_grad={fixed.tensor.requires_grad}")
+fixed = constant(rng.standard_normal((W, S, 24)))
+print(f"manual features {fixed.values.shape}  requires_grad={fixed.requires_grad}")

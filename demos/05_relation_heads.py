@@ -12,7 +12,6 @@ import numpy as np
 
 from xrhead.heads import CrmHead, HeadKind, build_head, flat_index, pwcs_batch, relation_batch
 from xrhead.numerics import Tensor
-from xrhead.prompts import manual_features
 
 # worked example: one image with 2 parts, 2 classes, identity part features.
 # Class 0's prompts match parts in order; class 1's prompts are swapped.
@@ -50,11 +49,11 @@ print(f"BASE picks      {base.pick}  -> {flat[base.pick]}")
 # single-prompt special case and insists on S = 1
 rng = np.random.default_rng(0)
 v8 = Tensor(rng.standard_normal((2, 6, 8)))  # batch of 2, S=6 parts, dim 8
-feats = manual_features(rng.standard_normal((4, 6, 8)))  # W=4 classes
+t8 = Tensor(rng.standard_normal((4, 6, 8)))  # W=4 classes
 for kind in HeadKind:
     parts = 1 if kind == HeadKind.ALIGN else 6
     head = build_head(kind, num_classes=4, num_parts=parts, feat_dim=8, seed=1)
     vk = Tensor(v8.values[:, :parts]) if parts == 1 else v8
-    fk = manual_features(feats.tensor.values[:, :parts]) if parts == 1 else feats
-    out = head.logits(vk, fk, training=False)
+    tk = Tensor(t8.values[:, :parts]) if parts == 1 else t8
+    out = head.logits(vk, tk, training=False)
     print(f"{kind.value:<10s} logits {out.values.shape}  params {len(head.params())}")

@@ -1,8 +1,10 @@
 """Shared little-endian binary container primitives.
 
-Both on-disk formats in this package (feature files, dataset files) follow
-the same conventions: a 4-byte magic, a u32 version, arrays stored as rank +
-u64 extents + row-major payload, and length-prefixed UTF-8 JSON metadata.
+Every on-disk format in this package (feature, dataset and model files)
+follows the same conventions: a 4-byte magic, a u32 version, arrays stored as
+rank + u64 extents + row-major payload, and length-prefixed UTF-8 JSON
+metadata.  Dataset and model files hold a count-prefixed list of arrays,
+each tagged with a unique name.
 Decoding errors always report the byte offset of the failure.
 """
 
@@ -93,6 +95,17 @@ class Reader:
         code = self.u8(f"{name} dtype code")
         return name, self.array(name, dtype_code=code)
 
+    def named_arrays(self, what: str) -> dict[str, np.ndarray]:
+        """u32 count, then that many tagged arrays; a repeated name is refused."""
+        out: dict[str, np.ndarray] = {}
+        for _ in range(self.u32(f"{what} count")):
+            at = self.offset
+            name, values = self.tagged_array(what)
+            if name in out:
+                raise FormatError(f"{what} {name!r} appears twice", at)
+            out[name] = values
+        return out
+
     def metadata(self) -> dict:
         at = self.offset
         n = self.u32("metadata length")
@@ -141,6 +154,12 @@ class Writer:
         self.buf += encoded
         self.u8(_CODE_FOR[np.dtype(dtype)])
         self.array(values, dtype)
+
+    def named_arrays(self, arrays: list[tuple[str, np.ndarray, np.dtype]]) -> None:
+        """The layout Reader.named_arrays reads: u32 count, then (name, values, dtype) each."""
+        self.u32(len(arrays))
+        for name, values, dtype in arrays:
+            self.tagged_array(name, values, dtype)
 
     def metadata(self, meta: dict) -> None:
         raw = json.dumps(meta, sort_keys=True).encode("utf-8")

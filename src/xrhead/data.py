@@ -257,24 +257,39 @@ def nearest_prototype_accuracy(ds: Dataset, split: str = "test") -> float:
 # --- dataset files ------------------------------------------------------------
 
 
+def _array_layout(spec: SyntheticSpec) -> dict[str, tuple[tuple[int, ...], int | None]]:
+    """Every array of a dataset file: name -> (shape the spec implies, value bound).
+
+    Integer arrays carry an exclusive upper bound on their values (the least
+    is 0) and are stored as int64; float arrays carry None and are stored as
+    float64.
+    """
+    w, g, s = spec.num_classes, spec.num_superclasses, spec.true_parts
+    t, d = spec.tokens_per_image, spec.patch_dim
+    n_train, n_test = w * spec.train_per_class, w * spec.test_per_class
+    return {
+        "train_patches": ((n_train, t, d), None),
+        "train_labels": ((n_train,), w),
+        "train_part_ids": ((n_train, t), s + 1),
+        "test_patches": ((n_test, t, d), None),
+        "test_labels": ((n_test,), w),
+        "test_part_ids": ((n_test, t), s + 1),
+        "class_embeddings": ((w, spec.embed_dim), None),
+        "superclass_of": ((w,), g),
+        "templates": ((w, spec.num_styles(), s + 1, d), None),
+        "prototypes": ((w, s, d), None),
+        "base_perms": ((w, s), s),
+    }
+
+
 def save_dataset(path: str, ds: Dataset) -> None:
     w = Writer(DATASET_MAGIC, DATASET_VERSION)
-    arrays = [
-        ("train_patches", ds.train_patches, "<f8"),
-        ("train_labels", ds.train_labels, "<i8"),
-        ("train_part_ids", ds.train_part_ids, "<i8"),
-        ("test_patches", ds.test_patches, "<f8"),
-        ("test_labels", ds.test_labels, "<i8"),
-        ("test_part_ids", ds.test_part_ids, "<i8"),
-        ("class_embeddings", ds.class_embeddings, "<f8"),
-        ("superclass_of", ds.superclass_of, "<i8"),
-        ("templates", ds.templates, "<f8"),
-        ("prototypes", ds.prototypes, "<f8"),
-        ("base_perms", ds.base_perms, "<i8"),
-    ]
-    w.u32(len(arrays))
-    for name, values, dtype in arrays:
-        w.tagged_array(name, values, np.dtype(dtype))
+    w.named_arrays(
+        [
+            (name, getattr(ds, name), np.dtype("<f8" if bound is None else "<i8"))
+            for name, (_, bound) in _array_layout(ds.spec).items()
+        ]
+    )
     w.metadata(
         {
             "spec": asdict(ds.spec),
@@ -291,29 +306,9 @@ def load_dataset(path: str) -> Dataset:
     r = Reader(data)
     r.magic(DATASET_MAGIC)
     r.version(DATASET_VERSION)
-    count = r.u32("array count")
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name, values = r.tagged_array("array")
-        arrays[name] = values
+    arrays = r.named_arrays("dataset array")
     meta = r.metadata()
     r.done()
-    needed = {
-        "train_patches",
-        "train_labels",
-        "train_part_ids",
-        "test_patches",
-        "test_labels",
-        "test_part_ids",
-        "class_embeddings",
-        "superclass_of",
-        "templates",
-        "prototypes",
-        "base_perms",
-    }
-    missing = needed - set(arrays)
-    if missing:
-        raise FormatError(f"dataset file missing arrays: {sorted(missing)}")
     names = {key: meta.get(key, []) for key in ("class_names", "part_names")}
     for key, value in names.items():
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
@@ -325,17 +320,23 @@ def load_dataset(path: str) -> Dataset:
         spec = SyntheticSpec.from_dict(spec_raw)
     except DataError as e:
         raise FormatError(f"dataset metadata has an invalid spec: {e}") from None
-    ds = Dataset(
+    layout = _array_layout(spec)
+    missing = set(layout) - set(arrays)
+    if missing:
+        raise FormatError(f"dataset file missing arrays: {sorted(missing)}")
+    for name, (shape, bound) in layout.items():
+        values = arrays[name]
+        kind = "f" if bound is None else "i"
+        if values.shape != shape or values.dtype.kind != kind:
+            raise FormatError(
+                f"dataset array {name!r} is {values.dtype} {values.shape}, "
+                f"the spec implies kind {kind!r} {shape}"
+            )
+        if bound is not None and (values.min() < 0 or values.max() >= bound):
+            raise FormatError(f"dataset array {name!r} must hold values in [0, {bound})")
+    return Dataset(
         spec=spec,
         class_names=names["class_names"],
         part_names=names["part_names"],
-        **{k: arrays[k] for k in needed},
+        **{name: arrays[name] for name in layout},
     )
-    n, t = spec.num_classes * spec.train_per_class, spec.tokens_per_image
-    if ds.train_patches.shape != (n, t, spec.patch_dim):
-        raise FormatError(
-            f"train_patches shape {ds.train_patches.shape} does not match spec"
-        )
-    if ds.test_patches.shape[0] != spec.num_classes * spec.test_per_class:
-        raise FormatError("test_patches row count does not match spec")
-    return ds

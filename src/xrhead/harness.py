@@ -26,9 +26,9 @@ from .container import Reader, Writer
 from .data import Dataset, SyntheticSpec, few_shot_split, generate, load_dataset
 from .encoders import FrozenImageEncoder, FrozenTextEncoder, load_features
 from .errors import ConfigError, DataError, FormatError, NumericError
-from .heads import HeadKind, build_head
+from .heads import HeadKind, build_head, check_head_parts
 from .numerics import Parameter, Sgd, Tensor, backward, constant, cross_entropy, no_grad
-from .prompts import PromptBank, PromptFeatures, manual_features
+from .prompts import PromptBank
 from . import report as rpt
 
 MODEL_MAGIC = b"XRVP"
@@ -89,9 +89,10 @@ class TrainConfig:
     cosine_loss_scale: float = 64.0
 
     def validate(self) -> None:
-        HeadKind.parse(self.head)
+        kind = HeadKind.parse(self.head)
         if self.num_parts < 1:
             raise ConfigError(f"need num_parts >= 1, got {self.num_parts}")
+        check_head_parts(kind, self.num_parts)
         if self.ctx_len < 1:
             raise ConfigError(f"need ctx_len >= 1, got {self.ctx_len}")
         if self.scale <= 0:
@@ -100,6 +101,11 @@ class TrainConfig:
             raise ConfigError(f"need positive dims, got {self.feat_dim}, {self.word_dim}")
         if self.proj_dim is not None and self.proj_dim < 1:
             raise ConfigError(f"need proj_dim >= 1, got {self.proj_dim}")
+        if kind != HeadKind.MLPS and self.proj_dim not in (None, self.feat_dim):
+            raise ConfigError(
+                f"{kind.value} compares part features with feat_dim {self.feat_dim} prompt "
+                f"features, so proj_dim must equal it, got {self.proj_dim}"
+            )
         if self.head_hidden is not None and self.head_hidden < 1:
             raise ConfigError(f"need head_hidden >= 1, got {self.head_hidden}")
         if self.epochs < 1:
@@ -189,7 +195,7 @@ class Model:
         text_encoder: FrozenTextEncoder,
         image_encoder: FrozenImageEncoder,
         bank: PromptBank | None,
-        manual: PromptFeatures | None,
+        manual: Tensor | None,
         attention: PartAttention,
         head,
     ):
@@ -212,9 +218,9 @@ class Model:
         return out
 
     def param_count(self) -> int:
-        return int(sum(p.tensor.values.size for p in self.params() if not p.frozen))
+        return int(sum(p.tensor.values.size for p in self.params()))
 
-    def prompt_features(self) -> PromptFeatures | None:
+    def prompt_features(self) -> Tensor | None:
         """The learned bank's encoding, the manual features, or None (MLPS)."""
         if self.bank is not None:
             return self.bank.encode(self.text_encoder)
@@ -248,13 +254,12 @@ class Model:
             "image_encoder": self.image_encoder.checksum(),
         }
         if self.bank is not None:
-            emb = self.bank.class_embeddings.tensor.values
             out["class_embeddings"] = hashlib.sha256(
-                np.ascontiguousarray(emb).tobytes()
+                np.ascontiguousarray(self.bank.class_embeddings).tobytes()
             ).hexdigest()
         if self.manual is not None:
             out["manual_prompts"] = hashlib.sha256(
-                np.ascontiguousarray(self.manual.tensor.values).tobytes()
+                np.ascontiguousarray(self.manual.values).tobytes()
             ).hexdigest()
         return out
 
@@ -282,7 +287,7 @@ def _assemble(
                 raise ConfigError(
                     f"manual prompt features must be {want}, got {manual_values.shape}"
                 )
-            manual = manual_features(manual_values)
+            manual = constant(manual_values)
         else:
             if class_embeddings is None:
                 raise ConfigError("learned prompt_mode needs class embeddings")
@@ -450,6 +455,8 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
 
     losses: list[float] = []
     lrs: list[float] = []
+    # the least CPU time of any one step: a runtime that shrugs off load spikes
+    step_cpu_min = float("inf")
     wall0, cpu0 = time.perf_counter(), time.process_time()
     for epoch in range(config.epochs):
         opt.epoch = epoch
@@ -460,6 +467,7 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
             idx = order[start : start + config.batch_size]
             if idx.size < 2:
                 continue
+            step_cpu0 = time.process_time()
             opt.zero_grads(params)
             loss = model.loss(constant(feats[idx]), labels[idx], training=True)
             try:
@@ -469,6 +477,7 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
                     f"training diverged at epoch {epoch}, step {step} (0-based): {e}"
                 ) from e
             opt.step(params)
+            step_cpu_min = min(step_cpu_min, time.process_time() - step_cpu0)
             total += float(loss.values) * idx.size
             seen += idx.size
         losses.append(total / seen)
@@ -491,7 +500,11 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
         epoch_lrs=lrs,
         config=config.to_dict(),
         notes=notes,
-        timing={"train_wall_seconds": wall, "train_cpu_seconds": cpu},
+        timing={
+            "train_wall_seconds": wall,
+            "train_cpu_seconds": cpu,
+            "step_cpu_min_seconds": step_cpu_min,
+        },
     )
     return model, report
 
@@ -547,21 +560,20 @@ def compare_heads(
         raise ConfigError(f"duplicate head kinds: {kind_names}")
     if num_seeds < 1:
         raise ConfigError(f"need num_seeds >= 1, got {num_seeds}")
+    runs = {
+        (kind, i): replace(
+            config, head=kind, seed_model=config.seed_model + i, seed_data=config.seed_data + i
+        )
+        for kind in kind_names
+        for i in range(num_seeds)
+    }
+    for cfg in runs.values():  # refuse any bad run before the first training
+        cfg.validate()
     ds = dataset if dataset is not None else config_dataset(config)
 
     # keyed merge: results are collected by (kind, run) and emitted in canonical
     # order, so aggregation does not depend on execution order
-    by_key: dict[tuple[str, int], RunReport] = {}
-    for kind in kind_names:
-        for i in range(num_seeds):
-            cfg = replace(
-                config,
-                head=kind,
-                seed_model=config.seed_model + i,
-                seed_data=config.seed_data + i,
-            )
-            _, report = train(cfg, ds)
-            by_key[(kind, i)] = report
+    by_key = {key: train(cfg, ds)[1] for key, cfg in runs.items()}
 
     rows = []
     summary = {}
@@ -624,7 +636,11 @@ class SweepResult:
 def sweep_parts(
     config: TrainConfig, parts: list[int], dataset: Dataset | None = None
 ) -> SweepResult:
-    """One train/eval per part count with shared seeds; records CPU runtime."""
+    """One train/eval per part count with shared seeds; records CPU runtimes.
+
+    runtime_monotone compares each run's least per-step CPU time, which a
+    busy machine inflates far less than the run's total.
+    """
     parts = [int(s) for s in parts]
     if not parts:
         raise ConfigError("need at least one part count")
@@ -633,14 +649,13 @@ def sweep_parts(
             raise ConfigError(f"part counts must be >= 1, got {s}")
     if len(set(parts)) != len(parts):
         raise ConfigError(f"duplicate part counts: {parts}")
+    runs = {s: replace(config, num_parts=s) for s in parts}
+    for cfg in runs.values():  # refuse any bad run before the first training
+        cfg.validate()
     ds = dataset if dataset is not None else config_dataset(config)
     default_parts = TrainConfig().num_parts
 
-    by_key: dict[int, RunReport] = {}
-    for s in parts:
-        cfg = replace(config, num_parts=s)
-        _, report = train(cfg, ds)
-        by_key[s] = report
+    by_key = {s: train(cfg, ds)[1] for s, cfg in runs.items()}
 
     rows = []
     for s in parts:
@@ -652,11 +667,12 @@ def sweep_parts(
                 "test_accuracy": r.test_accuracy,
                 "is_default": s == default_parts,
                 "train_cpu_seconds": r.timing["train_cpu_seconds"],
+                "step_cpu_min_seconds": r.timing["step_cpu_min_seconds"],
             }
         )
 
     ordered = sorted(rows, key=lambda r: r["num_parts"])
-    runtimes = [r["train_cpu_seconds"] for r in ordered]
+    runtimes = [r["step_cpu_min_seconds"] for r in ordered]
     best = max(rows, key=lambda r: (r["test_accuracy"], -r["num_parts"]))
     default_rows = [r for r in rows if r["is_default"]]
     flags = {
@@ -787,18 +803,16 @@ def save_model(dir_path: str, model: Model, report: RunReport | None = None) -> 
     """Write params.xrvp + config.json (+ report.json) into dir_path."""
     os.makedirs(dir_path, exist_ok=True)
     w = Writer(MODEL_MAGIC, MODEL_VERSION)
-    arrays: list[tuple[str, np.ndarray]] = [
-        (p.name, p.tensor.values) for p in model.params()
-    ]
+    arrays = [(p.name, p.tensor.values) for p in model.params()]
+    if model.bank is not None:
+        arrays.append(("prompts.class_embeddings", model.bank.class_embeddings))
     if model.manual is not None:
-        arrays.append(("prompts.manual", model.manual.tensor.values))
+        arrays.append(("prompts.manual", model.manual.values))
     for name, bn in sorted(model.batch_norms().items()):
         state = bn.state()
         arrays.append((f"{name}.running_mean", state["running_mean"]))
         arrays.append((f"{name}.running_var", state["running_var"]))
-    w.u32(len(arrays))
-    for name, values in arrays:
-        w.tagged_array(name, values, np.float64)
+    w.named_arrays([(name, values, np.float64) for name, values in arrays])
     w.metadata(
         {
             "num_classes": model.num_classes,
@@ -826,11 +840,7 @@ def load_model(dir_path: str) -> tuple[Model, RunReport | None]:
         r = Reader(f.read())
     r.magic(MODEL_MAGIC)
     r.version(MODEL_VERSION)
-    count = r.u32("array count")
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name, values = r.tagged_array("model array")
-        arrays[name] = values
+    arrays = r.named_arrays("model array")
     meta = r.metadata()
     r.done()
     for key in ("num_classes", "patch_dim", "frozen_checksums"):

@@ -35,7 +35,6 @@ from .numerics import (
     sum_axis,
     transpose,
 )
-from .prompts import PromptFeatures
 
 
 class HeadKind(str, enum.Enum):
@@ -105,7 +104,7 @@ def pwcs_batch(v: Tensor, t: Tensor) -> Tensor:
 
 # --- heads ---------------------------------------------------------------------
 #
-# A head's whole contract: logits(v, feats, training) -> (b, w), params(), and
+# A head's whole contract: logits(v, t, training) -> (b, w), params(), and
 # batch_norms() (name -> BatchNorm, the names used in model files).  Heads
 # whose logits are cosines in [-1, 1] set cosine_logits, and training scales
 # those logits by a fixed temperature.
@@ -120,8 +119,8 @@ class PwcsHead:
         self.num_classes = num_classes
         self.num_parts = num_parts
 
-    def logits(self, v: Tensor, feats: PromptFeatures, training: bool) -> Tensor:
-        return pwcs_batch(v, feats.tensor)
+    def logits(self, v: Tensor, t: Tensor, training: bool) -> Tensor:
+        return pwcs_batch(v, t)
 
     def params(self) -> list[Parameter]:
         return []
@@ -144,7 +143,7 @@ class MlpsHead:
             Mlp(feat_dim, hidden, num_classes, rng, name=f"head.part{i}") for i in range(num_parts)
         ]
 
-    def logits(self, v: Tensor, feats: PromptFeatures | None, training: bool) -> Tensor:
+    def logits(self, v: Tensor, t: Tensor | None, training: bool) -> Tensor:
         b, s, d = v.values.shape
         if s != self.num_parts or d != self.feat_dim:
             raise ShapeMismatchError(
@@ -227,8 +226,8 @@ class CrmHead:
         scores = self.clf(reshape(picked, (b * w, per_class)), training)
         return reshape(scores, (b, w))
 
-    def logits(self, v: Tensor, feats: PromptFeatures, training: bool) -> Tensor:
-        flat = relation_batch(v, feats.tensor, self.normalize_prompts)
+    def logits(self, v: Tensor, t: Tensor, training: bool) -> Tensor:
+        flat = relation_batch(v, t, self.normalize_prompts)
         return self.logits_from_relation(flat, training)
 
     def params(self) -> list[Parameter]:
@@ -244,6 +243,12 @@ def default_hidden(kind: HeadKind, num_parts: int) -> int:
     return 512
 
 
+def check_head_parts(kind: HeadKind, num_parts: int) -> None:
+    """ALIGN is PWCS at one part; every other kind takes any part count."""
+    if kind == HeadKind.ALIGN and num_parts != 1:
+        raise ConfigError(f"ALIGN needs num_parts == 1, got {num_parts}")
+
+
 def build_head(
     kind: HeadKind,
     num_classes: int,
@@ -257,8 +262,7 @@ def build_head(
     if num_classes < 2:
         raise ConfigError(f"need at least 2 classes, got {num_classes}")
     hidden = hidden or default_hidden(kind, num_parts)
-    if kind == HeadKind.ALIGN and num_parts != 1:
-        raise ConfigError(f"ALIGN needs num_parts == 1, got {num_parts}")
+    check_head_parts(kind, num_parts)
     if kind in (HeadKind.ALIGN, HeadKind.PWCS):
         return PwcsHead(num_classes, num_parts)
     if kind == HeadKind.MLPS:

@@ -34,14 +34,12 @@ def finite_diff_check(
     if not np.all(np.isfinite(loss.values)):
         raise NumericError("loss_fn returned a non-finite loss")
     backward(loss)
-    analytic = {p.name: p.tensor.grad.copy() for p in params if not p.frozen}
+    analytic = {p.name: p.tensor.grad.copy() for p in params}
 
     if rng is None:
         rng = np.random.default_rng(0)
     worst: dict[str, float] = {}
     for p in params:
-        if p.frozen:
-            continue
         flat = p.tensor.values.reshape(-1)
         a_flat = analytic[p.name].reshape(-1)
         n_coords = flat.size

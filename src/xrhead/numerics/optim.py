@@ -15,7 +15,6 @@ from .tensor import Tensor
 class Parameter:
     name: str
     tensor: Tensor
-    frozen: bool = False
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
@@ -49,8 +48,6 @@ class Sgd:
         """Update in place; the operations and their order match the formula above."""
         lr = self.lr()
         for p in params:
-            if p.frozen:
-                continue
             t = p.tensor
             if t.grad is None:
                 raise ConfigError(f"parameter {p.name} does not track gradients")

@@ -8,40 +8,10 @@ class embeddings stay frozen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatchError
 from .numerics import Parameter, Tensor, concat, constant, reshape
-
-
-@dataclass
-class PromptFeatures:
-    """Encoded prompts, one feature row per (class, part)."""
-
-    tensor: Tensor  # (num_classes, num_parts, feat_dim)
-    source: str  # "learned" or "manual"
-
-    @property
-    def num_classes(self) -> int:
-        return self.tensor.values.shape[0]
-
-    @property
-    def num_parts(self) -> int:
-        return self.tensor.values.shape[1]
-
-    @property
-    def feat_dim(self) -> int:
-        return self.tensor.values.shape[2]
-
-
-def manual_features(values: np.ndarray) -> PromptFeatures:
-    """Wrap fixed prompt features (no gradient, nothing to train)."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 3:
-        raise ShapeMismatchError(f"manual features must be (classes, parts, dim), got {values.shape}")
-    return PromptFeatures(constant(values), source="manual")
 
 
 class PromptBank:
@@ -70,23 +40,19 @@ class PromptBank:
         rng = np.random.default_rng(seed)
         ctx = rng.normal(0.0, init_std, size=(self.num_classes, num_parts, ctx_len, self.word_dim))
         self.contexts = Parameter("prompts.contexts", Tensor(ctx, requires_grad=True))
-        # frozen: tracks no gradient, so backward never scatters into it
-        self.class_embeddings = Parameter(
-            "prompts.class_embeddings", Tensor(class_embeddings), frozen=True
-        )
+        self.class_embeddings = class_embeddings  # frozen: an input, not a parameter
 
     def params(self) -> list[Parameter]:
-        return [self.contexts, self.class_embeddings]
+        return [self.contexts]
 
     def all_sequences(self) -> Tensor:
         """All prompts stacked: (W * S, ctx_len + 1, word_dim), row i = class i // S, part i % S."""
         w, s, m, d = self.num_classes, self.num_parts, self.ctx_len, self.word_dim
         ctx = reshape(self.contexts.tensor, (w * s, m, d))
-        cls = np.repeat(self.class_embeddings.tensor.values, s, axis=0).reshape(w * s, 1, d)
+        cls = np.repeat(self.class_embeddings, s, axis=0).reshape(w * s, 1, d)
         return concat([ctx, constant(cls)], axis=1)
 
-    def encode(self, encoder) -> PromptFeatures:
+    def encode(self, encoder) -> Tensor:
         """Run every prompt through the frozen text encoder: (W, S, feat_dim)."""
         feats = encoder.encode(self.all_sequences())
-        t = reshape(feats, (self.num_classes, self.num_parts, feats.values.shape[1]))
-        return PromptFeatures(t, source="learned")
+        return reshape(feats, (self.num_classes, self.num_parts, feats.values.shape[1]))

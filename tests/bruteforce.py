@@ -138,7 +138,7 @@ def composed_sequences(bank):
     """PromptBank.all_sequences as a row interleave of contexts and class rows."""
     w, s, m, d = bank.num_classes, bank.num_parts, bank.ctx_len, bank.word_dim
     ctx2 = reshape(bank.contexts.tensor, (w * s * m, d))
-    cls_rep = gather_rows(bank.class_embeddings.tensor, np.arange(w * s) // s)
+    cls_rep = gather_rows(constant(bank.class_embeddings), np.arange(w * s) // s)
     stacked = concat([ctx2, cls_rep])
     order = np.empty((w * s, m + 1), dtype=np.intp)
     order[:, :m] = np.arange(w * s * m).reshape(w * s, m)
@@ -168,7 +168,7 @@ def composed_model_loss(model, feats, labels, training: bool = True):
             acc = out if acc is None else add(acc, out)
         return cross_entropy(acc * (1.0 / s), labels)
     if model.manual is not None:
-        t = model.manual.tensor
+        t = model.manual
     else:
         bank = model.bank
         feats_t = composed_text_encode(model.text_encoder, composed_sequences(bank))

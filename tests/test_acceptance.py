@@ -89,7 +89,7 @@ def test_gradient_integrity():
     )
     elapsed = time.perf_counter() - start
 
-    assert "prompts.class_embeddings" not in errors  # frozen parameters are skipped
+    assert "prompts.class_embeddings" not in errors  # an input, not a parameter
     groups = {name.split(".")[0] for name in errors}
     assert groups == {"prompts", "attn", "head"}
     worst = max(errors.values())

@@ -268,7 +268,7 @@ def test_text_encode_matches_composed():
     )
     (bank, enc), leaves = make_prompts()
     k = constant(np.random.default_rng(15).normal(size=(4, 3, 5)))
-    grad_check(lambda: tsum(mul(bank.encode(enc).tensor, k)), leaves)
+    grad_check(lambda: tsum(mul(bank.encode(enc), k)), leaves)
 
 
 # --- shape ops used by the fused layers --------------------------------------------
@@ -350,7 +350,7 @@ def test_model_step_matches_composed(case, training, tiny_dataset):
     model, feats, labels = step_inputs(cfg, tiny_dataset)
     twin, _, _ = step_inputs(cfg, tiny_dataset)
     for m, seed in ((model, 17), (twin, 17)):
-        jitter([p for p in m.params() if not p.frozen], seed)
+        jitter(m.params(), seed)
     loss = model.loss(feats, labels, training)
     want = bruteforce.composed_model_loss(twin, feats, labels, training)
     assert loss.values.tobytes() == want.values.tobytes()

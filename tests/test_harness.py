@@ -112,12 +112,22 @@ def test_config_rejects_unknown_keys():
         {"prompt_mode": "manual"},
         {"data_spec": {"num_classes": 4}, "data_file": "x.xrvd"},
         {"data_spec": {"num_classes": 1}},
+        {"head": "ALIGN"},  # ALIGN is PWCS at one part, as build_head insists
+        {"proj_dim": 8},  # part features must meet feat_dim prompt features
+        {"head": "PWCS", "proj_dim": 8},
+        {"head": "ALIGN", "num_parts": 1, "proj_dim": 8},
     ],
 )
 def test_config_validation_errors(overrides):
     cfg = replace(TrainConfig(), **overrides)
     with pytest.raises((ConfigError, DataError)):
         cfg.validate()
+
+
+def test_config_validation_accepts_the_edges():
+    TrainConfig(head="ALIGN", num_parts=1).validate()
+    TrainConfig(head="CRM_XPART", proj_dim=64).validate()
+    TrainConfig(head="MLPS", proj_dim=8).validate()  # MLPS reads no prompt features
 
 
 def test_config_json_file_round_trip(tmp_path):
@@ -145,18 +155,17 @@ def test_build_model_parameter_names_unique(tiny_dataset):
     model = build_model(tiny_config(), tiny_dataset)
     names = [p.name for p in model.params()]
     assert len(names) == len(set(names))
-    frozen = [p.name for p in model.params() if p.frozen]
-    assert frozen == ["prompts.class_embeddings"]
-    assert model.param_count() == sum(
-        p.tensor.values.size for p in model.params() if not p.frozen
-    )
+    # every parameter trains; the class embeddings are a frozen input
+    assert all(p.tensor.requires_grad for p in model.params())
+    assert "prompts.class_embeddings" not in names
+    assert model.param_count() == sum(p.tensor.values.size for p in model.params())
 
 
 def test_mlps_model_has_no_prompt_side(tiny_dataset):
     model = build_model(tiny_config(head="MLPS"), tiny_dataset)
     assert model.bank is None
     assert model.prompt_features() is None
-    assert all(not p.frozen for p in model.params())
+    assert all(p.tensor.requires_grad for p in model.params())
 
 
 def test_word_dim_mismatch_rejected(tiny_dataset):
@@ -170,8 +179,8 @@ def test_manual_mode_loads_and_validates_features(tmp_path, tiny_dataset):
     model = build_model(tiny_config(prompt_mode="manual", prompt_file=str(good)), tiny_dataset)
     assert model.bank is None
     feats = model.prompt_features()
-    assert feats.tensor.values.shape == (6, 4, 32)
-    assert not feats.tensor.requires_grad
+    assert feats.values.shape == (6, 4, 32)
+    assert not feats.requires_grad
 
     bad = tmp_path / "bad.xrvf"
     save_features(str(bad), np.ones((6, 3, 32)))
@@ -254,6 +263,8 @@ def test_report_equality_ignores_timing(tiny_dataset):
     _, report2 = train(cfg, tiny_dataset)
     report2.timing = {"train_wall_seconds": 999.0, "train_cpu_seconds": 999.0}
     assert report1 == report2
+    timing = report1.timing
+    assert 0.0 < timing["step_cpu_min_seconds"] <= timing["train_cpu_seconds"]
 
 
 def test_lr_trace_follows_cosine_schedule(tiny_dataset):
@@ -415,6 +426,34 @@ def test_sweep_validation(tiny_dataset):
         sweep_parts(tiny_config(), [0], dataset=tiny_dataset)
     with pytest.raises(ConfigError, match="duplicate"):
         sweep_parts(tiny_config(), [2, 2], dataset=tiny_dataset)
+
+
+def test_bad_run_refused_before_any_training(tiny_dataset, monkeypatch):
+    def no_training(cfg, ds=None):
+        raise AssertionError(f"trained {cfg.head} at {cfg.num_parts} parts")
+
+    monkeypatch.setattr(harness, "train", no_training)
+    with pytest.raises(ConfigError, match="ALIGN needs num_parts == 1"):
+        compare_heads(tiny_config(), ["CRM_FULL", "ALIGN"], num_seeds=3, dataset=tiny_dataset)
+    with pytest.raises(ConfigError, match="ALIGN needs num_parts == 1"):
+        sweep_parts(tiny_config(head="ALIGN", num_parts=1), [1, 2], dataset=tiny_dataset)
+
+
+def test_sweep_runtime_flag_reads_least_step_time(tiny_dataset, monkeypatch):
+    real_train = harness.train
+
+    def loaded_train(cfg, ds=None):
+        model, report = real_train(cfg, ds)
+        # a load spike inflates the small runs' totals; the least step time still grows with S
+        report.timing.update(
+            train_cpu_seconds=10.0 - cfg.num_parts, step_cpu_min_seconds=float(cfg.num_parts)
+        )
+        return model, report
+
+    monkeypatch.setattr(harness, "train", loaded_train)
+    result = sweep_parts(tiny_config(epochs=1), [1, 2, 4], dataset=tiny_dataset)
+    assert [r["step_cpu_min_seconds"] for r in result.rows] == [1.0, 2.0, 4.0]
+    assert result.flags["runtime_monotone"] is True
 
 
 # --- embedding analyses ------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from xrhead.heads import (
     relation_batch,
 )
 from xrhead.numerics import Parameter, Tensor, constant, cross_entropy, finite_diff_check
-from xrhead.prompts import manual_features
 
 
 def random_pair(b=3, s=4, w=5, d=6, seed=0):
@@ -90,7 +89,7 @@ def test_align_matches_bruteforce():
     v = rng.normal(size=(3, 1, 6))
     t = rng.normal(size=(5, 1, 6))
     head = build_head(HeadKind.ALIGN, 5, 1, 6, seed=0)
-    got = head.logits(constant(v), manual_features(t), training=False)
+    got = head.logits(constant(v), constant(t), training=False)
     for i in range(3):
         np.testing.assert_allclose(got.values[i], align_logits(v[i, 0], t[:, 0]), atol=1e-12)
 
@@ -154,7 +153,7 @@ def test_variant_pick_indices():
 def test_crm_full_matches_manual_classifier():
     v3, t3 = random_pair(b=3, seed=50)
     head = CrmHead(HeadKind.CRM_FULL, 5, 4, hidden=16, seed=1)
-    feats = manual_features(t3)
+    feats = constant(t3)
     got = head.logits(constant(v3), feats, training=False)
     flat = relation_batch(constant(v3), constant(t3))
     expected = head.clf(flat, training=False)
@@ -165,7 +164,7 @@ def test_crm_single_sample_matches_batch():
     v3, t3 = random_pair(b=4, seed=51)
     for kind in (HeadKind.CRM_FULL, HeadKind.CRM_BASE, HeadKind.CRM_XCLASS, HeadKind.CRM_XPART):
         head = CrmHead(kind, 5, 4, hidden=8, seed=2)
-        feats = manual_features(t3)
+        feats = constant(t3)
         batch_logits = head.logits(constant(v3), feats, training=False)
         for i in range(4):
             single = head.logits(constant(v3[i : i + 1]), feats, training=False)

@@ -115,12 +115,10 @@ def test_sgd_momentum_and_decay():
     np.testing.assert_allclose(w.values, [w1 - 0.1 * v2], atol=1e-15)
 
 
-def test_sgd_frozen_parameter_unchanged():
-    w = leaf(np.array([1.0, 2.0]))
-    w.grad[...] = 5.0
+def test_sgd_refuses_parameter_without_gradient():
     opt = Sgd(lr0=0.5, total_epochs=1)
-    opt.step([Parameter("w", w, frozen=True)])
-    np.testing.assert_allclose(w.values, [1.0, 2.0])
+    with pytest.raises(ConfigError, match="does not track gradients"):
+        opt.step([Parameter("w", constant(np.array([1.0, 2.0])))])
 
 
 def test_cosine_lr_endpoints():

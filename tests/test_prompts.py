@@ -6,7 +6,7 @@ import pytest
 from xrhead.encoders import FrozenTextEncoder
 from xrhead.errors import ConfigError, ShapeMismatchError
 from xrhead.numerics import backward, gather_rows, reshape, tsum
-from xrhead.prompts import PromptBank, manual_features
+from xrhead.prompts import PromptBank
 
 
 def make_bank(w=4, s=3, m=2, d=6, seed=0):
@@ -17,8 +17,8 @@ def make_bank(w=4, s=3, m=2, d=6, seed=0):
 def test_bank_shapes_and_init():
     bank = make_bank()
     assert bank.contexts.tensor.values.shape == (4, 3, 2, 6)
-    assert bank.class_embeddings.tensor.values.shape == (4, 6)
-    assert bank.class_embeddings.frozen and not bank.contexts.frozen
+    assert bank.class_embeddings.shape == (4, 6)
+    assert bank.params() == [bank.contexts]  # class embeddings are an input, not trained
     # contexts start small and centered
     big = make_bank(w=16, s=4, m=8, d=32)
     ctx = big.contexts.tensor.values
@@ -31,14 +31,14 @@ def test_sequence_layout():
     seq = bank.all_sequences().values[2 * 3 + 1]  # class 2, part 1
     assert seq.shape == (3, 6)  # ctx_len + 1 rows
     np.testing.assert_array_equal(seq[:2], bank.contexts.tensor.values[2, 1])
-    np.testing.assert_array_equal(seq[2], bank.class_embeddings.tensor.values[2])
+    np.testing.assert_array_equal(seq[2], bank.class_embeddings[2])
 
 
 def test_all_sequences_matches_singles():
     bank = make_bank()
     all_seqs = bank.all_sequences()
     assert all_seqs.values.shape == (12, 3, 6)
-    ctx, cls = bank.contexts.tensor.values, bank.class_embeddings.tensor.values
+    ctx, cls = bank.contexts.tensor.values, bank.class_embeddings
     for k in range(4):
         for s in range(3):
             want = np.vstack([ctx[k, s], cls[k : k + 1]])
@@ -49,10 +49,8 @@ def test_encode_shape_and_determinism():
     bank = make_bank()
     enc = FrozenTextEncoder(seed=9, word_dim=6, feat_dim=10, num_positions=3)
     feats = bank.encode(enc)
-    assert feats.source == "learned"
-    assert feats.tensor.values.shape == (4, 3, 10)
-    assert (feats.num_classes, feats.num_parts, feats.feat_dim) == (4, 3, 10)
-    np.testing.assert_array_equal(feats.tensor.values, bank.encode(enc).tensor.values)
+    assert feats.values.shape == (4, 3, 10)
+    np.testing.assert_array_equal(feats.values, bank.encode(enc).values)
 
 
 def test_gradient_locality():
@@ -60,7 +58,7 @@ def test_gradient_locality():
     enc = FrozenTextEncoder(seed=9, word_dim=6, feat_dim=10, num_positions=3)
     feats = bank.encode(enc)
     # pull gradient through a single (class, part) feature row
-    flat = reshape(feats.tensor, (12, 10))
+    flat = reshape(feats, (12, 10))
     backward(tsum(gather_rows(flat, [2 * 3 + 1])))
     g = bank.contexts.tensor.grad
     assert np.any(g[2, 1] != 0.0)
@@ -79,12 +77,3 @@ def test_validation():
         PromptBank(np.zeros((1, 6)), num_parts=2, ctx_len=2, seed=0)
     with pytest.raises(ShapeMismatchError):
         PromptBank(np.zeros(6), num_parts=2, ctx_len=2, seed=0)
-
-
-def test_manual_features():
-    vals = np.random.default_rng(0).normal(size=(4, 3, 10))
-    feats = manual_features(vals)
-    assert feats.source == "manual"
-    assert not feats.tensor.requires_grad
-    with pytest.raises(ShapeMismatchError):
-        manual_features(np.zeros((4, 3)))

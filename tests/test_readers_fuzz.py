@@ -109,29 +109,39 @@ def write(path: str, data: bytes) -> str:
 # --- container.Reader ------------------------------------------------------------
 
 
-def container_bytes() -> bytes:
+def container_bytes(names=("ints", "floats")) -> bytes:
     w = Writer(b"TEST", 3)
-    w.u32(2)
-    w.tagged_array("ints", np.arange(6).reshape(2, 3), np.int64)
-    w.tagged_array("floats", np.linspace(0.0, 1.0, 4), np.float64)
+    w.named_arrays(
+        [
+            (names[0], np.arange(6).reshape(2, 3), np.int64),
+            (names[1], np.linspace(0.0, 1.0, 4), np.float64),
+        ]
+    )
     w.array(np.ones((2, 2)), np.float32)
     w.metadata({"a": [1, 2], "b": "x"})
     return w.bytes()
 
 
-def read_container(data: bytes) -> None:
+def read_container(data: bytes) -> dict:
     r = Reader(data)
     r.magic(b"TEST")
     r.version(3)
-    for _ in range(r.u32("count")):
-        r.tagged_array("array")
+    arrays = r.named_arrays("array")
     r.array("plain")
     r.metadata()
     r.done()
+    return arrays
 
 
 def test_container_round_trip():
-    read_container(container_bytes())
+    arrays = read_container(container_bytes())
+    assert sorted(arrays) == ["floats", "ints"]
+    np.testing.assert_array_equal(arrays["ints"], np.arange(6).reshape(2, 3))
+
+
+def test_container_refuses_duplicate_names():
+    with pytest.raises(FormatError, match="'ints' appears twice"):
+        read_container(container_bytes(names=("ints", "ints")))
 
 
 @FUZZ
@@ -180,23 +190,78 @@ def dataset(workdir):
         return ds, f.read()
 
 
-def dataset_with_metadata(ds, meta) -> bytes:
-    """A well-formed dataset container holding ds's arrays and the given metadata."""
-    arrays = {k: v for k, v in vars(ds).items() if isinstance(v, np.ndarray)}
+def dataset_arrays(ds) -> list[tuple[str, np.ndarray]]:
+    return sorted(
+        ((k, v) for k, v in vars(ds).items() if isinstance(v, np.ndarray)), key=lambda kv: kv[0]
+    )
+
+
+def dataset_container(arrays, meta) -> bytes:
+    """A well-formed dataset container holding the given (name, values) arrays and metadata."""
     w = Writer(DATASET_MAGIC, DATASET_VERSION)
-    w.u32(len(arrays))
-    for name, values in sorted(arrays.items()):
-        dtype = np.int64 if values.dtype.kind == "i" else np.float64
-        w.tagged_array(name, values, dtype)
+    w.named_arrays(
+        [(name, v, np.int64 if v.dtype.kind == "i" else np.float64) for name, v in arrays]
+    )
     w.metadata(meta)
     return w.bytes()
 
 
+def good_metadata(ds) -> dict:
+    return {"spec": SMALL_SPEC, "class_names": ds.class_names, "part_names": ds.part_names}
+
+
 def test_dataset_with_metadata_round_trips(dataset, workdir):
     ds, _ = dataset
-    meta = {"spec": SMALL_SPEC, "class_names": ds.class_names, "part_names": ds.part_names}
-    path = write(os.path.join(workdir, "meta.xrvd"), dataset_with_metadata(ds, meta))
+    raw = dataset_container(dataset_arrays(ds), good_metadata(ds))
+    path = write(os.path.join(workdir, "meta.xrvd"), raw)
     np.testing.assert_array_equal(load_dataset(path).test_patches, ds.test_patches)
+
+
+def test_dataset_reader_refuses_duplicate_array(dataset, workdir):
+    ds, _ = dataset
+    # a second, shorter train_labels used to replace the real one silently
+    arrays = dataset_arrays(ds) + [("train_labels", np.zeros(5, dtype=np.int64))]
+    path = write(os.path.join(workdir, "dup.xrvd"), dataset_container(arrays, good_metadata(ds)))
+    with pytest.raises(FormatError, match="'train_labels' appears twice"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "train_patches",
+        "train_labels",
+        "train_part_ids",
+        "test_patches",
+        "test_labels",
+        "test_part_ids",
+        "class_embeddings",
+        "superclass_of",
+        "templates",
+        "prototypes",
+        "base_perms",
+    ],
+)
+def test_dataset_reader_checks_every_array_against_the_spec(name, dataset, workdir):
+    ds, _ = dataset
+    path = os.path.join(workdir, "bad.xrvd")
+
+    def load_with(values):
+        arrays = [(k, values if k == name else v) for k, v in dataset_arrays(ds)]
+        write(path, dataset_container(arrays, good_metadata(ds)))
+        with pytest.raises(FormatError, match=repr(name)):
+            load_dataset(path)
+
+    values = getattr(ds, name)
+    load_with(values[1:])  # one leading row short
+    load_with(values.astype(np.float64) if values.dtype.kind == "i" else values.astype(np.int64))
+    if values.dtype.kind == "i":
+        too_big = values.copy()
+        too_big.flat[0] = values.max() + 100
+        load_with(too_big)
+        negative = values.copy()
+        negative.flat[0] = -1
+        load_with(negative)
 
 
 @FUZZ
@@ -217,7 +282,7 @@ def test_dataset_reader_refuses_wrong_metadata(data, workdir, dataset):
         "part_names": ds.part_names,
     }
     meta = data.draw(mutated_dict(base))
-    path = write(os.path.join(workdir, "meta.xrvd"), dataset_with_metadata(ds, meta))
+    path = write(os.path.join(workdir, "meta.xrvd"), dataset_container(dataset_arrays(ds), meta))
     must_load_or_refuse(load_dataset, path)
 
 
@@ -266,12 +331,10 @@ def test_model_reader_refuses_wrong_metadata(data, model_dir, workdir):
         r = Reader(f.read())
     r.magic(MODEL_MAGIC)
     r.version(MODEL_VERSION)
-    arrays = [r.tagged_array("array") for _ in range(r.u32("count"))]
+    arrays = r.named_arrays("array")
     meta = r.metadata()
     w = Writer(MODEL_MAGIC, MODEL_VERSION)
-    w.u32(len(arrays))
-    for name, values in arrays:
-        w.tagged_array(name, values, np.float64)
+    w.named_arrays([(name, values, np.float64) for name, values in arrays.items()])
     w.metadata(data.draw(mutated_dict(meta)))
     dst = os.path.join(workdir, "meta-model")
     damaged_copy(model_dir, dst, "params.xrvp", w.bytes())
@@ -294,3 +357,18 @@ def test_unbuildable_model_metadata_is_a_format_error(model_dir, workdir):
     damaged_copy(model_dir, dst, "config.json", b"\xff\xfe{")
     with pytest.raises(FormatError):
         load_model(dst)
+
+
+def test_model_reader_refuses_duplicate_array(model_dir, workdir):
+    with open(os.path.join(model_dir, "params.xrvp"), "rb") as f:
+        r = Reader(f.read())
+    r.magic(MODEL_MAGIC)
+    r.version(MODEL_VERSION)
+    arrays = list(r.named_arrays("array").items())
+    meta = r.metadata()
+    w = Writer(MODEL_MAGIC, MODEL_VERSION)
+    w.named_arrays([(name, values, np.float64) for name, values in arrays + arrays[:1]])
+    w.metadata(meta)
+    dst = damaged_copy(model_dir, os.path.join(workdir, "dup-model"), "params.xrvp", w.bytes())
+    with pytest.raises(FormatError, match="appears twice"):
+        load_model(os.path.dirname(dst))
