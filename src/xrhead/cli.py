@@ -11,7 +11,6 @@ no partial outputs behind.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -35,6 +34,7 @@ from .harness import (
     few_shot_split,
     load_model,
     project_2d,
+    read_json_object,
     save_model,
     sweep_parts,
     train,
@@ -74,13 +74,7 @@ def _emit(payload: dict) -> None:
 
 
 def _cmd_gen_data(args) -> int:
-    if args.spec:
-        with open(args.spec, encoding="utf-8") as f:
-            raw = json.load(f)
-        if not isinstance(raw, dict):
-            raise ConfigError(f"spec file {args.spec} must hold a JSON object")
-    else:
-        raw = {}
+    raw = read_json_object(args.spec, "spec") if args.spec else {}
     seed = _env_seed()
     if seed is not None:
         raw["seed"] = seed

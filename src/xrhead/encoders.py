@@ -15,7 +15,8 @@ import numpy as np
 
 from .container import Reader, Writer
 from .errors import FormatError, ShapeMismatchError
-from .numerics import Tensor, add, affine, constant, mean_axis, tanh
+from .numerics import Tensor
+from .numerics.tensor import from_op, recording
 from .report import write_atomic
 
 FEATURE_MAGIC = b"XRVF"
@@ -42,6 +43,10 @@ class FrozenTextEncoder:
         self._b2 = rng.normal(0.0, 0.01, size=(1, feat_dim))
 
     def encode(self, sequences: Tensor) -> Tensor:
+        """One tape op over the sequences.  Its values and its backward are
+        those of the composed chain kept in tests/bruteforce.py (add, mean,
+        affine, tanh, affine), bit for bit: the same numpy calls in the
+        same order."""
         if sequences.values.ndim != 3 or sequences.values.shape[1:] != (
             self.num_positions,
             self.word_dim,
@@ -50,10 +55,23 @@ class FrozenTextEncoder:
                 f"expected sequences (b, {self.num_positions}, {self.word_dim}), "
                 f"got {sequences.values.shape}"
             )
-        x = add(sequences, constant(self._positions))
-        pooled = mean_axis(x, 1)
-        h = tanh(affine(pooled, constant(self._w1), constant(self._b1)))
-        return affine(h, constant(self._w2), constant(self._b2))
+        pooled = (sequences.values + self._positions).mean(axis=1)
+        h = pooled @ self._w1
+        h += self._b1
+        h = np.tanh(h)
+        out = h @ self._w2
+        out += self._b2
+        if not recording((sequences,)):
+            return from_op(out, (sequences,), None)
+        shape = sequences.values.shape
+
+        def backward(g):
+            g_h = g @ self._w2.T
+            g_pre = g_h * (1.0 - h * h)
+            g_pooled = g_pre @ self._w1.T
+            return (np.broadcast_to(np.expand_dims(g_pooled, 1) / self.num_positions, shape),)
+
+        return from_op(out, (sequences,), backward)
 
     def checksum(self) -> str:
         h = hashlib.sha256()

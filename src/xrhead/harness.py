@@ -151,17 +151,22 @@ class TrainConfig:
 
     @classmethod
     def from_json_file(cls, path: str) -> "TrainConfig":
-        with open(path, encoding="utf-8") as f:
-            try:
-                raw = json.load(f)
-            except (json.JSONDecodeError, UnicodeDecodeError) as e:
-                raise ConfigError(f"invalid JSON in {path}: {e}") from e
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json_object(path, "config"))
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def read_json_object(path: str, what: str) -> dict:
+    """The JSON object in a UTF-8 file; bad UTF-8, bad JSON or another value raise ConfigError."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            raw = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise ConfigError(f"invalid JSON in {path}: {e}") from e
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} file {path} must hold a JSON object")
+    return raw
 
 
 # built at import, so a field annotation without a JSON type fails here, not on load
@@ -743,7 +748,12 @@ def project_2d(embeddings: np.ndarray) -> np.ndarray:
 def export_attention(
     model: Model, patches: np.ndarray, part_ids: np.ndarray, limit: int | None = None
 ) -> list[dict]:
-    """Eval-mode attention rows per sample: weights (tokens, parts + 1) + truth."""
+    """Eval-mode attention rows per sample: weights (tokens, parts + 1) + truth.
+
+    limit, when given, keeps the first `limit` samples and must be >= 1.
+    """
+    if limit is not None and limit < 1:
+        raise ConfigError(f"need an export limit >= 1, got {limit}")
     patches = np.asarray(patches, dtype=np.float64)
     part_ids = np.asarray(part_ids)
     if patches.shape[0] == 0:

@@ -6,7 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import NumericError
+from ..errors import ConfigError, NumericError
 from .optim import Parameter
 from .tensor import Tensor, backward, no_grad
 
@@ -25,8 +25,10 @@ def finite_diff_check(
     as for backward.  Returns the max relative error per parameter name,
     with relative error |a - n| / max(|a|, |n|, 1e-8).
     When a parameter has more coordinates than max_coords_per_param, a
-    random subset is checked.
+    random subset is checked; None checks every coordinate.
     """
+    if max_coords_per_param is not None and max_coords_per_param < 1:
+        raise ConfigError(f"need max_coords_per_param >= 1, got {max_coords_per_param}")
     for p in params:
         if p.tensor.grad is not None:
             p.tensor.grad[...] = 0.0

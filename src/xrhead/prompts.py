@@ -41,6 +41,9 @@ class PromptBank:
         ctx = rng.normal(0.0, init_std, size=(self.num_classes, num_parts, ctx_len, self.word_dim))
         self.contexts = Parameter("prompts.contexts", Tensor(ctx, requires_grad=True))
         self.class_embeddings = class_embeddings  # frozen: an input, not a parameter
+        # the class row closing every prompt, row i = class i // S
+        rows = np.repeat(class_embeddings, num_parts, axis=0)
+        self._class_rows = constant(rows.reshape(self.num_classes * num_parts, 1, self.word_dim))
 
     def params(self) -> list[Parameter]:
         return [self.contexts]
@@ -49,8 +52,7 @@ class PromptBank:
         """All prompts stacked: (W * S, ctx_len + 1, word_dim), row i = class i // S, part i % S."""
         w, s, m, d = self.num_classes, self.num_parts, self.ctx_len, self.word_dim
         ctx = reshape(self.contexts.tensor, (w * s, m, d))
-        cls = np.repeat(self.class_embeddings, s, axis=0).reshape(w * s, 1, d)
-        return concat([ctx, constant(cls)], axis=1)
+        return concat([ctx, self._class_rows], axis=1)
 
     def encode(self, encoder) -> Tensor:
         """Run every prompt through the frozen text encoder: (W, S, feat_dim)."""

@@ -12,6 +12,7 @@ from xrhead.numerics import (
     bmm,
     concat,
     constant,
+    cosine_lr,
     cross_entropy,
     div,
     gather_cols,
@@ -62,6 +63,38 @@ def align_logits(v: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.array(
         [float(np.dot(v, row)) / (np.linalg.norm(v) * np.linalg.norm(row)) for row in t]
     )
+
+
+class LoopSgd:
+    """Sgd.step as one pass per parameter, with per-parameter momentum.
+
+    The library updates flat arrays in blocks; per element it must do the
+    same operations in the same order as this loop.
+    """
+
+    def __init__(self, lr0, weight_decay, momentum, total_epochs):
+        self.lr0 = lr0
+        self.weight_decay = weight_decay
+        self.momentum = momentum
+        self.total_epochs = total_epochs
+        self.epoch = 0
+        self.velocities: dict[int, np.ndarray] = {}
+
+    def step(self, params) -> None:
+        lr = cosine_lr(self.epoch, self.total_epochs, self.lr0)
+        for p in params:
+            t = p.tensor
+            g = np.empty_like(t.values)
+            np.multiply(t.values, self.weight_decay, out=g)
+            np.add(t.grad, g, out=g)
+            v = self.velocities.get(id(p))
+            if v is None:
+                self.velocities[id(p)] = v = g.copy()
+            else:
+                v *= self.momentum
+                v += g
+            np.multiply(v, lr, out=g)
+            t.values -= g
 
 
 # --- composed tape chains --------------------------------------------------------

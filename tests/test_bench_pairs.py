@@ -1,0 +1,51 @@
+"""tools/bench_pairs.py: seed parsing and the per-metric pair summary."""
+
+import os
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
+import bench_pairs  # noqa: E402
+
+METRICS = [
+    {"name": "train_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25},
+]
+
+
+def pair(parent: dict, change: dict) -> dict:
+    return {"parent": {"metrics": parent}, "change": {"metrics": change}}
+
+
+def test_parse_seeds():
+    assert bench_pairs.parse_seeds("301-304,310") == [301, 302, 303, 304, 310]
+    assert bench_pairs.parse_seeds("7") == [7]
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_seeds("5-3")
+
+
+def test_summary_counts_wins_and_applies_the_claim_rule():
+    # the change is 1 s faster in 9 of 10 pairs; the parent's quartiles are 0.5 s apart
+    parents = [5.0, 5.1, 5.2, 5.3, 5.4, 5.5, 5.6, 5.7, 5.8, 5.9]
+    changes = [p - 1.0 for p in parents[:9]] + [6.0]
+    pairs = [pair({"train_s": a, "rate": 1.0}, {"train_s": b, "rate": 1.0})
+             for a, b in zip(parents, changes)]
+    s = bench_pairs.summarize(pairs, METRICS)
+    assert s["train_s"]["change_wins"] == 9 and s["train_s"]["ties"] == 0
+    assert s["train_s"]["parent"]["median"] == pytest.approx(5.45)
+    assert s["train_s"]["gain_claimable"]
+    # ties count for neither side, so equal rates are no gain
+    assert s["rate"]["change_wins"] == 0 and s["rate"]["ties"] == 10
+    assert not s["rate"]["gain_claimable"]
+    # eight wins of ten is too few
+    pairs[0]["change"]["metrics"]["train_s"] = 9.0
+    assert not bench_pairs.summarize(pairs, METRICS)["train_s"]["gain_claimable"]
+
+
+def test_summary_needs_the_gap_beyond_the_parent_spread():
+    parents = [4.0, 6.0] * 5
+    pairs = [pair({"train_s": a, "rate": 1.0}, {"train_s": a - 0.5, "rate": 1.0}) for a in parents]
+    s = bench_pairs.summarize(pairs, METRICS)["train_s"]
+    assert s["change_wins"] == 10
+    assert not s["gain_claimable"]  # a 0.5 s gap inside a 2 s quartile spread

@@ -63,6 +63,16 @@ def test_gen_data_bad_spec_exits_nonzero(tmp_path, capsys):
     assert not (tmp_path / "d.xrvd").exists()
 
 
+@pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe"], ids=["bad_json", "bad_utf8"])
+def test_gen_data_unreadable_spec_exits_nonzero(tmp_path, capsys, content):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_bytes(content)
+    code = main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d.xrvd")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "d.xrvd").exists()
+
+
 def test_train_eval_flow(tiny_files, capsys):
     tmp_path, cfg_path, data_path = tiny_files
     model_dir = tmp_path / "model"
@@ -189,6 +199,18 @@ def test_gradcheck_passes_and_respects_tol(tiny_files, capsys):
     assert code2 == 1
 
 
+@pytest.mark.parametrize("coords", ["0", "-1"])
+def test_gradcheck_refuses_max_coords_below_one(tiny_files, capsys, coords):
+    # 0 would check nothing and pass; -1 would fail inside numpy
+    _, cfg_path, _ = tiny_files
+    code = main(["gradcheck", "--config", str(cfg_path), "--max-coords", coords])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "max_coords_per_param" in captured.err
+
+
 def test_analyze_cne_from_features(tmp_path, capsys):
     from xrhead.encoders import save_features
 
@@ -249,6 +271,14 @@ def test_export_attn_outputs(tiny_files, capsys):
     assert len(rows) == 1 + TINY_SPEC["tokens_per_image"]
     weights = np.array([[float(x) for x in row[1:6]] for row in rows[1:]])
     np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-6)
+    # --n -1 used to slice from the end and export all but the last sample
+    for n in ("-1", "0"):
+        refused = tmp_path / f"attn{n}"
+        code = main(["export-attn", "--model", str(model_dir), "--n", n, "--out", str(refused)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert not refused.exists()
 
 
 def test_missing_model_dir_errors(capsys):

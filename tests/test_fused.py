@@ -271,6 +271,39 @@ def test_text_encode_matches_composed():
     grad_check(lambda: tsum(mul(bank.encode(enc), k)), leaves)
 
 
+@pytest.mark.parametrize("tracked", [True, False], ids=["tracked", "constant"])
+def test_text_encode_op_matches_composed(tracked):
+    def make():
+        enc = FrozenTextEncoder(seed=14, word_dim=6, feat_dim=5, num_positions=3)
+        seq = np.random.default_rng(18).normal(size=(7, 3, 6))
+        x = Tensor(seq, requires_grad=True) if tracked else constant(seq)
+        return (x, enc), [x]
+
+    if tracked:
+        assert_same_bits(
+            make,
+            lambda s: s[1].encode(s[0]),
+            lambda s: bruteforce.composed_text_encode(s[1], s[0]),
+        )
+        (x, enc), leaves = make()
+        k = constant(np.random.default_rng(19).normal(size=(7, 5)))
+        grad_check(lambda: tsum(mul(enc.encode(x), k)), leaves)
+    else:
+        (x, enc), _ = make()
+        out = enc.encode(x)
+        want = bruteforce.composed_text_encode(enc, x)
+        assert out.values.tobytes() == want.values.tobytes()
+        assert not out.requires_grad and out._bw is None
+
+
+def test_text_encode_is_one_tape_op():
+    (bank, enc), _ = make_prompts()
+    seq = bank.all_sequences()
+    out = enc.encode(seq)
+    assert out._parents == (seq,)
+    assert len([n for n in _topo_order(out) if n._parents]) == 3  # reshape, concat, encode
+
+
 # --- shape ops used by the fused layers --------------------------------------------
 
 
@@ -368,15 +401,17 @@ def test_model_step_matches_composed(case, training, tiny_dataset):
 
 # Tracked op nodes (leaves excluded) on the tape of one training step.  The
 # composed layers recorded 58 (PWCS), 52 (CRM_FULL), 55 (CRM_BASE) and 82
-# (MLPS); a change that splits a fused layer back into primitives fails here.
+# (MLPS); the five-op text encoder chain as one op took 4 off every head
+# with a prompt bank.  A change that splits a fused layer back into
+# primitives fails here.
 PINNED_STEP_NODES = {
-    "ALIGN": 18,
-    "PWCS": 18,
+    "ALIGN": 14,
+    "PWCS": 14,
     "MLPS": 27,
-    "CRM_FULL": 20,
-    "CRM_BASE": 23,
-    "CRM_XCLASS": 21,
-    "CRM_XPART": 23,
+    "CRM_FULL": 16,
+    "CRM_BASE": 19,
+    "CRM_XCLASS": 17,
+    "CRM_XPART": 19,
 }
 
 

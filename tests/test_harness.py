@@ -38,7 +38,7 @@ from xrhead.harness import (
     sweep_parts,
     train,
 )
-from xrhead.numerics import constant, no_grad
+from xrhead.numerics import Sgd, constant, no_grad
 
 TINY_SPEC = {
     "num_classes": 6,
@@ -569,6 +569,18 @@ def test_export_attention_empty_errors(tiny_dataset):
         export_attention(model, tiny_dataset.test_patches[:0], tiny_dataset.test_part_ids[:0])
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_export_attention_refuses_limit_below_one(limit, tiny_dataset, monkeypatch):
+    model = build_model(tiny_config(), tiny_dataset)
+
+    def fail(patches):
+        raise AssertionError("encoded before the limit was checked")
+
+    monkeypatch.setattr(model.image_encoder, "encode", fail)
+    with pytest.raises(ConfigError, match="limit"):
+        export_attention(model, tiny_dataset.test_patches, tiny_dataset.test_part_ids, limit=limit)
+
+
 def test_mutual_information_basics():
     x = np.array([0, 0, 1, 1, 2, 2])
     assert mutual_information(x, x) == pytest.approx(np.log(3))
@@ -613,6 +625,35 @@ def test_save_load_model_round_trip(kind, tmp_path, tiny_dataset):
     assert predict_logits(model, patches).tobytes() == predict_logits(loaded, patches).tobytes()
     names = sorted(model.batch_norms())
     assert names == sorted(loaded.batch_norms()) == ["attn.bn"] + HEAD_BATCH_NORMS[kind]
+
+
+def _assert_in_arena(params, opt):
+    for p in params:
+        assert np.shares_memory(p.tensor.values, opt.arena.values), p.name
+        assert np.shares_memory(p.tensor.grad, opt.arena.grads), p.name
+
+
+@pytest.mark.parametrize("kind", sorted(HEAD_BATCH_NORMS))
+def test_parameters_live_in_the_arena(kind, tmp_path, tiny_dataset):
+    cfg = tiny_config(head=kind, num_parts=1 if kind == "ALIGN" else 4, epochs=2)
+    model, report = train(cfg, tiny_dataset)
+    # train packed every parameter into one flat values array and one flat gradient array
+    first = model.params()[0].tensor
+    for p in model.params():
+        assert p.tensor.values.base is first.values.base is not None, p.name
+        assert p.tensor.grad.base is first.grad.base is not None, p.name
+    save_model(str(tmp_path / "model"), model, report)
+    for m in (build_model(cfg, tiny_dataset), load_model(str(tmp_path / "model"))[0]):
+        params = m.params()
+        before = [p.tensor.values.tobytes() for p in params]
+        opt = Sgd(lr0=0.1, weight_decay=0.01, momentum=0.9, total_epochs=1)
+        opt.zero_grads(params)
+        _assert_in_arena(params, opt)
+        assert [p.tensor.values.tobytes() for p in params] == before
+        assert opt.arena.values.size == m.param_count() == report.param_count
+        opt.arena.grads.fill(1.0)
+        opt.step(params)
+        _assert_in_arena(params, opt)
 
 
 def _params_with_metadata(path, edit):

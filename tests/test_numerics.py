@@ -121,6 +121,63 @@ def test_sgd_refuses_parameter_without_gradient():
         opt.step([Parameter("w", constant(np.array([1.0, 2.0])))])
 
 
+def test_sgd_arena_matches_per_parameter_loop():
+    # 75,022 elements: the 32,768-element block boundaries fall inside the
+    # big parameter, the other two are smaller than one block, and the last
+    # block is partial
+    import bruteforce
+    from xrhead.numerics.optim import BLOCK
+
+    shapes = [(5,), (250, 300), (1, 17)]
+    assert sum(math.prod(s) for s in shapes) % BLOCK and 5 < BLOCK < 5 + 250 * 300
+
+    def make():
+        rng = np.random.default_rng(21)
+        return [Parameter(f"p{i}", leaf(rng.normal(size=s))) for i, s in enumerate(shapes)]
+
+    params, twin = make(), make()
+    opt = Sgd(lr0=0.3, weight_decay=0.01, momentum=0.9, total_epochs=5)
+    oracle = bruteforce.LoopSgd(lr0=0.3, weight_decay=0.01, momentum=0.9, total_epochs=5)
+    rng = np.random.default_rng(22)
+    for epoch in range(4):
+        opt.epoch = oracle.epoch = epoch
+        opt.zero_grads(params)
+        for p, q in zip(params, twin):
+            q.tensor.grad[...] = rng.normal(size=q.tensor.grad.shape)
+            p.tensor.grad += q.tensor.grad
+        opt.step(params)
+        oracle.step(twin)
+        for p, q in zip(params, twin):
+            assert p.tensor.values.tobytes() == q.tensor.values.tobytes(), (epoch, p.name)
+            assert p.tensor.grad.tobytes() == q.tensor.grad.tobytes(), (epoch, p.name)
+        momentum = np.concatenate([oracle.velocities[id(q)].reshape(-1) for q in twin])
+        assert opt.arena.momentum.tobytes() == momentum.tobytes(), epoch
+
+
+def test_sgd_packs_parameters_into_views():
+    rng = np.random.default_rng(23)
+    w = leaf(rng.normal(size=(3, 4)))
+    b = leaf(rng.normal(size=(1, 4)))
+    w.grad[...] = 1.0
+    before = w.values.copy()
+    params = [Parameter("w", w), Parameter("b", b)]
+    opt = Sgd(lr0=0.5, total_epochs=1)
+    opt.zero_grads(params)
+    arena = opt.arena
+    assert arena.values.size == arena.grads.size == arena.momentum.size == 16
+    for t in (w, b):
+        assert np.shares_memory(t.values, arena.values)
+        assert np.shares_memory(t.grad, arena.grads)
+    np.testing.assert_array_equal(w.values, before)  # packing keeps the values
+    assert not w.grad.any()  # and zero_grads clears every gradient in one fill
+    # the optimizer keeps to the parameters it packed
+    with pytest.raises(ConfigError, match="parameters of its first call"):
+        opt.step(params[:1])
+    w.values = w.values.copy()
+    with pytest.raises(ConfigError, match="parameters of its first call"):
+        opt.step(params)
+
+
 def test_cosine_lr_endpoints():
     assert cosine_lr(0, 100, 2e-3) == pytest.approx(2e-3)
     assert cosine_lr(50, 100, 2e-3) == pytest.approx(1e-3)
@@ -407,6 +464,15 @@ def test_finite_diff_sampling_budget():
         lambda: tsum(mul(big, k)), params, max_coords_per_param=16
     )
     assert worst["big"] < 1e-8
+
+
+def test_finite_diff_refuses_empty_sample():
+    a = leaf(np.ones(3))
+    params = [Parameter("a", a)]
+    for coords in (0, -1):
+        with pytest.raises(ConfigError, match="max_coords_per_param"):
+            finite_diff_check(lambda: tsum(a), params, max_coords_per_param=coords)
+    assert finite_diff_check(lambda: tsum(a), params, max_coords_per_param=None)["a"] < 1e-8
 
 
 def test_finite_diff_accepts_size_one_loss():

@@ -1,0 +1,172 @@
+"""Paired benchmark runs of two checkouts, with the run order alternated.
+
+Run from anywhere, standard library only:
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \
+        --workload train_crm --seeds 301-310 --seconds 30 --out BENCH_x.json
+
+For every workload and seed, perfbench/run.py runs once in each checkout,
+one run after the other; the parent runs first for even pair indices and
+the change runs first for odd ones.  For each end-to-end metric that the
+change's BENCHMARK.json names, the script prints each side's median and
+quartiles and the number of pairs in which the change reads better, and
+writes every run (metrics, the run's wall and CPU time, seed, run order,
+and perfbench's environment line) to the --out JSON file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import time
+
+SIDES = ("parent", "change")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'301-305,310' -> [301, 302, 303, 304, 305, 310]."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    if not seeds or min(seeds) < 0:
+        raise SystemExit(f"bench_pairs: bad --seeds {text!r}")
+    return seeds
+
+
+def children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
+    """One perfbench run: its parsed result, environment line, wall and CPU seconds."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds)]
+    cpu0, wall0 = children_cpu_s(), time.perf_counter()
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    wall, cpu = time.perf_counter() - wall0, children_cpu_s() - cpu0
+    lines = proc.stdout.strip().splitlines()
+    env = next((json.loads(line.split(" ", 2)[2]) for line in lines
+                if line.startswith("perfbench environment ")), None)
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {"correct": False, "attempted": 1, "failed": 1, "metrics": {}}
+    if proc.returncode != 0 or not result["correct"]:
+        sys.stderr.write(f"bench_pairs: {checkout} {workload} seed {seed} failed:\n")
+        sys.stderr.write(proc.stderr[-2000:] + "\n")
+    return {
+        "correct": bool(result["correct"]) and proc.returncode == 0,
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "wall_s": wall,
+        "cpu_s": cpu,
+        "environment": env,
+    }
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per metric: each side's quartiles, the change's wins and ties, and whether
+    a gain would be claimable (wins in 9 of 10 pairs and a median difference
+    beyond the parent's quartile distance)."""
+    out = {}
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        rows = [p for p in pairs if all(name in p[s]["metrics"] for s in SIDES)]
+        if not rows:
+            continue
+        side = {s: quartiles([p[s]["metrics"][name] for p in rows]) for s in SIDES}
+        wins = ties = 0
+        for p in rows:
+            a, b = p["parent"]["metrics"][name], p["change"]["metrics"][name]
+            ties += a == b
+            wins += (b < a) if lower else (b > a)
+        gap = side["change"]["median"] - side["parent"]["median"]
+        spread = side["parent"]["q3"] - side["parent"]["q1"]
+        improved = gap < 0 if lower else gap > 0
+        out[name] = {
+            "unit": m["unit"],
+            "better": m["better"],
+            "bound": m["bound"],
+            **{s: side[s] for s in SIDES},
+            "ratio": side["change"]["median"] / side["parent"]["median"]
+            if side["parent"]["median"]
+            else None,
+            "pairs": len(rows),
+            "change_wins": wins,
+            "ties": ties,
+            "gain_claimable": improved and wins >= 0.9 * len(rows) and abs(gap) > spread,
+        }
+    return out
+
+
+def print_summary(workload: str, summary: dict) -> None:
+    print(f"{workload}: median [q1, q3] parent -> change, change better in n of pairs")
+    for name, s in summary.items():
+        p, c = s["parent"], s["change"]
+        ratio = f"{s['ratio']:.3f}x" if s["ratio"] is not None else "-"
+        print(f"  {name:<18} {p['median']:>10.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
+              f"{c['median']:>10.4g} [{c['q1']:.4g}, {c['q3']:.4g}] {s['unit']:<9} {ratio:>7}  "
+              f"{s['change_wins']}/{s['pairs']}{' (gain)' if s['gain_claimable'] else ''}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument("--workload", action="append", required=True,
+                        help="perfbench workload; repeatable")
+    parser.add_argument("--seeds", required=True,
+                        help="seeds, e.g. 301-310 or 5,7,9; one pair per seed")
+    parser.add_argument("--seconds", type=int, default=30, help="perfbench --seconds")
+    parser.add_argument("--out", help="JSON file for every run and the summaries")
+    args = parser.parse_args(argv)
+    seeds = parse_seeds(args.seeds)
+    checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    with open(os.path.join(checkouts["change"], "BENCHMARK.json"), encoding="utf-8") as f:
+        metrics = json.load(f)["end_to_end"]
+
+    report = {"seconds": args.seconds, "seeds": seeds, "workloads": {}}
+    for workload in args.workload:
+        pairs = []
+        for i, seed in enumerate(seeds):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            pair = {"seed": seed, "order": list(order)}
+            for side in order:
+                pair[side] = run_once(checkouts[side], workload, seed, args.seconds)
+                run = pair[side]
+                print(f"bench_pairs: {workload} seed {seed} {side}: wall {run['wall_s']:.1f} s, "
+                      f"correct {run['correct']}", file=sys.stderr, flush=True)
+            pairs.append(pair)
+        summary = summarize(pairs, metrics)
+        print_summary(workload, summary)
+        envs = {s: [p[s]["environment"] for p in pairs if p[s]["environment"]] for s in SIDES}
+        first = (envs["parent"] + envs["change"] or [{}])[0]
+        report["workloads"][workload] = {
+            "blas": first.get("blas"),
+            "blas_thread_env": first.get("blas_thread_env"),
+            "commits": {s: envs[s][0]["commit"] if envs[s] else None for s in SIDES},
+            "all_correct": all(p[s]["correct"] for p in pairs for s in SIDES),
+            "summary": summary,
+            "pairs": pairs,
+        }
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
