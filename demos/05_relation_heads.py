@@ -10,7 +10,7 @@ is the full head; the baselines restrict what it may look at.
 
 import numpy as np
 
-from xrhead.heads import CrmHead, HeadKind, build_head, flat_index, pwcs_batch, relation_batch
+from xrhead.heads import CrmHead, HeadKind, build_head, pwcs_batch, relation_batch
 from xrhead.numerics import Tensor
 
 # worked example: one image with 2 parts, 2 classes, identity part features.
@@ -26,7 +26,7 @@ print("entries (s, s2, w) -> value:")
 for s in range(2):
     for s2 in range(2):
         for w in range(2):
-            idx = flat_index(s, s2, w, num_parts=2, num_classes=2)
+            idx = s * (2 * 2) + s2 * 2 + w
             print(f"    ({s}, {s2}, {w}) at {idx}: {flat[idx]:+.1f}")
 
 # part-wise cosine scoring averages only the s == s2 diagonal, so class 1

@@ -410,20 +410,28 @@ class RunReport:
         return cls.from_dict(json.loads(text))
 
 
-def predict_logits(model: Model, patches: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Eval-mode logits (n, classes) for raw patch arrays, computed in chunks."""
+def _eval_chunks(model: Model, patches: np.ndarray, chunk: int):
+    """Eval-mode (logits, attention weights) per chunk of raw patches, from
+    one encode of all patches and one attention pass per chunk."""
     patches = np.asarray(patches, dtype=np.float64)
     if patches.shape[0] == 0:
         raise DataError("empty split")
     feats = model.image_encoder.encode(patches)
-    outs = []
     with no_grad():
         # eval mode: the prompt features are the same for every chunk
         prompts = model.prompt_features()
-        for start in range(0, feats.shape[0], chunk):
-            v, _ = model.attention.forward(constant(feats[start : start + chunk]), training=False)
-            outs.append(model.head.logits(v, prompts, training=False).values)
-    return np.concatenate(outs, axis=0)
+    for start in range(0, feats.shape[0], chunk):
+        with no_grad():  # never across the yield: the caller's code runs there
+            v, weights = model.attention.forward(
+                constant(feats[start : start + chunk]), training=False
+            )
+            logits = model.head.logits(v, prompts, training=False)
+        yield logits.values, weights.values
+
+
+def predict_logits(model: Model, patches: np.ndarray, chunk: int = 256) -> np.ndarray:
+    """Eval-mode logits (n, classes) for raw patch arrays, computed in chunks."""
+    return np.concatenate([logits for logits, _ in _eval_chunks(model, patches, chunk)], axis=0)
 
 
 def evaluate(model: Model, patches: np.ndarray, labels: np.ndarray, chunk: int = 256) -> float:
@@ -449,8 +457,8 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
         warnings.warn(msg)
         notes.append(msg)
 
-    params = model.params()
     opt = Sgd(
+        model.params(),
         lr0=config.lr0,
         weight_decay=config.weight_decay,
         momentum=config.momentum,
@@ -473,7 +481,7 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
             if idx.size < 2:
                 continue
             step_cpu0 = time.process_time()
-            opt.zero_grads(params)
+            opt.zero_grads()
             loss = model.loss(constant(feats[idx]), labels[idx], training=True)
             try:
                 backward(loss)
@@ -481,7 +489,7 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
                 raise NumericError(
                     f"training diverged at epoch {epoch}, step {step} (0-based): {e}"
                 ) from e
-            opt.step(params)
+            opt.step()
             step_cpu_min = min(step_cpu_min, time.process_time() - step_cpu0)
             total += float(loss.values) * idx.size
             seen += idx.size
@@ -761,15 +769,13 @@ def export_attention(
     if limit is not None:
         patches = patches[:limit]
         part_ids = part_ids[:limit]
-    feats = model.image_encoder.encode(patches)
-    with no_grad():
-        _, weights = model.attention.forward(constant(feats), training=False)
-        logits = predict_logits(model, patches)
-    preds = np.argmax(logits, axis=1)
+    logits, weights = zip(*_eval_chunks(model, patches, chunk=256))
+    preds = np.argmax(np.concatenate(logits, axis=0), axis=1)
+    weights = np.concatenate(weights, axis=0)
     return [
         {
             "index": int(i),
-            "weights": weights.values[i].copy(),
+            "weights": weights[i].copy(),
             "part_ids": part_ids[i].copy(),
             "prediction": int(preds[i]),
         }
@@ -889,7 +895,15 @@ def load_model(dir_path: str) -> tuple[Model, RunReport | None]:
         mean_key, var_key = f"{name}.running_mean", f"{name}.running_var"
         if mean_key not in arrays or var_key not in arrays:
             raise DataError(f"model file missing batch-norm state for {name!r}")
-        bn.load_state({"running_mean": arrays[mean_key], "running_var": arrays[var_key]})
+        mean, var = arrays[mean_key], arrays[var_key]
+        if mean.shape != (bn.dim,) or var.shape != (bn.dim,):
+            raise DataError(
+                f"batch-norm state for {name!r} has shapes {mean.shape} and {var.shape}, "
+                f"expected ({bn.dim},)"
+            )
+        if not np.all(var >= 0.0):
+            raise DataError(f"batch-norm state for {name!r} has a negative or NaN variance")
+        bn.load_state({"running_mean": mean, "running_var": var})
 
     report = None
     report_path = os.path.join(dir_path, REPORT_FILE)

@@ -58,13 +58,6 @@ class HeadKind(str, enum.Enum):
 CRM_KINDS = (HeadKind.CRM_FULL, HeadKind.CRM_BASE, HeadKind.CRM_XCLASS, HeadKind.CRM_XPART)
 
 
-def flat_index(s: int, s2: int, w: int, num_parts: int, num_classes: int) -> int:
-    """Position of v[s] . t[w, s2] in the flattened relation vector."""
-    if not (0 <= s < num_parts and 0 <= s2 < num_parts and 0 <= w < num_classes):
-        raise IndexError(f"({s}, {s2}, {w}) outside ({num_parts}, {num_parts}, {num_classes})")
-    return s * (num_parts * num_classes) + s2 * num_classes + w
-
-
 def _check_pair(v: Tensor, t: Tensor):
     if v.values.ndim != 3:
         raise ShapeMismatchError(f"part features must be (b, s, d), got {v.values.shape}")

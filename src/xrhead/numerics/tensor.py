@@ -52,33 +52,9 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; scalars and ndarrays are wrapped as constants
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
+    # the one operator overload: a scalar or ndarray factor is wrapped as a constant
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return mul(self, constant(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def constant(values) -> Tensor:
@@ -141,19 +117,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return from_op(out, (a, b), bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.values - b.values
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def bw(g):
-        return (
-            unbroadcast(g, a.values.shape) if need_a else None,
-            unbroadcast(-g, b.values.shape) if need_b else None,
-        )
-
-    return from_op(out, (a, b), bw)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.values * b.values
     need_a, need_b = a.requires_grad, b.requires_grad
@@ -167,44 +130,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return from_op(out, (a, b), bw)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = a.values / b.values
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def bw(g):
-        return (
-            unbroadcast(g / b.values, a.values.shape) if need_a else None,
-            unbroadcast(-g * a.values / (b.values * b.values), b.values.shape) if need_b else None,
-        )
-
-    return from_op(out, (a, b), bw)
-
-
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.values, 0.0)
     mask = a.values > 0.0  # subgradient 0 at the kink
 
     def bw(g):
         return (g * mask,)
-
-    return from_op(out, (a,), bw)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.values)
-
-    def bw(g):
-        return (g * (1.0 - out * out),)
-
-    return from_op(out, (a,), bw)
-
-
-def power(a: Tensor, p: float) -> Tensor:
-    """Elementwise a**p.  Non-integer p requires a positive base."""
-    out = a.values**p
-
-    def bw(g):
-        return (g * p * a.values ** (p - 1.0),)
 
     return from_op(out, (a,), bw)
 
@@ -399,33 +330,7 @@ def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     return from_op(out, (a,), bw)
 
 
-def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    n = a.values.shape[axis]
-    out = a.values.mean(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / n, a.values.shape),)
-
-    return from_op(out, (a,), bw)
-
-
 # --- normalizers and loss ---------------------------------------------------
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row softmax of a (n, d), stabilized by max subtraction."""
-    if a.values.ndim != 2:
-        raise ShapeMismatchError(f"softmax_rows needs a 2-d tensor, got {a.values.shape}")
-    z = a.values - a.values.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def bw(g):
-        return (out * (g - (g * out).sum(axis=1, keepdims=True)),)
-
-    return from_op(out, (a,), bw)
 
 
 def l2_normalize_rows(a: Tensor) -> Tensor:

@@ -2,34 +2,39 @@
 
 The first group is deliberately written as plain python loops over numpy
 rows, independent of the library's batched tensor code paths.  The second
-group rebuilds the fused layers from primitive tape ops, as bitwise oracles.
+group adds the primitive tape ops that only the oracles use, and the third
+rebuilds the fused layers from primitive tape ops, as bitwise oracles.
 """
 
 import numpy as np
 
+from xrhead.errors import ShapeMismatchError
 from xrhead.numerics import (
+    Tensor,
     add,
     bmm,
     concat,
     constant,
     cosine_lr,
     cross_entropy,
-    div,
     gather_cols,
     gather_rows,
     l2_normalize_rows,
     matmul,
-    mean_axis,
     mul,
-    power,
     relu,
     reshape,
-    softmax_rows,
-    sub,
     sum_axis,
-    tanh,
     transpose,
 )
+from xrhead.numerics.tensor import from_op, unbroadcast
+
+
+def flat_index(s: int, s2: int, w: int, num_parts: int, num_classes: int) -> int:
+    """Position of v[s] . t[w, s2] in the flattened relation vector."""
+    if not (0 <= s < num_parts and 0 <= s2 < num_parts and 0 <= w < num_classes):
+        raise IndexError(f"({s}, {s2}, {w}) outside ({num_parts}, {num_parts}, {num_classes})")
+    return s * (num_parts * num_classes) + s2 * num_classes + w
 
 
 def relation_flat(v: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -95,6 +100,84 @@ class LoopSgd:
                 v += g
             np.multiply(v, lr, out=g)
             t.values -= g
+
+
+# --- primitives the composed chains need -------------------------------------------
+#
+# The library's fused ops replaced these on every training and eval path, so
+# they live here, next to the chains built from them; test_numerics.py
+# gradient-checks each one.
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    out = a.values - b.values
+    need_a, need_b = a.requires_grad, b.requires_grad
+
+    def bw(g):
+        return (
+            unbroadcast(g, a.values.shape) if need_a else None,
+            unbroadcast(-g, b.values.shape) if need_b else None,
+        )
+
+    return from_op(out, (a, b), bw)
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    out = a.values / b.values
+    need_a, need_b = a.requires_grad, b.requires_grad
+
+    def bw(g):
+        return (
+            unbroadcast(g / b.values, a.values.shape) if need_a else None,
+            unbroadcast(-g * a.values / (b.values * b.values), b.values.shape) if need_b else None,
+        )
+
+    return from_op(out, (a, b), bw)
+
+
+def tanh(a: Tensor) -> Tensor:
+    out = np.tanh(a.values)
+
+    def bw(g):
+        return (g * (1.0 - out * out),)
+
+    return from_op(out, (a,), bw)
+
+
+def power(a: Tensor, p: float) -> Tensor:
+    """Elementwise a**p.  Non-integer p requires a positive base."""
+    out = a.values**p
+
+    def bw(g):
+        return (g * p * a.values ** (p - 1.0),)
+
+    return from_op(out, (a,), bw)
+
+
+def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
+    n = a.values.shape[axis]
+    out = a.values.mean(axis=axis, keepdims=keepdims)
+
+    def bw(g):
+        if not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g / n, a.values.shape),)
+
+    return from_op(out, (a,), bw)
+
+
+def softmax_rows(a: Tensor) -> Tensor:
+    """Row softmax of a (n, d), stabilized by max subtraction."""
+    if a.values.ndim != 2:
+        raise ShapeMismatchError(f"softmax_rows needs a 2-d tensor, got {a.values.shape}")
+    z = a.values - a.values.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    out = e / e.sum(axis=1, keepdims=True)
+
+    def bw(g):
+        return (out * (g - (g * out).sum(axis=1, keepdims=True)),)
+
+    return from_op(out, (a,), bw)
 
 
 # --- composed tape chains --------------------------------------------------------

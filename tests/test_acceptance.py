@@ -28,7 +28,7 @@ from xrhead.harness import (
     sweep_parts,
     train,
 )
-from xrhead.heads import CrmHead, HeadKind, flat_index, pwcs_batch, relation_batch
+from xrhead.heads import CrmHead, HeadKind, pwcs_batch, relation_batch
 from xrhead.numerics import Tensor, constant, finite_diff_check
 
 # --- shared fixtures -----------------------------------------------------------------
@@ -124,7 +124,7 @@ def test_oracle_equivalence():
         head = CrmHead(HeadKind.CRM_BASE, num_classes=w, num_parts=s, hidden=4, seed=0)
         picked = flat[head.pick]
         diagonal = np.array(
-            [flat[flat_index(i, i, c, s, w)] for c in range(w) for i in range(s)]
+            [flat[bruteforce.flat_index(i, i, c, s, w)] for c in range(w) for i in range(s)]
         )
         assert np.array_equal(picked, diagonal)
 
@@ -192,7 +192,7 @@ def test_equivariance_suite():
         flat_c = relation_batch(Tensor(v), Tensor(t[class_perm])).values
         src = np.array(
             [
-                flat_index(si, s2, wi, s, w)
+                bruteforce.flat_index(si, s2, wi, s, w)
                 for si in range(s)
                 for s2 in range(s)
                 for wi in class_perm
@@ -209,7 +209,7 @@ def test_equivariance_suite():
         flat_p = relation_batch(Tensor(v[:, part_perm]), Tensor(t[:, part_perm])).values
         src = np.array(
             [
-                flat_index(si, s2, wi, s, w)
+                bruteforce.flat_index(si, s2, wi, s, w)
                 for si in part_perm
                 for s2 in part_perm
                 for wi in range(w)

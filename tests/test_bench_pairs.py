@@ -14,15 +14,20 @@ METRICS = [
 ]
 
 
+def run(metrics: dict, correct: bool = True, failed: int = 0) -> dict:
+    return {"metrics": metrics, "correct": correct, "failed": failed}
+
+
 def pair(parent: dict, change: dict) -> dict:
-    return {"parent": {"metrics": parent}, "change": {"metrics": change}}
+    return {"parent": run(parent), "change": run(change)}
 
 
 def test_parse_seeds():
     assert bench_pairs.parse_seeds("301-304,310") == [301, 302, 303, 304, 310]
     assert bench_pairs.parse_seeds("7") == [7]
-    with pytest.raises(SystemExit):
-        bench_pairs.parse_seeds("5-3")
+    for bad in ("5-3", "a", "1,,2", "3-", "-3", "1-2-3", ""):
+        with pytest.raises(SystemExit, match="bad --seeds"):
+            bench_pairs.parse_seeds(bad)
 
 
 def test_summary_counts_wins_and_applies_the_claim_rule():
@@ -49,3 +54,28 @@ def test_summary_needs_the_gap_beyond_the_parent_spread():
     s = bench_pairs.summarize(pairs, METRICS)["train_s"]
     assert s["change_wins"] == 10
     assert not s["gain_claimable"]  # a 0.5 s gap inside a 2 s quartile spread
+
+
+def test_summary_counts_a_pair_missing_the_metric_as_no_win():
+    # the change is faster in 8 pairs and reads no train_s in 2: 8 wins of 10 pairs run
+    pairs = [pair({"train_s": 5.0 + i / 10}, {"train_s": 4.0}) for i in range(8)]
+    pairs += [pair({"train_s": 5.0}, {}) for _ in range(2)]
+    s = bench_pairs.summarize(pairs, METRICS)["train_s"]
+    assert s["pairs"] == 10 and s["change_wins"] == 8
+    assert not s["gain_claimable"]
+
+
+def test_summary_voids_a_gain_when_the_change_fails():
+    # nine clear wins plus one pair whose change run failed and reported no metrics
+    pairs = [pair({"train_s": 5.0 + i / 10}, {"train_s": 3.0}) for i in range(9)]
+    pairs.append({"parent": run({"train_s": 5.0}), "change": run({}, correct=False, failed=1)})
+    s = bench_pairs.summarize(pairs, METRICS)["train_s"]
+    assert s["pairs"] == 10 and s["change_wins"] == 9
+    assert not s["gain_claimable"]
+    # every run correct, but the change fails more operations than the parent
+    pairs[-1] = pair({"train_s": 5.0}, {"train_s": 3.0})
+    assert bench_pairs.summarize(pairs, METRICS)["train_s"]["gain_claimable"]
+    pairs[0]["change"]["failed"] = 1
+    assert not bench_pairs.summarize(pairs, METRICS)["train_s"]["gain_claimable"]
+    pairs[1]["parent"]["failed"] = 1  # as many failures on both sides: no longer voided
+    assert bench_pairs.summarize(pairs, METRICS)["train_s"]["gain_claimable"]

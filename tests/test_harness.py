@@ -11,8 +11,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from xrhead.attention import PartAttention
 from xrhead.data import SyntheticSpec, generate
-from xrhead.encoders import save_features
+from xrhead.encoders import FrozenImageEncoder, save_features
 from xrhead.errors import ConfigError, DataError, FormatError, NumericError
 from xrhead import harness
 from xrhead.harness import (
@@ -563,6 +564,32 @@ def test_export_attention_rows(tiny_dataset):
         assert 0 <= sample["prediction"] < 6
 
 
+def test_export_attention_encodes_and_attends_once(tiny_dataset, monkeypatch):
+    model, _ = train(tiny_config(), tiny_dataset)
+    patches = tiny_dataset.test_patches
+    calls = {"encode": 0, "forward": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(FrozenImageEncoder, "encode", counted("encode", FrozenImageEncoder.encode))
+    monkeypatch.setattr(PartAttention, "forward", counted("forward", PartAttention.forward))
+    samples = export_attention(model, patches, tiny_dataset.test_part_ids, limit=8)
+    assert calls == {"encode": 1, "forward": 1}
+    monkeypatch.undo()
+    want = np.argmax(predict_logits(model, patches[:8]), axis=1)
+    assert [s["prediction"] for s in samples] == want.tolist()
+    with no_grad():
+        feats = constant(model.image_encoder.encode(patches[:8]))
+        _, weights = model.attention.forward(feats, training=False)
+    for i, sample in enumerate(samples):
+        assert sample["weights"].tobytes() == weights.values[i].tobytes()
+
+
 def test_export_attention_empty_errors(tiny_dataset):
     model = build_model(tiny_config(), tiny_dataset)
     with pytest.raises(DataError, match="empty"):
@@ -629,8 +656,8 @@ def test_save_load_model_round_trip(kind, tmp_path, tiny_dataset):
 
 def _assert_in_arena(params, opt):
     for p in params:
-        assert np.shares_memory(p.tensor.values, opt.arena.values), p.name
-        assert np.shares_memory(p.tensor.grad, opt.arena.grads), p.name
+        assert np.shares_memory(p.tensor.values, opt.values), p.name
+        assert np.shares_memory(p.tensor.grad, opt.grads), p.name
 
 
 @pytest.mark.parametrize("kind", sorted(HEAD_BATCH_NORMS))
@@ -646,29 +673,33 @@ def test_parameters_live_in_the_arena(kind, tmp_path, tiny_dataset):
     for m in (build_model(cfg, tiny_dataset), load_model(str(tmp_path / "model"))[0]):
         params = m.params()
         before = [p.tensor.values.tobytes() for p in params]
-        opt = Sgd(lr0=0.1, weight_decay=0.01, momentum=0.9, total_epochs=1)
-        opt.zero_grads(params)
+        opt = Sgd(params, lr0=0.1, weight_decay=0.01, momentum=0.9, total_epochs=1)
+        opt.zero_grads()
         _assert_in_arena(params, opt)
         assert [p.tensor.values.tobytes() for p in params] == before
-        assert opt.arena.values.size == m.param_count() == report.param_count
-        opt.arena.grads.fill(1.0)
-        opt.step(params)
+        assert opt.values.size == m.param_count() == report.param_count
+        opt.grads.fill(1.0)
+        opt.step()
         _assert_in_arena(params, opt)
 
 
-def _params_with_metadata(path, edit):
-    """Rewrite a params file with edit(metadata) applied, arrays untouched."""
+def _rewrite_params(path, edit_meta=None, edit_arrays=None):
+    """Rewrite a params file with edit_meta(metadata) and edit_arrays(arrays) applied;
+    arrays is a dict from name to values."""
     from xrhead.container import Reader, Writer
 
     r = Reader(path.read_bytes())
     r.magic(harness.MODEL_MAGIC)
     r.version(harness.MODEL_VERSION)
-    arrays = [r.tagged_array("array") for _ in range(r.u32("count"))]
+    arrays = dict(r.tagged_array("array") for _ in range(r.u32("count")))
     meta = r.metadata()
-    edit(meta)
+    if edit_meta is not None:
+        edit_meta(meta)
+    if edit_arrays is not None:
+        edit_arrays(arrays)
     w = Writer(harness.MODEL_MAGIC, harness.MODEL_VERSION)
     w.u32(len(arrays))
-    for name, values in arrays:
+    for name, values in arrays.items():
         w.tagged_array(name, values, np.float64)
     w.metadata(meta)
     path.write_bytes(w.bytes())
@@ -683,12 +714,12 @@ def test_load_model_refuses_other_encoders(tmp_path, tiny_dataset):
     params = out / "params.xrvp"
     saved = params.read_bytes()
 
-    _params_with_metadata(params, lambda meta: meta.update(patch_dim=meta["patch_dim"] + 1))
+    _rewrite_params(params, lambda meta: meta.update(patch_dim=meta["patch_dim"] + 1))
     with pytest.raises(DataError, match="frozen"):
         load_model(str(out))
 
     params.write_bytes(saved)
-    _params_with_metadata(params, lambda meta: meta.pop("frozen_checksums"))
+    _rewrite_params(params, lambda meta: meta.pop("frozen_checksums"))
     with pytest.raises(FormatError, match="frozen_checksums"):
         load_model(str(out))
 
@@ -698,6 +729,29 @@ def test_load_model_refuses_other_encoders(tmp_path, tiny_dataset):
     (out / "config.json").write_text(json.dumps(config))
     with pytest.raises(DataError, match="frozen"):
         load_model(str(out))
+
+
+def test_load_model_refuses_malformed_batch_norm_state(tmp_path, tiny_dataset):
+    model, _ = train(tiny_config(head="CRM_FULL"), tiny_dataset)
+    out = tmp_path / "model"
+    save_model(str(out), model)
+    params = out / "params.xrvp"
+    saved = params.read_bytes()
+
+    def negative(values):
+        values = values.copy()
+        values[0] = -1.0
+        return values
+
+    for name, edit, match in (
+        ("attn.bn.running_mean", lambda values: values[:1], "shapes"),
+        ("attn.bn.running_var", lambda values: np.stack([values, values]), "shapes"),
+        ("head.clf.bn.running_var", negative, "negative"),
+    ):
+        params.write_bytes(saved)
+        _rewrite_params(params, edit_arrays=lambda a: a.update({name: edit(a[name])}))
+        with pytest.raises(DataError, match=match):
+            load_model(str(out))
 
 
 def test_save_load_mlps_model(tmp_path, tiny_dataset):

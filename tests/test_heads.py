@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bruteforce import align_logits, pwcs_logits, relation_flat
+from bruteforce import align_logits, flat_index, pwcs_logits, relation_flat
 from xrhead.errors import ConfigError, ShapeMismatchError
 from xrhead.heads import (
     CrmHead,
@@ -11,7 +11,6 @@ from xrhead.heads import (
     MlpsHead,
     PwcsHead,
     build_head,
-    flat_index,
     pwcs_batch,
     relation_batch,
 )

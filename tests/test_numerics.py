@@ -1,10 +1,14 @@
 """Tensor core: frozen-value oracles plus finite-difference checks per op."""
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import bruteforce
+from bruteforce import div, mean_axis, power, softmax_rows, sub, tanh
 from xrhead.errors import (
     BatchSizeError,
     ConfigError,
@@ -25,22 +29,16 @@ from xrhead.numerics import (
     constant,
     cosine_lr,
     cross_entropy,
-    div,
     finite_diff_check,
     gather_cols,
     gather_rows,
     l2_normalize_rows,
     matmul,
-    mean_axis,
     mul,
     no_grad,
-    power,
     relu,
     reshape,
-    softmax_rows,
-    sub,
     sum_axis,
-    tanh,
     transpose,
     tsum,
 )
@@ -94,38 +92,35 @@ def test_batch_norm_eval_identity_stats():
 def test_sgd_plain_step():
     w = leaf(np.array([1.0]))
     w.grad[...] = 0.5
-    opt = Sgd(lr0=0.1, weight_decay=0.0, momentum=0.0, total_epochs=100, epoch=0)
-    opt.step([Parameter("w", w)])
+    opt = Sgd([Parameter("w", w)], lr0=0.1, weight_decay=0.0, momentum=0.0, total_epochs=100)
+    opt.step()
     np.testing.assert_allclose(w.values, [0.95], atol=1e-15)
 
 
 def test_sgd_momentum_and_decay():
     # two steps by hand: v1 = g + wd*w0; w1 = w0 - lr*v1; v2 = m*v1 + g + wd*w1
     w = leaf(np.array([1.0]))
-    p = Parameter("w", w)
-    opt = Sgd(lr0=0.1, weight_decay=0.01, momentum=0.9, total_epochs=10, epoch=0)
+    opt = Sgd([Parameter("w", w)], lr0=0.1, weight_decay=0.01, momentum=0.9, total_epochs=10)
     w.grad[...] = 0.5
-    opt.step([p])
+    opt.step()
     v1 = 0.5 + 0.01 * 1.0
     w1 = 1.0 - 0.1 * v1
     np.testing.assert_allclose(w.values, [w1], atol=1e-15)
     w.grad[...] = 0.2
-    opt.step([p])
+    opt.step()
     v2 = 0.9 * v1 + 0.2 + 0.01 * w1
     np.testing.assert_allclose(w.values, [w1 - 0.1 * v2], atol=1e-15)
 
 
 def test_sgd_refuses_parameter_without_gradient():
-    opt = Sgd(lr0=0.5, total_epochs=1)
     with pytest.raises(ConfigError, match="does not track gradients"):
-        opt.step([Parameter("w", constant(np.array([1.0, 2.0])))])
+        Sgd([Parameter("w", constant(np.array([1.0, 2.0])))], lr0=0.5)
 
 
 def test_sgd_arena_matches_per_parameter_loop():
     # 75,022 elements: the 32,768-element block boundaries fall inside the
     # big parameter, the other two are smaller than one block, and the last
     # block is partial
-    import bruteforce
     from xrhead.numerics.optim import BLOCK
 
     shapes = [(5,), (250, 300), (1, 17)]
@@ -136,22 +131,22 @@ def test_sgd_arena_matches_per_parameter_loop():
         return [Parameter(f"p{i}", leaf(rng.normal(size=s))) for i, s in enumerate(shapes)]
 
     params, twin = make(), make()
-    opt = Sgd(lr0=0.3, weight_decay=0.01, momentum=0.9, total_epochs=5)
+    opt = Sgd(params, lr0=0.3, weight_decay=0.01, momentum=0.9, total_epochs=5)
     oracle = bruteforce.LoopSgd(lr0=0.3, weight_decay=0.01, momentum=0.9, total_epochs=5)
     rng = np.random.default_rng(22)
     for epoch in range(4):
         opt.epoch = oracle.epoch = epoch
-        opt.zero_grads(params)
+        opt.zero_grads()
         for p, q in zip(params, twin):
             q.tensor.grad[...] = rng.normal(size=q.tensor.grad.shape)
             p.tensor.grad += q.tensor.grad
-        opt.step(params)
+        opt.step()
         oracle.step(twin)
         for p, q in zip(params, twin):
             assert p.tensor.values.tobytes() == q.tensor.values.tobytes(), (epoch, p.name)
             assert p.tensor.grad.tobytes() == q.tensor.grad.tobytes(), (epoch, p.name)
-        momentum = np.concatenate([oracle.velocities[id(q)].reshape(-1) for q in twin])
-        assert opt.arena.momentum.tobytes() == momentum.tobytes(), epoch
+        velocity = np.concatenate([oracle.velocities[id(q)].reshape(-1) for q in twin])
+        assert opt.velocity.tobytes() == velocity.tobytes(), epoch
 
 
 def test_sgd_packs_parameters_into_views():
@@ -160,22 +155,21 @@ def test_sgd_packs_parameters_into_views():
     b = leaf(rng.normal(size=(1, 4)))
     w.grad[...] = 1.0
     before = w.values.copy()
-    params = [Parameter("w", w), Parameter("b", b)]
-    opt = Sgd(lr0=0.5, total_epochs=1)
-    opt.zero_grads(params)
-    arena = opt.arena
-    assert arena.values.size == arena.grads.size == arena.momentum.size == 16
+    opt = Sgd([Parameter("w", w), Parameter("b", b)], lr0=0.5)
+    assert opt.values.size == opt.grads.size == opt.velocity.size == 16
     for t in (w, b):
-        assert np.shares_memory(t.values, arena.values)
-        assert np.shares_memory(t.grad, arena.grads)
+        assert np.shares_memory(t.values, opt.values)
+        assert np.shares_memory(t.grad, opt.grads)
     np.testing.assert_array_equal(w.values, before)  # packing keeps the values
-    assert not w.grad.any()  # and zero_grads clears every gradient in one fill
-    # the optimizer keeps to the parameters it packed
-    with pytest.raises(ConfigError, match="parameters of its first call"):
-        opt.step(params[:1])
+    np.testing.assert_array_equal(w.grad, 1.0)  # and the gradients
+    opt.zero_grads()
+    assert not w.grad.any()  # zero_grads clears every gradient in one fill
+    # a parameter moved off its view would no longer be updated: refused
     w.values = w.values.copy()
-    with pytest.raises(ConfigError, match="parameters of its first call"):
-        opt.step(params)
+    with pytest.raises(ConfigError, match="no longer uses the optimizer's arrays"):
+        opt.step()
+    with pytest.raises(ConfigError, match="no longer uses the optimizer's arrays"):
+        opt.zero_grads()
 
 
 def test_cosine_lr_endpoints():
@@ -486,3 +480,41 @@ def test_finite_diff_accepts_size_one_loss():
 
     assert loss().values.shape == (1,)
     check_op(loss, [a])
+
+
+# --- exported surface ------------------------------------------------------------
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _numerics_names(path: pathlib.Path, package: str) -> set[str]:
+    """Names a file imports from xrhead.numerics or one of its modules, plus,
+    for a numerics module, the names it both defines and loads itself."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative: drop level - 1 trailing parts of the package
+                parts = package.split(".")
+                module = ".".join(parts[: len(parts) - node.level + 1] + [module]).rstrip(".")
+            if module == "xrhead.numerics" or module.startswith("xrhead.numerics."):
+                names |= {alias.name for alias in node.names}
+    if package == "xrhead.numerics":
+        defined = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in defined}
+    return names
+
+
+def test_numerics_exports_only_what_the_package_or_demos_use():
+    # a primitive that only tests need belongs in tests/bruteforce.py
+    import xrhead.numerics
+
+    src = ROOT / "src"
+    used = set()
+    for path in sorted(src.rglob("*.py")) + sorted((ROOT / "demos").glob("*.py")):
+        if path == src / "xrhead" / "numerics" / "__init__.py":
+            continue
+        package = ".".join(path.relative_to(src).parent.parts) if path.is_relative_to(src) else ""
+        used |= _numerics_names(path, package)
+    assert sorted(set(xrhead.numerics.__all__) - used) == []

@@ -29,13 +29,14 @@ SIDES = ("parent", "change")
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'301-305,310' -> [301, 302, 303, 304, 305, 310]."""
+    """'301-305,310' -> [301, 302, 303, 304, 305, 310]; anything else exits with a message."""
     seeds = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
-    if not seeds or min(seeds) < 0:
-        raise SystemExit(f"bench_pairs: bad --seeds {text!r}")
+        lo, dash, hi = part.partition("-")
+        hi = hi if dash else lo
+        if not (lo.isdecimal() and hi.isdecimal() and int(lo) <= int(hi)):
+            raise SystemExit(f"bench_pairs: bad --seeds {text!r}: {part!r} is not N or N-M, N <= M")
+        seeds += range(int(lo), int(hi) + 1)
     return seeds
 
 
@@ -79,8 +80,12 @@ def quartiles(values: list[float]) -> dict:
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per metric: each side's quartiles, the change's wins and ties, and whether
-    a gain would be claimable (wins in 9 of 10 pairs and a median difference
-    beyond the parent's quartile distance)."""
+    a gain would be claimable: every change run correct, no more failed
+    operations on the change's side than on the parent's, wins in 9 of 10
+    pairs run (a pair missing the metric is no win) and a median difference
+    beyond the parent's quartile distance."""
+    failed = {s: sum(p[s]["failed"] for p in pairs) for s in SIDES}
+    sound = all(p["change"]["correct"] for p in pairs) and failed["change"] <= failed["parent"]
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -104,10 +109,10 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "ratio": side["change"]["median"] / side["parent"]["median"]
             if side["parent"]["median"]
             else None,
-            "pairs": len(rows),
+            "pairs": len(pairs),
             "change_wins": wins,
             "ties": ties,
-            "gain_claimable": improved and wins >= 0.9 * len(rows) and abs(gap) > spread,
+            "gain_claimable": sound and improved and wins >= 0.9 * len(pairs) and abs(gap) > spread,
         }
     return out
 
