@@ -6,6 +6,11 @@ rank + u64 extents + row-major payload, and length-prefixed UTF-8 JSON
 metadata.  Dataset and model files hold a count-prefixed list of arrays,
 each tagged with a unique name.
 Decoding errors always report the byte offset of the failure.
+
+Arrays cost one copy each way: Reader slices memoryviews of the file's bytes,
+so each payload is copied once, by the astype that makes it aligned, native
+and writable; Writer appends each payload through the buffer protocol and
+hands its one buffer to the atomic file write.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError
+from .report import write_atomic
 
 # array payload dtypes; everything is read back as float64 / int64
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<i8"), 2: np.dtype("<f8")}
@@ -26,13 +32,16 @@ MAX_METADATA_BYTES = 1 << 24
 
 
 class Reader:
-    """Cursor over a byte string that raises FormatError with the offset."""
+    """Cursor over a byte string that raises FormatError with the offset.
+
+    take() returns memoryview slices, which copy nothing.
+    """
 
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.offset = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.offset + n > len(self.data):
             raise FormatError(f"truncated while reading {what}", self.offset)
         chunk = self.data[self.offset : self.offset + n]
@@ -40,7 +49,7 @@ class Reader:
         return chunk
 
     def magic(self, expected: bytes) -> None:
-        got = self.take(4, "magic")
+        got = bytes(self.take(4, "magic"))
         if got != expected:
             raise FormatError(f"bad magic {got!r}, expected {expected!r}", 0)
 
@@ -89,7 +98,7 @@ class Reader:
         name_len = self.u32(f"{what} name length")
         name_at = self.offset
         try:
-            name = self.take(name_len, f"{what} name").decode("utf-8")
+            name = str(self.take(name_len, f"{what} name"), "utf-8")
         except UnicodeDecodeError as e:
             raise FormatError(f"{what} name is not valid UTF-8", name_at) from e
         code = self.u8(f"{name} dtype code")
@@ -113,7 +122,7 @@ class Reader:
             raise FormatError(f"metadata length {n} exceeds limit", at)
         raw = self.take(n, "metadata")
         try:
-            meta = json.loads(raw.decode("utf-8"))
+            meta = json.loads(str(raw, "utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise FormatError(f"metadata is not valid UTF-8 JSON: {e}", at + 4) from e
         if not isinstance(meta, dict):
@@ -146,7 +155,7 @@ class Writer:
         self.u32(values.ndim)
         for e in values.shape:
             self.buf += struct.pack("<Q", e)
-        self.buf += np.ascontiguousarray(values, dtype=dtype).tobytes()
+        self.buf += np.ascontiguousarray(values, dtype=dtype).data
 
     def tagged_array(self, name: str, values: np.ndarray, dtype) -> None:
         encoded = name.encode("utf-8")
@@ -168,3 +177,7 @@ class Writer:
 
     def bytes(self) -> bytes:
         return bytes(self.buf)
+
+    def save(self, path: str) -> None:
+        """Write the layout to `path` atomically, without copying the buffer."""
+        write_atomic(path, self.buf)

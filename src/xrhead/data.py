@@ -26,7 +26,6 @@ import numpy as np
 
 from .container import Reader, Writer
 from .errors import DataError, FormatError
-from .report import write_atomic
 
 DATASET_MAGIC = b"XRVD"
 DATASET_VERSION = 1
@@ -297,7 +296,7 @@ def save_dataset(path: str, ds: Dataset) -> None:
             "part_names": ds.part_names,
         }
     )
-    write_atomic(path, w.bytes())
+    w.save(path)
 
 
 def load_dataset(path: str) -> Dataset:

@@ -17,7 +17,6 @@ from .container import Reader, Writer
 from .errors import FormatError, ShapeMismatchError
 from .numerics import Tensor
 from .numerics.tensor import from_op, recording
-from .report import write_atomic
 
 FEATURE_MAGIC = b"XRVF"
 FEATURE_VERSION = 1
@@ -120,7 +119,7 @@ def save_features(path: str, values: np.ndarray, metadata: dict | None = None) -
     w = Writer(FEATURE_MAGIC, FEATURE_VERSION)
     w.array(values, np.dtype("<f4"))
     w.metadata(metadata or {})
-    write_atomic(path, w.bytes())
+    w.save(path)
 
 
 def load_features(path: str) -> tuple[np.ndarray, dict]:

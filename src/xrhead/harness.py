@@ -411,27 +411,36 @@ class RunReport:
 
 
 def _eval_chunks(model: Model, patches: np.ndarray, chunk: int):
-    """Eval-mode (logits, attention weights) per chunk of raw patches, from
-    one encode of all patches and one attention pass per chunk."""
-    patches = np.asarray(patches, dtype=np.float64)
+    """Eval-mode (first row, logits, attention weights) per chunk of raw patches.
+
+    Each chunk is converted to float64, encoded and attended on its own, so
+    eval holds one chunk of token features at a time.  The encoder works
+    image by image, so the bits equal those of one encode of every patch.
+    """
+    if chunk < 1:
+        raise ConfigError(f"need an eval chunk >= 1, got {chunk}")
+    patches = np.asarray(patches)
     if patches.shape[0] == 0:
         raise DataError("empty split")
-    feats = model.image_encoder.encode(patches)
     with no_grad():
         # eval mode: the prompt features are the same for every chunk
         prompts = model.prompt_features()
-    for start in range(0, feats.shape[0], chunk):
+    for start in range(0, patches.shape[0], chunk):
+        feats = model.image_encoder.encode(patches[start : start + chunk])
         with no_grad():  # never across the yield: the caller's code runs there
-            v, weights = model.attention.forward(
-                constant(feats[start : start + chunk]), training=False
-            )
+            v, weights = model.attention.forward(constant(feats), training=False)
             logits = model.head.logits(v, prompts, training=False)
-        yield logits.values, weights.values
+        yield start, logits.values, weights.values
 
 
 def predict_logits(model: Model, patches: np.ndarray, chunk: int = 256) -> np.ndarray:
     """Eval-mode logits (n, classes) for raw patch arrays, computed in chunks."""
-    return np.concatenate([logits for logits, _ in _eval_chunks(model, patches, chunk)], axis=0)
+    out = None
+    for start, logits, _ in _eval_chunks(model, patches, chunk):
+        if out is None:
+            out = np.empty((len(patches), logits.shape[1]))
+        out[start : start + logits.shape[0]] = logits
+    return out
 
 
 def evaluate(model: Model, patches: np.ndarray, labels: np.ndarray, chunk: int = 256) -> float:
@@ -762,25 +771,23 @@ def export_attention(
     """
     if limit is not None and limit < 1:
         raise ConfigError(f"need an export limit >= 1, got {limit}")
-    patches = np.asarray(patches, dtype=np.float64)
+    patches = np.asarray(patches)
     part_ids = np.asarray(part_ids)
-    if patches.shape[0] == 0:
-        raise DataError("empty split")
     if limit is not None:
         patches = patches[:limit]
-        part_ids = part_ids[:limit]
-    logits, weights = zip(*_eval_chunks(model, patches, chunk=256))
-    preds = np.argmax(np.concatenate(logits, axis=0), axis=1)
-    weights = np.concatenate(weights, axis=0)
-    return [
-        {
-            "index": int(i),
-            "weights": weights[i].copy(),
-            "part_ids": part_ids[i].copy(),
-            "prediction": int(preds[i]),
-        }
-        for i in range(patches.shape[0])
-    ]
+    samples = []
+    for start, logits, weights in _eval_chunks(model, patches, chunk=256):
+        preds = np.argmax(logits, axis=1)
+        for i, (w, pred) in enumerate(zip(weights, preds), start):
+            samples.append(
+                {
+                    "index": i,
+                    "weights": w.copy(),
+                    "part_ids": part_ids[i].copy(),
+                    "prediction": int(pred),
+                }
+            )
+    return samples
 
 
 def mutual_information(x: np.ndarray, y: np.ndarray) -> float:
@@ -837,7 +844,7 @@ def save_model(dir_path: str, model: Model, report: RunReport | None = None) -> 
             "frozen_checksums": model.frozen_checksums(),
         }
     )
-    rpt.write_atomic(os.path.join(dir_path, PARAMS_FILE), w.bytes())
+    w.save(os.path.join(dir_path, PARAMS_FILE))
     rpt.write_atomic(os.path.join(dir_path, CONFIG_FILE), rpt.json_text(model.config.to_dict()))
     if report is not None:
         rpt.write_atomic(os.path.join(dir_path, REPORT_FILE), report.to_json())
@@ -890,7 +897,9 @@ def load_model(dir_path: str) -> tuple[Model, RunReport | None]:
                 f"parameter {p.name!r} has shape {stored.shape}, "
                 f"expected {p.tensor.values.shape}"
             )
-        p.tensor.values = stored.astype(np.float64).copy()
+        if stored.dtype != np.float64:
+            raise DataError(f"parameter {p.name!r} is stored as {stored.dtype}, not floats")
+        p.tensor.values = stored  # the reader's own fresh copy
     for name, bn in model.batch_norms().items():
         mean_key, var_key = f"{name}.running_mean", f"{name}.running_var"
         if mean_key not in arrays or var_key not in arrays:

@@ -33,7 +33,7 @@ def json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_atomic(path: str, data: str | bytes) -> None:
+def write_atomic(path: str, data: str | bytes | bytearray) -> None:
     """Write via a temp file and rename so readers never see partial files.
 
     Text is written as UTF-8.

@@ -3,7 +3,8 @@
 The first group is deliberately written as plain python loops over numpy
 rows, independent of the library's batched tensor code paths.  The second
 group adds the primitive tape ops that only the oracles use, and the third
-rebuilds the fused layers from primitive tape ops, as bitwise oracles.
+rebuilds the fused layers from primitive tape ops, as bitwise oracles.  The
+last is the whole-split eval, the bitwise oracle of the chunked one.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from xrhead.numerics import (
     l2_normalize_rows,
     matmul,
     mul,
+    no_grad,
     relu,
     reshape,
     sum_axis,
@@ -301,3 +303,20 @@ def composed_model_loss(model, feats, labels, training: bool = True):
     per_class = head.pick.size // w
     scores = composed_mlp(head.clf, reshape(picked, (b * w, per_class)), training)
     return cross_entropy(reshape(scores, (b, w)), labels)
+
+
+# --- whole-split eval ---------------------------------------------------------------
+
+
+def whole_split_eval(model, patches, chunk: int = 256):
+    """Eval-mode (logits, attention weights) of a whole split: every patch
+    converted and encoded at once, then one attention pass per chunk."""
+    feats = model.image_encoder.encode(np.asarray(patches, dtype=np.float64))
+    logits, weights = [], []
+    with no_grad():
+        prompts = model.prompt_features()
+        for start in range(0, feats.shape[0], chunk):
+            v, w = model.attention.forward(constant(feats[start : start + chunk]), training=False)
+            logits.append(model.head.logits(v, prompts, training=False).values)
+            weights.append(w.values)
+    return np.concatenate(logits, axis=0), np.concatenate(weights, axis=0)

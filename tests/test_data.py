@@ -1,5 +1,7 @@
 """Synthetic benchmark generator: construction properties, splits, files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -227,3 +229,22 @@ def test_dataset_file_errors(tmp_path):
     with pytest.raises(FormatError) as err:
         load_dataset(trailing)
     assert "trailing" in str(err.value)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dataset_files_cost_one_copy_of_the_arrays(tmp_path):
+    # writing appends each array to one buffer; reading holds the file's
+    # bytes and one fresh copy of each array
+    ds = generate(SyntheticSpec.from_dict({"cross_structure": True, "seed": 0}))
+    array_bytes = sum(v.nbytes for v in vars(ds).values() if isinstance(v, np.ndarray))
+    path = str(tmp_path / "ds.xrvd")
+    assert _traced_peak(lambda: save_dataset(path, ds)) <= 1.2 * array_bytes
+    assert _traced_peak(lambda: load_dataset(path)) <= 2.1 * array_bytes

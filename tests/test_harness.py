@@ -6,11 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import bruteforce
 from xrhead.attention import PartAttention
 from xrhead.data import SyntheticSpec, generate
 from xrhead.encoders import FrozenImageEncoder, save_features
@@ -39,6 +41,7 @@ from xrhead.harness import (
     sweep_parts,
     train,
 )
+from xrhead.heads import HeadKind
 from xrhead.numerics import Sgd, constant, no_grad
 
 TINY_SPEC = {
@@ -49,6 +52,9 @@ TINY_SPEC = {
     "test_per_class": 8,
     "tokens_per_image": 10,
 }
+
+
+HEAD_KINDS = [kind.value for kind in HeadKind]
 
 
 def tiny_config(**overrides):
@@ -336,6 +342,76 @@ def test_evaluate_empty_split_errors(tiny_dataset):
     model = build_model(tiny_config(), tiny_dataset)
     with pytest.raises(DataError, match="empty"):
         evaluate(model, tiny_dataset.test_patches[:0], tiny_dataset.test_labels[:0])
+
+
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_eval_refuses_chunk_below_one(chunk, tiny_dataset, monkeypatch):
+    model = build_model(tiny_config(), tiny_dataset)
+
+    def fail(*args):
+        raise AssertionError("worked before the chunk was checked")
+
+    monkeypatch.setattr(model.image_encoder, "encode", fail)
+    monkeypatch.setattr(model, "prompt_features", fail)
+    patches, labels = tiny_dataset.test_patches, tiny_dataset.test_labels
+    with pytest.raises(ConfigError, match="chunk"):
+        predict_logits(model, patches, chunk=chunk)
+    with pytest.raises(ConfigError, match="chunk"):
+        evaluate(model, patches, labels, chunk=chunk)
+
+
+def test_eval_encodes_one_chunk_at_a_time(tiny_dataset, monkeypatch):
+    model = build_model(tiny_config(), tiny_dataset)
+    encode = model.image_encoder.encode
+    rows = []
+
+    def counted(patches):
+        rows.append(patches.shape[0])
+        return encode(patches)
+
+    monkeypatch.setattr(model.image_encoder, "encode", counted)
+    predict_logits(model, tiny_dataset.test_patches, chunk=5)
+    assert rows == [5] * 9 + [3]  # 48 test images
+
+
+@pytest.mark.parametrize("kind", HEAD_KINDS)
+def test_chunked_eval_matches_whole_split_oracle(kind, tiny_dataset):
+    model, _ = train(tiny_config(head=kind, num_parts=1 if kind == "ALIGN" else 4), tiny_dataset)
+    # 288 images: a multiple of neither the default chunk (256) nor 7
+    patches = np.concatenate([tiny_dataset.test_patches] * 6)
+    part_ids = np.concatenate([tiny_dataset.test_part_ids] * 6)
+    for raw in (patches, patches.astype(np.float32)):
+        for chunk in (256, 7):
+            want, _ = bruteforce.whole_split_eval(model, raw, chunk)
+            assert predict_logits(model, raw, chunk).tobytes() == want.tobytes()
+        want_logits, want_weights = bruteforce.whole_split_eval(model, raw)
+        samples = export_attention(model, raw, part_ids)
+        assert [s["index"] for s in samples] == list(range(raw.shape[0]))
+        assert [s["prediction"] for s in samples] == np.argmax(want_logits, axis=1).tolist()
+        for sample, weights, ids in zip(samples, want_weights, part_ids):
+            assert sample["weights"].tobytes() == weights.tobytes()
+            assert sample["part_ids"].tobytes() == ids.tobytes()
+
+
+def test_eval_memory_does_not_grow_with_the_split():
+    # the 1,280-image test split of the benchmark's data; a whole-split encode
+    # of 4x that split would hold 3 x 1,280 x 16 x 64 float64 more (31 MB)
+    spec = {"cross_structure": True, "seed": 0}
+    ds = generate(SyntheticSpec.from_dict(spec))
+    model = build_model(TrainConfig(data_spec=spec), ds)
+    small = ds.test_patches
+    large = np.concatenate([small] * 4)
+    predict_logits(model, small)  # warm-up
+    peaks = []
+    for patches in (small, large):
+        tracemalloc.start()
+        try:
+            logits = predict_logits(model, patches)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # token features are held one chunk at a time: only the logits grow
+    assert peaks[1] - peaks[0] <= logits.nbytes
 
 
 def test_untrained_model_near_chance():
@@ -700,9 +776,34 @@ def _rewrite_params(path, edit_meta=None, edit_arrays=None):
     w = Writer(harness.MODEL_MAGIC, harness.MODEL_VERSION)
     w.u32(len(arrays))
     for name, values in arrays.items():
-        w.tagged_array(name, values, np.float64)
+        w.tagged_array(name, values, np.int64 if values.dtype.kind == "i" else np.float64)
     w.metadata(meta)
     path.write_bytes(w.bytes())
+
+
+@pytest.mark.parametrize("kind", HEAD_KINDS)
+def test_reloaded_parameters_are_fresh_writable_arrays(kind, tmp_path, tiny_dataset):
+    model, _ = train(tiny_config(head=kind, num_parts=1 if kind == "ALIGN" else 4), tiny_dataset)
+    save_model(str(tmp_path), model)
+    loaded, _ = load_model(str(tmp_path))
+    values = [p.tensor.values for p in loaded.params()]
+    for i, v in enumerate(values):
+        assert v.dtype == np.float64 and v.flags.writeable and v.flags.c_contiguous
+        assert not any(np.shares_memory(v, other) for other in values[i + 1 :])
+    patches = tiny_dataset.test_patches
+    assert predict_logits(loaded, patches).tobytes() == predict_logits(model, patches).tobytes()
+
+
+def test_load_model_refuses_integer_parameters(tmp_path, tiny_dataset):
+    model, _ = train(tiny_config(), tiny_dataset)
+    save_model(str(tmp_path), model)
+    name = model.params()[0].name
+    _rewrite_params(
+        tmp_path / "params.xrvp",
+        edit_arrays=lambda arrays: arrays.update({name: arrays[name].astype(np.int64)}),
+    )
+    with pytest.raises(DataError, match="int64"):
+        load_model(str(tmp_path))
 
 
 def test_load_model_refuses_other_encoders(tmp_path, tiny_dataset):

@@ -3,6 +3,7 @@
 import ast
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,26 @@ def test_relu_subgradient_zero_at_kink():
     x = leaf([-1.0, 0.0, 2.0])
     backward(tsum(relu(x)))
     np.testing.assert_allclose(x.grad, [0.0, 0.0, 1.0])
+
+
+def test_relu_off_the_tape_keeps_its_values():
+    x = leaf([[-1.0, 0.0, 2.5], [3.0, -0.0, -4.0]])
+    want = relu(x).values.tobytes()
+    with no_grad():
+        untracked = [relu(x), relu(constant(x.values))]
+    untracked.append(relu(constant(x.values)))
+    for out in untracked:
+        assert out.values.tobytes() == want
+        assert not out.requires_grad and out._parents == () and out._bw is None
+    # off the tape, relu allocates its output and no backward mask
+    big = constant(np.linspace(-1.0, 1.0, 100_000))
+    tracemalloc.start()
+    try:
+        out = relu(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.values.nbytes + big.values.size // 2
 
 
 def test_broadcast_grad_sums():
