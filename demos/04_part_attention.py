@@ -29,20 +29,8 @@ for row in weights[0, :4]:
     print("   ", "  ".join(f"{v:.3f}" for v in row))
 
 # pooling: weighted sums of projected tokens, one feature row per part
-print(f"part features   {parts.values.shape}  (B, S, proj_dim)")
+print(f"part features   {parts.values.shape}  (B, S, feat_dim)")
 
 # every image's part block lands exactly on the tau = 64 sphere
 norms = np.sqrt((parts.values ** 2).sum(axis=(1, 2)))
 print(f"Frobenius norms {np.array2string(norms, precision=6)}")
-
-# the squared-denominator variant divides by the squared norm instead,
-# which shrinks large blocks harder; norms then vary per image
-variant = PartAttention(feat_dim=D, num_parts=S, seed=5, squared_denominator=True)
-vparts, _ = variant.forward(tokens, training=False)
-vnorms = np.sqrt((vparts.values ** 2).sum(axis=(1, 2)))
-print(f"squared variant {np.array2string(vnorms, precision=6)}")
-
-# a narrower projection is a drop-in change
-narrow = PartAttention(feat_dim=D, num_parts=S, seed=5, proj_dim=8)
-nparts, _ = narrow.forward(tokens, training=False)
-print(f"proj_dim=8      {nparts.values.shape}")

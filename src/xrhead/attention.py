@@ -19,44 +19,33 @@ from .numerics.tensor import from_op, recording, unbroadcast
 class PartAttention:
     """batch norm -> affine scores -> relu -> row softmax -> pooled projection."""
 
-    def __init__(
-        self,
-        feat_dim: int,
-        num_parts: int,
-        seed: int,
-        proj_dim: int | None = None,
-        scale: float = 64.0,
-        squared_denominator: bool = False,
-    ):
+    def __init__(self, feat_dim: int, num_parts: int, seed: int, scale: float = 64.0):
         if num_parts < 1:
             raise ConfigError(f"need num_parts >= 1, got {num_parts}")
         if scale <= 0:
             raise ConfigError(f"need scale > 0, got {scale}")
         self.feat_dim = feat_dim
         self.num_parts = num_parts
-        self.proj_dim = proj_dim or feat_dim
         self.scale = scale
-        self.squared_denominator = squared_denominator
         rng = np.random.default_rng(seed)
         self.bn = BatchNorm(feat_dim, name="attn.bn")
         self.score = Affine(feat_dim, num_parts + 1, rng, name="attn.score")
-        self.proj = Affine(feat_dim, self.proj_dim, rng, name="attn.proj")
+        self.proj = Affine(feat_dim, feat_dim, rng, name="attn.proj")
 
     def params(self) -> list[Parameter]:
         return self.bn.params() + self.score.params() + self.proj.params()
 
     def forward(self, tokens: Tensor, training: bool) -> tuple[Tensor, Tensor]:
-        """tokens (b, n, feat_dim) -> (parts (b, num_parts, proj_dim), weights).
+        """tokens (b, n, feat_dim) -> (parts (b, num_parts, feat_dim), weights).
 
         Part features are the attention-weighted sums of projected tokens,
-        rescaled per image to Frobenius norm `scale` (or by the squared norm
-        when squared_denominator is set).  The parts are one tape op over the
-        tokens and the six parameters; its backward repeats, bit for bit, the
-        gradients of the composed chain kept in tests/bruteforce.py.  The
-        weights are values only.
+        rescaled per image to Frobenius norm `scale`.  The parts are one tape
+        op over the tokens and the six parameters; its backward repeats, bit
+        for bit, the gradients of the composed chain kept in
+        tests/bruteforce.py.  The weights are values only.
         """
         b, n, f = self._check(tokens)
-        s, p = self.num_parts, self.proj_dim
+        s = self.num_parts
         gamma, beta = self.bn.gamma.tensor, self.bn.beta.tensor
         ws, bs = self.score.weight.tensor, self.score.bias.tensor
         wp, bp = self.proj.weight.tensor, self.proj.bias.tensor
@@ -76,13 +65,13 @@ class PartAttention:
         picked = np.ascontiguousarray(weights[:, :s]).reshape(b, n, s)
         projected = flat @ wp.values
         projected += bp.values
-        projected = projected.reshape(b, n, p)
-        pooled = picked.swapaxes(-1, -2) @ projected  # (b, s, p)
+        projected = projected.reshape(b, n, f)
+        pooled = picked.swapaxes(-1, -2) @ projected  # (b, s, f)
 
-        total = (pooled * pooled).reshape(b, s * p).sum(axis=1, keepdims=True)
+        total = (pooled * pooled).reshape(b, s * f).sum(axis=1, keepdims=True)
         if np.any(total == 0.0):
             raise DegenerateInputError("pooled part features have zero norm")
-        denom = total if self.squared_denominator else total**0.5
+        denom = total**0.5
         factor = (self.scale / denom).reshape(b, 1, 1)
         slots = Tensor(weights.reshape(b, n, s + 1))
         if not record:
@@ -93,10 +82,7 @@ class PartAttention:
             # rescale: pooled feeds the product and, twice, its own square
             g_factor = unbroadcast(g * pooled, factor.shape).reshape(b, 1)
             g_denom = -g_factor * self.scale / (denom * denom)
-            if self.squared_denominator:
-                g_total = g_denom
-            else:
-                g_total = g_denom * 0.5 * total ** (0.5 - 1.0)
+            g_total = g_denom * 0.5 * total ** (0.5 - 1.0)
             sq = g_total.reshape(b, 1, 1) * pooled
             g_pooled = g * factor + sq + sq
             # pooling bmm, part pick, softmax, relu
@@ -105,7 +91,7 @@ class PartAttention:
             g_weights.reshape(b, n, s + 1)[:, :, :s] = g_picked
             g_scores = weights * (g_weights - (g_weights * weights).sum(axis=1, keepdims=True))
             g_scores *= active
-            g_proj = (picked @ g_pooled).reshape(b * n, p)
+            g_proj = (picked @ g_pooled).reshape(b * n, f)
             g_normed = g_scores @ ws.values.T
             g_flat, g_gamma, g_beta = bn_backward(g_normed)
             g_tokens = None

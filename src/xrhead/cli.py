@@ -66,6 +66,15 @@ def _load_config(path: str | None, data_file: str | None = None) -> TrainConfig:
     return config
 
 
+def _model_and_dataset(args):
+    """The model saved in --model and its config's dataset, or the --data file instead."""
+    model, _ = load_model(args.model)
+    config = model.config
+    if args.data is not None:
+        config = replace(config, data_file=args.data, data_spec=None)
+    return model, config_dataset(config)
+
+
 def _emit(payload: dict) -> None:
     sys.stdout.write(rpt.json_text(payload))
 
@@ -102,11 +111,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model, _ = load_model(args.model)
-    config = model.config
-    if args.data is not None:
-        config = replace(config, data_file=args.data, data_spec=None)
-    ds = config_dataset(config)
+    model, ds = _model_and_dataset(args)
     accuracy = evaluate(model, ds.test_patches, ds.test_labels)
     _emit(
         {
@@ -211,11 +216,7 @@ def _cmd_analyze_cne(args) -> int:
 
 
 def _cmd_export_attn(args) -> int:
-    model, _ = load_model(args.model)
-    config = model.config
-    if args.data is not None:
-        config = replace(config, data_file=args.data, data_spec=None)
-    ds = config_dataset(config)
+    model, ds = _model_and_dataset(args)
     samples = export_attention(model, ds.test_patches, ds.test_part_ids, limit=args.n)
     num_parts = model.config.num_parts
     header = ["token"] + ["background"] + [f"part{s}" for s in range(1, num_parts + 1)] + [

@@ -69,7 +69,6 @@ class TrainConfig:
     scale: float = 64.0
     feat_dim: int = 64
     word_dim: int = 32
-    proj_dim: int | None = None
     head_hidden: int | None = None
     epochs: int = 100
     lr0: float = 2e-3
@@ -84,8 +83,6 @@ class TrainConfig:
     data_file: str | None = None
     prompt_mode: str = "learned"
     prompt_file: str | None = None
-    squared_denominator: bool = False
-    normalize_prompts: bool = False
     cosine_loss_scale: float = 64.0
 
     def validate(self) -> None:
@@ -99,13 +96,6 @@ class TrainConfig:
             raise ConfigError(f"need scale > 0, got {self.scale}")
         if self.feat_dim < 1 or self.word_dim < 1:
             raise ConfigError(f"need positive dims, got {self.feat_dim}, {self.word_dim}")
-        if self.proj_dim is not None and self.proj_dim < 1:
-            raise ConfigError(f"need proj_dim >= 1, got {self.proj_dim}")
-        if kind != HeadKind.MLPS and self.proj_dim not in (None, self.feat_dim):
-            raise ConfigError(
-                f"{kind.value} compares part features with feat_dim {self.feat_dim} prompt "
-                f"features, so proj_dim must equal it, got {self.proj_dim}"
-            )
         if self.head_hidden is not None and self.head_hidden < 1:
             raise ConfigError(f"need head_hidden >= 1, got {self.head_hidden}")
         if self.epochs < 1:
@@ -184,6 +174,13 @@ def config_dataset(config: TrainConfig) -> Dataset:
 def _seed_stream(seed_model: int, k: int) -> int:
     # disjoint child seeds per module as long as k < 10
     return seed_model * 10 + k
+
+
+def _text_encoder(config: TrainConfig) -> FrozenTextEncoder:
+    """The frozen text encoder over a prompt's context plus its class-name row."""
+    return FrozenTextEncoder(
+        config.encoder_seed, config.word_dim, config.feat_dim, config.ctx_len + 1
+    )
 
 
 # --- model ---------------------------------------------------------------------
@@ -277,9 +274,7 @@ def _assemble(
     manual_values: np.ndarray | None,
 ) -> Model:
     kind = HeadKind.parse(config.head)
-    text_encoder = FrozenTextEncoder(
-        config.encoder_seed, config.word_dim, config.feat_dim, config.ctx_len + 1
-    )
+    text_encoder = _text_encoder(config)
     image_encoder = FrozenImageEncoder(config.encoder_seed + 1, patch_dim, config.feat_dim)
 
     bank = None
@@ -312,18 +307,15 @@ def _assemble(
         config.feat_dim,
         config.num_parts,
         seed=_seed_stream(config.seed_model, 1),
-        proj_dim=config.proj_dim,
         scale=config.scale,
-        squared_denominator=config.squared_denominator,
     )
     head = build_head(
         kind,
         num_classes,
         config.num_parts,
-        attention.proj_dim,
+        config.feat_dim,
         seed=_seed_stream(config.seed_model, 2),
         hidden=config.head_hidden,
-        normalize_prompts=config.normalize_prompts,
     )
     return Model(
         config, num_classes, patch_dim, text_encoder, image_encoder, bank, manual, attention, head
@@ -350,9 +342,7 @@ def build_model(config: TrainConfig, ds: Dataset) -> Model:
 
 def class_name_embeddings(config: TrainConfig, class_embeddings: np.ndarray) -> np.ndarray:
     """Text-encode each bare class name: the embedding tiled over all positions."""
-    enc = FrozenTextEncoder(
-        config.encoder_seed, config.word_dim, config.feat_dim, config.ctx_len + 1
-    )
+    enc = _text_encoder(config)
     emb = np.asarray(class_embeddings, dtype=np.float64)
     seqs = np.repeat(emb[:, None, :], config.ctx_len + 1, axis=1)
     with no_grad():
@@ -775,6 +765,10 @@ def export_attention(
     part_ids = np.asarray(part_ids)
     if limit is not None:
         patches = patches[:limit]
+    if part_ids.ndim == 0 or part_ids.shape[0] < patches.shape[0]:
+        raise DataError(
+            f"part_ids {part_ids.shape} needs a row for each of {patches.shape[0]} images"
+        )
     samples = []
     for start, logits, weights in _eval_chunks(model, patches, chunk=256):
         preds = np.argmax(logits, axis=1)

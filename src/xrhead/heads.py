@@ -72,12 +72,10 @@ def _check_pair(v: Tensor, t: Tensor):
     return b, s, d, w
 
 
-def relation_batch(v: Tensor, t: Tensor, normalize_prompts: bool = False) -> Tensor:
+def relation_batch(v: Tensor, t: Tensor) -> Tensor:
     """(b, s, d) x (w, s, d) -> (b, s*s*w) with the documented flat layout."""
     b, s, d, w = _check_pair(v, t)
     t2 = reshape(t, (w * s, d))  # row w * s + s2
-    if normalize_prompts:
-        t2 = l2_normalize_rows(t2)
     # reorder prompt rows to (s2 outer, w inner) so a plain matmul + reshape
     # lands every product at flat[s * (s*w) + s2 * w + w_idx]
     perm = np.arange(s * w)
@@ -167,21 +165,12 @@ class CrmHead:
 
     cosine_logits = False
 
-    def __init__(
-        self,
-        kind: HeadKind,
-        num_classes: int,
-        num_parts: int,
-        hidden: int,
-        seed: int,
-        normalize_prompts: bool = False,
-    ):
+    def __init__(self, kind: HeadKind, num_classes: int, num_parts: int, hidden: int, seed: int):
         if kind not in CRM_KINDS:
             raise ConfigError(f"{kind} is not a relation-matrix head")
         self.kind = kind
         self.num_classes = num_classes
         self.num_parts = num_parts
-        self.normalize_prompts = normalize_prompts
         w, s = num_classes, num_parts
         rng = np.random.default_rng(seed)
         if kind == HeadKind.CRM_FULL:
@@ -220,7 +209,7 @@ class CrmHead:
         return reshape(scores, (b, w))
 
     def logits(self, v: Tensor, t: Tensor, training: bool) -> Tensor:
-        flat = relation_batch(v, t, self.normalize_prompts)
+        flat = relation_batch(v, t)
         return self.logits_from_relation(flat, training)
 
     def params(self) -> list[Parameter]:
@@ -249,7 +238,6 @@ def build_head(
     feat_dim: int,
     seed: int,
     hidden: int | None = None,
-    normalize_prompts: bool = False,
 ):
     """Construct any head kind with its default classifier width."""
     if num_classes < 2:
@@ -260,4 +248,4 @@ def build_head(
         return PwcsHead(num_classes, num_parts)
     if kind == HeadKind.MLPS:
         return MlpsHead(num_classes, num_parts, feat_dim, hidden, seed)
-    return CrmHead(kind, num_classes, num_parts, hidden, seed, normalize_prompts)
+    return CrmHead(kind, num_classes, num_parts, hidden, seed)

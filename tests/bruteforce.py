@@ -227,12 +227,11 @@ def composed_attention(attn, tokens, training: bool):
     weights = softmax_rows(scores)
     picked = reshape(gather_cols(weights, np.arange(s)), (b, n, s))
     projected = composed_affine(flat, attn.proj.weight.tensor, attn.proj.bias.tensor)
-    pooled = bmm(transpose(picked), reshape(projected, (b, n, attn.proj_dim)))
+    pooled = bmm(transpose(picked), reshape(projected, (b, n, f)))
     # rescale each image's block to Frobenius norm `scale`
-    squares = reshape(mul(pooled, pooled), (b, s * attn.proj_dim))
+    squares = reshape(mul(pooled, pooled), (b, s * f))
     total = sum_axis(squares, 1, keepdims=True)
-    denom = total if attn.squared_denominator else power(total, 0.5)
-    factor = div(constant(attn.scale), denom)
+    factor = div(constant(attn.scale), power(total, 0.5))
     parts = mul(pooled, reshape(factor, (b, 1, 1)))
     return parts, reshape(weights, (b, n, s + 1))
 
@@ -294,7 +293,7 @@ def composed_model_loss(model, feats, labels, training: bool = True):
     w = t.values.shape[0]
     if not isinstance(head, CrmHead):  # PWCS, and ALIGN as PWCS at one part
         return cross_entropy(composed_pwcs(v, t) * model.config.cosine_loss_scale, labels)
-    flat = relation_batch(v, t, head.normalize_prompts)
+    flat = relation_batch(v, t)
     if head.kind == HeadKind.CRM_FULL:
         return cross_entropy(composed_mlp(head.clf, flat, training), labels)
     picked = gather_cols(flat, head.pick)

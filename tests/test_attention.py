@@ -32,19 +32,6 @@ def test_frobenius_norm_pinned_to_scale():
     np.testing.assert_allclose(norms, 64.0, atol=1e-6)
 
 
-def test_squared_denominator_variant():
-    tokens = constant(make_tokens(seed=3))
-    plain = PartAttention(feat_dim=8, num_parts=4, seed=2, scale=64.0)
-    squared = PartAttention(feat_dim=8, num_parts=4, seed=2, squared_denominator=True, scale=64.0)
-    v_plain, _ = plain.forward(tokens, training=False)
-    v_sq, _ = squared.forward(tokens, training=False)
-    # same direction, different magnitude: |v_sq| = scale / |v_raw| where
-    # |v_plain| = scale, so v_sq = v_plain * (|v_plain| / |v_raw|) per image
-    raw_norm = 64.0 / np.sqrt((v_sq.values**2).sum(axis=(1, 2)))
-    rescaled = v_sq.values * raw_norm[:, None, None]
-    np.testing.assert_allclose(rescaled, v_plain.values, atol=1e-9)
-
-
 def test_token_permutation_equivariance():
     attn = PartAttention(feat_dim=8, num_parts=3, seed=4)
     tokens = make_tokens(b=2, n=7, d=8, seed=4)
@@ -99,8 +86,3 @@ def test_gradients_through_pooling():
     worst = finite_diff_check(loss, params, max_coords_per_param=10)
     assert max(worst.values()) < 1e-5, worst
 
-
-def test_proj_dim_override():
-    attn = PartAttention(feat_dim=8, num_parts=3, seed=10, proj_dim=5)
-    parts, _ = attn.forward(constant(make_tokens()), training=True)
-    assert parts.values.shape == (3, 3, 5)

@@ -155,8 +155,8 @@ def test_batch_norm_gradients(training):
 # --- part attention ---------------------------------------------------------------
 
 
-def make_attention(num_parts, squared, tracked, seed=7):
-    attn = PartAttention(feat_dim=6, num_parts=num_parts, seed=seed, squared_denominator=squared)
+def make_attention(num_parts, tracked, seed=7):
+    attn = PartAttention(feat_dim=6, num_parts=num_parts, seed=seed)
     jitter(attn.params(), seed)
     rng = np.random.default_rng(seed + 1)
     attn.bn.running_mean = rng.normal(size=6)
@@ -166,12 +166,11 @@ def make_attention(num_parts, squared, tracked, seed=7):
 
 
 @pytest.mark.parametrize("num_parts", [1, 4])
-@pytest.mark.parametrize("squared", [False, True], ids=["norm", "squared"])
 @pytest.mark.parametrize("tracked", [True, False], ids=["tracked", "constant"])
 @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
-def test_attention_matches_composed(num_parts, squared, tracked, training):
+def test_attention_matches_composed(num_parts, tracked, training):
     def make():
-        attn, tokens = make_attention(num_parts, squared, tracked)
+        attn, tokens = make_attention(num_parts, tracked)
         return (attn, tokens), [tokens] + [p.tensor for p in attn.params()]
 
     weights = {}
@@ -191,8 +190,8 @@ def test_attention_matches_composed(num_parts, squared, tracked, training):
 
 
 def test_attention_untracked_forward_matches_composed():
-    attn, tokens = make_attention(4, False, tracked=False)
-    twin, tokens2 = make_attention(4, False, tracked=False)
+    attn, tokens = make_attention(4, tracked=False)
+    twin, tokens2 = make_attention(4, tracked=False)
     for p in attn.params() + twin.params():
         p.tensor.requires_grad = False
     parts, weights = attn.forward(tokens, training=False)
@@ -203,10 +202,9 @@ def test_attention_untracked_forward_matches_composed():
 
 
 @pytest.mark.parametrize("num_parts", [1, 4])
-@pytest.mark.parametrize("squared", [False, True], ids=["norm", "squared"])
 @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
-def test_attention_gradients(num_parts, squared, training):
-    attn, tokens = make_attention(num_parts, squared, tracked=True)
+def test_attention_gradients(num_parts, training):
+    attn, tokens = make_attention(num_parts, tracked=True)
     k = constant(np.random.default_rng(9).normal(size=(3, num_parts, 6)))
     mean, var = attn.bn.running_mean.copy(), attn.bn.running_var.copy()
 
@@ -219,7 +217,7 @@ def test_attention_gradients(num_parts, squared, training):
 
 
 def test_attention_weights_are_values_only():
-    attn, tokens = make_attention(4, False, tracked=True)
+    attn, tokens = make_attention(4, tracked=True)
     parts, weights = attn.forward(tokens, training=True)
     assert parts.requires_grad and not weights.requires_grad
 
@@ -366,11 +364,8 @@ STEP_CASES = {
     "MLPS": dict(head="MLPS"),
     "MLPS_one_part": dict(head="MLPS", num_parts=1),
     "CRM_FULL": dict(head="CRM_FULL"),
-    "CRM_FULL_squared_normalized": dict(
-        head="CRM_FULL", squared_denominator=True, normalize_prompts=True
-    ),
     "CRM_BASE": dict(head="CRM_BASE"),
-    "CRM_XCLASS": dict(head="CRM_XCLASS", normalize_prompts=True),
+    "CRM_XCLASS": dict(head="CRM_XCLASS"),
     "CRM_XPART": dict(head="CRM_XPART"),
 }
 

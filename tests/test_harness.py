@@ -2,8 +2,10 @@
 
 import csv
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -96,8 +98,25 @@ def test_every_config_field_has_a_json_type():
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError, match="unknown config keys: lr"):
-        TrainConfig.from_dict({"lr": 0.1})
+    # a typo, and the keys of options the model no longer has
+    for key, value in (
+        ("lr", 0.1),
+        ("squared_denominator", False),
+        ("normalize_prompts", False),
+        ("proj_dim", 64),
+    ):
+        with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
+            TrainConfig.from_dict({key: value})
+
+
+def test_readme_config_table_names_every_field():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    keys = set()
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        keys.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+    assert keys == {f.name for f in fields(TrainConfig)}
 
 
 @pytest.mark.parametrize(
@@ -120,9 +139,6 @@ def test_config_rejects_unknown_keys():
         {"data_spec": {"num_classes": 4}, "data_file": "x.xrvd"},
         {"data_spec": {"num_classes": 1}},
         {"head": "ALIGN"},  # ALIGN is PWCS at one part, as build_head insists
-        {"proj_dim": 8},  # part features must meet feat_dim prompt features
-        {"head": "PWCS", "proj_dim": 8},
-        {"head": "ALIGN", "num_parts": 1, "proj_dim": 8},
     ],
 )
 def test_config_validation_errors(overrides):
@@ -133,8 +149,6 @@ def test_config_validation_errors(overrides):
 
 def test_config_validation_accepts_the_edges():
     TrainConfig(head="ALIGN", num_parts=1).validate()
-    TrainConfig(head="CRM_XPART", proj_dim=64).validate()
-    TrainConfig(head="MLPS", proj_dim=8).validate()  # MLPS reads no prompt features
 
 
 def test_config_json_file_round_trip(tmp_path):
@@ -666,6 +680,19 @@ def test_export_attention_encodes_and_attends_once(tiny_dataset, monkeypatch):
         assert sample["weights"].tobytes() == weights.values[i].tobytes()
 
 
+def test_export_attention_refuses_missing_part_ids(tiny_dataset, monkeypatch):
+    model = build_model(tiny_config(), tiny_dataset)
+
+    def fail(patches):
+        raise AssertionError("encoded before part_ids were checked")
+
+    monkeypatch.setattr(model.image_encoder, "encode", fail)
+    part_ids = tiny_dataset.test_part_ids[:3]
+    for patches, limit in ((tiny_dataset.test_patches[:4], None), (tiny_dataset.test_patches, 4)):
+        with pytest.raises(DataError, match="part_ids"):
+            export_attention(model, patches, part_ids, limit=limit)
+
+
 def test_export_attention_empty_errors(tiny_dataset):
     model = build_model(tiny_config(), tiny_dataset)
     with pytest.raises(DataError, match="empty"):
@@ -830,6 +857,15 @@ def test_load_model_refuses_other_encoders(tmp_path, tiny_dataset):
     (out / "config.json").write_text(json.dumps(config))
     with pytest.raises(DataError, match="frozen"):
         load_model(str(out))
+
+
+def test_load_model_refuses_removed_config_keys(tmp_path, tiny_dataset):
+    save_model(str(tmp_path), build_model(tiny_config(), tiny_dataset))
+    config = json.loads((tmp_path / "config.json").read_text())
+    config.update(proj_dim=None, squared_denominator=False, normalize_prompts=False)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    with pytest.raises(FormatError, match="unknown config keys"):
+        load_model(str(tmp_path))
 
 
 def test_load_model_refuses_malformed_batch_norm_state(tmp_path, tiny_dataset):

@@ -57,14 +57,6 @@ def test_relation_batch_rows_match_singles():
         np.testing.assert_allclose(flat.values[i], relation_flat(v3[i], t3), atol=1e-12)
 
 
-def test_relation_normalized_prompts():
-    v3, t3 = random_pair(b=2, seed=11)
-    tn = t3 / np.linalg.norm(t3, axis=2, keepdims=True)
-    flat = relation_batch(constant(v3), constant(t3), normalize_prompts=True)
-    for i in range(2):
-        np.testing.assert_allclose(flat.values[i], relation_flat(v3[i], tn), atol=1e-12)
-
-
 # --- cosine heads ---------------------------------------------------------------
 
 
