@@ -3,8 +3,8 @@
 Tokens are scored against num_parts + 1 slots (the extra slot absorbs
 background), each token's scores are softmax-normalized, and the first
 num_parts columns pool a projection of the tokens into per-part features.
-Every image's pooled block is then rescaled to a fixed Frobenius norm so
-downstream inner products live on a stable scale.
+Every image's pooled block is then rescaled to the fixed Frobenius norm TAU
+so downstream inner products live on a stable scale.
 """
 
 from __future__ import annotations
@@ -15,18 +15,18 @@ from .errors import ConfigError, DegenerateInputError, ShapeMismatchError
 from .numerics import Affine, BatchNorm, Parameter, Tensor
 from .numerics.tensor import from_op, recording, unbroadcast
 
+# tau: the Frobenius norm of every image's pooled part block
+TAU = 64.0
+
 
 class PartAttention:
     """batch norm -> affine scores -> relu -> row softmax -> pooled projection."""
 
-    def __init__(self, feat_dim: int, num_parts: int, seed: int, scale: float = 64.0):
+    def __init__(self, feat_dim: int, num_parts: int, seed: int):
         if num_parts < 1:
             raise ConfigError(f"need num_parts >= 1, got {num_parts}")
-        if scale <= 0:
-            raise ConfigError(f"need scale > 0, got {scale}")
         self.feat_dim = feat_dim
         self.num_parts = num_parts
-        self.scale = scale
         rng = np.random.default_rng(seed)
         self.bn = BatchNorm(feat_dim, name="attn.bn")
         self.score = Affine(feat_dim, num_parts + 1, rng, name="attn.score")
@@ -39,7 +39,7 @@ class PartAttention:
         """tokens (b, n, feat_dim) -> (parts (b, num_parts, feat_dim), weights).
 
         Part features are the attention-weighted sums of projected tokens,
-        rescaled per image to Frobenius norm `scale`.  The parts are one tape
+        rescaled per image to Frobenius norm TAU.  The parts are one tape
         op over the tokens and the six parameters; its backward repeats, bit
         for bit, the gradients of the composed chain kept in
         tests/bruteforce.py.  The weights are values only.
@@ -72,7 +72,7 @@ class PartAttention:
         if np.any(total == 0.0):
             raise DegenerateInputError("pooled part features have zero norm")
         denom = total**0.5
-        factor = (self.scale / denom).reshape(b, 1, 1)
+        factor = (TAU / denom).reshape(b, 1, 1)
         slots = Tensor(weights.reshape(b, n, s + 1))
         if not record:
             pooled *= factor
@@ -81,7 +81,7 @@ class PartAttention:
         def backward(g):
             # rescale: pooled feeds the product and, twice, its own square
             g_factor = unbroadcast(g * pooled, factor.shape).reshape(b, 1)
-            g_denom = -g_factor * self.scale / (denom * denom)
+            g_denom = -g_factor * TAU / (denom * denom)
             g_total = g_denom * 0.5 * total ** (0.5 - 1.0)
             sq = g_total.reshape(b, 1, 1) * pooled
             g_pooled = g * factor + sq + sq

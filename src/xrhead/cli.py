@@ -34,7 +34,6 @@ from .harness import (
     few_shot_split,
     load_model,
     project_2d,
-    read_json_object,
     save_model,
     sweep_parts,
     train,
@@ -83,7 +82,7 @@ def _emit(payload: dict) -> None:
 
 
 def _cmd_gen_data(args) -> int:
-    raw = read_json_object(args.spec, "spec") if args.spec else {}
+    raw = rpt.read_json_object(args.spec, "spec") if args.spec else {}
     seed = _env_seed()
     if seed is not None:
         raw["seed"] = seed

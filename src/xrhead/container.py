@@ -175,9 +175,6 @@ class Writer:
         self.u32(len(raw))
         self.buf += raw
 
-    def bytes(self) -> bytes:
-        return bytes(self.buf)
-
     def save(self, path: str) -> None:
         """Write the layout to `path` atomically, without copying the buffer."""
         write_atomic(path, self.buf)

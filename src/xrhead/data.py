@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .container import Reader, Writer
 from .errors import DataError, FormatError
+from .report import JsonFields
 
 DATASET_MAGIC = b"XRVD"
 DATASET_VERSION = 1
@@ -43,9 +44,6 @@ class SyntheticSpec:
     test_per_class: int = 64
     embed_dim: int = 32
     cross_structure: bool = False
-    anchor_scale: float = 1.0
-    pattern_scale: float = 1.0
-    offset_scale: float = 0.25
     seed: int = 0
 
     def validate(self) -> None:
@@ -86,16 +84,12 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SyntheticSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise DataError(f"unknown dataset spec keys: {sorted(unknown)}")
-        spec = cls(**raw)
-        try:
-            spec.validate()
-        except TypeError as e:  # a value of the wrong type, e.g. from a JSON file
-            raise DataError(f"dataset spec value of the wrong type: {e}") from None
+        spec = _SPEC_FIELDS.from_dict(raw)
+        spec.validate()
         return spec
+
+
+_SPEC_FIELDS = JsonFields(SyntheticSpec, DataError, "dataset spec")
 
 
 @dataclass
@@ -147,9 +141,9 @@ def generate(spec: SyntheticSpec) -> Dataset:
     rng = np.random.default_rng(spec.seed)
 
     # structural draws first, then sampling, so layouts stay reproducible
-    anchors = rng.normal(0.0, 1.0, size=(s + 1, d)) * spec.anchor_scale  # slot 0 = background
-    patterns = rng.normal(0.0, 1.0, size=(g, s, d)) * spec.pattern_scale
-    offsets = rng.normal(0.0, 1.0, size=(w, s, d)) * spec.offset_scale
+    anchors = rng.normal(0.0, 1.0, size=(s + 1, d))  # slot 0 = background
+    patterns = rng.normal(0.0, 1.0, size=(g, s, d))
+    offsets = rng.normal(0.0, 1.0, size=(w, s, d)) * 0.25
     proj = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, spec.embed_dim))
 
     base_perms = np.zeros((w, s), dtype=np.int64)

@@ -41,24 +41,10 @@ REPORT_FILE = "report.json"
 
 # --- configuration -------------------------------------------------------------
 
-# the JSON value types TrainConfig.from_dict accepts per field annotation
-_JSON_TYPES = {
-    "int": int,
-    "float": (int, float),
-    "bool": bool,
-    "str": str,
-    "dict": dict,
-    "None": type(None),
-}
-
-
-def _json_types(annotation: str) -> tuple:
-    """The JSON value types a field annotated e.g. 'int | None' accepts."""
-    names = [t.strip() for t in annotation.split("|")]
-    unmapped = [t for t in names if t not in _JSON_TYPES]
-    if unmapped:
-        raise TypeError(f"no JSON type for annotation {annotation!r}: {unmapped}")
-    return tuple(_JSON_TYPES[t] for t in names)
+# the temperature the loss applies to cosine logits (ALIGN, PWCS)
+LOSS_TEMPERATURE = 64.0
+# the frozen text encoder's seed; the image encoder's is one more
+ENCODER_SEED = 7
 
 
 @dataclass
@@ -66,7 +52,6 @@ class TrainConfig:
     head: str = "CRM_FULL"
     num_parts: int = 4
     ctx_len: int = 16
-    scale: float = 64.0
     feat_dim: int = 64
     word_dim: int = 32
     head_hidden: int | None = None
@@ -78,12 +63,9 @@ class TrainConfig:
     shots: int = 16
     seed_data: int = 0
     seed_model: int = 0
-    encoder_seed: int = 7
     data_spec: dict | None = None
     data_file: str | None = None
-    prompt_mode: str = "learned"
-    prompt_file: str | None = None
-    cosine_loss_scale: float = 64.0
+    prompt_file: str | None = None  # when set, prompts are frozen at its features
 
     def validate(self) -> None:
         kind = HeadKind.parse(self.head)
@@ -92,8 +74,6 @@ class TrainConfig:
         check_head_parts(kind, self.num_parts)
         if self.ctx_len < 1:
             raise ConfigError(f"need ctx_len >= 1, got {self.ctx_len}")
-        if self.scale <= 0:
-            raise ConfigError(f"need scale > 0, got {self.scale}")
         if self.feat_dim < 1 or self.word_dim < 1:
             raise ConfigError(f"need positive dims, got {self.feat_dim}, {self.word_dim}")
         if self.head_hidden is not None and self.head_hidden < 1:
@@ -110,57 +90,29 @@ class TrainConfig:
             raise ConfigError(f"batch norm needs batch_size >= 2, got {self.batch_size}")
         if self.shots < 1:
             raise ConfigError(f"need shots >= 1, got {self.shots}")
-        for name in ("seed_data", "seed_model", "encoder_seed"):
+        for name in ("seed_data", "seed_model"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"need {name} >= 0, got {getattr(self, name)}")
-        if self.cosine_loss_scale <= 0:
-            raise ConfigError(f"need cosine_loss_scale > 0, got {self.cosine_loss_scale}")
-        if self.prompt_mode not in ("learned", "manual"):
-            raise ConfigError(f"prompt_mode must be 'learned' or 'manual', got {self.prompt_mode!r}")
-        if self.prompt_mode == "manual" and not self.prompt_file:
-            raise ConfigError("manual prompt_mode requires prompt_file")
         if self.data_spec is not None and self.data_file is not None:
             raise ConfigError("data_spec and data_file are mutually exclusive")
         if self.data_spec is not None:
-            SyntheticSpec.from_dict(self.data_spec).validate()
+            SyntheticSpec.from_dict(self.data_spec)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        cfg = cls(**raw)
-        for f in fields(cls):
-            allowed = _FIELD_JSON_TYPES[f.name]
-            value = getattr(cfg, f.name)
-            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-                raise ConfigError(f"config key {f.name!r} must be {f.type}, got {value!r}")
+        cfg = _CONFIG_FIELDS.from_dict(raw)
         cfg.validate()
         return cfg
 
     @classmethod
     def from_json_file(cls, path: str) -> "TrainConfig":
-        return cls.from_dict(read_json_object(path, "config"))
+        return cls.from_dict(rpt.read_json_object(path, "config"))
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def read_json_object(path: str, what: str) -> dict:
-    """The JSON object in a UTF-8 file; bad UTF-8, bad JSON or another value raise ConfigError."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            raw = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise ConfigError(f"invalid JSON in {path}: {e}") from e
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{what} file {path} must hold a JSON object")
-    return raw
-
-
-# built at import, so a field annotation without a JSON type fails here, not on load
-_FIELD_JSON_TYPES = {f.name: _json_types(f.type) for f in fields(TrainConfig)}
+_CONFIG_FIELDS = rpt.JsonFields(TrainConfig, ConfigError, "config")
 
 
 def config_dataset(config: TrainConfig) -> Dataset:
@@ -178,9 +130,7 @@ def _seed_stream(seed_model: int, k: int) -> int:
 
 def _text_encoder(config: TrainConfig) -> FrozenTextEncoder:
     """The frozen text encoder over a prompt's context plus its class-name row."""
-    return FrozenTextEncoder(
-        config.encoder_seed, config.word_dim, config.feat_dim, config.ctx_len + 1
-    )
+    return FrozenTextEncoder(ENCODER_SEED, config.word_dim, config.feat_dim, config.ctx_len + 1)
 
 
 # --- model ---------------------------------------------------------------------
@@ -242,7 +192,7 @@ class Model:
         """
         logits = self.logits(feats, training)
         if self.head.cosine_logits:
-            logits = logits * self.config.cosine_loss_scale
+            logits = logits * LOSS_TEMPERATURE
         return cross_entropy(logits, labels)
 
     def batch_norms(self) -> dict:
@@ -275,7 +225,7 @@ def _assemble(
 ) -> Model:
     kind = HeadKind.parse(config.head)
     text_encoder = _text_encoder(config)
-    image_encoder = FrozenImageEncoder(config.encoder_seed + 1, patch_dim, config.feat_dim)
+    image_encoder = FrozenImageEncoder(ENCODER_SEED + 1, patch_dim, config.feat_dim)
 
     bank = None
     manual = None
@@ -290,7 +240,7 @@ def _assemble(
             manual = constant(manual_values)
         else:
             if class_embeddings is None:
-                raise ConfigError("learned prompt_mode needs class embeddings")
+                raise ConfigError("learned prompts need class embeddings")
             if class_embeddings.ndim != 2 or class_embeddings.shape[1] != config.word_dim:
                 raise ConfigError(
                     f"class embeddings {class_embeddings.shape} do not match "
@@ -304,10 +254,7 @@ def _assemble(
             )
 
     attention = PartAttention(
-        config.feat_dim,
-        config.num_parts,
-        seed=_seed_stream(config.seed_model, 1),
-        scale=config.scale,
+        config.feat_dim, config.num_parts, seed=_seed_stream(config.seed_model, 1)
     )
     head = build_head(
         kind,
@@ -326,7 +273,7 @@ def build_model(config: TrainConfig, ds: Dataset) -> Model:
     """Assemble a freshly initialized model sized for the dataset."""
     config.validate()
     manual_values = None
-    if config.prompt_mode == "manual":
+    if config.prompt_file is not None:
         manual_values, _ = load_features(config.prompt_file)
     return _assemble(
         config,
@@ -347,18 +294,6 @@ def class_name_embeddings(config: TrainConfig, class_embeddings: np.ndarray) -> 
     seqs = np.repeat(emb[:, None, :], config.ctx_len + 1, axis=1)
     with no_grad():
         return enc.encode(constant(seqs)).values.copy()
-
-
-def manual_prompt_features(config: TrainConfig, class_embeddings: np.ndarray) -> np.ndarray:
-    """Frozen (classes, parts, feat_dim) features: the class-name encoding per part."""
-    names = class_name_embeddings(config, class_embeddings)
-    return np.repeat(names[:, None, :], config.num_parts, axis=1)
-
-
-def random_prompt_features(config: TrainConfig, num_classes: int, seed: int = 0) -> np.ndarray:
-    """Frozen standard-normal (classes, parts, feat_dim) features, for robustness runs."""
-    rng = np.random.default_rng(seed)
-    return rng.normal(0.0, 1.0, size=(num_classes, config.num_parts, config.feat_dim))
 
 
 # --- training and evaluation -----------------------------------------------------
@@ -400,12 +335,14 @@ class RunReport:
         return cls.from_dict(json.loads(text))
 
 
-def _eval_chunks(model: Model, patches: np.ndarray, chunk: int):
-    """Eval-mode (first row, logits, attention weights) per chunk of raw patches.
+def _eval_chunks(model: Model, patches: np.ndarray, chunk: int, encoded: bool = False):
+    """Eval-mode (first row, logits, attention weights) per chunk of raw patches,
+    or of token features when they are already `encoded`.
 
-    Each chunk is converted to float64, encoded and attended on its own, so
-    eval holds one chunk of token features at a time.  The encoder works
-    image by image, so the bits equal those of one encode of every patch.
+    Each chunk of raw patches is converted to float64, encoded and attended
+    on its own, so eval holds one chunk of token features at a time.  The
+    encoder works image by image, so the bits equal those of one encode of
+    every patch.
     """
     if chunk < 1:
         raise ConfigError(f"need an eval chunk >= 1, got {chunk}")
@@ -416,28 +353,37 @@ def _eval_chunks(model: Model, patches: np.ndarray, chunk: int):
         # eval mode: the prompt features are the same for every chunk
         prompts = model.prompt_features()
     for start in range(0, patches.shape[0], chunk):
-        feats = model.image_encoder.encode(patches[start : start + chunk])
+        feats = patches[start : start + chunk]
+        if not encoded:
+            feats = model.image_encoder.encode(feats)
         with no_grad():  # never across the yield: the caller's code runs there
             v, weights = model.attention.forward(constant(feats), training=False)
             logits = model.head.logits(v, prompts, training=False)
         yield start, logits.values, weights.values
 
 
-def predict_logits(model: Model, patches: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Eval-mode logits (n, classes) for raw patch arrays, computed in chunks."""
+def _logits(model: Model, patches: np.ndarray, chunk: int, encoded: bool) -> np.ndarray:
     out = None
-    for start, logits, _ in _eval_chunks(model, patches, chunk):
+    for start, logits, _ in _eval_chunks(model, patches, chunk, encoded):
         if out is None:
             out = np.empty((len(patches), logits.shape[1]))
         out[start : start + logits.shape[0]] = logits
     return out
 
 
+def predict_logits(model: Model, patches: np.ndarray, chunk: int = 256) -> np.ndarray:
+    """Eval-mode logits (n, classes) for raw patch arrays, computed in chunks."""
+    return _logits(model, patches, chunk, encoded=False)
+
+
+def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Argmax-logit accuracy; ties break toward the lowest class index."""
+    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
+
+
 def evaluate(model: Model, patches: np.ndarray, labels: np.ndarray, chunk: int = 256) -> float:
     """Argmax-logit accuracy; ties break toward the lowest class index."""
-    logits = predict_logits(model, patches, chunk)
-    preds = np.argmax(logits, axis=1)
-    return float(np.mean(preds == np.asarray(labels)))
+    return _accuracy(predict_logits(model, patches, chunk), labels)
 
 
 def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, RunReport]:
@@ -503,7 +449,7 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
         head=config.head,
         seed_data=config.seed_data,
         seed_model=config.seed_model,
-        train_accuracy=evaluate(model, patches, labels),
+        train_accuracy=_accuracy(_logits(model, feats, 256, encoded=True), labels),
         test_accuracy=evaluate(model, ds.test_patches, ds.test_labels),
         num_train=int(n),
         num_test=int(ds.test_labels.shape[0]),
@@ -878,8 +824,9 @@ def load_model(dir_path: str) -> tuple[Model, RunReport | None]:
         )
     except ConfigError as e:
         raise DataError(f"model file does not match its config: {e}") from e
-    # the encoders are rebuilt from seeds and shapes, so only their checksums
-    # can show that patch_dim or encoder_seed differ from the saved model's
+    # the encoders are rebuilt from the config's and the metadata's shapes, so
+    # only their checksums can show that e.g. patch_dim or ctx_len differ from
+    # the saved model's
     if model.frozen_checksums() != meta["frozen_checksums"]:
         raise DataError("frozen encoders or embeddings differ from the saved model's")
     for p in model.params():

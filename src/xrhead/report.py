@@ -1,4 +1,4 @@
-"""Deterministic CSV and SVG emission, atomic file writes.
+"""JSON objects in and out, deterministic CSV and SVG emission, atomic file writes.
 
 Numbers are formatted with repr (shortest round-trip) so equal runs produce
 byte-identical files.  Wall-clock timings never go into CSV or SVG outputs;
@@ -12,6 +12,9 @@ import io
 import json
 import os
 import tempfile
+from dataclasses import fields
+
+from .errors import ConfigError
 
 
 def format_cell(x) -> str:
@@ -31,6 +34,64 @@ def csv_text(header: list[str], rows: list[list]) -> str:
 
 def json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def read_json_object(path: str, what: str) -> dict:
+    """The JSON object in a UTF-8 file; bad UTF-8, bad JSON or another value raise ConfigError."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            raw = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise ConfigError(f"invalid JSON in {path}: {e}") from e
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} file {path} must hold a JSON object")
+    return raw
+
+
+# the JSON value types a dataclass field accepts per annotation name
+_JSON_TYPES = {
+    "int": int,
+    "float": (int, float),
+    "bool": bool,
+    "str": str,
+    "dict": dict,
+    "None": type(None),
+}
+
+
+def _json_types(annotation: str) -> tuple:
+    """The JSON value types a field annotated e.g. 'int | None' accepts."""
+    names = [t.strip() for t in annotation.split("|")]
+    unmapped = [t for t in names if t not in _JSON_TYPES]
+    if unmapped:
+        raise TypeError(f"no JSON type for annotation {annotation!r}: {unmapped}")
+    return tuple(_JSON_TYPES[t] for t in names)
+
+
+class JsonFields:
+    """Builds a dataclass from a JSON object whose keys name its fields.
+
+    Unknown keys and values of the wrong JSON type raise `error`, the
+    caller's own error class.  The accepted types come from the field
+    annotations when the JsonFields is made, at the caller's import, so a
+    field without a JSON type fails there and not on load.
+    """
+
+    def __init__(self, cls: type, error: type[Exception], what: str):
+        self.cls, self.error, self.what = cls, error, what
+        self.types = {f.name: _json_types(f.type) for f in fields(cls)}
+
+    def from_dict(self, raw: dict):
+        unknown = sorted(set(raw) - set(self.types))
+        if unknown:
+            raise self.error(f"unknown {self.what} keys: {', '.join(unknown)}")
+        obj = self.cls(**raw)
+        for f in fields(self.cls):
+            allowed, value = self.types[f.name], getattr(obj, f.name)
+            # bool is an int subclass: it passes only where the annotation names bool
+            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+                raise self.error(f"{self.what} key {f.name!r} must be {f.type}, got {value!r}")
+        return obj
 
 
 def write_atomic(path: str, data: str | bytes | bytearray) -> None:

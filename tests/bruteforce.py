@@ -3,13 +3,16 @@
 The first group is deliberately written as plain python loops over numpy
 rows, independent of the library's batched tensor code paths.  The second
 group adds the primitive tape ops that only the oracles use, and the third
-rebuilds the fused layers from primitive tape ops, as bitwise oracles.  The
-last is the whole-split eval, the bitwise oracle of the chunked one.
+rebuilds the fused layers from primitive tape ops, as bitwise oracles.  Then
+comes the whole-split eval, the bitwise oracle of the chunked one, and last
+the frozen prompt features that manual-prompt runs load from a file.
 """
 
 import numpy as np
 
+from xrhead.attention import TAU
 from xrhead.errors import ShapeMismatchError
+from xrhead.harness import LOSS_TEMPERATURE, class_name_embeddings
 from xrhead.numerics import (
     Tensor,
     add,
@@ -228,10 +231,10 @@ def composed_attention(attn, tokens, training: bool):
     picked = reshape(gather_cols(weights, np.arange(s)), (b, n, s))
     projected = composed_affine(flat, attn.proj.weight.tensor, attn.proj.bias.tensor)
     pooled = bmm(transpose(picked), reshape(projected, (b, n, f)))
-    # rescale each image's block to Frobenius norm `scale`
+    # rescale each image's block to Frobenius norm TAU
     squares = reshape(mul(pooled, pooled), (b, s * f))
     total = sum_axis(squares, 1, keepdims=True)
-    factor = div(constant(attn.scale), power(total, 0.5))
+    factor = div(constant(TAU), power(total, 0.5))
     parts = mul(pooled, reshape(factor, (b, 1, 1)))
     return parts, reshape(weights, (b, n, s + 1))
 
@@ -292,7 +295,7 @@ def composed_model_loss(model, feats, labels, training: bool = True):
         t = reshape(feats_t, (bank.num_classes, bank.num_parts, feats_t.values.shape[1]))
     w = t.values.shape[0]
     if not isinstance(head, CrmHead):  # PWCS, and ALIGN as PWCS at one part
-        return cross_entropy(composed_pwcs(v, t) * model.config.cosine_loss_scale, labels)
+        return cross_entropy(composed_pwcs(v, t) * LOSS_TEMPERATURE, labels)
     flat = relation_batch(v, t)
     if head.kind == HeadKind.CRM_FULL:
         return cross_entropy(composed_mlp(head.clf, flat, training), labels)
@@ -319,3 +322,18 @@ def whole_split_eval(model, patches, chunk: int = 256):
             logits.append(model.head.logits(v, prompts, training=False).values)
             weights.append(w.values)
     return np.concatenate(logits, axis=0), np.concatenate(weights, axis=0)
+
+
+# --- frozen prompt features ------------------------------------------------------------
+
+
+def manual_prompt_features(config, class_embeddings: np.ndarray) -> np.ndarray:
+    """Frozen (classes, parts, feat_dim) features: the class-name encoding per part."""
+    names = class_name_embeddings(config, class_embeddings)
+    return np.repeat(names[:, None, :], config.num_parts, axis=1)
+
+
+def random_prompt_features(config, num_classes: int, seed: int = 0) -> np.ndarray:
+    """Frozen standard-normal (classes, parts, feat_dim) features, for robustness runs."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(0.0, 1.0, size=(num_classes, config.num_parts, config.feat_dim))

@@ -24,7 +24,6 @@ from xrhead.harness import (
     analyze_embeddings,
     build_model,
     compare_heads,
-    random_prompt_features,
     sweep_parts,
     train,
 )
@@ -270,7 +269,8 @@ def test_manual_prompt_robustness(
     cross_comparison, cross_config, cross_dataset, tmp_path_factory
 ):
     """Freezing prompts at random features hurts the cosine head more."""
-    feats = random_prompt_features(cross_config, cross_dataset.spec.num_classes, seed=99)
+    num_classes = cross_dataset.spec.num_classes
+    feats = bruteforce.random_prompt_features(cross_config, num_classes, seed=99)
     path = str(tmp_path_factory.mktemp("manual") / "random_prompts.xrvf")
     save_features(path, feats)
 
@@ -281,7 +281,6 @@ def test_manual_prompt_robustness(
             cfg = replace(
                 cross_config,
                 head=kind,
-                prompt_mode="manual",
                 prompt_file=path,
                 seed_model=cross_config.seed_model + i,
                 seed_data=cross_config.seed_data + i,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from xrhead.attention import PartAttention
+from xrhead.attention import TAU, PartAttention
 from xrhead.errors import ConfigError, DegenerateInputError, ShapeMismatchError
 from xrhead.numerics import Parameter, Tensor, constant, finite_diff_check, tsum
 
@@ -22,14 +22,14 @@ def test_output_shapes_and_row_sums():
 
 
 def test_frobenius_norm_pinned_to_scale():
-    attn = PartAttention(feat_dim=8, num_parts=4, seed=1, scale=64.0)
+    attn = PartAttention(feat_dim=8, num_parts=4, seed=1)
     parts, _ = attn.forward(constant(make_tokens(seed=1)), training=True)
     norms = np.sqrt((parts.values**2).sum(axis=(1, 2)))
-    np.testing.assert_allclose(norms, 64.0, atol=1e-6)
+    np.testing.assert_allclose(norms, TAU, atol=1e-6)
     # eval mode too
     parts, _ = attn.forward(constant(make_tokens(seed=2)), training=False)
     norms = np.sqrt((parts.values**2).sum(axis=(1, 2)))
-    np.testing.assert_allclose(norms, 64.0, atol=1e-6)
+    np.testing.assert_allclose(norms, TAU, atol=1e-6)
 
 
 def test_token_permutation_equivariance():
@@ -64,8 +64,6 @@ def test_degenerate_tokens_rejected():
 def test_validation():
     with pytest.raises(ConfigError):
         PartAttention(feat_dim=8, num_parts=0, seed=0)
-    with pytest.raises(ConfigError):
-        PartAttention(feat_dim=8, num_parts=2, seed=0, scale=0.0)
     attn = PartAttention(feat_dim=8, num_parts=2, seed=0)
     with pytest.raises(ShapeMismatchError):
         attn.forward(constant(np.zeros((2, 5, 7))), training=True)

@@ -79,3 +79,28 @@ def test_summary_voids_a_gain_when_the_change_fails():
     assert not bench_pairs.summarize(pairs, METRICS)["train_s"]["gain_claimable"]
     pairs[1]["parent"]["failed"] = 1  # as many failures on both sides: no longer voided
     assert bench_pairs.summarize(pairs, METRICS)["train_s"]["gain_claimable"]
+
+
+def test_summary_flags_a_median_worse_than_the_bound():
+    # the bound is 0.25 of the parent's median for both metrics
+    def summary(train_s: float, rate: float) -> dict:
+        pairs = [pair({"train_s": 4.0, "rate": 2.0}, {"train_s": train_s, "rate": rate})
+                 for _ in range(10)]
+        return bench_pairs.summarize(pairs, METRICS)
+
+    s = summary(5.2, 1.4)  # 30% slower, 30% lower rate
+    assert s["train_s"]["regressed"] and s["rate"]["regressed"]
+    assert not s["train_s"]["gain_claimable"]
+    s = summary(4.8, 1.6)  # 20% worse on both: inside the bound
+    assert not s["train_s"]["regressed"] and not s["rate"]["regressed"]
+    s = summary(2.0, 4.0)  # much better on both
+    assert not s["train_s"]["regressed"] and not s["rate"]["regressed"]
+    assert s["train_s"]["gain_claimable"] and s["rate"]["gain_claimable"]
+
+
+def test_print_summary_marks_a_regression(capsys):
+    pairs = [pair({"train_s": 4.0, "rate": 2.0}, {"train_s": 5.2, "rate": 2.0}) for _ in range(10)]
+    bench_pairs.print_summary("w", bench_pairs.summarize(pairs, METRICS))
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[1:]] == ["train_s", "rate"]
+    assert lines[1].endswith("(REGRESSED)") and "REGRESSED" not in lines[2]

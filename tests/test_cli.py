@@ -63,6 +63,23 @@ def test_gen_data_bad_spec_exits_nonzero(tmp_path, capsys):
     assert not (tmp_path / "d.xrvd").exists()
 
 
+def test_wrong_json_type_in_a_spec_is_one_error_line(tmp_path, capsys):
+    # a float count used to leak numpy's TypeError traceback
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"num_classes": 20.0}))
+    code = main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d.xrvd")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "'num_classes' must be int" in err
+    assert not (tmp_path / "d.xrvd").exists()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(TINY_CFG, data_spec={"num_classes": 20.0})))
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe"], ids=["bad_json", "bad_utf8"])
 def test_gen_data_unreadable_spec_exits_nonzero(tmp_path, capsys, content):
     spec_path = tmp_path / "spec.json"

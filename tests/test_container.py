@@ -52,7 +52,7 @@ def written() -> Writer:
 
 def test_writer_bytes_match_struct_oracle(tmp_path):
     w = written()
-    assert w.bytes() == oracle_bytes()
+    assert bytes(w.buf) == oracle_bytes()
     path = tmp_path / "x.bin"
     w.save(str(path))
     assert path.read_bytes() == oracle_bytes()

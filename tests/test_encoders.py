@@ -141,6 +141,6 @@ def test_feature_file_rejects_non_finite(tmp_path):
     w.array(np.array([np.inf], dtype=np.float32), np.dtype("<f4"))
     w.metadata({})
     with open(path, "wb") as f:
-        f.write(w.bytes())
+        f.write(bytes(w.buf))
     with pytest.raises(FormatError):
         load_features(path)

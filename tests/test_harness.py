@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 import bruteforce
-from xrhead.attention import PartAttention
-from xrhead.data import SyntheticSpec, generate
+from xrhead.attention import TAU, PartAttention
+from xrhead.data import SyntheticSpec, few_shot_split, generate
 from xrhead.encoders import FrozenImageEncoder, save_features
 from xrhead.errors import ConfigError, DataError, FormatError, NumericError
-from xrhead import harness
+from xrhead import data as data_mod, harness, report as rpt
 from xrhead.harness import (
     ComparisonResult,
     Model,
@@ -34,11 +34,9 @@ from xrhead.harness import (
     evaluate,
     export_attention,
     load_model,
-    manual_prompt_features,
     mutual_information,
     predict_logits,
     project_2d,
-    random_prompt_features,
     save_model,
     sweep_parts,
     train,
@@ -87,14 +85,22 @@ def test_config_defaults_match_protocol():
     assert cfg.weight_decay == 1e-4
     assert cfg.num_parts == 4
     assert cfg.ctx_len == 16
-    assert cfg.scale == 64.0
     assert cfg.shots == 16
+    # tau, the loss temperature and the encoder seed are constants, not settings
+    assert TAU == 64.0
+    assert harness.LOSS_TEMPERATURE == 64.0
+    assert harness.ENCODER_SEED == 7
 
 
 def test_every_config_field_has_a_json_type():
-    assert set(harness._FIELD_JSON_TYPES) == {f.name for f in fields(TrainConfig)}
+    for codec, cls in (
+        (harness._CONFIG_FIELDS, TrainConfig),
+        (data_mod._SPEC_FIELDS, SyntheticSpec),
+    ):
+        assert codec.cls is cls
+        assert set(codec.types) == {f.name for f in fields(cls)}
     with pytest.raises(TypeError, match="no JSON type"):
-        harness._json_types("list[int] | None")
+        rpt._json_types("list[int] | None")
 
 
 def test_config_rejects_unknown_keys():
@@ -104,6 +110,10 @@ def test_config_rejects_unknown_keys():
         ("squared_denominator", False),
         ("normalize_prompts", False),
         ("proj_dim", 64),
+        ("scale", 64.0),
+        ("cosine_loss_scale", 64.0),
+        ("encoder_seed", 7),
+        ("prompt_mode", "learned"),
     ):
         with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
             TrainConfig.from_dict({key: value})
@@ -125,7 +135,7 @@ def test_readme_config_table_names_every_field():
         {"head": "NOT_A_HEAD"},
         {"num_parts": 0},
         {"ctx_len": 0},
-        {"scale": 0.0},
+        {"feat_dim": 0},
         {"epochs": 0},
         {"lr0": 0.0},
         {"weight_decay": -1.0},
@@ -133,9 +143,9 @@ def test_readme_config_table_names_every_field():
         {"batch_size": 1},
         {"shots": 0},
         {"seed_model": -1},
-        {"cosine_loss_scale": 0.0},
-        {"prompt_mode": "handwritten"},
-        {"prompt_mode": "manual"},
+        {"seed_data": -1},
+        {"word_dim": 0},
+        {"head_hidden": 0},
         {"data_spec": {"num_classes": 4}, "data_file": "x.xrvd"},
         {"data_spec": {"num_classes": 1}},
         {"head": "ALIGN"},  # ALIGN is PWCS at one part, as build_head insists
@@ -197,7 +207,7 @@ def test_word_dim_mismatch_rejected(tiny_dataset):
 def test_manual_mode_loads_and_validates_features(tmp_path, tiny_dataset):
     good = tmp_path / "ok.xrvf"
     save_features(str(good), np.zeros((6, 4, 32)) + 0.5)
-    model = build_model(tiny_config(prompt_mode="manual", prompt_file=str(good)), tiny_dataset)
+    model = build_model(tiny_config(prompt_file=str(good)), tiny_dataset)
     assert model.bank is None
     feats = model.prompt_features()
     assert feats.values.shape == (6, 4, 32)
@@ -206,7 +216,7 @@ def test_manual_mode_loads_and_validates_features(tmp_path, tiny_dataset):
     bad = tmp_path / "bad.xrvf"
     save_features(str(bad), np.ones((6, 3, 32)))
     with pytest.raises(ConfigError, match="manual prompt features"):
-        build_model(tiny_config(prompt_mode="manual", prompt_file=str(bad)), tiny_dataset)
+        build_model(tiny_config(prompt_file=str(bad)), tiny_dataset)
 
 
 def test_shared_modules_identically_seeded_across_heads(tiny_dataset):
@@ -231,6 +241,26 @@ def test_train_is_deterministic(tiny_dataset):
     assert report1.epoch_losses == report2.epoch_losses
     for p1, p2 in zip(model1.params(), model2.params()):
         np.testing.assert_array_equal(p1.tensor.values, p2.tensor.values)
+
+
+def test_train_encodes_each_training_image_once(tiny_dataset, monkeypatch):
+    cfg = tiny_config()
+    _, plain = train(cfg, tiny_dataset)
+    encode = FrozenImageEncoder.encode
+    rows = []
+
+    def counted(self, patches):
+        rows.append(len(patches))
+        return encode(self, patches)
+
+    monkeypatch.setattr(FrozenImageEncoder, "encode", counted)
+    model, report = train(cfg, tiny_dataset)
+    # the 24-image split once, for the steps and its accuracy; then the 48 test images
+    assert rows == [24, 48]
+    monkeypatch.undo()
+    assert report == plain
+    patches, labels, _ = few_shot_split(tiny_dataset, cfg.shots, cfg.seed_data)
+    assert report.train_accuracy == evaluate(model, patches, labels)
 
 
 # epoch_losses of tiny_config() per head kind, as float.hex.  Work the engine
@@ -629,12 +659,12 @@ def test_class_name_embeddings_deterministic(tiny_dataset):
     b = class_name_embeddings(cfg, tiny_dataset.class_embeddings)
     np.testing.assert_array_equal(a, b)
     assert a.shape == (6, cfg.feat_dim)
-    manual = manual_prompt_features(cfg, tiny_dataset.class_embeddings)
+    manual = bruteforce.manual_prompt_features(cfg, tiny_dataset.class_embeddings)
     assert manual.shape == (6, cfg.num_parts, cfg.feat_dim)
     np.testing.assert_array_equal(manual[:, 0], a)
-    rand = random_prompt_features(cfg, 6, seed=1)
+    rand = bruteforce.random_prompt_features(cfg, 6, seed=1)
     assert rand.shape == (6, cfg.num_parts, cfg.feat_dim)
-    np.testing.assert_array_equal(rand, random_prompt_features(cfg, 6, seed=1))
+    np.testing.assert_array_equal(rand, bruteforce.random_prompt_features(cfg, 6, seed=1))
 
 
 # --- attention export -----------------------------------------------------------------------
@@ -805,7 +835,7 @@ def _rewrite_params(path, edit_meta=None, edit_arrays=None):
     for name, values in arrays.items():
         w.tagged_array(name, values, np.int64 if values.dtype.kind == "i" else np.float64)
     w.metadata(meta)
-    path.write_bytes(w.bytes())
+    path.write_bytes(bytes(w.buf))
 
 
 @pytest.mark.parametrize("kind", HEAD_KINDS)
@@ -834,8 +864,8 @@ def test_load_model_refuses_integer_parameters(tmp_path, tiny_dataset):
 
 
 def test_load_model_refuses_other_encoders(tmp_path, tiny_dataset):
-    # the frozen encoders are rebuilt from patch_dim and encoder_seed; their
-    # checksums in the params file catch an edit to either
+    # the frozen encoders are rebuilt from patch_dim and the config's shapes;
+    # their checksums in the params file catch an edit to either
     model, _ = train(tiny_config(), tiny_dataset)
     out = tmp_path / "model"
     save_model(str(out), model)
@@ -853,7 +883,7 @@ def test_load_model_refuses_other_encoders(tmp_path, tiny_dataset):
 
     params.write_bytes(saved)
     config = json.loads((out / "config.json").read_text())
-    config["encoder_seed"] += 1
+    config["ctx_len"] += 1  # more text-encoder positions
     (out / "config.json").write_text(json.dumps(config))
     with pytest.raises(DataError, match="frozen"):
         load_model(str(out))
@@ -862,10 +892,13 @@ def test_load_model_refuses_other_encoders(tmp_path, tiny_dataset):
 def test_load_model_refuses_removed_config_keys(tmp_path, tiny_dataset):
     save_model(str(tmp_path), build_model(tiny_config(), tiny_dataset))
     config = json.loads((tmp_path / "config.json").read_text())
-    config.update(proj_dim=None, squared_denominator=False, normalize_prompts=False)
-    (tmp_path / "config.json").write_text(json.dumps(config))
-    with pytest.raises(FormatError, match="unknown config keys"):
-        load_model(str(tmp_path))
+    for removed in (
+        dict(proj_dim=None, squared_denominator=False, normalize_prompts=False),
+        dict(scale=64.0, cosine_loss_scale=64.0, encoder_seed=7, prompt_mode="learned"),
+    ):
+        (tmp_path / "config.json").write_text(json.dumps({**config, **removed}))
+        with pytest.raises(FormatError, match="unknown config keys"):
+            load_model(str(tmp_path))
 
 
 def test_load_model_refuses_malformed_batch_norm_state(tmp_path, tiny_dataset):
@@ -905,8 +938,8 @@ def test_save_load_mlps_model(tmp_path, tiny_dataset):
 
 def test_save_load_manual_mode(tmp_path, tiny_dataset):
     feat_path = tmp_path / "manual.xrvf"
-    save_features(str(feat_path), random_prompt_features(tiny_config(), 6, seed=5))
-    cfg = tiny_config(prompt_mode="manual", prompt_file=str(feat_path))
+    save_features(str(feat_path), bruteforce.random_prompt_features(tiny_config(), 6, seed=5))
+    cfg = tiny_config(prompt_file=str(feat_path))
     model, _ = train(cfg, tiny_dataset)
     out = tmp_path / "model"
     save_model(str(out), model)

@@ -119,7 +119,7 @@ def container_bytes(names=("ints", "floats")) -> bytes:
     )
     w.array(np.ones((2, 2)), np.float32)
     w.metadata({"a": [1, 2], "b": "x"})
-    return w.bytes()
+    return bytes(w.buf)
 
 
 def read_container(data: bytes) -> dict:
@@ -203,7 +203,7 @@ def dataset_container(arrays, meta) -> bytes:
         [(name, v, np.int64 if v.dtype.kind == "i" else np.float64) for name, v in arrays]
     )
     w.metadata(meta)
-    return w.bytes()
+    return bytes(w.buf)
 
 
 def good_metadata(ds) -> dict:
@@ -215,6 +215,28 @@ def test_dataset_with_metadata_round_trips(dataset, workdir):
     raw = dataset_container(dataset_arrays(ds), good_metadata(ds))
     path = write(os.path.join(workdir, "meta.xrvd"), raw)
     np.testing.assert_array_equal(load_dataset(path).test_patches, ds.test_patches)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        ({"train_per_class": 3.0}, "'train_per_class' must be int"),
+        ({"cross_structure": 0}, "'cross_structure' must be bool"),
+        ({"anchor_scale": 1.0}, "unknown dataset spec keys: anchor_scale"),
+        ({"pattern_scale": 1.0}, "unknown dataset spec keys: pattern_scale"),
+        ({"offset_scale": 0.25}, "unknown dataset spec keys: offset_scale"),
+    ],
+    ids=["float_in_int", "int_in_bool", "anchor_scale", "pattern_scale", "offset_scale"],
+)
+def test_dataset_reader_refuses_a_spec_of_wrong_types_or_removed_keys(
+    edit, match, dataset, workdir
+):
+    # a float count used to load and only fail later, inside few_shot_split
+    ds, _ = dataset
+    meta = {**good_metadata(ds), "spec": {**SMALL_SPEC, **edit}}
+    path = write(os.path.join(workdir, "spec.xrvd"), dataset_container(dataset_arrays(ds), meta))
+    with pytest.raises(FormatError, match=match):
+        load_dataset(path)
 
 
 def test_dataset_reader_refuses_duplicate_array(dataset, workdir):
@@ -337,7 +359,7 @@ def test_model_reader_refuses_wrong_metadata(data, model_dir, workdir):
     w.named_arrays([(name, values, np.float64) for name, values in arrays.items()])
     w.metadata(data.draw(mutated_dict(meta)))
     dst = os.path.join(workdir, "meta-model")
-    damaged_copy(model_dir, dst, "params.xrvp", w.bytes())
+    damaged_copy(model_dir, dst, "params.xrvp", bytes(w.buf))
     with open(os.path.join(model_dir, "config.json"), encoding="utf-8") as f:
         config = json.load(f)
     if data.draw(st.booleans()):
@@ -369,6 +391,6 @@ def test_model_reader_refuses_duplicate_array(model_dir, workdir):
     w = Writer(MODEL_MAGIC, MODEL_VERSION)
     w.named_arrays([(name, values, np.float64) for name, values in arrays + arrays[:1]])
     w.metadata(meta)
-    dst = damaged_copy(model_dir, os.path.join(workdir, "dup-model"), "params.xrvp", w.bytes())
+    dst = damaged_copy(model_dir, os.path.join(workdir, "dup-model"), "params.xrvp", bytes(w.buf))
     with pytest.raises(FormatError, match="appears twice"):
         load_model(os.path.dirname(dst))

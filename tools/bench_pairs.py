@@ -9,7 +9,9 @@ For every workload and seed, perfbench/run.py runs once in each checkout,
 one run after the other; the parent runs first for even pair indices and
 the change runs first for odd ones.  For each end-to-end metric that the
 change's BENCHMARK.json names, the script prints each side's median and
-quartiles and the number of pairs in which the change reads better, and
+quartiles, the number of pairs in which the change reads better, and
+"(REGRESSED)" when the change's median is worse than the parent's by more
+than the metric's bound, a fraction of the parent's median; it also
 writes every run (metrics, the run's wall and CPU time, seed, run order,
 and perfbench's environment line) to the --out JSON file.
 """
@@ -79,11 +81,15 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: each side's quartiles, the change's wins and ties, and whether
-    a gain would be claimable: every change run correct, no more failed
+    """Per metric: each side's quartiles, the change's wins and ties, whether
+    a gain would be claimable and whether the change regressed.
+
+    A gain is claimable with every change run correct, no more failed
     operations on the change's side than on the parent's, wins in 9 of 10
     pairs run (a pair missing the metric is no win) and a median difference
-    beyond the parent's quartile distance."""
+    beyond the parent's quartile distance.  The change regressed when its
+    median is worse than the parent's by more than the metric's bound, a
+    fraction of the parent's median."""
     failed = {s: sum(p[s]["failed"] for p in pairs) for s in SIDES}
     sound = all(p["change"]["correct"] for p in pairs) and failed["change"] <= failed["parent"]
     out = {}
@@ -100,7 +106,7 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             wins += (b < a) if lower else (b > a)
         gap = side["change"]["median"] - side["parent"]["median"]
         spread = side["parent"]["q3"] - side["parent"]["q1"]
-        improved = gap < 0 if lower else gap > 0
+        worse_by = gap if lower else -gap
         out[name] = {
             "unit": m["unit"],
             "better": m["better"],
@@ -112,7 +118,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "pairs": len(pairs),
             "change_wins": wins,
             "ties": ties,
-            "gain_claimable": sound and improved and wins >= 0.9 * len(pairs) and abs(gap) > spread,
+            "gain_claimable": sound and worse_by < 0 and wins >= 0.9 * len(pairs) and -worse_by > spread,
+            "regressed": worse_by > m["bound"] * abs(side["parent"]["median"]),
         }
     return out
 
@@ -124,7 +131,8 @@ def print_summary(workload: str, summary: dict) -> None:
         ratio = f"{s['ratio']:.3f}x" if s["ratio"] is not None else "-"
         print(f"  {name:<18} {p['median']:>10.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
               f"{c['median']:>10.4g} [{c['q1']:.4g}, {c['q3']:.4g}] {s['unit']:<9} {ratio:>7}  "
-              f"{s['change_wins']}/{s['pairs']}{' (gain)' if s['gain_claimable'] else ''}")
+              f"{s['change_wins']}/{s['pairs']}{' (gain)' if s['gain_claimable'] else ''}"
+              f"{' (REGRESSED)' if s['regressed'] else ''}")
 
 
 def main(argv=None) -> int:
