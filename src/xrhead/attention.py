@@ -56,6 +56,8 @@ class PartAttention:
         flat = tokens.values.reshape(b * n, f)
         normed, bn_backward = self.bn.normalize(flat, training, record, need_x)
         weights = normed @ ws.values
+        if not record:
+            normed = None  # only the backward reads it: free it before the projection
         weights += bs.values
         active = weights > 0.0 if record else None  # relu subgradient 0 at the kink
         np.maximum(weights, 0.0, out=weights)

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -321,11 +322,7 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunReport":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(f"unknown report keys: {', '.join(unknown)}")
-        return cls(**raw)
+        return _REPORT_FIELDS.from_dict(raw)
 
     def to_json(self) -> str:
         return rpt.json_text(self.to_dict())
@@ -335,14 +332,20 @@ class RunReport:
         return cls.from_dict(json.loads(text))
 
 
+_REPORT_FIELDS = rpt.JsonFields(RunReport, ConfigError, "report")
+
+
 def _eval_chunks(model: Model, patches: np.ndarray, chunk: int, encoded: bool = False):
     """Eval-mode (first row, logits, attention weights) per chunk of raw patches,
-    or of token features when they are already `encoded`.
+    or of token features when they are already `encoded`, in chunk order.
 
     Each chunk of raw patches is converted to float64, encoded and attended
-    on its own, so eval holds one chunk of token features at a time.  The
-    encoder works image by image, so the bits equal those of one encode of
-    every patch.
+    on its own, so eval holds at most two chunks of token features at a
+    time.  The encoder works image by image, so the bits equal those of one
+    encode of every patch.  With two or more chunks and two or more usable
+    CPUs, the calling thread and one helper thread share the chunks (see
+    _shared_in_order); a chunk's bits do not depend on the thread that
+    computes it.
     """
     if chunk < 1:
         raise ConfigError(f"need an eval chunk >= 1, got {chunk}")
@@ -352,14 +355,95 @@ def _eval_chunks(model: Model, patches: np.ndarray, chunk: int, encoded: bool = 
     with no_grad():
         # eval mode: the prompt features are the same for every chunk
         prompts = model.prompt_features()
-    for start in range(0, patches.shape[0], chunk):
+
+    def compute(start: int) -> tuple[np.ndarray, np.ndarray]:
         feats = patches[start : start + chunk]
         if not encoded:
             feats = model.image_encoder.encode(feats)
-        with no_grad():  # never across the yield: the caller's code runs there
+        with no_grad():  # grad mode is per thread: set in whichever thread computes the chunk
             v, weights = model.attention.forward(constant(feats), training=False)
             logits = model.head.logits(v, prompts, training=False)
-        yield start, logits.values, weights.values
+        return logits.values, weights.values
+
+    starts = range(0, patches.shape[0], chunk)
+    if len(starts) < 2 or len(os.sched_getaffinity(0)) < 2:
+        results = map(compute, starts)
+    else:
+        results = _shared_in_order(compute, starts)
+    for start, (logits, weights) in zip(starts, results):
+        yield start, logits, weights
+
+
+def _shared_in_order(compute, items):
+    """Yield compute(item) for each item in order, computed by the calling
+    thread and one helper thread.
+
+    Both threads take the next index from a shared counter, and neither
+    takes an index more than one past the result being yielded, so at most
+    two computations run at once and at most two results wait.  An error
+    raised by compute, in either thread, is raised here when its result
+    comes due.  The helper is joined however the generator ends: exhausted,
+    on an error, or closed early.
+    """
+    n = len(items)
+    cond = threading.Condition()
+    done = {}  # index -> (result, error)
+    taken = due = 0  # the next index to take; the index of the next result to yield
+    stopped = False
+
+    def take():
+        """The next index this thread may compute, or None; call with cond held."""
+        nonlocal taken
+        if stopped or taken >= n or taken > due + 1:
+            return None
+        taken += 1
+        return taken - 1
+
+    def run(i: int) -> None:
+        nonlocal stopped
+        try:
+            outcome = (compute(items[i]), None)
+        except BaseException as e:  # raised again in the caller when index i comes due
+            outcome = (None, e)
+        with cond:
+            done[i] = outcome
+            # every index below i is taken already, and none above it is needed
+            stopped = stopped or outcome[1] is not None
+            cond.notify_all()
+
+    def helper():
+        while True:
+            with cond:
+                while (mine := take()) is None:
+                    if stopped or taken >= n:
+                        return
+                    cond.wait()
+            run(mine)
+
+    thread = threading.Thread(target=helper, name="xrhead-eval-helper", daemon=True)
+    thread.start()
+    try:
+        for i in range(n):
+            with cond:
+                due = i
+                cond.notify_all()  # the helper may now take index i + 1
+            while True:
+                with cond:
+                    while i not in done and (mine := take()) is None:
+                        cond.wait()
+                    outcome = done.pop(i, None)
+                if outcome is not None:
+                    break
+                run(mine)
+            result, error = outcome
+            if error is not None:
+                raise error
+            yield result
+    finally:
+        with cond:
+            stopped = True
+            cond.notify_all()
+        thread.join()
 
 
 def _logits(model: Model, patches: np.ndarray, chunk: int, encoded: bool) -> np.ndarray:
@@ -859,8 +943,7 @@ def load_model(dir_path: str) -> tuple[Model, RunReport | None]:
     report_path = os.path.join(dir_path, REPORT_FILE)
     if os.path.exists(report_path):
         try:
-            with open(report_path, encoding="utf-8") as f:
-                report = RunReport.from_json(f.read())
-        except (ValueError, TypeError, ConfigError) as e:  # bad UTF-8 or JSON, wrong keys
+            report = RunReport.from_dict(rpt.read_json_object(report_path, "report"))
+        except (TypeError, ConfigError) as e:  # bad UTF-8 or JSON, missing or wrong keys or types
             raise FormatError(f"model report is invalid: {e}") from e
     return model, report

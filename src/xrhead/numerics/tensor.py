@@ -13,24 +13,34 @@ optimizer mutates parameter values in place only between tapes.
 from __future__ import annotations
 
 import contextlib
+import threading
 
 import numpy as np
 
 from ..errors import DegenerateInputError, NumericError, ShapeMismatchError
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    """Whether ops record a tape, per thread; every thread starts with it on."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording inside the block (forward values only)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable tape recording inside the block (forward values only).
+
+    The mode belongs to the calling thread: another thread's ops still record.
+    """
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
 
 
 class Tensor:
@@ -40,7 +50,7 @@ class Tensor:
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
-        self.requires_grad = bool(requires_grad) and _grad_enabled
+        self.requires_grad = bool(requires_grad) and _grad_mode.enabled
         self.grad = np.zeros_like(self.values) if self.requires_grad else None
         self._parents = ()
         self._bw = None
@@ -70,7 +80,7 @@ def recording(parents) -> bool:
 
     Fused ops ask this before they keep anything for their backward.
     """
-    return _grad_enabled and any(p.requires_grad for p in parents)
+    return _grad_mode.enabled and any(p.requires_grad for p in parents)
 
 
 def from_op(values: np.ndarray, parents, bw) -> Tensor:

@@ -48,19 +48,33 @@ def read_json_object(path: str, what: str) -> dict:
     return raw
 
 
-# the JSON value types a dataclass field accepts per annotation name
+def _one_of(*types):
+    """A check for a JSON value of one of `types`.
+
+    bool is an int subclass: it passes only where `types` names bool.
+    """
+    return lambda v: isinstance(v, types) and (bool in types or not isinstance(v, bool))
+
+
+def _list_of(check):
+    return lambda v: isinstance(v, list) and all(check(x) for x in v)
+
+
+# the check of a JSON value per annotation name of a dataclass field
 _JSON_TYPES = {
-    "int": int,
-    "float": (int, float),
-    "bool": bool,
-    "str": str,
-    "dict": dict,
-    "None": type(None),
+    "int": _one_of(int),
+    "float": _one_of(int, float),
+    "bool": _one_of(bool),
+    "str": _one_of(str),
+    "dict": _one_of(dict),
+    "None": _one_of(type(None)),
 }
+_JSON_TYPES["list[float]"] = _list_of(_JSON_TYPES["float"])
+_JSON_TYPES["list[str]"] = _list_of(_JSON_TYPES["str"])
 
 
 def _json_types(annotation: str) -> tuple:
-    """The JSON value types a field annotated e.g. 'int | None' accepts."""
+    """The checks of the JSON values a field annotated e.g. 'int | None' accepts."""
     names = [t.strip() for t in annotation.split("|")]
     unmapped = [t for t in names if t not in _JSON_TYPES]
     if unmapped:
@@ -72,9 +86,10 @@ class JsonFields:
     """Builds a dataclass from a JSON object whose keys name its fields.
 
     Unknown keys and values of the wrong JSON type raise `error`, the
-    caller's own error class.  The accepted types come from the field
-    annotations when the JsonFields is made, at the caller's import, so a
-    field without a JSON type fails there and not on load.
+    caller's own error class; a list's elements are checked too.  The
+    accepted types come from the field annotations when the JsonFields is
+    made, at the caller's import, so a field without a JSON type fails
+    there and not on load.
     """
 
     def __init__(self, cls: type, error: type[Exception], what: str):
@@ -87,9 +102,8 @@ class JsonFields:
             raise self.error(f"unknown {self.what} keys: {', '.join(unknown)}")
         obj = self.cls(**raw)
         for f in fields(self.cls):
-            allowed, value = self.types[f.name], getattr(obj, f.name)
-            # bool is an int subclass: it passes only where the annotation names bool
-            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+            value = getattr(obj, f.name)
+            if not any(check(value) for check in self.types[f.name]):
                 raise self.error(f"{self.what} key {f.name!r} must be {f.type}, got {value!r}")
         return obj
 

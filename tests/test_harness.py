@@ -1,5 +1,6 @@
 """Config handling, model assembly, training, comparisons, analyses, persistence."""
 
+import contextlib
 import csv
 import io
 import itertools
@@ -8,6 +9,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -18,7 +21,13 @@ import bruteforce
 from xrhead.attention import TAU, PartAttention
 from xrhead.data import SyntheticSpec, few_shot_split, generate
 from xrhead.encoders import FrozenImageEncoder, save_features
-from xrhead.errors import ConfigError, DataError, FormatError, NumericError
+from xrhead.errors import (
+    ConfigError,
+    DataError,
+    DegenerateInputError,
+    FormatError,
+    NumericError,
+)
 from xrhead import data as data_mod, harness, report as rpt
 from xrhead.harness import (
     ComparisonResult,
@@ -415,31 +424,164 @@ def test_eval_encodes_one_chunk_at_a_time(tiny_dataset, monkeypatch):
 
     monkeypatch.setattr(model.image_encoder, "encode", counted)
     predict_logits(model, tiny_dataset.test_patches, chunk=5)
-    assert rows == [5] * 9 + [3]  # 48 test images
+    # two threads may encode the chunks in either order
+    assert sorted(rows) == [3] + [5] * 9  # 48 test images
+
+
+@contextlib.contextmanager
+def one_cpu():
+    """Pin the calling thread to one of its CPUs: eval then starts no helper thread."""
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
+def two_cpus() -> bool:
+    return len(os.sched_getaffinity(0)) >= 2
+
+
+def needs_two_cpus():
+    if not two_cpus():
+        pytest.skip("the shared eval path needs two usable CPUs")
+
+
+def count_shared_passes(monkeypatch) -> list:
+    """Record each eval pass that shares its chunks with a helper thread."""
+    calls = []
+    shared = harness._shared_in_order
+
+    def spy(compute, items):
+        calls.append(len(items))
+        return shared(compute, items)
+
+    monkeypatch.setattr(harness, "_shared_in_order", spy)
+    return calls
 
 
 @pytest.mark.parametrize("kind", HEAD_KINDS)
-def test_chunked_eval_matches_whole_split_oracle(kind, tiny_dataset):
+def test_chunked_eval_matches_whole_split_oracle(kind, tiny_dataset, monkeypatch):
     model, _ = train(tiny_config(head=kind, num_parts=1 if kind == "ALIGN" else 4), tiny_dataset)
     # 288 images: a multiple of neither the default chunk (256) nor 7
     patches = np.concatenate([tiny_dataset.test_patches] * 6)
     part_ids = np.concatenate([tiny_dataset.test_part_ids] * 6)
-    for raw in (patches, patches.astype(np.float32)):
-        for chunk in (256, 7):
-            want, _ = bruteforce.whole_split_eval(model, raw, chunk)
-            assert predict_logits(model, raw, chunk).tobytes() == want.tobytes()
-        want_logits, want_weights = bruteforce.whole_split_eval(model, raw)
-        samples = export_attention(model, raw, part_ids)
-        assert [s["index"] for s in samples] == list(range(raw.shape[0]))
-        assert [s["prediction"] for s in samples] == np.argmax(want_logits, axis=1).tolist()
-        for sample, weights, ids in zip(samples, want_weights, part_ids):
-            assert sample["weights"].tobytes() == weights.tobytes()
-            assert sample["part_ids"].tobytes() == ids.tobytes()
+    shared = count_shared_passes(monkeypatch)
+
+    def check():
+        for raw in (patches, patches.astype(np.float32)):
+            for chunk in (256, 7):
+                want, _ = bruteforce.whole_split_eval(model, raw, chunk)
+                assert predict_logits(model, raw, chunk).tobytes() == want.tobytes()
+            want_logits, want_weights = bruteforce.whole_split_eval(model, raw)
+            samples = export_attention(model, raw, part_ids)
+            assert [s["index"] for s in samples] == list(range(raw.shape[0]))
+            assert [s["prediction"] for s in samples] == np.argmax(want_logits, axis=1).tolist()
+            for sample, weights, ids in zip(samples, want_weights, part_ids):
+                assert sample["weights"].tobytes() == weights.tobytes()
+                assert sample["part_ids"].tobytes() == ids.tobytes()
+
+    with one_cpu():
+        check()
+    assert shared == []
+    check()
+    assert shared == ([2, 42, 2] * 2 if two_cpus() else [])
 
 
-def test_eval_memory_does_not_grow_with_the_split():
-    # the 1,280-image test split of the benchmark's data; a whole-split encode
-    # of 4x that split would hold 3 x 1,280 x 16 x 64 float64 more (31 MB)
+def test_eval_error_in_the_helper_reaches_the_caller(tiny_dataset, monkeypatch):
+    needs_two_cpus()
+    model = build_model(tiny_config(), tiny_dataset)
+    patches = tiny_dataset.test_patches
+    encode = model.image_encoder.encode
+    caller = threading.get_ident()
+    helper_failed = threading.Event()
+    raised = []  # (start of the failed chunk, the error)
+
+    def failing(chunk):
+        if threading.get_ident() == caller:
+            helper_failed.wait(timeout=10)  # let the helper fail on its first chunk
+            return encode(chunk)
+        start = next(s for s in range(0, 48, 5) if np.array_equal(chunk, patches[s : s + 5]))
+        raised.append((start, DegenerateInputError("chunk failed in the helper")))
+        helper_failed.set()
+        raise raised[-1][1]
+
+    monkeypatch.setattr(model.image_encoder, "encode", failing)
+    threads = threading.active_count()
+    for _ in range(3):
+        helper_failed.clear()
+        raised.clear()
+        starts = []
+        with pytest.raises(DegenerateInputError) as info:
+            for start, _, _ in harness._eval_chunks(model, patches, chunk=5):
+                starts.append(start)
+        assert len(raised) == 1 and info.value is raised[0][1]
+        assert starts == list(range(0, raised[0][0], 5))  # the chunks before it come first
+        assert threading.active_count() == threads
+    helper_failed.clear()
+    raised.clear()
+    with pytest.raises(DegenerateInputError) as info:
+        predict_logits(model, patches, chunk=5)
+    assert len(raised) == 1 and info.value is raised[0][1]
+    assert threading.active_count() == threads
+
+
+def test_eval_closed_early_joins_the_helper(tiny_dataset, monkeypatch):
+    needs_two_cpus()
+    model = build_model(tiny_config(), tiny_dataset)
+    shared = count_shared_passes(monkeypatch)
+    threads = threading.active_count()
+    want = predict_logits(model, tiny_dataset.test_patches, chunk=5)
+    for taken in (1, 4):
+        chunks = harness._eval_chunks(model, tiny_dataset.test_patches, chunk=5)
+        for i, (start, logits, _) in zip(range(taken), chunks):
+            assert start == 5 * i
+            assert logits.tobytes() == want[start : start + 5].tobytes()
+        chunks.close()
+        assert threading.active_count() == threads
+    assert shared == [10] * 3
+
+
+def test_shared_eval_runs_at_most_one_chunk_ahead(tiny_dataset, monkeypatch):
+    needs_two_cpus()
+    model = build_model(tiny_config(), tiny_dataset)
+    patches = tiny_dataset.test_patches
+    encode = model.image_encoder.encode
+    started = []  # chunk indices, in the order their encodes began
+
+    def recorded(chunk):
+        started.append(next(i for i in range(16) if np.array_equal(chunk, patches[3 * i : 3 * i + 3])))
+        return encode(chunk)
+
+    monkeypatch.setattr(model.image_encoder, "encode", recorded)
+    for k, (start, _, _) in enumerate(harness._eval_chunks(model, patches, chunk=3)):
+        assert start == 3 * k
+        time.sleep(0.005)  # a slow consumer: an unbounded helper would race ahead here
+        assert max(started) <= k + 1
+    assert sorted(started) == list(range(16))
+
+
+def test_eval_shared_under_thread_switches(tiny_dataset):
+    # one-chunk images and a thread switch every microsecond: any lost
+    # update to the shared counter or the results would move or drop a row
+    needs_two_cpus()
+    model = build_model(tiny_config(), tiny_dataset)
+    patches = tiny_dataset.test_patches
+    with one_cpu():
+        want = predict_logits(model, patches, chunk=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert predict_logits(model, patches, chunk=1).tobytes() == want.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _eval_peaks():
+    """tracemalloc peaks of an eval pass over the benchmark's 1,280-image test
+    split and over 4x that split, and the larger pass's logits."""
     spec = {"cross_structure": True, "seed": 0}
     ds = generate(SyntheticSpec.from_dict(spec))
     model = build_model(TrainConfig(data_spec=spec), ds)
@@ -454,8 +596,25 @@ def test_eval_memory_does_not_grow_with_the_split():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    return peaks, logits
+
+
+def test_eval_memory_does_not_grow_with_the_split():
+    # a whole-split encode of 4x the split would hold 3 x 1,280 x 16 x 64
+    # float64 more (31 MB)
+    with one_cpu():
+        peaks, logits = _eval_peaks()
     # token features are held one chunk at a time: only the logits grow
     assert peaks[1] - peaks[0] <= logits.nbytes
+
+
+def test_shared_eval_memory_does_not_grow_with_the_split():
+    needs_two_cpus()
+    peaks, logits = _eval_peaks()
+    # at most two chunks are computed at once, on both splits; which of
+    # their buffers overlap depends on timing, so allow one chunk's token
+    # features (256 x 16 x 64 float64, 2 MB) on top of the logits
+    assert peaks[1] - peaks[0] <= logits.nbytes + 256 * 16 * 64 * 8
 
 
 def test_untrained_model_near_chance():
@@ -899,6 +1058,31 @@ def test_load_model_refuses_removed_config_keys(tmp_path, tiny_dataset):
         (tmp_path / "config.json").write_text(json.dumps({**config, **removed}))
         with pytest.raises(FormatError, match="unknown config keys"):
             load_model(str(tmp_path))
+
+
+def test_load_model_refuses_report_values_of_the_wrong_type(tmp_path, tiny_dataset):
+    model, report = train(tiny_config(), tiny_dataset)
+    save_model(str(tmp_path), model, report)
+    saved = json.loads((tmp_path / "report.json").read_text())
+    for key, value in (
+        ("train_accuracy", "high"),
+        ("num_train", [1]),
+        ("num_test", True),
+        ("epoch_losses", "none"),
+        ("epoch_losses", [1.0, "nan"]),
+        ("epoch_lrs", None),
+        ("notes", [1]),
+        ("config", []),
+    ):
+        (tmp_path / "report.json").write_text(json.dumps({**saved, key: value}))
+        with pytest.raises(FormatError, match=f"report key '{key}' must be"):
+            load_model(str(tmp_path))
+    for text in ("[]", '{"head": "PWCS"}', "{"):
+        (tmp_path / "report.json").write_text(text)
+        with pytest.raises(FormatError, match="report is invalid"):
+            load_model(str(tmp_path))
+    (tmp_path / "report.json").write_text(json.dumps(saved))
+    assert load_model(str(tmp_path))[1] == report
 
 
 def test_load_model_refuses_malformed_batch_norm_state(tmp_path, tiny_dataset):

@@ -3,6 +3,8 @@
 import ast
 import math
 import pathlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -229,6 +231,81 @@ def test_adjoint_present_iff_leaf_requires_grad():
     backward(tsum(mul(out, out)))
     np.testing.assert_allclose(a.grad, [8.0])  # d(4a^2)/da
     assert out.grad is None and b.grad is None
+
+
+def _records() -> bool:
+    """Whether the calling thread's ops record a tape now."""
+    return leaf([1.0]).requires_grad
+
+
+def _run_threads(*targets):
+    threads = [threading.Thread(target=t) for t in targets]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_grad_mode_is_per_thread():
+    # A holds no_grad while B records and backpropagates a tape.  Then B
+    # opens no_grad inside A's and A closes first: a mode shared by the
+    # threads, saved and restored per block, would stay off after both.
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def thread_a():
+        try:
+            with no_grad():
+                a_in.set()
+                b_in.wait(timeout=10)
+            seen["a_after"] = _records()
+        finally:
+            a_in.set()
+            a_out.set()
+
+    def thread_b():
+        try:
+            a_in.wait(timeout=10)
+            x = leaf([3.0])
+            loss = tsum(mul(x, x))
+            seen["b_recorded"] = loss.requires_grad
+            if loss.requires_grad:
+                backward(loss)
+                seen["b_grad"] = x.grad.tolist()
+            with no_grad():
+                b_in.set()
+                a_out.wait(timeout=10)
+            seen["b_after"] = _records()
+        finally:
+            b_in.set()
+
+    _run_threads(thread_a, thread_b)
+    assert seen == {"b_recorded": True, "b_grad": [6.0], "a_after": True, "b_after": True}
+    assert _records()
+
+
+def test_no_grad_holds_under_thread_switches():
+    # more threads than cores, switched every microsecond; each checks its
+    # own mode inside and outside its blocks
+    results = []
+
+    def work():
+        ok = True
+        for _ in range(300):
+            with no_grad():
+                ok = ok and not _records()
+            ok = ok and _records()
+        results.append(ok)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _run_threads(*[work] * 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [True] * 8
+    assert _records()
 
 
 @pytest.mark.parametrize("op", [add, sub, mul, div, matmul, bmm])

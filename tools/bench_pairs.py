@@ -11,9 +11,14 @@ the change runs first for odd ones.  For each end-to-end metric that the
 change's BENCHMARK.json names, the script prints each side's median and
 quartiles, the number of pairs in which the change reads better, and
 "(REGRESSED)" when the change's median is worse than the parent's by more
-than the metric's bound, a fraction of the parent's median; it also
-writes every run (metrics, the run's wall and CPU time, seed, run order,
-and perfbench's environment line) to the --out JSON file.
+than the metric's bound, a fraction of the parent's median.  It also
+prints, per side, the highest 1-minute load average read before a run
+and the highest share of CPU time stolen by the hypervisor during a run:
+work on the other CPUs, in this machine or, on a shared VM, in other
+guests, slows the runs, so a pair run under load can be named.  Every run
+(metrics, the run's wall and CPU time, the load before it, the steal
+share during it, seed, run order, and perfbench's environment line) goes
+to the --out JSON file.
 """
 
 from __future__ import annotations
@@ -47,13 +52,35 @@ def children_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
+def cpu_ticks() -> tuple[int, int] | None:
+    """(stolen, total) clock ticks of all CPUs since boot, from /proc/stat;
+    None where that cannot be read."""
+    try:
+        with open("/proc/stat", encoding="ascii") as f:
+            ticks = [int(x) for x in f.readline().split()[1:9]]
+    except (OSError, ValueError):
+        return None
+    return (ticks[7], sum(ticks)) if len(ticks) == 8 else None
+
+
+def steal_share(before, after) -> float | None:
+    """The share of CPU time stolen between two cpu_ticks() readings."""
+    if before is None or after is None or after[1] <= before[1]:
+        return None
+    return (after[0] - before[0]) / (after[1] - before[1])
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
-    """One perfbench run: its parsed result, environment line, wall and CPU seconds."""
+    """One perfbench run: its parsed result, environment line, wall and CPU
+    seconds, the 1-minute load average just before it and the share of CPU
+    time stolen during it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
-    cpu0, wall0 = children_cpu_s(), time.perf_counter()
+    load = os.getloadavg()[0]
+    ticks0, cpu0, wall0 = cpu_ticks(), children_cpu_s(), time.perf_counter()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     wall, cpu = time.perf_counter() - wall0, children_cpu_s() - cpu0
+    steal = steal_share(ticks0, cpu_ticks())
     lines = proc.stdout.strip().splitlines()
     env = next((json.loads(line.split(" ", 2)[2]) for line in lines
                 if line.startswith("perfbench environment ")), None)
@@ -71,6 +98,8 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
         "wall_s": wall,
         "cpu_s": cpu,
+        "load_1min": load,
+        "steal_frac": steal,
         "environment": env,
     }
 
@@ -135,6 +164,27 @@ def print_summary(workload: str, summary: dict) -> None:
               f"{' (REGRESSED)' if s['regressed'] else ''}")
 
 
+def highest_loads(pairs: list[dict]) -> dict:
+    """Per side, the highest 1-minute load average read before one of its
+    runs and the highest steal share during one (None if none was read)."""
+    out = {}
+    for s in SIDES:
+        steals = [p[s]["steal_frac"] for p in pairs if p[s]["steal_frac"] is not None]
+        out[s] = {"load_1min": max(p[s]["load_1min"] for p in pairs),
+                  "steal_frac": max(steals) if steals else None}
+    return out
+
+
+def print_loads(loads: dict) -> None:
+    def steal(s):
+        value = loads[s]["steal_frac"]
+        return "-" if value is None else f"{value:.3f}"
+
+    print(f"  highest 1-min load before a run: parent {loads['parent']['load_1min']:.2f}, "
+          f"change {loads['change']['load_1min']:.2f}; highest CPU steal share in a run: "
+          f"parent {steal('parent')}, change {steal('change')}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -165,6 +215,8 @@ def main(argv=None) -> int:
             pairs.append(pair)
         summary = summarize(pairs, metrics)
         print_summary(workload, summary)
+        loads = highest_loads(pairs)
+        print_loads(loads)
         envs = {s: [p[s]["environment"] for p in pairs if p[s]["environment"]] for s in SIDES}
         first = (envs["parent"] + envs["change"] or [{}])[0]
         report["workloads"][workload] = {
@@ -172,6 +224,7 @@ def main(argv=None) -> int:
             "blas_thread_env": first.get("blas_thread_env"),
             "commits": {s: envs[s][0]["commit"] if envs[s] else None for s in SIDES},
             "all_correct": all(p[s]["correct"] for p in pairs for s in SIDES),
+            "highest_loads": loads,
             "summary": summary,
             "pairs": pairs,
         }
