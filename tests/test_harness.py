@@ -563,7 +563,7 @@ def test_shared_eval_runs_at_most_one_chunk_ahead(tiny_dataset, monkeypatch):
 
 
 def test_eval_shared_under_thread_switches(tiny_dataset):
-    # one-chunk images and a thread switch every microsecond: any lost
+    # one-image chunks and a thread switch every microsecond: any lost
     # update to the shared counter or the results would move or drop a row
     needs_two_cpus()
     model = build_model(tiny_config(), tiny_dataset)
