@@ -13,6 +13,7 @@ written into CSV or SVG outputs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -161,6 +162,7 @@ class Model:
         self.manual = manual
         self.attention = attention
         self.head = head
+        self.eval_paths = _EvalPaths()
 
     def params(self) -> list[Parameter]:
         out = []
@@ -335,6 +337,58 @@ class RunReport:
 _REPORT_FIELDS = rpt.JsonFields(RunReport, ConfigError, "report")
 
 
+class _EvalPaths:
+    """Chooses, for one model's eval passes, whether the calling thread
+    shares a pass's chunks with a helper thread, from the measured time of
+    recent passes on each path.
+
+    A second thread pays only while a second CPU is free for it.  BLAS
+    threads, other processes and a host that steals the VM's CPU time can
+    each make a shared pass slower than one thread (a helper preempted while
+    it holds the GIL stalls the caller), and none of them can be read
+    beforehand.  So the passes of each kind (raw patches or encoded
+    features) alternate between the paths, one thread first, until each
+    path has RECENT times.  Later passes are shared while the median time
+    per image of the last RECENT shared passes is below GAIN times that of
+    the last RECENT one-thread passes (a tie is not worth a second thread's
+    CPU time: with BLAS on two threads, a helper only competes with them),
+    and every PROBE-th pass takes the other path, so a change of load is
+    seen.  Bits do not depend on the path.
+    """
+
+    RECENT = 3
+    PROBE = 10
+    GAIN = 0.9
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._times = {}  # (encoded, shared) -> seconds per image of recent passes
+        self._passes = {}  # encoded -> passes chosen
+
+    def choose(self, encoded: bool) -> bool:
+        """Whether the next pass of this kind is shared."""
+        with self._lock:
+            n = self._passes[encoded] = self._passes.get(encoded, 0) + 1
+            solo = self._times.get((encoded, False), [])
+            shared = self._times.get((encoded, True), [])
+            if len(shared) < self.RECENT or len(solo) < self.RECENT:
+                return len(shared) < len(solo)
+            faster = bool(np.median(shared) < self.GAIN * np.median(solo))
+            return faster != (n % self.PROBE == 0)
+
+    def record(self, encoded: bool, shared: bool, seconds_per_image: float) -> None:
+        with self._lock:
+            recent = self._times.setdefault((encoded, shared), [])
+            recent.append(seconds_per_image)
+            del recent[: -self.RECENT]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    return len(affinity(0)) if affinity else 1
+
+
 def _eval_chunks(model: Model, patches: np.ndarray, chunk: int, encoded: bool = False):
     """Eval-mode (first row, logits, attention weights) per chunk of raw patches,
     or of token features when they are already `encoded`, in chunk order.
@@ -342,10 +396,10 @@ def _eval_chunks(model: Model, patches: np.ndarray, chunk: int, encoded: bool = 
     Each chunk of raw patches is converted to float64, encoded and attended
     on its own, so eval holds at most two chunks of token features at a
     time.  The encoder works image by image, so the bits equal those of one
-    encode of every patch.  With two or more chunks and two or more usable
-    CPUs, the calling thread and one helper thread share the chunks (see
-    _shared_in_order); a chunk's bits do not depend on the thread that
-    computes it.
+    encode of every patch.  A split of two or more chunks, with two or more
+    usable CPUs, is either computed on the calling thread or shared with one
+    helper thread (see _shared_in_order), as the model's _EvalPaths choose;
+    a chunk's bits do not depend on the thread that computes it.
     """
     if chunk < 1:
         raise ConfigError(f"need an eval chunk >= 1, got {chunk}")
@@ -366,12 +420,17 @@ def _eval_chunks(model: Model, patches: np.ndarray, chunk: int, encoded: bool = 
         return logits.values, weights.values
 
     starts = range(0, patches.shape[0], chunk)
-    if len(starts) < 2 or len(os.sched_getaffinity(0)) < 2:
-        results = map(compute, starts)
-    else:
-        results = _shared_in_order(compute, starts)
-    for start, (logits, weights) in zip(starts, results):
-        yield start, logits, weights
+    chosen = len(starts) >= 2 and _usable_cpus() >= 2
+    shared = chosen and model.eval_paths.choose(encoded)
+    results = _shared_in_order(compute, starts) if shared else (compute(s) for s in starts)
+    t0 = time.perf_counter()
+    try:
+        for start, (logits, weights) in zip(starts, results):
+            yield start, logits, weights
+    finally:
+        results.close()  # joins the helper, also when the caller stops early or raises
+    if chosen:
+        model.eval_paths.record(encoded, shared, (time.perf_counter() - t0) / patches.shape[0])
 
 
 def _shared_in_order(compute, items):
@@ -448,10 +507,13 @@ def _shared_in_order(compute, items):
 
 def _logits(model: Model, patches: np.ndarray, chunk: int, encoded: bool) -> np.ndarray:
     out = None
-    for start, logits, _ in _eval_chunks(model, patches, chunk, encoded):
-        if out is None:
-            out = np.empty((len(patches), logits.shape[1]))
-        out[start : start + logits.shape[0]] = logits
+    # closed here, not when collected: a traceback that keeps this frame
+    # alive would otherwise keep the eval helper thread waiting
+    with contextlib.closing(_eval_chunks(model, patches, chunk, encoded)) as chunks:
+        for start, logits, _ in chunks:
+            if out is None:
+                out = np.empty((len(patches), logits.shape[1]))
+            out[start : start + logits.shape[0]] = logits
     return out
 
 
@@ -800,17 +862,18 @@ def export_attention(
             f"part_ids {part_ids.shape} needs a row for each of {patches.shape[0]} images"
         )
     samples = []
-    for start, logits, weights in _eval_chunks(model, patches, chunk=256):
-        preds = np.argmax(logits, axis=1)
-        for i, (w, pred) in enumerate(zip(weights, preds), start):
-            samples.append(
-                {
-                    "index": i,
-                    "weights": w.copy(),
-                    "part_ids": part_ids[i].copy(),
-                    "prediction": int(pred),
-                }
-            )
+    with contextlib.closing(_eval_chunks(model, patches, chunk=256)) as chunks:
+        for start, logits, weights in chunks:
+            preds = np.argmax(logits, axis=1)
+            for i, (w, pred) in enumerate(zip(weights, preds), start):
+                samples.append(
+                    {
+                        "index": i,
+                        "weights": w.copy(),
+                        "part_ids": part_ids[i].copy(),
+                        "prediction": int(pred),
+                    }
+                )
     return samples
 
 

@@ -112,7 +112,6 @@ def test_run_once_records_the_load_before_the_run(monkeypatch):
     events = []
     result = {"correct": True, "attempted": 2, "failed": 0,
               "metrics": {"train_s": {"value": 4.0, "unit": "s"}}}
-    ticks = iter([(10, 1000), (40, 1200)])  # 30 of 200 ticks stolen during the run
 
     def loadavg():
         events.append("load")
@@ -125,32 +124,18 @@ def test_run_once_records_the_load_before_the_run(monkeypatch):
 
     monkeypatch.setattr(bench_pairs.os, "getloadavg", loadavg)
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
-    monkeypatch.setattr(bench_pairs, "cpu_ticks", lambda: next(ticks))
     run_ = bench_pairs.run_once(".", "train_crm", 3, 1)
     assert events == ["load", "run"]
-    assert run_["load_1min"] == 1.5 and run_["steal_frac"] == pytest.approx(0.15)
+    assert run_["load_1min"] == 1.5
     assert run_["metrics"] == {"train_s": 4.0} and run_["environment"] == {"commit": "abc"}
-
-
-def test_steal_share_needs_two_readings():
-    assert bench_pairs.steal_share((5, 100), (15, 150)) == pytest.approx(0.2)
-    assert bench_pairs.steal_share(None, (15, 150)) is None
-    assert bench_pairs.steal_share((5, 100), (5, 100)) is None
-    ticks = bench_pairs.cpu_ticks()
-    if os.path.exists("/proc/stat"):
-        assert ticks is not None and 0 <= ticks[0] <= ticks[1]
 
 
 def test_highest_loads_per_side(capsys):
     pairs = [
-        {"parent": {"load_1min": 0.4, "steal_frac": 0.01},
-         "change": {"load_1min": 1.9, "steal_frac": None}},
-        {"parent": {"load_1min": 1.1, "steal_frac": 0.2},
-         "change": {"load_1min": 0.2, "steal_frac": None}},
+        {"parent": {"load_1min": 0.4}, "change": {"load_1min": 1.9}},
+        {"parent": {"load_1min": 1.1}, "change": {"load_1min": 0.2}},
     ]
     loads = bench_pairs.highest_loads(pairs)
-    assert loads == {"parent": {"load_1min": 1.1, "steal_frac": 0.2},
-                     "change": {"load_1min": 1.9, "steal_frac": None}}
+    assert loads == {"parent": 1.1, "change": 1.9}
     bench_pairs.print_loads(loads)
-    out = capsys.readouterr().out
-    assert "parent 1.10, change 1.90" in out and "parent 0.200, change -" in out
+    assert "parent 1.10, change 1.90" in capsys.readouterr().out

@@ -443,19 +443,26 @@ def two_cpus() -> bool:
     return len(os.sched_getaffinity(0)) >= 2
 
 
-def needs_two_cpus():
+def always_shared(monkeypatch):
+    """Share every eval pass of two or more chunks with a helper thread,
+    whatever the measured times say."""
     if not two_cpus():
         pytest.skip("the shared eval path needs two usable CPUs")
+    monkeypatch.setattr(harness._EvalPaths, "choose", lambda self, encoded: True)
 
 
 def count_shared_passes(monkeypatch) -> list:
-    """Record each eval pass that shares its chunks with a helper thread."""
-    calls = []
+    """Record each eval pass that shares its chunks with a helper thread.
+
+    The spy keeps every pass's chunk generator alive, so a helper is joined
+    only if the pass closes that generator itself."""
+    calls, kept = [], []
     shared = harness._shared_in_order
 
     def spy(compute, items):
         calls.append(len(items))
-        return shared(compute, items)
+        kept.append(shared(compute, items))
+        return kept[-1]
 
     monkeypatch.setattr(harness, "_shared_in_order", spy)
     return calls
@@ -485,12 +492,14 @@ def test_chunked_eval_matches_whole_split_oracle(kind, tiny_dataset, monkeypatch
     with one_cpu():
         check()
     assert shared == []
-    check()
-    assert shared == ([2, 42, 2] * 2 if two_cpus() else [])
+    if two_cpus():
+        always_shared(monkeypatch)
+        check()
+        assert shared == [2, 42, 2] * 2
 
 
 def test_eval_error_in_the_helper_reaches_the_caller(tiny_dataset, monkeypatch):
-    needs_two_cpus()
+    always_shared(monkeypatch)
     model = build_model(tiny_config(), tiny_dataset)
     patches = tiny_dataset.test_patches
     encode = model.image_encoder.encode
@@ -528,7 +537,7 @@ def test_eval_error_in_the_helper_reaches_the_caller(tiny_dataset, monkeypatch):
 
 
 def test_eval_closed_early_joins_the_helper(tiny_dataset, monkeypatch):
-    needs_two_cpus()
+    always_shared(monkeypatch)
     model = build_model(tiny_config(), tiny_dataset)
     shared = count_shared_passes(monkeypatch)
     threads = threading.active_count()
@@ -544,7 +553,7 @@ def test_eval_closed_early_joins_the_helper(tiny_dataset, monkeypatch):
 
 
 def test_shared_eval_runs_at_most_one_chunk_ahead(tiny_dataset, monkeypatch):
-    needs_two_cpus()
+    always_shared(monkeypatch)
     model = build_model(tiny_config(), tiny_dataset)
     patches = tiny_dataset.test_patches
     encode = model.image_encoder.encode
@@ -562,10 +571,10 @@ def test_shared_eval_runs_at_most_one_chunk_ahead(tiny_dataset, monkeypatch):
     assert sorted(started) == list(range(16))
 
 
-def test_eval_shared_under_thread_switches(tiny_dataset):
+def test_eval_shared_under_thread_switches(tiny_dataset, monkeypatch):
     # one-image chunks and a thread switch every microsecond: any lost
     # update to the shared counter or the results would move or drop a row
-    needs_two_cpus()
+    always_shared(monkeypatch)
     model = build_model(tiny_config(), tiny_dataset)
     patches = tiny_dataset.test_patches
     with one_cpu():
@@ -577,6 +586,65 @@ def test_eval_shared_under_thread_switches(tiny_dataset):
             assert predict_logits(model, patches, chunk=1).tobytes() == want.tobytes()
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_eval_paths_take_the_faster_path():
+    paths = harness._EvalPaths()
+    cost = {False: 1.0, True: 0.5}  # seconds per image on one thread and shared
+    picks = []
+
+    def passes(count):
+        for _ in range(count):
+            shared = paths.choose(False)
+            picks.append(shared)
+            paths.record(False, shared, cost[shared])
+
+    passes(30)
+    # alternate until each path has three times, then share but for every 10th pass
+    assert picks[:6] == [False, True] * 3
+    assert [n for n in range(7, 31) if not picks[n - 1]] == [10, 20, 30]
+    cost[True] = 2.0  # the second CPU gets busy
+    passes(30)
+    # two more shared passes move the shared median; then every 10th pass is shared
+    assert [n for n in range(31, 61) if picks[n - 1]] == [31, 32, 40, 50, 60]
+    cost[True] = 0.95  # not faster by a tenth: not worth a second thread
+    passes(40)
+    assert [n for n in range(71, 101) if picks[n - 1]] == [80, 90, 100]
+    # passes of encoded features keep their own times
+    assert [paths.choose(True) for _ in range(2)] == [False, False]
+
+
+def test_eval_runs_on_one_thread_when_sharing_is_slower(tiny_dataset, monkeypatch):
+    if not two_cpus():
+        pytest.skip("the shared eval path needs two usable CPUs")
+    model = build_model(tiny_config(), tiny_dataset)
+    patches = tiny_dataset.test_patches
+    want = predict_logits(build_model(tiny_config(), tiny_dataset), patches, chunk=5)
+    encode = model.image_encoder.encode
+    caller = threading.get_ident()
+
+    def slow_in_the_helper(chunk):
+        if threading.get_ident() != caller:
+            time.sleep(0.02)  # a helper that hardly gets its CPU
+        return encode(chunk)
+
+    monkeypatch.setattr(model.image_encoder, "encode", slow_in_the_helper)
+    shared = count_shared_passes(monkeypatch)
+    for _ in range(25):
+        assert predict_logits(model, patches, chunk=5).tobytes() == want.tobytes()
+    # three passes while alternating, then only the probes of passes 10 and 20
+    assert shared == [10] * 5
+
+
+def test_eval_without_cpu_affinity_runs_on_one_thread(tiny_dataset, monkeypatch):
+    model = build_model(tiny_config(), tiny_dataset)
+    want = predict_logits(model, tiny_dataset.test_patches, chunk=5)
+    monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS and Windows
+    shared = count_shared_passes(monkeypatch)
+    assert harness._usable_cpus() == 1
+    for _ in range(3):
+        assert predict_logits(model, tiny_dataset.test_patches, chunk=5).tobytes() == want.tobytes()
+    assert shared == []
 
 
 def _eval_peaks(small_passes: int = 1):
@@ -610,8 +678,8 @@ def test_eval_memory_does_not_grow_with_the_split():
     assert peaks[1] - peaks[0] <= logits.nbytes
 
 
-def test_shared_eval_memory_does_not_grow_with_the_split():
-    needs_two_cpus()
+def test_shared_eval_memory_does_not_grow_with_the_split(monkeypatch):
+    always_shared(monkeypatch)
     # at most two chunks are computed at once on either split.  How much of
     # two chunks' buffers is alive at one time depends on timing, so the
     # split gets four passes: as many chunks as the one pass over 4x the

@@ -12,13 +12,11 @@ change's BENCHMARK.json names, the script prints each side's median and
 quartiles, the number of pairs in which the change reads better, and
 "(REGRESSED)" when the change's median is worse than the parent's by more
 than the metric's bound, a fraction of the parent's median.  It also
-prints, per side, the highest 1-minute load average read before a run
-and the highest share of CPU time stolen by the hypervisor during a run:
-work on the other CPUs, in this machine or, on a shared VM, in other
-guests, slows the runs, so a pair run under load can be named.  Every run
-(metrics, the run's wall and CPU time, the load before it, the steal
-share during it, seed, run order, and perfbench's environment line) goes
-to the --out JSON file.
+prints, per side, the highest 1-minute load average read before a run:
+work on the other CPU slows the runs, so a pair run under load can be
+named.  Every run (metrics, the run's wall and CPU time, the load before
+it, seed, run order, and perfbench's environment line) goes to the --out
+JSON file.
 """
 
 from __future__ import annotations
@@ -52,35 +50,15 @@ def children_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def cpu_ticks() -> tuple[int, int] | None:
-    """(stolen, total) clock ticks of all CPUs since boot, from /proc/stat;
-    None where that cannot be read."""
-    try:
-        with open("/proc/stat", encoding="ascii") as f:
-            ticks = [int(x) for x in f.readline().split()[1:9]]
-    except (OSError, ValueError):
-        return None
-    return (ticks[7], sum(ticks)) if len(ticks) == 8 else None
-
-
-def steal_share(before, after) -> float | None:
-    """The share of CPU time stolen between two cpu_ticks() readings."""
-    if before is None or after is None or after[1] <= before[1]:
-        return None
-    return (after[0] - before[0]) / (after[1] - before[1])
-
-
 def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
     """One perfbench run: its parsed result, environment line, wall and CPU
-    seconds, the 1-minute load average just before it and the share of CPU
-    time stolen during it."""
+    seconds, and the 1-minute load average just before it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     load = os.getloadavg()[0]
-    ticks0, cpu0, wall0 = cpu_ticks(), children_cpu_s(), time.perf_counter()
+    cpu0, wall0 = children_cpu_s(), time.perf_counter()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     wall, cpu = time.perf_counter() - wall0, children_cpu_s() - cpu0
-    steal = steal_share(ticks0, cpu_ticks())
     lines = proc.stdout.strip().splitlines()
     env = next((json.loads(line.split(" ", 2)[2]) for line in lines
                 if line.startswith("perfbench environment ")), None)
@@ -99,7 +77,6 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
         "wall_s": wall,
         "cpu_s": cpu,
         "load_1min": load,
-        "steal_frac": steal,
         "environment": env,
     }
 
@@ -165,24 +142,13 @@ def print_summary(workload: str, summary: dict) -> None:
 
 
 def highest_loads(pairs: list[dict]) -> dict:
-    """Per side, the highest 1-minute load average read before one of its
-    runs and the highest steal share during one (None if none was read)."""
-    out = {}
-    for s in SIDES:
-        steals = [p[s]["steal_frac"] for p in pairs if p[s]["steal_frac"] is not None]
-        out[s] = {"load_1min": max(p[s]["load_1min"] for p in pairs),
-                  "steal_frac": max(steals) if steals else None}
-    return out
+    """Per side, the highest 1-minute load average read before one of its runs."""
+    return {s: max(p[s]["load_1min"] for p in pairs) for s in SIDES}
 
 
 def print_loads(loads: dict) -> None:
-    def steal(s):
-        value = loads[s]["steal_frac"]
-        return "-" if value is None else f"{value:.3f}"
-
-    print(f"  highest 1-min load before a run: parent {loads['parent']['load_1min']:.2f}, "
-          f"change {loads['change']['load_1min']:.2f}; highest CPU steal share in a run: "
-          f"parent {steal('parent')}, change {steal('change')}")
+    print(f"  highest 1-min load before a run: parent {loads['parent']:.2f}, "
+          f"change {loads['change']:.2f}")
 
 
 def main(argv=None) -> int:
