@@ -440,7 +440,7 @@ def one_cpu():
 
 
 def two_cpus() -> bool:
-    return len(os.sched_getaffinity(0)) >= 2
+    return harness._usable_cpus() >= 2
 
 
 def always_shared(monkeypatch):
