@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeMismatchError
 from .numerics import Affine, BatchNorm, Parameter, Tensor
+from .numerics.layers import seeded
 from .numerics.tensor import from_op, recording, unbroadcast
 
 # tau: the Frobenius norm of every image's pooled part block
@@ -22,12 +23,13 @@ TAU = 64.0
 class PartAttention:
     """batch norm -> affine scores -> relu -> row softmax -> pooled projection."""
 
-    def __init__(self, feat_dim: int, num_parts: int, seed: int):
+    def __init__(self, feat_dim: int, num_parts: int, seed: int | None):
+        """seed None leaves the affine weights unfilled, for a loader to replace."""
         if num_parts < 1:
             raise ConfigError(f"need num_parts >= 1, got {num_parts}")
         self.feat_dim = feat_dim
         self.num_parts = num_parts
-        rng = np.random.default_rng(seed)
+        rng = seeded(seed)
         self.bn = BatchNorm(feat_dim, name="attn.bn")
         self.score = Affine(feat_dim, num_parts + 1, rng, name="attn.score")
         self.proj = Affine(feat_dim, feat_dim, rng, name="attn.proj")

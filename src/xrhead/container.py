@@ -7,16 +7,19 @@ metadata.  Dataset and model files hold a count-prefixed list of arrays,
 each tagged with a unique name.
 Decoding errors always report the byte offset of the failure.
 
-Arrays cost one copy each way: Reader slices memoryviews of the file's bytes,
-so each payload is copied once, by the astype that makes it aligned, native
-and writable; Writer appends each payload through the buffer protocol and
-hands its one buffer to the atomic file write.
+Arrays are copied at most once each way.  Reader reads each payload from the
+open file straight into its final array, so loading holds about 1.0x the
+array bytes; only f4 feature files and big-endian hosts add a copy, the
+astype to float64 or native order.  Writer appends each payload through the
+buffer protocol and hands its one buffer to the atomic file write.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import struct
+from typing import BinaryIO
 
 import numpy as np
 
@@ -32,24 +35,31 @@ MAX_METADATA_BYTES = 1 << 24
 
 
 class Reader:
-    """Cursor over a byte string that raises FormatError with the offset.
+    """Cursor over an open binary file that raises FormatError with the offset.
 
-    take() returns memoryview slices, which copy nothing.
+    Header fields take small reads; array() reads each payload into its array.
     """
 
-    def __init__(self, data: bytes):
-        self.data = memoryview(data)
-        self.offset = 0
+    def __init__(self, f: BinaryIO):
+        self.f = f
+        self.size = f.seek(0, io.SEEK_END)
+        self.offset = f.seek(0)
 
-    def take(self, n: int, what: str) -> memoryview:
-        if self.offset + n > len(self.data):
+    def _fits(self, n: int, what: str) -> None:
+        # checked before anything of size n is allocated or read
+        if self.offset + n > self.size:
             raise FormatError(f"truncated while reading {what}", self.offset)
-        chunk = self.data[self.offset : self.offset + n]
+
+    def take(self, n: int, what: str) -> bytes:
+        self._fits(n, what)
+        chunk = self.f.read(n)
+        if len(chunk) != n:
+            raise FormatError(f"truncated while reading {what}", self.offset)
         self.offset += n
         return chunk
 
     def magic(self, expected: bytes) -> None:
-        got = bytes(self.take(4, "magic"))
+        got = self.take(4, "magic")
         if got != expected:
             raise FormatError(f"bad magic {got!r}, expected {expected!r}", 0)
 
@@ -87,12 +97,17 @@ class Reader:
                 raise FormatError(f"{what} extent {e} is implausibly large", at)
             count *= e
         payload_at = self.offset
-        raw = self.take(count * dtype.itemsize, f"{what} payload")
-        values = np.frombuffer(raw, dtype=dtype).reshape(extents)
+        nbytes = count * dtype.itemsize
+        self._fits(nbytes, f"{what} payload")
+        values = np.empty(extents, dtype)
+        if self.f.readinto(values.reshape(-1).view(np.uint8)) != nbytes:
+            raise FormatError(f"truncated while reading {what} payload", payload_at)
+        self.offset += nbytes
         if dtype.kind == "f" and not np.all(np.isfinite(values)):
             raise FormatError(f"{what} payload contains non-finite values", payload_at)
+        # copies only to widen f4 or, on a big-endian host, to swap bytes
         out_dtype = np.int64 if dtype.kind == "i" else np.float64
-        return values.astype(out_dtype)
+        return values.astype(out_dtype, copy=False)
 
     def tagged_array(self, what: str) -> tuple[str, np.ndarray]:
         name_len = self.u32(f"{what} name length")
@@ -130,9 +145,9 @@ class Reader:
         return meta
 
     def done(self) -> None:
-        if self.offset != len(self.data):
+        if self.offset != self.size:
             raise FormatError(
-                f"{len(self.data) - self.offset} trailing bytes after payload", self.offset
+                f"{self.size - self.offset} trailing bytes after payload", self.offset
             )
 
 

@@ -177,14 +177,23 @@ def generate(spec: SyntheticSpec) -> Dataset:
     slots = np.arange(n) % (s + 1)  # round-robin part assignment, 0 = background
 
     def sample(count: int):
-        patches = np.zeros((w * count, n, d))
+        patches = np.empty((w * count, n, d))
         labels = np.zeros(w * count, dtype=np.int64)
         part_ids = np.tile(slots, (w * count, 1)).astype(np.int64)
         for c in range(w):
+            rows = patches[c * count : (c + 1) * count]
             chosen = rng.integers(0, styles, size=count)
-            noise = rng.normal(0.0, spec.noise, size=(count, n, d)) if spec.noise > 0 else 0.0
-            block = templates[c][chosen][:, slots, :] + noise
-            patches[c * count : (c + 1) * count] = block
+            if spec.noise > 0:
+                # the bits of template + normal(0.0, noise): normal returns
+                # 0.0 + noise * z from the same stream, which differs from
+                # noise * z only when that is -0.0, and a template entry
+                # other than -0.0 plus either zero is the same sum
+                rng.standard_normal(out=rows)
+                rows *= spec.noise
+                rows += templates[c][chosen[:, None], slots]
+            else:
+                # + 0.0 turns any -0.0 into 0.0
+                np.add(templates[c][chosen[:, None], slots], 0.0, out=rows)
             labels[c * count : (c + 1) * count] = c
         return patches, labels, part_ids
 
@@ -295,13 +304,12 @@ def save_dataset(path: str, ds: Dataset) -> None:
 
 def load_dataset(path: str) -> Dataset:
     with open(path, "rb") as f:
-        data = f.read()
-    r = Reader(data)
-    r.magic(DATASET_MAGIC)
-    r.version(DATASET_VERSION)
-    arrays = r.named_arrays("dataset array")
-    meta = r.metadata()
-    r.done()
+        r = Reader(f)
+        r.magic(DATASET_MAGIC)
+        r.version(DATASET_VERSION)
+        arrays = r.named_arrays("dataset array")
+        meta = r.metadata()
+        r.done()
     names = {key: meta.get(key, []) for key in ("class_names", "part_names")}
     for key, value in names.items():
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):

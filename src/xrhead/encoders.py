@@ -125,11 +125,10 @@ def save_features(path: str, values: np.ndarray, metadata: dict | None = None) -
 def load_features(path: str) -> tuple[np.ndarray, dict]:
     """Read a feature file back as (float64 array, metadata dict)."""
     with open(path, "rb") as f:
-        data = f.read()
-    r = Reader(data)
-    r.magic(FEATURE_MAGIC)
-    r.version(FEATURE_VERSION)
-    values = r.array("features")
-    meta = r.metadata()
-    r.done()
+        r = Reader(f)
+        r.magic(FEATURE_MAGIC)
+        r.version(FEATURE_VERSION)
+        values = r.array("features")
+        meta = r.metadata()
+        r.done()
     return values, meta

@@ -225,7 +225,16 @@ def _assemble(
     patch_dim: int,
     class_embeddings: np.ndarray | None,
     manual_values: np.ndarray | None,
+    seed_model: int | None,
 ) -> Model:
+    """The model's modules.  With seed_model None the trainable modules draw
+    nothing and leave their weights unfilled, for load_model to replace with
+    the stored values.  The frozen encoders are drawn either way: their
+    checksums identify the config a model was saved under."""
+
+    def seed(k: int) -> int | None:
+        return None if seed_model is None else _seed_stream(seed_model, k)
+
     kind = HeadKind.parse(config.head)
     text_encoder = _text_encoder(config)
     image_encoder = FrozenImageEncoder(ENCODER_SEED + 1, patch_dim, config.feat_dim)
@@ -253,18 +262,16 @@ def _assemble(
                 class_embeddings,
                 config.num_parts,
                 config.ctx_len,
-                seed=_seed_stream(config.seed_model, 0),
+                seed=seed(0),
             )
 
-    attention = PartAttention(
-        config.feat_dim, config.num_parts, seed=_seed_stream(config.seed_model, 1)
-    )
+    attention = PartAttention(config.feat_dim, config.num_parts, seed=seed(1))
     head = build_head(
         kind,
         num_classes,
         config.num_parts,
         config.feat_dim,
-        seed=_seed_stream(config.seed_model, 2),
+        seed=seed(2),
         hidden=config.head_hidden,
     )
     return Model(
@@ -275,6 +282,11 @@ def _assemble(
 def build_model(config: TrainConfig, ds: Dataset) -> Model:
     """Assemble a freshly initialized model sized for the dataset."""
     config.validate()
+    return _build_model(config, ds)
+
+
+def _build_model(config: TrainConfig, ds: Dataset) -> Model:
+    """build_model for a config already validated."""
     manual_values = None
     if config.prompt_file is not None:
         manual_values, _ = load_features(config.prompt_file)
@@ -284,6 +296,7 @@ def build_model(config: TrainConfig, ds: Dataset) -> Model:
         ds.spec.patch_dim,
         np.asarray(ds.class_embeddings, dtype=np.float64),
         manual_values,
+        config.seed_model,
     )
 
 
@@ -537,7 +550,7 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
     config.validate()
     ds = dataset if dataset is not None else config_dataset(config)
     patches, labels, _ = few_shot_split(ds, config.shots, config.seed_data)
-    model = build_model(config, ds)
+    model = _build_model(config, ds)
     before = model.frozen_checksums()
 
     feats = model.image_encoder.encode(patches)
@@ -947,12 +960,12 @@ def load_model(dir_path: str) -> tuple[Model, RunReport | None]:
     except (ConfigError, DataError) as e:
         raise FormatError(f"model config is invalid: {e}") from e
     with open(os.path.join(dir_path, PARAMS_FILE), "rb") as f:
-        r = Reader(f.read())
-    r.magic(MODEL_MAGIC)
-    r.version(MODEL_VERSION)
-    arrays = r.named_arrays("model array")
-    meta = r.metadata()
-    r.done()
+        r = Reader(f)
+        r.magic(MODEL_MAGIC)
+        r.version(MODEL_VERSION)
+        arrays = r.named_arrays("model array")
+        meta = r.metadata()
+        r.done()
     for key in ("num_classes", "patch_dim", "frozen_checksums"):
         if key not in meta:
             raise FormatError(f"model metadata missing {key!r}", offset=0)
@@ -968,6 +981,7 @@ def load_model(dir_path: str) -> tuple[Model, RunReport | None]:
             meta["patch_dim"],
             arrays.get("prompts.class_embeddings"),
             arrays.get("prompts.manual"),
+            seed_model=None,
         )
     except ConfigError as e:
         raise DataError(f"model file does not match its config: {e}") from e
@@ -976,6 +990,7 @@ def load_model(dir_path: str) -> tuple[Model, RunReport | None]:
     # the saved model's
     if model.frozen_checksums() != meta["frozen_checksums"]:
         raise DataError("frozen encoders or embeddings differ from the saved model's")
+    # every parameter is replaced or the load refused: no unfilled weight survives
     for p in model.params():
         if p.name not in arrays:
             raise DataError(f"model file missing parameter {p.name!r}")

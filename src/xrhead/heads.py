@@ -35,6 +35,7 @@ from .numerics import (
     sum_axis,
     transpose,
 )
+from .numerics.layers import seeded
 
 
 class HeadKind(str, enum.Enum):
@@ -125,11 +126,13 @@ class MlpsHead:
 
     cosine_logits = False
 
-    def __init__(self, num_classes: int, num_parts: int, feat_dim: int, hidden: int, seed: int):
+    def __init__(
+        self, num_classes: int, num_parts: int, feat_dim: int, hidden: int, seed: int | None
+    ):
         self.num_classes = num_classes
         self.num_parts = num_parts
         self.feat_dim = feat_dim
-        rng = np.random.default_rng(seed)
+        rng = seeded(seed)
         self.mlps = [
             Mlp(feat_dim, hidden, num_classes, rng, name=f"head.part{i}") for i in range(num_parts)
         ]
@@ -165,14 +168,16 @@ class CrmHead:
 
     cosine_logits = False
 
-    def __init__(self, kind: HeadKind, num_classes: int, num_parts: int, hidden: int, seed: int):
+    def __init__(
+        self, kind: HeadKind, num_classes: int, num_parts: int, hidden: int, seed: int | None
+    ):
         if kind not in CRM_KINDS:
             raise ConfigError(f"{kind} is not a relation-matrix head")
         self.kind = kind
         self.num_classes = num_classes
         self.num_parts = num_parts
         w, s = num_classes, num_parts
-        rng = np.random.default_rng(seed)
+        rng = seeded(seed)
         if kind == HeadKind.CRM_FULL:
             self.pick = None
             self.clf = Mlp(s * s * w, hidden, w, rng, name="head.clf")
@@ -236,10 +241,13 @@ def build_head(
     num_classes: int,
     num_parts: int,
     feat_dim: int,
-    seed: int,
+    seed: int | None,
     hidden: int | None = None,
 ):
-    """Construct any head kind with its default classifier width."""
+    """Construct any head kind with its default classifier width.
+
+    seed None leaves the classifier weights unfilled, for a loader to replace.
+    """
     if num_classes < 2:
         raise ConfigError(f"need at least 2 classes, got {num_classes}")
     hidden = hidden or default_hidden(kind, num_parts)

@@ -9,24 +9,36 @@ from .optim import Parameter
 from .tensor import Tensor, affine, from_op, recording, relu, unbroadcast
 
 
+def seeded(seed: int | None) -> np.random.Generator | None:
+    """The generator a module draws its initial values from; None when its
+    values will be loaded instead."""
+    return None if seed is None else np.random.default_rng(seed)
+
+
+def init_normal(rng: np.random.Generator | None, std: float, shape: tuple[int, ...]) -> np.ndarray:
+    """Initial values from N(0, std^2), or an unfilled placeholder when rng is None."""
+    return np.empty(shape) if rng is None else rng.normal(0.0, std, size=shape)
+
+
 class Affine:
     """x (b, d_in) -> x @ weight + bias, weight (d_in, d_out).
 
     Pass bias=False when the output feeds straight into batch norm: the
     mean subtraction cancels a bias exactly, leaving a dead parameter.
+    With rng None the weight is left unfilled for a loader to replace.
     """
 
     def __init__(
         self,
         d_in: int,
         d_out: int,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         name: str = "affine",
         bias: bool = True,
     ):
         self.d_in = d_in
         self.d_out = d_out
-        w = rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d_out))
+        w = init_normal(rng, 1.0 / np.sqrt(d_in), (d_in, d_out))
         self.weight = Parameter(f"{name}.weight", Tensor(w, requires_grad=True))
         self.bias = None
         if bias:
@@ -136,7 +148,9 @@ class BatchNorm:
 class Mlp:
     """affine -> batch norm -> relu -> affine (first affine bias-free)."""
 
-    def __init__(self, d_in: int, hidden: int, d_out: int, rng: np.random.Generator, name: str = "mlp"):
+    def __init__(
+        self, d_in: int, hidden: int, d_out: int, rng: np.random.Generator | None, name: str = "mlp"
+    ):
         self.fc1 = Affine(d_in, hidden, rng, name=f"{name}.fc1", bias=False)
         self.bn = BatchNorm(hidden, name=f"{name}.bn")
         self.fc2 = Affine(hidden, d_out, rng, name=f"{name}.fc2")

@@ -12,17 +12,21 @@ import numpy as np
 
 from .errors import ConfigError, ShapeMismatchError
 from .numerics import Parameter, Tensor, concat, constant, reshape
+from .numerics.layers import init_normal, seeded
 
 
 class PromptBank:
-    """contexts (W, S, M, word_dim) trainable, class_embeddings (W, word_dim) frozen."""
+    """contexts (W, S, M, word_dim) trainable, class_embeddings (W, word_dim) frozen.
+
+    seed None leaves the contexts unfilled, for a loader to replace.
+    """
 
     def __init__(
         self,
         class_embeddings: np.ndarray,
         num_parts: int,
         ctx_len: int,
-        seed: int,
+        seed: int | None,
         init_std: float = 0.02,
     ):
         class_embeddings = np.asarray(class_embeddings, dtype=np.float64)
@@ -37,8 +41,8 @@ class PromptBank:
             raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
         self.num_parts = num_parts
         self.ctx_len = ctx_len
-        rng = np.random.default_rng(seed)
-        ctx = rng.normal(0.0, init_std, size=(self.num_classes, num_parts, ctx_len, self.word_dim))
+        shape = (self.num_classes, num_parts, ctx_len, self.word_dim)
+        ctx = init_normal(seeded(seed), init_std, shape)
         self.contexts = Parameter("prompts.contexts", Tensor(ctx, requires_grad=True))
         self.class_embeddings = class_embeddings  # frozen: an input, not a parameter
         # the class row closing every prompt, row i = class i // S

@@ -139,3 +139,32 @@ def test_highest_loads_per_side(capsys):
     assert loads == {"parent": 1.1, "change": 1.9}
     bench_pairs.print_loads(loads)
     assert "parent 1.10, change 1.90" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "seeds, finished", [("1-2", ["a"]), ("1-3", [])], ids=["in_b", "in_a"]
+)
+def test_an_interrupted_set_keeps_its_pairs(seeds, finished, tmp_path, monkeypatch):
+    # workloads a then b; the third pair's first run raises
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    runs = []
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        if len(runs) == 4:
+            raise KeyboardInterrupt
+        runs.append((workload, seed))
+        return {**run({"train_s": 4.0, "rate": 1.0}), "attempted": 1, "wall_s": 1.0,
+                "cpu_s": 1.0, "load_1min": 0.5, "environment": None}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "out.json"
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "a",
+            "--workload", "b", "--seeds", seeds, "--seconds", "1", "--out", str(out)]
+    with pytest.raises(KeyboardInterrupt):
+        bench_pairs.main(argv)
+    report = json.loads(out.read_text())
+    assert [p["seed"] for p in report["workloads"]["a"]["pairs"]] == [1, 2]
+    assert [w for w, entry in report["workloads"].items() if "summary" in entry] == finished
+    for name in finished:
+        assert report["workloads"][name]["summary"]["train_s"]["pairs"] == 2
+    assert sorted(os.listdir(tmp_path)) == ["BENCHMARK.json", "out.json"]

@@ -1,5 +1,6 @@
 """The shared binary container: Writer bytes against a struct oracle, Reader copies."""
 
+import io
 import json
 import struct
 
@@ -60,7 +61,7 @@ def test_writer_bytes_match_struct_oracle(tmp_path):
 
 def test_reader_returns_fresh_writable_arrays():
     data = bytearray(oracle_bytes())
-    r = Reader(data)
+    r = Reader(io.BytesIO(data))
     r.magic(b"TEST")
     r.version(3)
     arrays = r.named_arrays("array")
@@ -78,5 +79,5 @@ def test_reader_returns_fresh_writable_arrays():
 
 def test_reader_errors_print_bytes():
     with pytest.raises(FormatError) as err:
-        Reader(b"WRNG" + bytes(4)).magic(b"TEST")
+        Reader(io.BytesIO(b"WRNG" + bytes(4))).magic(b"TEST")
     assert "b'WRNG'" in str(err.value) and "memory" not in str(err.value)

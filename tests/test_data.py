@@ -1,5 +1,6 @@
 """Synthetic benchmark generator: construction properties, splits, files."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -242,6 +243,87 @@ def test_dataset_file_errors(tmp_path):
     assert "trailing" in str(err.value)
 
 
+# SHA-256 of every array generate returns, per spec; the labels, part ids and
+# superclasses depend only on the default sizes, so every spec shares them
+_SAME_FOR_EVERY_SPEC = {
+    "superclass_of": "943e2460c200801761813aff9d05bb872650942d9014c49f230a647fed1a32fe",
+    "test_labels": "b1963fb54939864f0221c42b2af10901cceb50092c9df55086ba6daef90dbf27",
+    "test_part_ids": "6f44521fb7daccace8196efc99f9af7a719fea85c7893626f6989a6de37db9b3",
+    "train_labels": "bd32d40b49dd96b990a98e310f6855b700a99d1cb72fdc51bf65a878b97270d4",
+    "train_part_ids": "0c3ae062dcc5b0e170ea4d41c504f1ced17a0a7b12a1c05be9b4635352185f6f",
+}
+GENERATE_SHA256 = [
+    (
+        {"seed": 0},
+        {
+            "base_perms": "235885c55609ef75ed7245c6ea1ce9982be7f9d29b7dc1b9e46ec9677ba0641b",
+            "class_embeddings": "558667946ed6bcc437162ce8b75bef61ce2c28afa064b2a884fc25c113e8e849",
+            "prototypes": "618456334db7fd373eb32fea4a85f88fb3219e4961e5117243e0ae2aada1c57f",
+            "templates": "e8035a06078a26d4eefae71e1737da4a6fd179f5aa68807bc22f377167c163e5",
+            "test_patches": "254e8910d0c366385eefa509582f94db5557c56a1bf61027fa097aabee7b8ab2",
+            "train_patches": "994090a523066009d01bca0bdf37c5bf3d07e65cb49242eb753b3947c2c39369",
+        },
+    ),
+    (
+        {"seed": 1301},
+        {
+            "base_perms": "235885c55609ef75ed7245c6ea1ce9982be7f9d29b7dc1b9e46ec9677ba0641b",
+            "class_embeddings": "a23f5321126baf48d04d69e3fe6ff3ebd4e067e371863fb5732d06d61bf4e805",
+            "prototypes": "87cd2a49b823d2294c9dba4080bc7a6a0af1de8b7f0750d3e161a0b4a6e3d255",
+            "templates": "d91b269df51c80cc194e0c1c34006af05f1b6c49c41b12ee219d91675e67ad60",
+            "test_patches": "a967e26a729dbb9d7503bf1e6a59ef2dafde18ad4f0c438c795e9acc9e09c8a4",
+            "train_patches": "eca891ad05d12e75ea0cdea91037579768f2b890902de2a7b187612251db522d",
+        },
+    ),
+    (
+        {"cross_structure": True, "seed": 0},
+        {
+            "base_perms": "889ae8c62c6b34769c3e44083b75fd72580b4edc2811d980f15d966fa8f67c1f",
+            "class_embeddings": "e7fbfc7e13d5a6383535c0855973b4e06899d65f7228d1274bc1a4830fa4c576",
+            "prototypes": "57894baebb7c00fbab886e9506f31267fc25effc74e0575dc75f77eb2aa8a0eb",
+            "templates": "8d4f31384693b5a5e0f9c57fc269effc04626a1c59b4719591fc90bee3e62843",
+            "test_patches": "6b61d32902e0dc1138d982db9564bbc742fb460fd3c0930779bc01294da128de",
+            "train_patches": "c5d6acf2dc289adb2d529812123a9206eb7715eea76e81380a9815ffea555b3d",
+        },
+    ),
+    (
+        {"cross_structure": True, "seed": 1301},
+        {
+            "base_perms": "293f57d76ca9f3156a894fe59ff28be5568878dd16851bf0c91a6fcd63928151",
+            "class_embeddings": "ea4f84405470e28b2b4e3575fc887450d97b609d48f4163bdc0c0adb1430a861",
+            "prototypes": "07de6792b67db5eda231981c714d0b49fb82c57d76b73ba1a1aa69896c014480",
+            "templates": "165b04f4380f03c5951a3b07c8e290de406be96f85ddcc5005aee06932dffb3d",
+            "test_patches": "e336bf66ab96ae93ae8d50aa689200344395a8c89230de38b452fa449846ede2",
+            "train_patches": "2abf0811145aedb060ad97fc701f1798001aaa317ad75365e999f836f3e2c293",
+        },
+    ),
+    (
+        {"noise": 0.0, "seed": 0},
+        {
+            "base_perms": "235885c55609ef75ed7245c6ea1ce9982be7f9d29b7dc1b9e46ec9677ba0641b",
+            "class_embeddings": "558667946ed6bcc437162ce8b75bef61ce2c28afa064b2a884fc25c113e8e849",
+            "prototypes": "618456334db7fd373eb32fea4a85f88fb3219e4961e5117243e0ae2aada1c57f",
+            "templates": "e8035a06078a26d4eefae71e1737da4a6fd179f5aa68807bc22f377167c163e5",
+            "test_patches": "f2e5bb319e365421cce322ea2b6b2eca0109245ed44edec992f06e0fe3e6a6a6",
+            "train_patches": "2a7462335033e46f44317c72713b4e3ffa75f7f71055c8bc614f66ef60a42501",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "raw, digests", GENERATE_SHA256, ids=["seed0", "seed1301", "cross0", "cross1301", "noise0"]
+)
+def test_generate_bits_are_pinned(raw, digests):
+    ds = generate(SyntheticSpec.from_dict(raw))
+    got = {
+        name: hashlib.sha256(np.ascontiguousarray(v).tobytes()).hexdigest()
+        for name, v in vars(ds).items()
+        if isinstance(v, np.ndarray)
+    }
+    assert got == {**_SAME_FOR_EVERY_SPEC, **digests}
+
+
 def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
@@ -252,10 +334,10 @@ def _traced_peak(fn) -> int:
 
 
 def test_dataset_files_cost_one_copy_of_the_arrays(tmp_path):
-    # writing appends each array to one buffer; reading holds the file's
-    # bytes and one fresh copy of each array
+    # writing appends each array to one buffer; reading reads each payload
+    # straight into its array
     ds = generate(SyntheticSpec.from_dict({"cross_structure": True, "seed": 0}))
     array_bytes = sum(v.nbytes for v in vars(ds).values() if isinstance(v, np.ndarray))
     path = str(tmp_path / "ds.xrvd")
     assert _traced_peak(lambda: save_dataset(path, ds)) <= 1.2 * array_bytes
-    assert _traced_peak(lambda: load_dataset(path)) <= 2.1 * array_bytes
+    assert _traced_peak(lambda: load_dataset(path)) <= 1.2 * array_bytes

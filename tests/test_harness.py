@@ -272,6 +272,20 @@ def test_train_encodes_each_training_image_once(tiny_dataset, monkeypatch):
     assert report.train_accuracy == evaluate(model, patches, labels)
 
 
+def test_train_validates_a_data_spec_once_per_public_entry(monkeypatch):
+    # TrainConfig.validate, SyntheticSpec.from_dict in config_dataset, generate
+    validate = SyntheticSpec.validate
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(SyntheticSpec, "validate", counted)
+    train(tiny_config(epochs=1))
+    assert len(calls) == 3
+
+
 # epoch_losses of tiny_config() per head kind, as float.hex.  Work the engine
 # skips (intermediate adjoints, gradients of constants, np.add.at on unique
 # indices, SGD temporaries) must not move a bit; a change that reorders the
@@ -1052,7 +1066,7 @@ def _rewrite_params(path, edit_meta=None, edit_arrays=None):
     arrays is a dict from name to values."""
     from xrhead.container import Reader, Writer
 
-    r = Reader(path.read_bytes())
+    r = Reader(io.BytesIO(path.read_bytes()))
     r.magic(harness.MODEL_MAGIC)
     r.version(harness.MODEL_VERSION)
     arrays = dict(r.tagged_array("array") for _ in range(r.u32("count")))
@@ -1080,6 +1094,41 @@ def test_reloaded_parameters_are_fresh_writable_arrays(kind, tmp_path, tiny_data
         assert not any(np.shares_memory(v, other) for other in values[i + 1 :])
     patches = tiny_dataset.test_patches
     assert predict_logits(loaded, patches).tobytes() == predict_logits(model, patches).tobytes()
+
+
+class _CountingGenerator:
+    """A numpy Generator that records how many values each normal() call draws."""
+
+    def __init__(self, rng, drawn: list):
+        self._rng, self._drawn = rng, drawn
+
+    def normal(self, *args, **kwargs):
+        values = self._rng.normal(*args, **kwargs)
+        self._drawn.append(np.size(values))
+        return values
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("kind", ["CRM_FULL", "PWCS", "MLPS"])
+def test_reload_draws_only_the_frozen_encoders(kind, tmp_path, tiny_dataset, monkeypatch):
+    cfg = tiny_config(head=kind)
+    model, _ = train(cfg, tiny_dataset)
+    save_model(str(tmp_path), model)
+    default_rng = np.random.default_rng
+    drawn = []
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed=None: _CountingGenerator(default_rng(seed), drawn)
+    )
+    loaded, _ = load_model(str(tmp_path))
+    monkeypatch.undo()
+    w, f = cfg.word_dim, cfg.feat_dim
+    text = (cfg.ctx_len + 1) * w + w * f + f + f * f + f  # positions, w1, b1, w2, b2
+    image = tiny_dataset.spec.patch_dim * f + f  # w, b
+    assert sum(drawn) == text + image
+    stored = [p.tensor.values.tobytes() for p in model.params()]
+    assert [p.tensor.values.tobytes() for p in loaded.params()] == stored
 
 
 def test_load_model_refuses_integer_parameters(tmp_path, tiny_dataset):

@@ -7,14 +7,16 @@ damage lands in payload values; any exception other than the two reader
 errors fails the test.
 """
 
+import io
 import json
 import os
 import shutil
+import struct
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from xrhead.container import Reader, Writer
@@ -123,7 +125,7 @@ def container_bytes(names=("ints", "floats")) -> bytes:
 
 
 def read_container(data: bytes) -> dict:
-    r = Reader(data)
+    r = Reader(io.BytesIO(data))
     r.magic(b"TEST")
     r.version(3)
     arrays = r.named_arrays("array")
@@ -150,8 +152,15 @@ def test_container_reader_refuses_damage(data):
     must_load_or_refuse(read_container, data)
 
 
+# one float64 array of 2^31 x 2^31 extents in 30 bytes: refused before allocating
+HUGE_EXTENTS = b"".join(
+    [struct.pack("<II", 1, 1), b"x", struct.pack("<BI", 2, 2), struct.pack("<QQ", 1 << 31, 1 << 31)]
+)
+
+
 @FUZZ
 @given(data=st.binary(max_size=64))
+@example(data=HUGE_EXTENTS)
 def test_container_reader_refuses_noise(data):
     must_load_or_refuse(read_container, b"TEST\x03\x00\x00\x00" + data)
 
@@ -350,7 +359,7 @@ def test_model_reader_refuses_damage(data, model_dir, workdir):
 @given(data=st.data())
 def test_model_reader_refuses_wrong_metadata(data, model_dir, workdir):
     with open(os.path.join(model_dir, "params.xrvp"), "rb") as f:
-        r = Reader(f.read())
+        r = Reader(io.BytesIO(f.read()))
     r.magic(MODEL_MAGIC)
     r.version(MODEL_VERSION)
     arrays = r.named_arrays("array")
@@ -383,7 +392,7 @@ def test_unbuildable_model_metadata_is_a_format_error(model_dir, workdir):
 
 def test_model_reader_refuses_duplicate_array(model_dir, workdir):
     with open(os.path.join(model_dir, "params.xrvp"), "rb") as f:
-        r = Reader(f.read())
+        r = Reader(io.BytesIO(f.read()))
     r.magic(MODEL_MAGIC)
     r.version(MODEL_VERSION)
     arrays = list(r.named_arrays("array").items())

@@ -16,7 +16,9 @@ prints, per side, the highest 1-minute load average read before a run:
 work on the other CPU slows the runs, so a pair run under load can be
 named.  Every run (metrics, the run's wall and CPU time, the load before
 it, seed, run order, and perfbench's environment line) goes to the --out
-JSON file.
+JSON file, which is rewritten atomically after every pair: a set stopped
+part way keeps every pair it ran and the summaries of the workloads it
+finished.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 SIDES = ("parent", "change")
@@ -151,6 +154,18 @@ def print_loads(loads: dict) -> None:
           f"change {loads['change']:.2f}")
 
 
+def write_report(path: str, report: dict) -> None:
+    """Replace `path` with the report in one step, so a reader never sees half a file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            f.write(json.dumps(report, indent=1, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -179,6 +194,9 @@ def main(argv=None) -> int:
                 print(f"bench_pairs: {workload} seed {seed} {side}: wall {run['wall_s']:.1f} s, "
                       f"correct {run['correct']}", file=sys.stderr, flush=True)
             pairs.append(pair)
+            if args.out:
+                report["workloads"][workload] = {"pairs": pairs}
+                write_report(args.out, report)
         summary = summarize(pairs, metrics)
         print_summary(workload, summary)
         loads = highest_loads(pairs)
@@ -194,9 +212,8 @@ def main(argv=None) -> int:
             "summary": summary,
             "pairs": pairs,
         }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(json.dumps(report, indent=1, sort_keys=True) + "\n")
+        if args.out:
+            write_report(args.out, report)
     return 0
 
 
