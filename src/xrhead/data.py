@@ -114,21 +114,15 @@ class Dataset:
         return self.spec.num_classes
 
 
-def _select_perms(rng: np.random.Generator, true_parts: int, count: int, rotation_free: bool):
-    """Distinct part-to-pattern assignments; optionally one per rotation orbit."""
-    perms = list(itertools.permutations(range(true_parts)))
-    if rotation_free:
-        pool = []
-        for p in perms:
-            orbit = [tuple((x + r) % true_parts for x in p) for r in range(true_parts)]
-            if min(orbit) == p:
-                pool.append(p)
-    else:
-        pool = perms
-    if len(pool) < count:
-        raise DataError(f"only {len(pool)} usable assignments for {count} sibling classes")
-    picked = rng.permutation(len(pool))[:count]
-    return [pool[i] for i in picked]
+def _perm_pool(true_parts: int, rotation_free: bool) -> np.ndarray:
+    """Every part-to-pattern assignment, (assignments, true_parts); with
+    rotation_free, only the least of each rotation orbit."""
+
+    def least_of_orbit(p: tuple) -> bool:
+        return min(tuple((x + r) % true_parts for x in p) for r in range(true_parts)) == p
+
+    perms = itertools.permutations(range(true_parts))
+    return np.array([p for p in perms if not rotation_free or least_of_orbit(p)], dtype=np.int64)
 
 
 def generate(spec: SyntheticSpec) -> Dataset:
@@ -148,9 +142,13 @@ def generate(spec: SyntheticSpec) -> Dataset:
 
     base_perms = np.zeros((w, s), dtype=np.int64)
     if spec.cross_structure:
+        # distinct assignments per superclass, drawn from one pool
+        pool = _perm_pool(s, styles > 1)
+        if len(pool) < siblings:
+            raise DataError(f"only {len(pool)} usable assignments for {siblings} sibling classes")
         for sc in range(g):
-            for j, perm in enumerate(_select_perms(rng, s, siblings, styles > 1)):
-                base_perms[sc * siblings + j] = perm
+            picked = rng.permutation(len(pool))[:siblings]
+            base_perms[sc * siblings : (sc + 1) * siblings] = pool[picked]
     else:
         base_perms[:] = np.arange(s)
 

@@ -13,12 +13,12 @@ written into CSV or SVG outputs.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -27,7 +27,7 @@ from .attention import PartAttention
 from .container import Reader, Writer
 from .data import Dataset, SyntheticSpec, few_shot_split, generate, load_dataset
 from .encoders import FrozenImageEncoder, FrozenTextEncoder, load_features
-from .errors import ConfigError, DataError, FormatError, NumericError
+from .errors import ConfigError, DataError, FormatError, NumericError, ShapeMismatchError
 from .heads import HeadKind, build_head, check_head_parts
 from .numerics import Parameter, Sgd, Tensor, backward, constant, cross_entropy, no_grad
 from .prompts import PromptBank
@@ -351,22 +351,21 @@ _REPORT_FIELDS = rpt.JsonFields(RunReport, ConfigError, "report")
 
 
 class _EvalPaths:
-    """Chooses, for one model's eval passes, whether the calling thread
-    shares a pass's chunks with a helper thread, from the measured time of
-    recent passes on each path.
+    """Chooses, for one model's eval passes of raw patches, whether the
+    calling thread shares a pass's chunks with a helper thread, from the
+    measured time of recent passes on each path.
 
     A second thread pays only while a second CPU is free for it.  BLAS
     threads, other processes and a host that steals the VM's CPU time can
     each make a shared pass slower than one thread (a helper preempted while
     it holds the GIL stalls the caller), and none of them can be read
-    beforehand.  So the passes of each kind (raw patches or encoded
-    features) alternate between the paths, one thread first, until each
-    path has RECENT times.  Later passes are shared while the median time
-    per image of the last RECENT shared passes is below GAIN times that of
-    the last RECENT one-thread passes (a tie is not worth a second thread's
-    CPU time: with BLAS on two threads, a helper only competes with them),
-    and every PROBE-th pass takes the other path, so a change of load is
-    seen.  Bits do not depend on the path.
+    beforehand.  So the passes alternate between the paths, one thread
+    first, until each path has RECENT times.  Later passes are shared while
+    the median time per image of the last RECENT shared passes is below GAIN
+    times that of the last RECENT one-thread passes (a tie is not worth a
+    second thread's CPU time: with BLAS on two threads, a helper only
+    competes with them), and every PROBE-th pass takes the other path, so a
+    change of load is seen.  Bits do not depend on the path.
     """
 
     RECENT = 3
@@ -375,23 +374,22 @@ class _EvalPaths:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._times = {}  # (encoded, shared) -> seconds per image of recent passes
-        self._passes = {}  # encoded -> passes chosen
+        self._times = {False: [], True: []}  # shared -> seconds per image of recent passes
+        self._passes = 0
 
-    def choose(self, encoded: bool) -> bool:
-        """Whether the next pass of this kind is shared."""
+    def choose(self) -> bool:
+        """Whether the next pass is shared."""
         with self._lock:
-            n = self._passes[encoded] = self._passes.get(encoded, 0) + 1
-            solo = self._times.get((encoded, False), [])
-            shared = self._times.get((encoded, True), [])
+            self._passes += 1
+            solo, shared = self._times[False], self._times[True]
             if len(shared) < self.RECENT or len(solo) < self.RECENT:
                 return len(shared) < len(solo)
             faster = bool(np.median(shared) < self.GAIN * np.median(solo))
-            return faster != (n % self.PROBE == 0)
+            return faster != (self._passes % self.PROBE == 0)
 
-    def record(self, encoded: bool, shared: bool, seconds_per_image: float) -> None:
+    def record(self, shared: bool, seconds_per_image: float) -> None:
         with self._lock:
-            recent = self._times.setdefault((encoded, shared), [])
+            recent = self._times[shared]
             recent.append(seconds_per_image)
             del recent[: -self.RECENT]
 
@@ -402,137 +400,84 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else 1
 
 
-def _eval_chunks(model: Model, patches: np.ndarray, chunk: int, encoded: bool = False):
-    """Eval-mode (first row, logits, attention weights) per chunk of raw patches,
-    or of token features when they are already `encoded`, in chunk order.
+def _eval_pass(
+    model: Model, patches: np.ndarray, chunk: int, encoded: bool = False, keep_weights: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eval-mode logits (n, classes) of raw patches, or of token features
+    when they are already `encoded`, and the attention weights
+    (n, tokens, parts + 1) when `keep_weights`, else None.
 
     Each chunk of raw patches is converted to float64, encoded and attended
-    on its own, so eval holds at most two chunks of token features at a
-    time.  The encoder works image by image, so the bits equal those of one
-    encode of every patch.  A split of two or more chunks, with two or more
-    usable CPUs, is either computed on the calling thread or shared with one
-    helper thread (see _shared_in_order), as the model's _EvalPaths choose;
-    a chunk's bits do not depend on the thread that computes it.
+    on its own, and its rows are written in place, so a thread holds one
+    chunk of token features at a time.  The encoder works image by image,
+    so the bits equal those of one encode of every patch.  A pass of two or
+    more chunks of raw patches, with two or more usable CPUs, runs either
+    on the calling thread or on it and one helper thread, as the model's
+    _EvalPaths choose: the two take chunk starts from one iterator, so at
+    most two chunks are in flight.  A chunk's bits do not depend on the
+    thread that computes it.  Passes of encoded features run on the calling
+    thread.
     """
     if chunk < 1:
         raise ConfigError(f"need an eval chunk >= 1, got {chunk}")
     patches = np.asarray(patches)
-    if patches.shape[0] == 0:
+    if patches.ndim != 3:
+        raise ShapeMismatchError(f"expected (images, tokens, features), got {patches.shape}")
+    n = patches.shape[0]
+    if n == 0:
         raise DataError("empty split")
     with no_grad():
         # eval mode: the prompt features are the same for every chunk
         prompts = model.prompt_features()
+    logits = np.empty((n, model.num_classes))
+    weights = None
+    if keep_weights:
+        weights = np.empty((n, patches.shape[1], model.attention.num_parts + 1))
+    starts = iter(range(0, n, chunk))
+    lock = threading.Lock()
 
-    def compute(start: int) -> tuple[np.ndarray, np.ndarray]:
-        feats = patches[start : start + chunk]
-        if not encoded:
-            feats = model.image_encoder.encode(feats)
-        with no_grad():  # grad mode is per thread: set in whichever thread computes the chunk
-            v, weights = model.attention.forward(constant(feats), training=False)
-            logits = model.head.logits(v, prompts, training=False)
-        return logits.values, weights.values
-
-    starts = range(0, patches.shape[0], chunk)
-    chosen = len(starts) >= 2 and _usable_cpus() >= 2
-    shared = chosen and model.eval_paths.choose(encoded)
-    results = _shared_in_order(compute, starts) if shared else (compute(s) for s in starts)
-    t0 = time.perf_counter()
-    try:
-        for start, (logits, weights) in zip(starts, results):
-            yield start, logits, weights
-    finally:
-        results.close()  # joins the helper, also when the caller stops early or raises
-    if chosen:
-        model.eval_paths.record(encoded, shared, (time.perf_counter() - t0) / patches.shape[0])
-
-
-def _shared_in_order(compute, items):
-    """Yield compute(item) for each item in order, computed by the calling
-    thread and one helper thread.
-
-    Both threads take the next index from a shared counter, and neither
-    takes an index more than one past the result being yielded, so at most
-    two computations run at once and at most two results wait.  An error
-    raised by compute, in either thread, is raised here when its result
-    comes due.  The helper is joined however the generator ends: exhausted,
-    on an error, or closed early.
-    """
-    n = len(items)
-    cond = threading.Condition()
-    done = {}  # index -> (result, error)
-    taken = due = 0  # the next index to take; the index of the next result to yield
-    stopped = False
-
-    def take():
-        """The next index this thread may compute, or None; call with cond held."""
-        nonlocal taken
-        if stopped or taken >= n or taken > due + 1:
-            return None
-        taken += 1
-        return taken - 1
-
-    def run(i: int) -> None:
-        nonlocal stopped
+    def work() -> None:
         try:
-            outcome = (compute(items[i]), None)
-        except BaseException as e:  # raised again in the caller when index i comes due
-            outcome = (None, e)
-        with cond:
-            done[i] = outcome
-            # every index below i is taken already, and none above it is needed
-            stopped = stopped or outcome[1] is not None
-            cond.notify_all()
-
-    def helper():
-        while True:
-            with cond:
-                while (mine := take()) is None:
-                    if stopped or taken >= n:
-                        return
-                    cond.wait()
-            run(mine)
-
-    thread = threading.Thread(target=helper, name="xrhead-eval-helper", daemon=True)
-    thread.start()
-    try:
-        for i in range(n):
-            with cond:
-                due = i
-                cond.notify_all()  # the helper may now take index i + 1
             while True:
-                with cond:
-                    while i not in done and (mine := take()) is None:
-                        cond.wait()
-                    outcome = done.pop(i, None)
-                if outcome is not None:
-                    break
-                run(mine)
-            result, error = outcome
-            if error is not None:
-                raise error
-            yield result
-    finally:
-        with cond:
-            stopped = True
-            cond.notify_all()
-        thread.join()
+                with lock:
+                    start = next(starts, None)
+                if start is None:
+                    return
+                feats = patches[start : start + chunk]
+                if not encoded:
+                    feats = model.image_encoder.encode(feats)
+                with no_grad():  # grad mode is per thread: set it in this one
+                    v, w = model.attention.forward(constant(feats), training=False)
+                    out = model.head.logits(v, prompts, training=False)
+                logits[start : start + chunk] = out.values
+                if keep_weights:
+                    weights[start : start + chunk] = w.values
+        except BaseException:
+            with lock:  # the other thread stops after its current chunk
+                for _ in starts:
+                    pass
+            raise
 
-
-def _logits(model: Model, patches: np.ndarray, chunk: int, encoded: bool) -> np.ndarray:
-    out = None
-    # closed here, not when collected: a traceback that keeps this frame
-    # alive would otherwise keep the eval helper thread waiting
-    with contextlib.closing(_eval_chunks(model, patches, chunk, encoded)) as chunks:
-        for start, logits, _ in chunks:
-            if out is None:
-                out = np.empty((len(patches), logits.shape[1]))
-            out[start : start + logits.shape[0]] = logits
-    return out
+    # an encoded pass (train's training-accuracy pass, one per model) would
+    # never get past the first, one-thread pass of the alternation
+    chosen = not encoded and n > chunk and _usable_cpus() >= 2
+    shared = chosen and model.eval_paths.choose()
+    t0 = time.perf_counter()
+    if shared:
+        with ThreadPoolExecutor(1, thread_name_prefix="xrhead-eval") as pool:  # joined on exit
+            helper = pool.submit(work)
+            work()
+        helper.result()  # a helper's error, raised here
+    else:
+        work()
+    if chosen:
+        model.eval_paths.record(shared, (time.perf_counter() - t0) / n)
+    return logits, weights
 
 
 def predict_logits(model: Model, patches: np.ndarray, chunk: int = 256) -> np.ndarray:
     """Eval-mode logits (n, classes) for raw patch arrays, computed in chunks."""
-    return _logits(model, patches, chunk, encoded=False)
+    return _eval_pass(model, patches, chunk)[0]
 
 
 def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -608,7 +553,7 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
         head=config.head,
         seed_data=config.seed_data,
         seed_model=config.seed_model,
-        train_accuracy=_accuracy(_logits(model, feats, 256, encoded=True), labels),
+        train_accuracy=_accuracy(_eval_pass(model, feats, 256, encoded=True)[0], labels),
         test_accuracy=evaluate(model, ds.test_patches, ds.test_labels),
         num_train=int(n),
         num_test=int(ds.test_labels.shape[0]),
@@ -874,20 +819,11 @@ def export_attention(
         raise DataError(
             f"part_ids {part_ids.shape} needs a row for each of {patches.shape[0]} images"
         )
-    samples = []
-    with contextlib.closing(_eval_chunks(model, patches, chunk=256)) as chunks:
-        for start, logits, weights in chunks:
-            preds = np.argmax(logits, axis=1)
-            for i, (w, pred) in enumerate(zip(weights, preds), start):
-                samples.append(
-                    {
-                        "index": i,
-                        "weights": w.copy(),
-                        "part_ids": part_ids[i].copy(),
-                        "prediction": int(pred),
-                    }
-                )
-    return samples
+    logits, weights = _eval_pass(model, patches, chunk=256, keep_weights=True)
+    return [
+        {"index": i, "weights": w, "part_ids": part_ids[i].copy(), "prediction": int(pred)}
+        for i, (w, pred) in enumerate(zip(weights, np.argmax(logits, axis=1)))
+    ]
 
 
 def mutual_information(x: np.ndarray, y: np.ndarray) -> float:

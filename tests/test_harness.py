@@ -27,6 +27,7 @@ from xrhead.errors import (
     DegenerateInputError,
     FormatError,
     NumericError,
+    ShapeMismatchError,
 )
 from xrhead import data as data_mod, harness, report as rpt
 from xrhead.harness import (
@@ -411,6 +412,16 @@ def test_evaluate_empty_split_errors(tiny_dataset):
         evaluate(model, tiny_dataset.test_patches[:0], tiny_dataset.test_labels[:0])
 
 
+def test_eval_refuses_patches_that_are_not_three_dimensional(tiny_dataset):
+    model = build_model(tiny_config(), tiny_dataset)
+    patches, part_ids = tiny_dataset.test_patches, tiny_dataset.test_part_ids
+    for bad in (patches[0, 0], patches[:, 0]):
+        with pytest.raises(ShapeMismatchError, match="images, tokens, features"):
+            predict_logits(model, bad)
+        with pytest.raises(ShapeMismatchError, match="images, tokens, features"):
+            export_attention(model, bad, part_ids)
+
+
 @pytest.mark.parametrize("chunk", [0, -1])
 def test_eval_refuses_chunk_below_one(chunk, tiny_dataset, monkeypatch):
     model = build_model(tiny_config(), tiny_dataset)
@@ -462,23 +473,20 @@ def always_shared(monkeypatch):
     whatever the measured times say."""
     if not two_cpus():
         pytest.skip("the shared eval path needs two usable CPUs")
-    monkeypatch.setattr(harness._EvalPaths, "choose", lambda self, encoded: True)
+    monkeypatch.setattr(harness._EvalPaths, "choose", lambda self: True)
 
 
 def count_shared_passes(monkeypatch) -> list:
-    """Record each eval pass that shares its chunks with a helper thread.
+    """Record each eval pass that shares its chunks with a helper thread:
+    one entry per helper executor it starts."""
+    calls = []
+    executor = harness.ThreadPoolExecutor
 
-    The spy keeps every pass's chunk generator alive, so a helper is joined
-    only if the pass closes that generator itself."""
-    calls, kept = [], []
-    shared = harness._shared_in_order
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return executor(*args, **kwargs)
 
-    def spy(compute, items):
-        calls.append(len(items))
-        kept.append(shared(compute, items))
-        return kept[-1]
-
-    monkeypatch.setattr(harness, "_shared_in_order", spy)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", spy)
     return calls
 
 
@@ -509,80 +517,101 @@ def test_chunked_eval_matches_whole_split_oracle(kind, tiny_dataset, monkeypatch
     if two_cpus():
         always_shared(monkeypatch)
         check()
-        assert shared == [2, 42, 2] * 2
+        assert len(shared) == 6
 
 
 def test_eval_error_in_the_helper_reaches_the_caller(tiny_dataset, monkeypatch):
     always_shared(monkeypatch)
     model = build_model(tiny_config(), tiny_dataset)
-    patches = tiny_dataset.test_patches
     encode = model.image_encoder.encode
     caller = threading.get_ident()
     helper_failed = threading.Event()
-    raised = []  # (start of the failed chunk, the error)
+    raised = []
 
     def failing(chunk):
         if threading.get_ident() == caller:
             helper_failed.wait(timeout=10)  # let the helper fail on its first chunk
             return encode(chunk)
-        start = next(s for s in range(0, 48, 5) if np.array_equal(chunk, patches[s : s + 5]))
-        raised.append((start, DegenerateInputError("chunk failed in the helper")))
+        raised.append(DegenerateInputError("chunk failed in the helper"))
         helper_failed.set()
-        raise raised[-1][1]
+        raise raised[-1]
 
     monkeypatch.setattr(model.image_encoder, "encode", failing)
     threads = threading.active_count()
     for _ in range(3):
         helper_failed.clear()
         raised.clear()
-        starts = []
         with pytest.raises(DegenerateInputError) as info:
-            for start, _, _ in harness._eval_chunks(model, patches, chunk=5):
-                starts.append(start)
-        assert len(raised) == 1 and info.value is raised[0][1]
-        assert starts == list(range(0, raised[0][0], 5))  # the chunks before it come first
+            predict_logits(model, tiny_dataset.test_patches, chunk=5)
+        assert len(raised) == 1 and info.value is raised[0]
         assert threading.active_count() == threads
-    helper_failed.clear()
-    raised.clear()
-    with pytest.raises(DegenerateInputError) as info:
-        predict_logits(model, patches, chunk=5)
-    assert len(raised) == 1 and info.value is raised[0][1]
-    assert threading.active_count() == threads
 
 
-def test_eval_closed_early_joins_the_helper(tiny_dataset, monkeypatch):
+def test_eval_error_in_the_caller_stops_the_helper(tiny_dataset, monkeypatch):
     always_shared(monkeypatch)
     model = build_model(tiny_config(), tiny_dataset)
-    shared = count_shared_passes(monkeypatch)
+    encode = model.image_encoder.encode
+    caller = threading.get_ident()
+    helper_busy = threading.Event()
+    began = []  # one entry per chunk, in the order their encodes began
+    raised = []  # (chunks begun when the caller raised, the error)
+
+    def failing(chunk):
+        began.append(chunk)
+        if threading.get_ident() == caller:
+            helper_busy.wait(timeout=10)  # fail while the helper computes a chunk
+            raised.append((len(began), DegenerateInputError("chunk failed in the caller")))
+            raise raised[-1][1]
+        helper_busy.set()
+        time.sleep(0.02)
+        return encode(chunk)
+
+    monkeypatch.setattr(model.image_encoder, "encode", failing)
     threads = threading.active_count()
-    want = predict_logits(model, tiny_dataset.test_patches, chunk=5)
-    for taken in (1, 4):
-        chunks = harness._eval_chunks(model, tiny_dataset.test_patches, chunk=5)
-        for i, (start, logits, _) in zip(range(taken), chunks):
-            assert start == 5 * i
-            assert logits.tobytes() == want[start : start + 5].tobytes()
-        chunks.close()
+    for _ in range(3):
+        helper_busy.clear()
+        began.clear()
+        raised.clear()
+        with pytest.raises(DegenerateInputError) as info:
+            predict_logits(model, tiny_dataset.test_patches, chunk=5)
+        assert len(raised) == 1 and info.value is raised[0][1]
+        assert len(began) - raised[0][0] <= 1  # of the 10 chunks
         assert threading.active_count() == threads
-    assert shared == [10] * 3
 
 
-def test_shared_eval_runs_at_most_one_chunk_ahead(tiny_dataset, monkeypatch):
+def test_shared_eval_has_at_most_two_chunks_in_flight(tiny_dataset, monkeypatch):
     always_shared(monkeypatch)
     model = build_model(tiny_config(), tiny_dataset)
     patches = tiny_dataset.test_patches
-    encode = model.image_encoder.encode
+    encode, head_logits = model.image_encoder.encode, model.head.logits
+    lock = threading.Lock()
     started = []  # chunk indices, in the order their encodes began
+    in_flight = peak = 0
 
-    def recorded(chunk):
-        started.append(next(i for i in range(16) if np.array_equal(chunk, patches[3 * i : 3 * i + 3])))
+    def begin(chunk):
+        nonlocal in_flight, peak
+        index = next(i for i in range(16) if np.array_equal(chunk, patches[3 * i : 3 * i + 3]))
+        with lock:
+            started.append(index)
+            in_flight += 1
+            peak = max(peak, in_flight)
+        time.sleep(0.005)  # a slow chunk: an unbounded pass would start more meanwhile
         return encode(chunk)
 
-    monkeypatch.setattr(model.image_encoder, "encode", recorded)
-    for k, (start, _, _) in enumerate(harness._eval_chunks(model, patches, chunk=3)):
-        assert start == 3 * k
-        time.sleep(0.005)  # a slow consumer: an unbounded helper would race ahead here
-        assert max(started) <= k + 1
+    def end(*args, **kwargs):
+        nonlocal in_flight
+        out = head_logits(*args, **kwargs)
+        with lock:
+            in_flight -= 1
+        return out
+
+    monkeypatch.setattr(model.image_encoder, "encode", begin)
+    monkeypatch.setattr(model.head, "logits", end)
+    threads = threading.active_count()
+    predict_logits(model, patches, chunk=3)
+    assert peak <= 2
     assert sorted(started) == list(range(16))
+    assert threading.active_count() == threads
 
 
 def test_eval_shared_under_thread_switches(tiny_dataset, monkeypatch):
@@ -609,9 +638,9 @@ def test_eval_paths_take_the_faster_path():
 
     def passes(count):
         for _ in range(count):
-            shared = paths.choose(False)
+            shared = paths.choose()
             picks.append(shared)
-            paths.record(False, shared, cost[shared])
+            paths.record(shared, cost[shared])
 
     passes(30)
     # alternate until each path has three times, then share but for every 10th pass
@@ -624,8 +653,6 @@ def test_eval_paths_take_the_faster_path():
     cost[True] = 0.95  # not faster by a tenth: not worth a second thread
     passes(40)
     assert [n for n in range(71, 101) if picks[n - 1]] == [80, 90, 100]
-    # passes of encoded features keep their own times
-    assert [paths.choose(True) for _ in range(2)] == [False, False]
 
 
 def test_eval_runs_on_one_thread_when_sharing_is_slower(tiny_dataset, monkeypatch):
@@ -647,7 +674,7 @@ def test_eval_runs_on_one_thread_when_sharing_is_slower(tiny_dataset, monkeypatc
     for _ in range(25):
         assert predict_logits(model, patches, chunk=5).tobytes() == want.tobytes()
     # three passes while alternating, then only the probes of passes 10 and 20
-    assert shared == [10] * 5
+    assert len(shared) == 5
 
 
 def test_eval_without_cpu_affinity_runs_on_one_thread(tiny_dataset, monkeypatch):
