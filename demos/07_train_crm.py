@@ -2,9 +2,9 @@
 Few-shot training of the cross-relationship head
 ================================================
 
-One config drives everything: data, encoders, prompts, attention, head, and
-the optimizer. Training runs SGD with momentum under a cosine learning-rate
-schedule; the frozen encoder and class embeddings are checksummed before and
+One config drives data, encoders, prompts, attention and head. Every head
+trains under one fixed protocol: SGD with momentum under a cosine
+learning-rate schedule, its values constants in xrhead.harness; the frozen encoder and class embeddings are checksummed before and
 after so nothing moves that should not. Models round-trip through a tagged
 binary directory format.
 """
@@ -41,7 +41,7 @@ print(f"train accuracy  {report.train_accuracy:.4f}")
 print(f"test accuracy   {report.test_accuracy:.4f}")
 print(f"wall time       {report.timing['train_wall_seconds']:.1f}s")
 
-# the loss falls and the cosine schedule decays from lr0 toward zero
+# the loss falls and the cosine schedule decays from harness.LR0 toward zero
 losses, lrs = report.epoch_losses, report.epoch_lrs
 for e in (0, 9, 19, 29):
     print(f"  epoch {e + 1:>2d}      loss {losses[e]:.4f}  lr {lrs[e]:.2e}")

@@ -153,21 +153,14 @@ def generate(spec: SyntheticSpec) -> Dataset:
         base_perms[:] = np.arange(s)
 
     superclass_of = np.arange(w) // siblings
-    templates = np.zeros((w, styles, s + 1, d))
-    prototypes = np.zeros((w, s, d))
-    for c in range(w):
-        sc = superclass_of[c]
-        for p in range(s):
-            prototypes[c, p] = patterns[sc, base_perms[c, p]]
-            if not spec.cross_structure:
-                prototypes[c, p] += offsets[c, p]
-        for r in range(styles):
-            templates[c, r, 0] = anchors[0]
-            for p in range(s):
-                pattern_id = (base_perms[c, p] + r) % s
-                templates[c, r, 1 + p] = anchors[1 + p] + patterns[sc, pattern_id]
-                if not spec.cross_structure:
-                    templates[c, r, 1 + p] += offsets[c, p]
+    prototypes = patterns[superclass_of[:, None], base_perms]  # (w, s, d)
+    pattern_ids = (base_perms[:, None, :] + np.arange(styles)[:, None]) % s  # (w, styles, s)
+    templates = np.empty((w, styles, s + 1, d))
+    templates[:, :, 0] = anchors[0]
+    templates[:, :, 1:] = anchors[1:] + patterns[superclass_of[:, None, None], pattern_ids]
+    if not spec.cross_structure:
+        prototypes += offsets
+        templates[:, :, 1:] += offsets[:, None]
 
     class_means = templates[:, 0, 1:, :].mean(axis=1)  # (w, d)
     class_embeddings = class_means @ proj
@@ -235,15 +228,14 @@ def few_shot_split(ds: Dataset, shots: int, seed: int):
     return ds.train_patches[rows], ds.train_labels[rows], ds.train_part_ids[rows]
 
 
-def nearest_prototype_accuracy(ds: Dataset, split: str = "test") -> float:
-    """Oracle matcher: nearest noise-free template over (class, style).
+def nearest_prototype_accuracy(ds: Dataset) -> float:
+    """Oracle matcher on the test split: nearest noise-free template over
+    (class, style).
 
     Uses ground-truth part ids; with noise 0 and distinct templates this
     reaches 1.0, which bounds what any classifier can hope for.
     """
-    patches = ds.test_patches if split == "test" else ds.train_patches
-    labels = ds.test_labels if split == "test" else ds.train_labels
-    part_ids = ds.test_part_ids if split == "test" else ds.train_part_ids
+    patches, labels, part_ids = ds.test_patches, ds.test_labels, ds.test_part_ids
     w, styles = ds.templates.shape[0], ds.templates.shape[1]
     hits = 0
     for i in range(patches.shape[0]):

@@ -47,6 +47,12 @@ REPORT_FILE = "report.json"
 LOSS_TEMPERATURE = 64.0
 # the frozen text encoder's seed; the image encoder's is one more
 ENCODER_SEED = 7
+# the SGD values every head trains with; the rate decays from LR0 on a cosine schedule
+LR0 = 2e-3
+WEIGHT_DECAY = 1e-4
+MOMENTUM = 0.9
+# images per eval chunk; the chunk size moves the last bits of the logits
+EVAL_CHUNK = 256
 
 
 @dataclass
@@ -56,11 +62,7 @@ class TrainConfig:
     ctx_len: int = 16
     feat_dim: int = 64
     word_dim: int = 32
-    head_hidden: int | None = None
     epochs: int = 100
-    lr0: float = 2e-3
-    weight_decay: float = 1e-4
-    momentum: float = 0.9
     batch_size: int = 32
     shots: int = 16
     seed_data: int = 0
@@ -78,16 +80,8 @@ class TrainConfig:
             raise ConfigError(f"need ctx_len >= 1, got {self.ctx_len}")
         if self.feat_dim < 1 or self.word_dim < 1:
             raise ConfigError(f"need positive dims, got {self.feat_dim}, {self.word_dim}")
-        if self.head_hidden is not None and self.head_hidden < 1:
-            raise ConfigError(f"need head_hidden >= 1, got {self.head_hidden}")
         if self.epochs < 1:
             raise ConfigError(f"need epochs >= 1, got {self.epochs}")
-        if self.lr0 <= 0:
-            raise ConfigError(f"need lr0 > 0, got {self.lr0}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"need weight_decay >= 0, got {self.weight_decay}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"need momentum in [0, 1), got {self.momentum}")
         if self.batch_size < 2:
             raise ConfigError(f"batch norm needs batch_size >= 2, got {self.batch_size}")
         if self.shots < 1:
@@ -266,14 +260,7 @@ def _assemble(
             )
 
     attention = PartAttention(config.feat_dim, config.num_parts, seed=seed(1))
-    head = build_head(
-        kind,
-        num_classes,
-        config.num_parts,
-        config.feat_dim,
-        seed=seed(2),
-        hidden=config.head_hidden,
-    )
+    head = build_head(kind, num_classes, config.num_parts, config.feat_dim, seed=seed(2))
     return Model(
         config, num_classes, patch_dim, text_encoder, image_encoder, bank, manual, attention, head
     )
@@ -401,25 +388,23 @@ def _usable_cpus() -> int:
 
 
 def _eval_pass(
-    model: Model, patches: np.ndarray, chunk: int, encoded: bool = False, keep_weights: bool = False
+    model: Model, patches: np.ndarray, encoded: bool = False, keep_weights: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Eval-mode logits (n, classes) of raw patches, or of token features
     when they are already `encoded`, and the attention weights
     (n, tokens, parts + 1) when `keep_weights`, else None.
 
-    Each chunk of raw patches is converted to float64, encoded and attended
-    on its own, and its rows are written in place, so a thread holds one
-    chunk of token features at a time.  The encoder works image by image,
-    so the bits equal those of one encode of every patch.  A pass of two or
-    more chunks of raw patches, with two or more usable CPUs, runs either
-    on the calling thread or on it and one helper thread, as the model's
+    Each chunk of EVAL_CHUNK raw patches is converted to float64, encoded
+    and attended on its own, and its rows are written in place, so a thread
+    holds one chunk of token features at a time.  The encoder works image
+    by image, so the bits equal those of one encode of every patch.  A pass
+    of two or more chunks of raw patches, with two or more usable CPUs, runs
+    either on the calling thread or on it and one helper thread, as the model's
     _EvalPaths choose: the two take chunk starts from one iterator, so at
     most two chunks are in flight.  A chunk's bits do not depend on the
     thread that computes it.  Passes of encoded features run on the calling
     thread.
     """
-    if chunk < 1:
-        raise ConfigError(f"need an eval chunk >= 1, got {chunk}")
     patches = np.asarray(patches)
     if patches.ndim != 3:
         raise ShapeMismatchError(f"expected (images, tokens, features), got {patches.shape}")
@@ -433,6 +418,7 @@ def _eval_pass(
     weights = None
     if keep_weights:
         weights = np.empty((n, patches.shape[1], model.attention.num_parts + 1))
+    chunk = EVAL_CHUNK
     starts = iter(range(0, n, chunk))
     lock = threading.Lock()
 
@@ -475,9 +461,9 @@ def _eval_pass(
     return logits, weights
 
 
-def predict_logits(model: Model, patches: np.ndarray, chunk: int = 256) -> np.ndarray:
+def predict_logits(model: Model, patches: np.ndarray) -> np.ndarray:
     """Eval-mode logits (n, classes) for raw patch arrays, computed in chunks."""
-    return _eval_pass(model, patches, chunk)[0]
+    return _eval_pass(model, patches)[0]
 
 
 def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -485,9 +471,17 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
 
 
-def evaluate(model: Model, patches: np.ndarray, labels: np.ndarray, chunk: int = 256) -> float:
-    """Argmax-logit accuracy; ties break toward the lowest class index."""
-    return _accuracy(predict_logits(model, patches, chunk), labels)
+def evaluate(model: Model, patches: np.ndarray, labels: np.ndarray) -> float:
+    """Argmax-logit accuracy; ties break toward the lowest class index.
+
+    The labels must hold one class index in [0, num_classes) per image.
+    """
+    labels = np.asarray(labels)
+    if labels.shape != np.shape(patches)[:1]:
+        raise DataError(f"need one label per image, got {labels.shape} for {np.shape(patches)}")
+    if not np.isin(labels, np.arange(model.num_classes)).all():
+        raise DataError(f"labels must be class indices in [0, {model.num_classes})")
+    return _accuracy(predict_logits(model, patches), labels)
 
 
 def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, RunReport]:
@@ -508,9 +502,9 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
 
     opt = Sgd(
         model.params(),
-        lr0=config.lr0,
-        weight_decay=config.weight_decay,
-        momentum=config.momentum,
+        lr0=LR0,
+        weight_decay=WEIGHT_DECAY,
+        momentum=MOMENTUM,
         total_epochs=config.epochs,
     )
     shuffle_rng = np.random.default_rng(_seed_stream(config.seed_model, 3))
@@ -553,7 +547,7 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
         head=config.head,
         seed_data=config.seed_data,
         seed_model=config.seed_model,
-        train_accuracy=_accuracy(_eval_pass(model, feats, 256, encoded=True)[0], labels),
+        train_accuracy=_accuracy(_eval_pass(model, feats, encoded=True)[0], labels),
         test_accuracy=evaluate(model, ds.test_patches, ds.test_labels),
         num_train=int(n),
         num_test=int(ds.test_labels.shape[0]),
@@ -819,7 +813,7 @@ def export_attention(
         raise DataError(
             f"part_ids {part_ids.shape} needs a row for each of {patches.shape[0]} images"
         )
-    logits, weights = _eval_pass(model, patches, chunk=256, keep_weights=True)
+    logits, weights = _eval_pass(model, patches, keep_weights=True)
     return [
         {"index": i, "weights": w, "part_ids": part_ids[i].copy(), "prediction": int(pred)}
         for i, (w, pred) in enumerate(zip(weights, np.argmax(logits, axis=1)))
@@ -841,14 +835,13 @@ def mutual_information(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(p[nz] * np.log(p[nz] / (px @ py)[nz])))
 
 
-def attention_alignment(samples: list[dict], seed: int = 0) -> dict:
+def attention_alignment(samples: list[dict]) -> dict:
     """Dominant-slot vs ground-truth part id MI, against a permuted baseline."""
     if not samples:
         raise DataError("no samples")
     dominant = np.concatenate([np.argmax(s["weights"], axis=1) for s in samples])
     truth = np.concatenate([np.asarray(s["part_ids"]) for s in samples])
-    rng = np.random.default_rng(seed)
-    permuted = rng.permutation(truth)
+    permuted = np.random.default_rng(0).permutation(truth)
     return {
         "mutual_information": mutual_information(dominant, truth),
         "permuted_mutual_information": mutual_information(dominant, permuted),

@@ -224,33 +224,21 @@ class CrmHead:
         return {"head.clf.bn": self.clf.bn}
 
 
-def default_hidden(kind: HeadKind, num_parts: int) -> int:
-    if kind in (HeadKind.CRM_BASE, HeadKind.CRM_XPART):
-        return 4 * num_parts
-    return 512
-
-
 def check_head_parts(kind: HeadKind, num_parts: int) -> None:
     """ALIGN is PWCS at one part; every other kind takes any part count."""
     if kind == HeadKind.ALIGN and num_parts != 1:
         raise ConfigError(f"ALIGN needs num_parts == 1, got {num_parts}")
 
 
-def build_head(
-    kind: HeadKind,
-    num_classes: int,
-    num_parts: int,
-    feat_dim: int,
-    seed: int | None,
-    hidden: int | None = None,
-):
-    """Construct any head kind with its default classifier width.
+def build_head(kind: HeadKind, num_classes: int, num_parts: int, feat_dim: int, seed: int | None):
+    """Construct any head kind.  The classifier is 4 * num_parts wide for the
+    heads that score one class at a time (CRM_BASE, CRM_XPART), else 512.
 
     seed None leaves the classifier weights unfilled, for a loader to replace.
     """
     if num_classes < 2:
         raise ConfigError(f"need at least 2 classes, got {num_classes}")
-    hidden = hidden or default_hidden(kind, num_parts)
+    hidden = 4 * num_parts if kind in (HeadKind.CRM_BASE, HeadKind.CRM_XPART) else 512
     check_head_parts(kind, num_parts)
     if kind in (HeadKind.ALIGN, HeadKind.PWCS):
         return PwcsHead(num_classes, num_parts)

@@ -59,10 +59,11 @@ class BatchNorm:
     running statistics as constants.  Training needs b >= 2.
     """
 
-    def __init__(self, dim: int, name: str = "bn", eps: float = 1e-5, momentum: float = 0.1):
+    eps = 1e-5
+    momentum = 0.1
+
+    def __init__(self, dim: int, name: str = "bn"):
         self.dim = dim
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Parameter(f"{name}.gamma", Tensor(np.ones((1, dim)), requires_grad=True))
         self.beta = Parameter(f"{name}.beta", Tensor(np.zeros((1, dim)), requires_grad=True))
         self.running_mean = np.zeros(dim)

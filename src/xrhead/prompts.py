@@ -14,6 +14,9 @@ from .errors import ConfigError, ShapeMismatchError
 from .numerics import Parameter, Tensor, concat, constant, reshape
 from .numerics.layers import init_normal, seeded
 
+# the standard deviation of the contexts' initial normal draw
+CONTEXT_STD = 0.02
+
 
 class PromptBank:
     """contexts (W, S, M, word_dim) trainable, class_embeddings (W, word_dim) frozen.
@@ -22,12 +25,7 @@ class PromptBank:
     """
 
     def __init__(
-        self,
-        class_embeddings: np.ndarray,
-        num_parts: int,
-        ctx_len: int,
-        seed: int | None,
-        init_std: float = 0.02,
+        self, class_embeddings: np.ndarray, num_parts: int, ctx_len: int, seed: int | None
     ):
         class_embeddings = np.asarray(class_embeddings, dtype=np.float64)
         if class_embeddings.ndim != 2:
@@ -42,7 +40,7 @@ class PromptBank:
         self.num_parts = num_parts
         self.ctx_len = ctx_len
         shape = (self.num_classes, num_parts, ctx_len, self.word_dim)
-        ctx = init_normal(seeded(seed), init_std, shape)
+        ctx = init_normal(seeded(seed), CONTEXT_STD, shape)
         self.contexts = Parameter("prompts.contexts", Tensor(ctx, requires_grad=True))
         self.class_embeddings = class_embeddings  # frozen: an input, not a parameter
         # the class row closing every prompt, row i = class i // S

@@ -112,6 +112,23 @@ def test_train_eval_flow(tiny_files, capsys):
     assert evaluation2["test_accuracy"] == report["test_accuracy"]
 
 
+def test_eval_on_a_dataset_with_other_classes_is_one_error_line(tiny_files, capsys):
+    # a 6-class model's logits cannot score 12-class labels: no accuracy is printed
+    tmp_path, cfg_path, _ = tiny_files
+    model_dir = tmp_path / "model"
+    assert main(["train", "--config", str(cfg_path), "--out", str(model_dir)]) == 0
+    spec_path = tmp_path / "spec12.json"
+    spec_path.write_text(json.dumps(dict(TINY_SPEC, num_classes=12)))
+    data_path = tmp_path / "d12.xrvd"
+    assert main(["gen-data", "--spec", str(spec_path), "--out", str(data_path)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model_dir), "--data", str(data_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert "[0, 6)" in captured.err
+
+
 def test_train_unknown_config_key_fails(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"learning_rate": 0.1}))

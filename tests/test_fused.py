@@ -244,7 +244,8 @@ def test_pwcs_matches_composed(num_parts):
 
 def make_prompts():
     emb = np.random.default_rng(12).normal(size=(4, 6))
-    bank = PromptBank(emb, num_parts=3, ctx_len=2, seed=13, init_std=0.5)
+    bank = PromptBank(emb, num_parts=3, ctx_len=2, seed=13)
+    bank.contexts.tensor.values *= 25.0  # std 0.5: large enough to bend the tanh
     enc = FrozenTextEncoder(seed=14, word_dim=6, feat_dim=5, num_positions=3)
     return (bank, enc), [bank.contexts.tensor]
 
@@ -352,7 +353,7 @@ def step_inputs(config, dataset):
 
 
 def tiny_config(**overrides):
-    base = dict(shots=4, feat_dim=12, ctx_len=3, head_hidden=10, data_spec=TINY_SPEC)
+    base = dict(shots=4, feat_dim=12, ctx_len=3, data_spec=TINY_SPEC)
     base.update(overrides)
     return TrainConfig(**base)
 

@@ -91,15 +91,17 @@ def tiny_dataset():
 def test_config_defaults_match_protocol():
     cfg = TrainConfig()
     assert cfg.epochs == 100
-    assert cfg.lr0 == 2e-3
-    assert cfg.weight_decay == 1e-4
     assert cfg.num_parts == 4
     assert cfg.ctx_len == 16
     assert cfg.shots == 16
-    # tau, the loss temperature and the encoder seed are constants, not settings
+    # tau, the loss temperature, the encoder seed and the SGD values are
+    # constants, not settings
     assert TAU == 64.0
     assert harness.LOSS_TEMPERATURE == 64.0
     assert harness.ENCODER_SEED == 7
+    assert harness.LR0 == 2e-3
+    assert harness.WEIGHT_DECAY == 1e-4
+    assert harness.MOMENTUM == 0.9
 
 
 def test_every_config_field_has_a_json_type():
@@ -124,6 +126,10 @@ def test_config_rejects_unknown_keys():
         ("cosine_loss_scale", 64.0),
         ("encoder_seed", 7),
         ("prompt_mode", "learned"),
+        ("lr0", 2e-3),
+        ("weight_decay", 1e-4),
+        ("momentum", 0.9),
+        ("head_hidden", None),
     ):
         with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
             TrainConfig.from_dict({key: value})
@@ -147,15 +153,11 @@ def test_readme_config_table_names_every_field():
         {"ctx_len": 0},
         {"feat_dim": 0},
         {"epochs": 0},
-        {"lr0": 0.0},
-        {"weight_decay": -1.0},
-        {"momentum": 1.0},
         {"batch_size": 1},
         {"shots": 0},
         {"seed_model": -1},
         {"seed_data": -1},
         {"word_dim": 0},
-        {"head_hidden": 0},
         {"data_spec": {"num_classes": 4}, "data_file": "x.xrvd"},
         {"data_spec": {"num_classes": 1}},
         {"head": "ALIGN"},  # ALIGN is PWCS at one part, as build_head insists
@@ -172,7 +174,7 @@ def test_config_validation_accepts_the_edges():
 
 
 def test_config_json_file_round_trip(tmp_path):
-    cfg = tiny_config(head="CRM_XPART", momentum=0.8)
+    cfg = tiny_config(head="CRM_XPART", batch_size=6)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
     loaded = TrainConfig.from_json_file(str(path))
@@ -325,10 +327,11 @@ def test_epoch_losses_independent_of_blas_threads():
     assert outs[0] == outs[1]
 
 
-def test_divergence_names_epoch_and_step(tiny_dataset):
+def test_divergence_names_epoch_and_step(tiny_dataset, monkeypatch):
+    monkeypatch.setattr(harness, "LR0", 1e100)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match=r"epoch \d+, step \d+") as err:
-            train(tiny_config(lr0=1e100), tiny_dataset)
+            train(tiny_config(), tiny_dataset)
     assert isinstance(err.value.__cause__, NumericError)
 
 
@@ -343,10 +346,9 @@ def test_report_equality_ignores_timing(tiny_dataset):
 
 
 def test_lr_trace_follows_cosine_schedule(tiny_dataset):
-    cfg = tiny_config(epochs=5)
-    _, report = train(cfg, tiny_dataset)
-    assert report.epoch_lrs[0] == cfg.lr0
-    expected_last = cfg.lr0 * 0.5 * (1.0 + np.cos(np.pi * 4 / 5))
+    _, report = train(tiny_config(epochs=5), tiny_dataset)
+    assert report.epoch_lrs[0] == harness.LR0
+    expected_last = harness.LR0 * 0.5 * (1.0 + np.cos(np.pi * 4 / 5))
     assert report.epoch_lrs[-1] == pytest.approx(expected_last, rel=1e-12)
     assert all(a >= b for a, b in zip(report.epoch_lrs, report.epoch_lrs[1:]))
 
@@ -385,10 +387,11 @@ def test_run_report_json_round_trip(tiny_dataset):
 # --- evaluation ------------------------------------------------------------------------
 
 
-def test_predict_logits_matches_per_sample_loop(tiny_dataset):
+def test_predict_logits_matches_per_sample_loop(tiny_dataset, monkeypatch):
     model, _ = train(tiny_config(), tiny_dataset)
     patches = tiny_dataset.test_patches[:7]
-    batched = predict_logits(model, patches, chunk=3)
+    monkeypatch.setattr(harness, "EVAL_CHUNK", 3)
+    batched = predict_logits(model, patches)
     feats = model.image_encoder.encode(patches)
     with no_grad():
         for i in range(patches.shape[0]):
@@ -412,6 +415,25 @@ def test_evaluate_empty_split_errors(tiny_dataset):
         evaluate(model, tiny_dataset.test_patches[:0], tiny_dataset.test_labels[:0])
 
 
+def test_evaluate_refuses_labels_that_do_not_fit_the_model(tiny_dataset, monkeypatch):
+    model = build_model(tiny_config(), tiny_dataset)
+
+    def fail(*args):
+        raise AssertionError("encoded before the labels were checked")
+
+    monkeypatch.setattr(model.image_encoder, "encode", fail)
+    patches, labels = tiny_dataset.test_patches[:5], tiny_dataset.test_labels[:5]
+    with pytest.raises(DataError, match="one label per image"):
+        evaluate(model, patches, labels[:3])
+    with pytest.raises(DataError, match="one label per image"):
+        evaluate(model, patches, labels[:, None])
+    for bad in (model.num_classes, -1):
+        with pytest.raises(DataError, match=r"class indices in \[0, 6\)"):
+            evaluate(model, patches, np.where(np.arange(5) == 2, bad, labels))
+    with pytest.raises(DataError, match="class indices"):
+        evaluate(model, patches, labels + 0.5)
+
+
 def test_eval_refuses_patches_that_are_not_three_dimensional(tiny_dataset):
     model = build_model(tiny_config(), tiny_dataset)
     patches, part_ids = tiny_dataset.test_patches, tiny_dataset.test_part_ids
@@ -422,23 +444,8 @@ def test_eval_refuses_patches_that_are_not_three_dimensional(tiny_dataset):
             export_attention(model, bad, part_ids)
 
 
-@pytest.mark.parametrize("chunk", [0, -1])
-def test_eval_refuses_chunk_below_one(chunk, tiny_dataset, monkeypatch):
-    model = build_model(tiny_config(), tiny_dataset)
-
-    def fail(*args):
-        raise AssertionError("worked before the chunk was checked")
-
-    monkeypatch.setattr(model.image_encoder, "encode", fail)
-    monkeypatch.setattr(model, "prompt_features", fail)
-    patches, labels = tiny_dataset.test_patches, tiny_dataset.test_labels
-    with pytest.raises(ConfigError, match="chunk"):
-        predict_logits(model, patches, chunk=chunk)
-    with pytest.raises(ConfigError, match="chunk"):
-        evaluate(model, patches, labels, chunk=chunk)
-
-
 def test_eval_encodes_one_chunk_at_a_time(tiny_dataset, monkeypatch):
+    monkeypatch.setattr(harness, "EVAL_CHUNK", 5)
     model = build_model(tiny_config(), tiny_dataset)
     encode = model.image_encoder.encode
     rows = []
@@ -448,7 +455,7 @@ def test_eval_encodes_one_chunk_at_a_time(tiny_dataset, monkeypatch):
         return encode(patches)
 
     monkeypatch.setattr(model.image_encoder, "encode", counted)
-    predict_logits(model, tiny_dataset.test_patches, chunk=5)
+    predict_logits(model, tiny_dataset.test_patches)
     # two threads may encode the chunks in either order
     assert sorted(rows) == [3] + [5] * 9  # 48 test images
 
@@ -501,8 +508,10 @@ def test_chunked_eval_matches_whole_split_oracle(kind, tiny_dataset, monkeypatch
     def check():
         for raw in (patches, patches.astype(np.float32)):
             for chunk in (256, 7):
+                monkeypatch.setattr(harness, "EVAL_CHUNK", chunk)
                 want, _ = bruteforce.whole_split_eval(model, raw, chunk)
-                assert predict_logits(model, raw, chunk).tobytes() == want.tobytes()
+                assert predict_logits(model, raw).tobytes() == want.tobytes()
+            monkeypatch.setattr(harness, "EVAL_CHUNK", 256)
             want_logits, want_weights = bruteforce.whole_split_eval(model, raw)
             samples = export_attention(model, raw, part_ids)
             assert [s["index"] for s in samples] == list(range(raw.shape[0]))
@@ -522,6 +531,7 @@ def test_chunked_eval_matches_whole_split_oracle(kind, tiny_dataset, monkeypatch
 
 def test_eval_error_in_the_helper_reaches_the_caller(tiny_dataset, monkeypatch):
     always_shared(monkeypatch)
+    monkeypatch.setattr(harness, "EVAL_CHUNK", 5)
     model = build_model(tiny_config(), tiny_dataset)
     encode = model.image_encoder.encode
     caller = threading.get_ident()
@@ -542,13 +552,14 @@ def test_eval_error_in_the_helper_reaches_the_caller(tiny_dataset, monkeypatch):
         helper_failed.clear()
         raised.clear()
         with pytest.raises(DegenerateInputError) as info:
-            predict_logits(model, tiny_dataset.test_patches, chunk=5)
+            predict_logits(model, tiny_dataset.test_patches)
         assert len(raised) == 1 and info.value is raised[0]
         assert threading.active_count() == threads
 
 
 def test_eval_error_in_the_caller_stops_the_helper(tiny_dataset, monkeypatch):
     always_shared(monkeypatch)
+    monkeypatch.setattr(harness, "EVAL_CHUNK", 5)
     model = build_model(tiny_config(), tiny_dataset)
     encode = model.image_encoder.encode
     caller = threading.get_ident()
@@ -573,7 +584,7 @@ def test_eval_error_in_the_caller_stops_the_helper(tiny_dataset, monkeypatch):
         began.clear()
         raised.clear()
         with pytest.raises(DegenerateInputError) as info:
-            predict_logits(model, tiny_dataset.test_patches, chunk=5)
+            predict_logits(model, tiny_dataset.test_patches)
         assert len(raised) == 1 and info.value is raised[0][1]
         assert len(began) - raised[0][0] <= 1  # of the 10 chunks
         assert threading.active_count() == threads
@@ -581,6 +592,7 @@ def test_eval_error_in_the_caller_stops_the_helper(tiny_dataset, monkeypatch):
 
 def test_shared_eval_has_at_most_two_chunks_in_flight(tiny_dataset, monkeypatch):
     always_shared(monkeypatch)
+    monkeypatch.setattr(harness, "EVAL_CHUNK", 3)
     model = build_model(tiny_config(), tiny_dataset)
     patches = tiny_dataset.test_patches
     encode, head_logits = model.image_encoder.encode, model.head.logits
@@ -608,7 +620,7 @@ def test_shared_eval_has_at_most_two_chunks_in_flight(tiny_dataset, monkeypatch)
     monkeypatch.setattr(model.image_encoder, "encode", begin)
     monkeypatch.setattr(model.head, "logits", end)
     threads = threading.active_count()
-    predict_logits(model, patches, chunk=3)
+    predict_logits(model, patches)
     assert peak <= 2
     assert sorted(started) == list(range(16))
     assert threading.active_count() == threads
@@ -618,15 +630,16 @@ def test_eval_shared_under_thread_switches(tiny_dataset, monkeypatch):
     # one-image chunks and a thread switch every microsecond: any lost
     # update to the shared counter or the results would move or drop a row
     always_shared(monkeypatch)
+    monkeypatch.setattr(harness, "EVAL_CHUNK", 1)
     model = build_model(tiny_config(), tiny_dataset)
     patches = tiny_dataset.test_patches
     with one_cpu():
-        want = predict_logits(model, patches, chunk=1)
+        want = predict_logits(model, patches)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            assert predict_logits(model, patches, chunk=1).tobytes() == want.tobytes()
+            assert predict_logits(model, patches).tobytes() == want.tobytes()
     finally:
         sys.setswitchinterval(interval)
 
@@ -658,9 +671,10 @@ def test_eval_paths_take_the_faster_path():
 def test_eval_runs_on_one_thread_when_sharing_is_slower(tiny_dataset, monkeypatch):
     if not two_cpus():
         pytest.skip("the shared eval path needs two usable CPUs")
+    monkeypatch.setattr(harness, "EVAL_CHUNK", 5)
     model = build_model(tiny_config(), tiny_dataset)
     patches = tiny_dataset.test_patches
-    want = predict_logits(build_model(tiny_config(), tiny_dataset), patches, chunk=5)
+    want = predict_logits(build_model(tiny_config(), tiny_dataset), patches)
     encode = model.image_encoder.encode
     caller = threading.get_ident()
 
@@ -672,19 +686,20 @@ def test_eval_runs_on_one_thread_when_sharing_is_slower(tiny_dataset, monkeypatc
     monkeypatch.setattr(model.image_encoder, "encode", slow_in_the_helper)
     shared = count_shared_passes(monkeypatch)
     for _ in range(25):
-        assert predict_logits(model, patches, chunk=5).tobytes() == want.tobytes()
+        assert predict_logits(model, patches).tobytes() == want.tobytes()
     # three passes while alternating, then only the probes of passes 10 and 20
     assert len(shared) == 5
 
 
 def test_eval_without_cpu_affinity_runs_on_one_thread(tiny_dataset, monkeypatch):
+    monkeypatch.setattr(harness, "EVAL_CHUNK", 5)
     model = build_model(tiny_config(), tiny_dataset)
-    want = predict_logits(model, tiny_dataset.test_patches, chunk=5)
+    want = predict_logits(model, tiny_dataset.test_patches)
     monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS and Windows
     shared = count_shared_passes(monkeypatch)
     assert harness._usable_cpus() == 1
     for _ in range(3):
-        assert predict_logits(model, tiny_dataset.test_patches, chunk=5).tobytes() == want.tobytes()
+        assert predict_logits(model, tiny_dataset.test_patches).tobytes() == want.tobytes()
     assert shared == []
 
 
@@ -1202,6 +1217,7 @@ def test_load_model_refuses_removed_config_keys(tmp_path, tiny_dataset):
     for removed in (
         dict(proj_dim=None, squared_denominator=False, normalize_prompts=False),
         dict(scale=64.0, cosine_loss_scale=64.0, encoder_seed=7, prompt_mode="learned"),
+        dict(lr0=2e-3, weight_decay=1e-4, momentum=0.9, head_hidden=None),
     ):
         (tmp_path / "config.json").write_text(json.dumps({**config, **removed}))
         with pytest.raises(FormatError, match="unknown config keys"):

@@ -196,7 +196,6 @@ def test_default_hidden_widths():
     assert build_head(HeadKind.CRM_BASE, 5, 4, 6, seed=0).clf.fc1.d_out == 16
     assert build_head(HeadKind.CRM_XPART, 5, 4, 6, seed=0).clf.fc1.d_out == 16
     assert build_head(HeadKind.CRM_XCLASS, 5, 4, 6, seed=0).clf.fc1.d_out == 512
-    assert build_head(HeadKind.CRM_FULL, 5, 4, 6, seed=0, hidden=32).clf.fc1.d_out == 32
 
 
 def test_shape_mismatch_errors():

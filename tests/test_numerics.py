@@ -431,7 +431,8 @@ def test_batch_norm_needs_two_rows():
 
 
 def test_batch_norm_running_stats_drift():
-    bn = BatchNorm(1, momentum=0.1)
+    bn = BatchNorm(1)
+    assert bn.momentum == 0.1
     x = constant(np.array([[0.0], [4.0]]))  # mean 2, biased var 4
     bn(x, training=True)
     np.testing.assert_allclose(bn.running_mean, [0.2])
