@@ -22,6 +22,14 @@ FEATURE_MAGIC = b"XRVF"
 FEATURE_VERSION = 1
 
 
+def checksum(*arrays: np.ndarray) -> str:
+    """SHA-256 hex digest over the C-order bytes of the arrays, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
 class FrozenTextEncoder:
     """Positional add, mean pool over positions, then affine-tanh-affine.
 
@@ -73,10 +81,7 @@ class FrozenTextEncoder:
         return from_op(out, (sequences,), backward)
 
     def checksum(self) -> str:
-        h = hashlib.sha256()
-        for a in (self._positions, self._w1, self._b1, self._w2, self._b2):
-            h.update(np.ascontiguousarray(a).tobytes())
-        return h.hexdigest()
+        return checksum(self._positions, self._w1, self._b1, self._w2, self._b2)
 
 
 class FrozenImageEncoder:
@@ -102,10 +107,7 @@ class FrozenImageEncoder:
         return np.tanh(out, out=out)
 
     def checksum(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self._w).tobytes())
-        h.update(np.ascontiguousarray(self._b).tobytes())
-        return h.hexdigest()
+        return checksum(self._w, self._b)
 
 
 # --- feature files -----------------------------------------------------------

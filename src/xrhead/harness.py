@@ -26,7 +26,7 @@ import numpy as np
 from .attention import PartAttention
 from .container import Reader, Writer
 from .data import Dataset, SyntheticSpec, few_shot_split, generate, load_dataset
-from .encoders import FrozenImageEncoder, FrozenTextEncoder, load_features
+from .encoders import FrozenImageEncoder, FrozenTextEncoder, checksum, load_features
 from .errors import ConfigError, DataError, FormatError, NumericError, ShapeMismatchError
 from .heads import HeadKind, build_head, check_head_parts
 from .numerics import Parameter, Sgd, Tensor, backward, constant, cross_entropy, no_grad
@@ -119,6 +119,13 @@ def config_dataset(config: TrainConfig) -> Dataset:
     return generate(spec)
 
 
+def _count(value, what: str) -> int:
+    """value as an int; a bool or a non-integer is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _seed_stream(seed_model: int, k: int) -> int:
     # disjoint child seeds per module as long as k < 10
     return seed_model * 10 + k
@@ -196,20 +203,14 @@ class Model:
         return {"attn.bn": self.attention.bn, **self.head.batch_norms()}
 
     def frozen_checksums(self) -> dict[str, str]:
-        import hashlib
-
         out = {
             "text_encoder": self.text_encoder.checksum(),
             "image_encoder": self.image_encoder.checksum(),
         }
         if self.bank is not None:
-            out["class_embeddings"] = hashlib.sha256(
-                np.ascontiguousarray(self.bank.class_embeddings).tobytes()
-            ).hexdigest()
+            out["class_embeddings"] = checksum(self.bank.class_embeddings)
         if self.manual is not None:
-            out["manual_prompts"] = hashlib.sha256(
-                np.ascontiguousarray(self.manual.values).tobytes()
-            ).hexdigest()
+            out["manual_prompts"] = checksum(self.manual.values)
         return out
 
 
@@ -406,6 +407,8 @@ def _eval_pass(
     thread.
     """
     patches = np.asarray(patches)
+    if patches.dtype.kind not in "biuf":
+        raise DataError(f"patches must be numeric, got dtype {patches.dtype}")
     if patches.ndim != 3:
         raise ShapeMismatchError(f"expected (images, tokens, features), got {patches.shape}")
     n = patches.shape[0]
@@ -458,6 +461,8 @@ def _eval_pass(
         work()
     if chosen:
         model.eval_paths.record(shared, (time.perf_counter() - t0) / n)
+    if not np.isfinite(logits).all():
+        raise DataError("non-finite logits: patches must be finite")
     return logits, weights
 
 
@@ -614,6 +619,7 @@ def compare_heads(
         raise ConfigError(f"need at least 2 head kinds, got {kind_names}")
     if len(set(kind_names)) != len(kind_names):
         raise ConfigError(f"duplicate head kinds: {kind_names}")
+    num_seeds = _count(num_seeds, "num_seeds")
     if num_seeds < 1:
         raise ConfigError(f"need num_seeds >= 1, got {num_seeds}")
     runs = {
@@ -697,7 +703,7 @@ def sweep_parts(
     runtime_monotone compares each run's least per-step CPU time, which a
     busy machine inflates far less than the run's total.
     """
-    parts = [int(s) for s in parts]
+    parts = [_count(s, "part counts") for s in parts]
     if not parts:
         raise ConfigError("need at least one part count")
     for s in parts:
@@ -756,6 +762,8 @@ def analyze_embeddings(embeddings: np.ndarray, bins: int = 10) -> dict:
         raise DataError(f"embeddings must be 2-d, got shape {emb.shape}")
     if emb.shape[0] < 2:
         raise DataError(f"need at least 2 embeddings, got {emb.shape[0]}")
+    if not np.isfinite(emb).all():
+        raise DataError("embeddings must be finite")
     if bins < 1:
         raise DataError(f"need bins >= 1, got {bins}")
     diff = emb[:, None, :] - emb[None, :, :]

@@ -57,6 +57,8 @@ class HeadKind(str, enum.Enum):
 
 
 CRM_KINDS = (HeadKind.CRM_FULL, HeadKind.CRM_BASE, HeadKind.CRM_XCLASS, HeadKind.CRM_XPART)
+# the relation heads whose classifier scores one class at a time
+PER_CLASS_KINDS = (HeadKind.CRM_BASE, HeadKind.CRM_XPART)
 
 
 def _check_pair(v: Tensor, t: Tensor):
@@ -76,11 +78,9 @@ def _check_pair(v: Tensor, t: Tensor):
 def relation_batch(v: Tensor, t: Tensor) -> Tensor:
     """(b, s, d) x (w, s, d) -> (b, s*s*w) with the documented flat layout."""
     b, s, d, w = _check_pair(v, t)
-    t2 = reshape(t, (w * s, d))  # row w * s + s2
-    # reorder prompt rows to (s2 outer, w inner) so a plain matmul + reshape
+    # prompt rows in (s2 outer, w inner) order, so a plain matmul + reshape
     # lands every product at flat[s * (s*w) + s2 * w + w_idx]
-    perm = np.arange(s * w)
-    trows = gather_rows(t2, (perm % w) * s + perm // w)
+    trows = reshape(transpose(t, (1, 0, 2)), (s * w, d))
     products = matmul(reshape(v, (b * s, d)), transpose(trows))  # (b*s, s*w)
     return reshape(products, (b, s * s * w))
 
@@ -107,10 +107,6 @@ class PwcsHead:
 
     cosine_logits = True
 
-    def __init__(self, num_classes: int, num_parts: int):
-        self.num_classes = num_classes
-        self.num_parts = num_parts
-
     def logits(self, v: Tensor, t: Tensor, training: bool) -> Tensor:
         return pwcs_batch(v, t)
 
@@ -129,7 +125,6 @@ class MlpsHead:
     def __init__(
         self, num_classes: int, num_parts: int, feat_dim: int, hidden: int, seed: int | None
     ):
-        self.num_classes = num_classes
         self.num_parts = num_parts
         self.feat_dim = feat_dim
         rng = seeded(seed)
@@ -160,6 +155,9 @@ class MlpsHead:
 class CrmHead:
     """Relation-matrix heads: a classifier over flattened inner products.
 
+    The variants are the 2x2 of cross-part products (s != s2) and one
+    classifier across all classes:
+
     FULL    one classifier on the whole vector, s*s*w -> w
     BASE    shared classifier on each class diagonal, s -> 1
     XCLASS  one classifier on concatenated diagonals, s*w -> w
@@ -177,24 +175,16 @@ class CrmHead:
         self.num_classes = num_classes
         self.num_parts = num_parts
         w, s = num_classes, num_parts
-        rng = seeded(seed)
-        if kind == HeadKind.CRM_FULL:
-            self.pick = None
-            self.clf = Mlp(s * s * w, hidden, w, rng, name="head.clf")
-        elif kind == HeadKind.CRM_BASE:
-            # class-major diagonals: pick[w_idx * s + s_idx] = (s_idx, s_idx, w_idx)
-            grid = np.arange(w * s)
-            self.pick = (grid % s) * (s * w) + (grid % s) * w + grid // s
-            self.clf = Mlp(s, hidden, 1, rng, name="head.clf")
-        elif kind == HeadKind.CRM_XCLASS:
-            grid = np.arange(w * s)
-            self.pick = (grid % s) * (s * w) + (grid % s) * w + grid // s
-            self.clf = Mlp(s * w, hidden, w, rng, name="head.clf")
-        else:  # CRM_XPART: class-major full blocks
-            grid = np.arange(w * s * s)
-            w_idx, rest = grid // (s * s), grid % (s * s)
-            self.pick = (rest // s) * (s * w) + (rest % s) * w + w_idx
-            self.clf = Mlp(s * s, hidden, 1, rng, name="head.clf")
+        # class-major: pick[(w_idx * s + s_idx) * s + s2] = (s_idx, s2, w_idx)
+        w_idx, s_idx, s2 = np.unravel_index(np.arange(w * s * s), (w, s, s))
+        pick = s_idx * (s * w) + s2 * w + w_idx
+        if kind in (HeadKind.CRM_BASE, HeadKind.CRM_XCLASS):
+            pick = pick[s_idx == s2]
+        # FULL reads the vector as it is: a gather would only copy it
+        self.pick = None if kind == HeadKind.CRM_FULL else pick
+        self.per_class = kind in PER_CLASS_KINDS
+        d_in, d_out = (pick.size // w, 1) if self.per_class else (pick.size, w)
+        self.clf = Mlp(d_in, hidden, d_out, seeded(seed), name="head.clf")
 
     def logits_from_relation(self, flat: Tensor, training: bool) -> Tensor:
         """flat (b, s*s*w) -> logits (b, w)."""
@@ -204,13 +194,11 @@ class CrmHead:
             raise ShapeMismatchError(
                 f"expected relation vectors (b, {s * s * w}), got {flat.values.shape}"
             )
-        if self.kind == HeadKind.CRM_FULL:
+        if self.pick is not None:
+            flat = gather_cols(flat, self.pick)
+        if not self.per_class:
             return self.clf(flat, training)
-        picked = gather_cols(flat, self.pick)
-        if self.kind == HeadKind.CRM_XCLASS:
-            return self.clf(picked, training)
-        per_class = self.pick.size // w
-        scores = self.clf(reshape(picked, (b * w, per_class)), training)
+        scores = self.clf(reshape(flat, (b * w, self.pick.size // w)), training)
         return reshape(scores, (b, w))
 
     def logits(self, v: Tensor, t: Tensor, training: bool) -> Tensor:
@@ -238,10 +226,10 @@ def build_head(kind: HeadKind, num_classes: int, num_parts: int, feat_dim: int, 
     """
     if num_classes < 2:
         raise ConfigError(f"need at least 2 classes, got {num_classes}")
-    hidden = 4 * num_parts if kind in (HeadKind.CRM_BASE, HeadKind.CRM_XPART) else 512
+    hidden = 4 * num_parts if kind in PER_CLASS_KINDS else 512
     check_head_parts(kind, num_parts)
     if kind in (HeadKind.ALIGN, HeadKind.PWCS):
-        return PwcsHead(num_classes, num_parts)
+        return PwcsHead()
     if kind == HeadKind.MLPS:
         return MlpsHead(num_classes, num_parts, feat_dim, hidden, seed)
     return CrmHead(kind, num_classes, num_parts, hidden, seed)

@@ -161,6 +161,20 @@ def _scale(vals: list[float]) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _plot_area(xs: list[float], ys: list[float]):
+    """(px, py, ylo, yhi): data-to-pixel maps over the padded ranges of xs and ys."""
+    xlo, xhi = _scale(xs)
+    ylo, yhi = _scale(ys)
+
+    def px(x):
+        return _MARGIN + (x - xlo) / (xhi - xlo) * (_W - 2 * _MARGIN)
+
+    def py(y):
+        return _H - _MARGIN - (y - ylo) / (yhi - ylo) * (_H - 2 * _MARGIN)
+
+    return px, py, ylo, yhi
+
+
 def svg_lines(
     xs: list[float],
     series: dict[str, list[float]],
@@ -169,16 +183,7 @@ def svg_lines(
     ylabel: str,
 ) -> str:
     """Line chart with one polyline per labeled series."""
-    xlo, xhi = _scale(xs)
-    all_y = [y for ys in series.values() for y in ys]
-    ylo, yhi = _scale(all_y)
-
-    def px(x):
-        return _MARGIN + (x - xlo) / (xhi - xlo) * (_W - 2 * _MARGIN)
-
-    def py(y):
-        return _H - _MARGIN - (y - ylo) / (yhi - ylo) * (_H - 2 * _MARGIN)
-
+    px, py, ylo, yhi = _plot_area(xs, [y for ys in series.values() for y in ys])
     parts = _axes(title, xlabel, ylabel)
     for x in xs:
         parts.append(
@@ -231,15 +236,7 @@ def svg_scatter(points, groups, title: str) -> str:
     """points (n, 2), groups (n,) ints coloring the markers."""
     xs = [float(p[0]) for p in points]
     ys = [float(p[1]) for p in points]
-    xlo, xhi = _scale(xs)
-    ylo, yhi = _scale(ys)
-
-    def px(x):
-        return _MARGIN + (x - xlo) / (xhi - xlo) * (_W - 2 * _MARGIN)
-
-    def py(y):
-        return _H - _MARGIN - (y - ylo) / (yhi - ylo) * (_H - 2 * _MARGIN)
-
+    px, py, _, _ = _plot_area(xs, ys)
     parts = _axes(title, "dim 1", "dim 2")
     for (x, y), g in zip(zip(xs, ys), groups):
         color = _COLORS[int(g) % len(_COLORS)]

@@ -254,6 +254,19 @@ def composed_pwcs(v, t):
     return acc * (1.0 / s)
 
 
+def composed_relation(v, t):
+    """relation_batch with the prompt rows reordered by an index gather."""
+    b, s, d = v.values.shape
+    w = t.values.shape[0]
+    t2 = reshape(t, (w * s, d))  # row w * s + s2
+    # reorder prompt rows to (s2 outer, w inner) so a plain matmul + reshape
+    # lands every product at flat[s * (s*w) + s2 * w + w_idx]
+    perm = np.arange(s * w)
+    trows = gather_rows(t2, (perm % w) * s + perm // w)
+    products = matmul(reshape(v, (b * s, d)), transpose(trows))  # (b*s, s*w)
+    return reshape(products, (b, s * s * w))
+
+
 def composed_sequences(bank):
     """PromptBank.all_sequences as a row interleave of contexts and class rows."""
     w, s, m, d = bank.num_classes, bank.num_parts, bank.ctx_len, bank.word_dim
@@ -275,7 +288,7 @@ def composed_text_encode(enc, sequences):
 
 def composed_model_loss(model, feats, labels, training: bool = True):
     """Model.loss with every fused layer replaced by its chain."""
-    from xrhead.heads import CrmHead, HeadKind, MlpsHead, relation_batch
+    from xrhead.heads import CrmHead, HeadKind, MlpsHead
 
     v, _ = composed_attention(model.attention, feats, training)
     b, s, d = v.values.shape
@@ -296,7 +309,7 @@ def composed_model_loss(model, feats, labels, training: bool = True):
     w = t.values.shape[0]
     if not isinstance(head, CrmHead):  # PWCS, and ALIGN as PWCS at one part
         return cross_entropy(composed_pwcs(v, t) * LOSS_TEMPERATURE, labels)
-    flat = relation_batch(v, t)
+    flat = composed_relation(v, t)
     if head.kind == HeadKind.CRM_FULL:
         return cross_entropy(composed_mlp(head.clf, flat, training), labels)
     picked = gather_cols(flat, head.pick)

@@ -15,7 +15,7 @@ from xrhead.attention import PartAttention
 from xrhead.data import SyntheticSpec, generate
 from xrhead.encoders import FrozenTextEncoder
 from xrhead.harness import TrainConfig, build_model, few_shot_split
-from xrhead.heads import pwcs_batch
+from xrhead.heads import pwcs_batch, relation_batch
 from xrhead.numerics import (
     Affine,
     BatchNorm,
@@ -237,6 +237,22 @@ def test_pwcs_matches_composed(num_parts):
     (v, t), leaves = make()
     k = constant(np.random.default_rng(11).normal(size=(5, 7)))
     grad_check(lambda: tsum(mul(pwcs_batch(v, t), k)), leaves)
+
+
+# --- relation vector ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("num_parts", [1, 4])
+def test_relation_matches_composed(num_parts):
+    def make():
+        rng = np.random.default_rng(12)
+        v = Tensor(rng.normal(size=(5, num_parts, 6)), requires_grad=True)
+        t = Tensor(rng.normal(size=(7, num_parts, 6)), requires_grad=True)
+        return (v, t), [v, t]
+
+    assert_same_bits(
+        make, lambda s: relation_batch(*s), lambda s: bruteforce.composed_relation(*s)
+    )
 
 
 # --- prompt bank and text encoder -------------------------------------------------

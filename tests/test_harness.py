@@ -444,6 +444,26 @@ def test_eval_refuses_patches_that_are_not_three_dimensional(tiny_dataset):
             export_attention(model, bad, part_ids)
 
 
+def test_eval_refuses_patches_that_are_not_numeric(tiny_dataset):
+    model = build_model(tiny_config(), tiny_dataset)
+    patches = tiny_dataset.test_patches[:4]
+    for bad in (np.full(patches.shape, "x"), patches.astype(str)):
+        with pytest.raises(DataError, match="numeric"):
+            predict_logits(model, bad)
+        with pytest.raises(DataError, match="numeric"):
+            evaluate(model, bad, tiny_dataset.test_labels[:4])
+
+
+def test_eval_refuses_patches_that_give_non_finite_logits(tiny_dataset):
+    model = build_model(tiny_config(), tiny_dataset)
+    patches = tiny_dataset.test_patches[:4].copy()
+    patches[2, 1, 0] = np.nan
+    with pytest.raises(DataError, match="non-finite logits"):
+        predict_logits(model, patches)
+    with pytest.raises(DataError, match="non-finite logits"):
+        evaluate(model, patches, tiny_dataset.test_labels[:4])
+
+
 def test_eval_encodes_one_chunk_at_a_time(tiny_dataset, monkeypatch):
     monkeypatch.setattr(harness, "EVAL_CHUNK", 5)
     model = build_model(tiny_config(), tiny_dataset)
@@ -799,6 +819,18 @@ def test_compare_validation(tiny_dataset):
         compare_heads(tiny_config(), ["PWCS", "MLPS"], num_seeds=0, dataset=tiny_dataset)
 
 
+def test_compare_refuses_seed_counts_that_are_not_integers(tiny_dataset, monkeypatch):
+    def no_training(cfg, ds=None):
+        raise AssertionError("trained")
+
+    monkeypatch.setattr(harness, "train", no_training)
+    for bad in (1.5, True):
+        with pytest.raises(ConfigError, match="num_seeds must be an integer"):
+            compare_heads(tiny_config(), ["PWCS", "MLPS"], num_seeds=bad, dataset=tiny_dataset)
+    with pytest.raises(AssertionError, match="trained"):  # numpy integers are counts
+        compare_heads(tiny_config(), ["PWCS", "MLPS"], num_seeds=np.int64(1), dataset=tiny_dataset)
+
+
 # --- sweeps ---------------------------------------------------------------------------------
 
 
@@ -834,6 +866,18 @@ def test_sweep_validation(tiny_dataset):
         sweep_parts(tiny_config(), [0], dataset=tiny_dataset)
     with pytest.raises(ConfigError, match="duplicate"):
         sweep_parts(tiny_config(), [2, 2], dataset=tiny_dataset)
+
+
+def test_sweep_refuses_part_counts_that_are_not_integers(tiny_dataset, monkeypatch):
+    def no_training(cfg, ds=None):
+        raise AssertionError(f"trained {cfg.num_parts} parts")
+
+    monkeypatch.setattr(harness, "train", no_training)
+    for bad in ([1.5], [True, 2], [2, 2.0]):
+        with pytest.raises(ConfigError, match="part counts must be an integer"):
+            sweep_parts(tiny_config(), bad, dataset=tiny_dataset)
+    with pytest.raises(AssertionError, match="trained 2 parts"):  # numpy integers are counts
+        sweep_parts(tiny_config(), [np.int64(2)], dataset=tiny_dataset)
 
 
 def test_bad_run_refused_before_any_training(tiny_dataset, monkeypatch):
@@ -896,6 +940,14 @@ def test_analyze_validation():
         analyze_embeddings(np.zeros(5))
     with pytest.raises(DataError):
         analyze_embeddings(np.zeros((4, 3)), bins=0)
+
+
+def test_analyze_refuses_non_finite_rows():
+    for bad in (np.nan, np.inf):
+        emb = np.arange(12.0).reshape(4, 3)
+        emb[1, 2] = bad
+        with pytest.raises(DataError, match="finite"):
+            analyze_embeddings(emb)
 
 
 def test_project_2d_collinear_second_component_zero():

@@ -192,10 +192,17 @@ def test_build_head_dispatch_and_validation():
 
 
 def test_default_hidden_widths():
-    assert build_head(HeadKind.CRM_FULL, 5, 4, 6, seed=0).clf.fc1.d_out == 512
-    assert build_head(HeadKind.CRM_BASE, 5, 4, 6, seed=0).clf.fc1.d_out == 16
-    assert build_head(HeadKind.CRM_XPART, 5, 4, 6, seed=0).clf.fc1.d_out == 16
-    assert build_head(HeadKind.CRM_XCLASS, 5, 4, 6, seed=0).clf.fc1.d_out == 512
+    w, s = 5, 4
+    # kind -> (classifier in, hidden, out)
+    widths = {
+        HeadKind.CRM_FULL: (s * s * w, 512, w),
+        HeadKind.CRM_BASE: (s, 16, 1),
+        HeadKind.CRM_XCLASS: (s * w, 512, w),
+        HeadKind.CRM_XPART: (s * s, 16, 1),
+    }
+    for kind, (d_in, hidden, d_out) in widths.items():
+        clf = build_head(kind, w, s, 6, seed=0).clf
+        assert (clf.fc1.d_in, clf.fc1.d_out, clf.fc2.d_out) == (d_in, hidden, d_out), kind
 
 
 def test_shape_mismatch_errors():
