@@ -23,7 +23,7 @@ from xrhead.data import (
     nearest_prototype_accuracy,
     save_dataset,
 )
-from xrhead.harness import analyze_embeddings
+from xrhead.analysis import analyze_embeddings
 
 # the default benchmark: 20 classes in 5 superclasses, 4 true parts
 ds = generate(SyntheticSpec())

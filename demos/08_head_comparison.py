@@ -11,7 +11,8 @@ sweep then shows accuracy and cost as the number of parts grows.
 
 import numpy as np
 
-from xrhead.harness import TrainConfig, compare_heads, config_dataset, sweep_parts
+from xrhead.experiments import compare_heads, sweep_parts
+from xrhead.harness import TrainConfig, config_dataset
 
 # a reduced cross-structure benchmark keeps this demo quick; the full-size
 # run lives in the acceptance suite

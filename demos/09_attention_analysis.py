@@ -17,13 +17,8 @@ import numpy as np
 
 from xrhead import report as rpt
 from xrhead.data import SyntheticSpec, generate
-from xrhead.harness import (
-    TrainConfig,
-    attention_alignment,
-    export_attention,
-    project_2d,
-    train,
-)
+from xrhead.analysis import attention_alignment, project_2d
+from xrhead.harness import TrainConfig, export_attention, train
 
 config = TrainConfig(
     epochs=30,

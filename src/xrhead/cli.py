@@ -18,24 +18,21 @@ from dataclasses import replace
 import numpy as np
 
 from . import report as rpt
+from .analysis import analyze_embeddings, attention_alignment, project_2d
 from .data import SyntheticSpec, generate, load_dataset, save_dataset
-from .encoders import load_features
-from .errors import ConfigError, XRHeadError
+from .encoders import checksum, load_features
+from .errors import ConfigError, DataError, XRHeadError
+from .experiments import compare_heads, sweep_parts
 from .harness import (
     TrainConfig,
-    analyze_embeddings,
-    attention_alignment,
     build_model,
     class_name_embeddings,
-    compare_heads,
     config_dataset,
     evaluate,
     export_attention,
     few_shot_split,
     load_model,
-    project_2d,
     save_model,
-    sweep_parts,
     train,
 )
 from .numerics import constant, finite_diff_check
@@ -66,12 +63,24 @@ def _load_config(path: str | None, data_file: str | None = None) -> TrainConfig:
 
 
 def _model_and_dataset(args):
-    """The model saved in --model and its config's dataset, or the --data file instead."""
+    """The model saved in --model and its config's dataset, or the --data file instead.
+
+    A learned-prompt model refuses a dataset whose class embeddings are not
+    the ones it was trained on."""
     model, _ = load_model(args.model)
     config = model.config
     if args.data is not None:
         config = replace(config, data_file=args.data, data_spec=None)
-    return model, config_dataset(config)
+    ds = config_dataset(config)
+    if model.bank is not None:
+        want = checksum(model.bank.class_embeddings)
+        got = checksum(np.asarray(ds.class_embeddings, dtype=np.float64))
+        if got != want:
+            raise DataError(
+                f"dataset class embeddings ({ds.num_classes} classes, sha256 {got}) are not "
+                f"the model's ({model.num_classes} classes, sha256 {want})"
+            )
+    return model, ds
 
 
 def _emit(payload: dict) -> None:

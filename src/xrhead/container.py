@@ -31,6 +31,8 @@ _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<i8"), 2: np.dtype("<f8")}
 _CODE_FOR = {np.dtype("<f4"): 0, np.dtype("<i8"): 1, np.dtype("<f8"): 2}
 
 MAX_RANK = 8
+# the largest array extent a file may declare; configs refuse sizes above it too
+MAX_EXTENT = 1 << 32
 MAX_METADATA_BYTES = 1 << 24
 
 
@@ -93,7 +95,7 @@ class Reader:
         extents = [self.u64(f"{what} extent {i}") for i in range(rank)]
         count = 1
         for e in extents:
-            if e > (1 << 32):
+            if e > MAX_EXTENT:
                 raise FormatError(f"{what} extent {e} is implausibly large", at)
             count *= e
         payload_at = self.offset

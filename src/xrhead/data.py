@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .container import Reader, Writer
+from .container import MAX_EXTENT, Reader, Writer
 from .errors import DataError, FormatError
 from .report import JsonFields
 
@@ -47,6 +47,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("num_classes", "num_superclasses", "tokens_per_image", "patch_dim",
+                     "train_per_class", "test_per_class", "embed_dim"):
+            if getattr(self, name) > MAX_EXTENT:  # refused before anything is allocated
+                raise DataError(f"{name} {getattr(self, name)} exceeds the limit {MAX_EXTENT}")
         w, g, s = self.num_classes, self.num_superclasses, self.true_parts
         if w < 2:
             raise DataError(f"need at least 2 classes, got {w}")

@@ -1,4 +1,4 @@
-"""Experiment harness: config, model assembly, training, comparisons, analyses.
+"""Experiment harness: config, model assembly, training, evaluation, persistence.
 
 A Model bundles frozen encoders, the prompt bank, part attention, and one
 prediction head.  Only prompt contexts, attention parameters, and head
@@ -19,12 +19,12 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .attention import PartAttention
-from .container import Reader, Writer
+from .container import MAX_EXTENT, Reader, Writer
 from .data import Dataset, SyntheticSpec, few_shot_split, generate, load_dataset
 from .encoders import FrozenImageEncoder, FrozenTextEncoder, checksum, load_features
 from .errors import ConfigError, DataError, FormatError, NumericError, ShapeMismatchError
@@ -73,6 +73,9 @@ class TrainConfig:
 
     def validate(self) -> None:
         kind = HeadKind.parse(self.head)
+        for name in ("num_parts", "ctx_len", "feat_dim", "word_dim", "batch_size", "shots"):
+            if getattr(self, name) > MAX_EXTENT:  # refused before anything is allocated
+                raise ConfigError(f"{name} {getattr(self, name)} exceeds the limit {MAX_EXTENT}")
         if self.num_parts < 1:
             raise ConfigError(f"need num_parts >= 1, got {self.num_parts}")
         check_head_parts(kind, self.num_parts)
@@ -117,13 +120,6 @@ def config_dataset(config: TrainConfig) -> Dataset:
         return load_dataset(config.data_file)
     spec = SyntheticSpec.from_dict(config.data_spec) if config.data_spec else SyntheticSpec()
     return generate(spec)
-
-
-def _count(value, what: str) -> int:
-    """value as an int; a bool or a non-integer is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _seed_stream(seed_model: int, k: int) -> int:
@@ -570,237 +566,6 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
     return model, report
 
 
-# --- head comparison ---------------------------------------------------------------
-
-
-@dataclass
-class ComparisonResult:
-    kinds: list[str]
-    num_seeds: int
-    rows: list[dict]
-    summary: dict
-    reports: list[RunReport]
-
-    CSV_HEADER = ["head", "seed_model", "seed_data", "train_accuracy", "test_accuracy"]
-
-    def csv(self) -> str:
-        rows = [
-            [r["head"], r["seed_model"], r["seed_data"], r["train_accuracy"], r["test_accuracy"]]
-            for r in self.rows
-        ]
-        for kind in self.kinds:
-            s = self.summary[kind]
-            rows.append([kind, "mean", "", s["mean_train"], s["mean_test"]])
-            rows.append([kind, "std", "", s["std_train"], s["std_test"]])
-        return rpt.csv_text(self.CSV_HEADER, rows)
-
-    def to_dict(self) -> dict:
-        return {
-            "kinds": self.kinds,
-            "num_seeds": self.num_seeds,
-            "rows": self.rows,
-            "summary": self.summary,
-        }
-
-
-def compare_heads(
-    config: TrainConfig,
-    kinds: list[str],
-    num_seeds: int = 5,
-    dataset: Dataset | None = None,
-) -> ComparisonResult:
-    """Train every head kind on identical data, splits, and shared-module seeds.
-
-    Run i uses seed_model + i and seed_data + i, the same pair for every kind,
-    so prompt-bank and attention initializations match across kinds.
-    """
-    kind_names = [HeadKind.parse(k).value for k in kinds]
-    if len(kind_names) < 2:
-        raise ConfigError(f"need at least 2 head kinds, got {kind_names}")
-    if len(set(kind_names)) != len(kind_names):
-        raise ConfigError(f"duplicate head kinds: {kind_names}")
-    num_seeds = _count(num_seeds, "num_seeds")
-    if num_seeds < 1:
-        raise ConfigError(f"need num_seeds >= 1, got {num_seeds}")
-    runs = {
-        (kind, i): replace(
-            config, head=kind, seed_model=config.seed_model + i, seed_data=config.seed_data + i
-        )
-        for kind in kind_names
-        for i in range(num_seeds)
-    }
-    for cfg in runs.values():  # refuse any bad run before the first training
-        cfg.validate()
-    ds = dataset if dataset is not None else config_dataset(config)
-
-    # keyed merge: results are collected by (kind, run) and emitted in canonical
-    # order, so aggregation does not depend on execution order
-    by_key = {key: train(cfg, ds)[1] for key, cfg in runs.items()}
-
-    rows = []
-    summary = {}
-    reports = []
-    for kind in kind_names:
-        train_accs, test_accs = [], []
-        for i in range(num_seeds):
-            r = by_key[(kind, i)]
-            reports.append(r)
-            rows.append(
-                {
-                    "head": kind,
-                    "seed_model": r.seed_model,
-                    "seed_data": r.seed_data,
-                    "train_accuracy": r.train_accuracy,
-                    "test_accuracy": r.test_accuracy,
-                }
-            )
-            train_accs.append(r.train_accuracy)
-            test_accs.append(r.test_accuracy)
-        summary[kind] = {
-            "mean_train": float(np.mean(train_accs)),
-            "std_train": float(np.std(train_accs)),
-            "mean_test": float(np.mean(test_accs)),
-            "std_test": float(np.std(test_accs)),
-        }
-    return ComparisonResult(kind_names, num_seeds, rows, summary, reports)
-
-
-# --- prompt-count sweep --------------------------------------------------------------
-
-
-@dataclass
-class SweepResult:
-    parts: list[int]
-    rows: list[dict]
-    flags: dict
-
-    CSV_HEADER = ["num_parts", "train_accuracy", "test_accuracy", "is_default"]
-
-    def csv(self) -> str:
-        rows = [
-            [r["num_parts"], r["train_accuracy"], r["test_accuracy"], int(r["is_default"])]
-            for r in self.rows
-        ]
-        return rpt.csv_text(self.CSV_HEADER, rows)
-
-    def svg(self) -> str:
-        xs = [float(r["num_parts"]) for r in self.rows]
-        series = {
-            "train": [r["train_accuracy"] for r in self.rows],
-            "test": [r["test_accuracy"] for r in self.rows],
-        }
-        return rpt.svg_lines(xs, series, "accuracy vs part count", "parts", "accuracy")
-
-    def to_dict(self) -> dict:
-        return {"parts": self.parts, "rows": self.rows, "flags": self.flags}
-
-
-def sweep_parts(
-    config: TrainConfig, parts: list[int], dataset: Dataset | None = None
-) -> SweepResult:
-    """One train/eval per part count with shared seeds; records CPU runtimes.
-
-    runtime_monotone compares each run's least per-step CPU time, which a
-    busy machine inflates far less than the run's total.
-    """
-    parts = [_count(s, "part counts") for s in parts]
-    if not parts:
-        raise ConfigError("need at least one part count")
-    for s in parts:
-        if s < 1:
-            raise ConfigError(f"part counts must be >= 1, got {s}")
-    if len(set(parts)) != len(parts):
-        raise ConfigError(f"duplicate part counts: {parts}")
-    runs = {s: replace(config, num_parts=s) for s in parts}
-    for cfg in runs.values():  # refuse any bad run before the first training
-        cfg.validate()
-    ds = dataset if dataset is not None else config_dataset(config)
-    default_parts = TrainConfig().num_parts
-
-    by_key = {s: train(cfg, ds)[1] for s, cfg in runs.items()}
-
-    rows = []
-    for s in parts:
-        r = by_key[s]
-        rows.append(
-            {
-                "num_parts": s,
-                "train_accuracy": r.train_accuracy,
-                "test_accuracy": r.test_accuracy,
-                "is_default": s == default_parts,
-                "train_cpu_seconds": r.timing["train_cpu_seconds"],
-                "step_cpu_min_seconds": r.timing["step_cpu_min_seconds"],
-            }
-        )
-
-    ordered = sorted(rows, key=lambda r: r["num_parts"])
-    runtimes = [r["step_cpu_min_seconds"] for r in ordered]
-    best = max(rows, key=lambda r: (r["test_accuracy"], -r["num_parts"]))
-    default_rows = [r for r in rows if r["is_default"]]
-    flags = {
-        "runtime_monotone": bool(
-            all(a < b for a, b in zip(runtimes, runtimes[1:]))
-        ),
-        "best_parts": int(best["num_parts"]),
-        "best_test_accuracy": float(best["test_accuracy"]),
-        "default_within_one_point": (
-            bool(best["test_accuracy"] - default_rows[0]["test_accuracy"] <= 0.01 + 1e-12)
-            if default_rows
-            else None
-        ),
-    }
-    return SweepResult(parts, rows, flags)
-
-
-# --- embedding analyses --------------------------------------------------------------
-
-
-def analyze_embeddings(embeddings: np.ndarray, bins: int = 10) -> dict:
-    """Nearest-neighbor distance structure of row vectors (classes, dim)."""
-    emb = np.asarray(embeddings, dtype=np.float64)
-    if emb.ndim != 2:
-        raise DataError(f"embeddings must be 2-d, got shape {emb.shape}")
-    if emb.shape[0] < 2:
-        raise DataError(f"need at least 2 embeddings, got {emb.shape[0]}")
-    if not np.isfinite(emb).all():
-        raise DataError("embeddings must be finite")
-    if bins < 1:
-        raise DataError(f"need bins >= 1, got {bins}")
-    diff = emb[:, None, :] - emb[None, :, :]
-    d2 = np.sum(diff * diff, axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    min_d = np.sqrt(np.min(d2, axis=1))
-    counts, edges = np.histogram(min_d, bins=bins)
-    return {
-        "min_distances": min_d,
-        "counts": counts,
-        "edges": edges,
-        "mean": float(np.mean(min_d)),
-        "median": float(np.median(min_d)),
-    }
-
-
-def project_2d(embeddings: np.ndarray) -> np.ndarray:
-    """Top-2 principal-component coordinates (classes, 2).
-
-    Rank-deficient input pads missing components with zeros.  Sign convention:
-    within each component the largest-magnitude coordinate is positive.
-    """
-    emb = np.asarray(embeddings, dtype=np.float64)
-    if emb.ndim != 2 or emb.shape[0] < 3:
-        raise DataError(f"need at least 3 embeddings (rows), got shape {emb.shape}")
-    centered = emb - emb.mean(axis=0, keepdims=True)
-    u, s, _ = np.linalg.svd(centered, full_matrices=False)
-    k = min(2, s.size)
-    coords = np.zeros((emb.shape[0], 2))
-    coords[:, :k] = u[:, :k] * s[:k]
-    for j in range(2):
-        pivot = np.argmax(np.abs(coords[:, j]))
-        if coords[pivot, j] < 0:
-            coords[:, j] = -coords[:, j]
-    return coords
-
-
 # --- attention export ------------------------------------------------------------------
 
 
@@ -826,34 +591,6 @@ def export_attention(
         {"index": i, "weights": w, "part_ids": part_ids[i].copy(), "prediction": int(pred)}
         for i, (w, pred) in enumerate(zip(weights, np.argmax(logits, axis=1)))
     ]
-
-
-def mutual_information(x: np.ndarray, y: np.ndarray) -> float:
-    """MI in nats between two integer label arrays of equal length."""
-    x = np.asarray(x, dtype=np.int64).ravel()
-    y = np.asarray(y, dtype=np.int64).ravel()
-    if x.shape != y.shape or x.size == 0:
-        raise DataError(f"labels must be equal-length and nonempty, got {x.shape}, {y.shape}")
-    joint = np.zeros((int(x.max()) + 1, int(y.max()) + 1))
-    np.add.at(joint, (x, y), 1.0)
-    p = joint / x.size
-    px = p.sum(axis=1, keepdims=True)
-    py = p.sum(axis=0, keepdims=True)
-    nz = p > 0
-    return float(np.sum(p[nz] * np.log(p[nz] / (px @ py)[nz])))
-
-
-def attention_alignment(samples: list[dict]) -> dict:
-    """Dominant-slot vs ground-truth part id MI, against a permuted baseline."""
-    if not samples:
-        raise DataError("no samples")
-    dominant = np.concatenate([np.argmax(s["weights"], axis=1) for s in samples])
-    truth = np.concatenate([np.asarray(s["part_ids"]) for s in samples])
-    permuted = np.random.default_rng(0).permutation(truth)
-    return {
-        "mutual_information": mutual_information(dominant, truth),
-        "permuted_mutual_information": mutual_information(dominant, permuted),
-    }
 
 
 # --- model persistence --------------------------------------------------------------

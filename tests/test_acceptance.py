@@ -19,14 +19,9 @@ import bruteforce
 from xrhead.attention import PartAttention
 from xrhead.data import SyntheticSpec, few_shot_split, generate
 from xrhead.encoders import save_features
-from xrhead.harness import (
-    TrainConfig,
-    analyze_embeddings,
-    build_model,
-    compare_heads,
-    sweep_parts,
-    train,
-)
+from xrhead.analysis import analyze_embeddings
+from xrhead.experiments import compare_heads, sweep_parts
+from xrhead.harness import TrainConfig, build_model, train
 from xrhead.heads import CrmHead, HeadKind, pwcs_batch, relation_batch
 from xrhead.numerics import Tensor, constant, finite_diff_check
 

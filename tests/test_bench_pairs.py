@@ -108,14 +108,20 @@ def test_print_summary_marks_a_regression(capsys):
     assert lines[1].endswith("(REGRESSED)") and "REGRESSED" not in lines[2]
 
 
-def test_run_once_records_the_load_before_the_run(monkeypatch):
-    events = []
+def fake_perfbench_run(monkeypatch, events, ticks):
+    """run_once with a faked load average, /proc/stat reader and perfbench run;
+    the reader returns the given readings in turn."""
     result = {"correct": True, "attempted": 2, "failed": 0,
               "metrics": {"train_s": {"value": 4.0, "unit": "s"}}}
+    readings = iter(ticks)
 
     def loadavg():
         events.append("load")
         return (1.5, 0.5, 0.25)
+
+    def cpu_ticks():
+        events.append("ticks")
+        return next(readings)
 
     def fake_run(cmd, **kwargs):
         events.append("run")
@@ -123,22 +129,48 @@ def test_run_once_records_the_load_before_the_run(monkeypatch):
         return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
 
     monkeypatch.setattr(bench_pairs.os, "getloadavg", loadavg)
+    monkeypatch.setattr(bench_pairs, "cpu_ticks", cpu_ticks)
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
-    run_ = bench_pairs.run_once(".", "train_crm", 3, 1)
-    assert events == ["load", "run"]
+    return bench_pairs.run_once(".", "train_crm", 3, 1)
+
+
+def test_run_once_records_the_load_before_the_run(monkeypatch):
+    events = []
+    # 200 ticks pass during the run, 50 of them stolen
+    before = [100, 0, 10, 500, 0, 0, 0, 20]
+    after = [200, 0, 30, 530, 0, 0, 0, 70]
+    run_ = fake_perfbench_run(monkeypatch, events, [before, after])
+    assert events == ["load", "ticks", "run", "ticks"]
     assert run_["load_1min"] == 1.5
+    assert run_["steal_share"] == 0.25
     assert run_["metrics"] == {"train_s": 4.0} and run_["environment"] == {"commit": "abc"}
+
+
+def test_run_once_records_no_steal_share_without_proc_stat(monkeypatch, tmp_path):
+    assert bench_pairs.cpu_ticks(str(tmp_path / "missing")) is None
+    (tmp_path / "short").write_text("cpu  1 2 3\n")
+    assert bench_pairs.cpu_ticks(str(tmp_path / "short")) is None
+    (tmp_path / "stat").write_text("cpu  1 2 3 4 5 6 7 8 9 10\ncpu0 1 2 3 4 5 6 7 8 9 10\n")
+    assert bench_pairs.cpu_ticks(str(tmp_path / "stat")) == [1, 2, 3, 4, 5, 6, 7, 8]
+    run_ = fake_perfbench_run(monkeypatch, [], [None, None])
+    assert run_["steal_share"] is None and run_["correct"]
 
 
 def test_highest_loads_per_side(capsys):
     pairs = [
-        {"parent": {"load_1min": 0.4}, "change": {"load_1min": 1.9}},
-        {"parent": {"load_1min": 1.1}, "change": {"load_1min": 0.2}},
+        {"parent": {"load_1min": 0.4, "steal_share": 0.02},
+         "change": {"load_1min": 1.9, "steal_share": None}},
+        {"parent": {"load_1min": 1.1, "steal_share": 0.3},
+         "change": {"load_1min": 0.2, "steal_share": None}},
     ]
     loads = bench_pairs.highest_loads(pairs)
     assert loads == {"parent": 1.1, "change": 1.9}
-    bench_pairs.print_loads(loads)
-    assert "parent 1.10, change 1.90" in capsys.readouterr().out
+    steal = bench_pairs.highest_steal(pairs)
+    assert steal == {"parent": 0.3, "change": None}
+    bench_pairs.print_loads(loads, steal)
+    out = capsys.readouterr().out
+    assert "parent 1.10, change 1.90" in out
+    assert "highest steal share during a run: parent 0.300, change n/a" in out
 
 
 @pytest.mark.parametrize(
@@ -154,7 +186,7 @@ def test_an_interrupted_set_keeps_its_pairs(seeds, finished, tmp_path, monkeypat
             raise KeyboardInterrupt
         runs.append((workload, seed))
         return {**run({"train_s": 4.0, "rate": 1.0}), "attempted": 1, "wall_s": 1.0,
-                "cpu_s": 1.0, "load_1min": 0.5, "environment": None}
+                "cpu_s": 1.0, "load_1min": 0.5, "steal_share": None, "environment": None}
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
     out = tmp_path / "out.json"

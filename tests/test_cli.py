@@ -113,7 +113,7 @@ def test_train_eval_flow(tiny_files, capsys):
 
 
 def test_eval_on_a_dataset_with_other_classes_is_one_error_line(tiny_files, capsys):
-    # a 6-class model's logits cannot score 12-class labels: no accuracy is printed
+    # a 6-class model cannot score a 12-class dataset: no accuracy is printed
     tmp_path, cfg_path, _ = tiny_files
     model_dir = tmp_path / "model"
     assert main(["train", "--config", str(cfg_path), "--out", str(model_dir)]) == 0
@@ -126,7 +126,40 @@ def test_eval_on_a_dataset_with_other_classes_is_one_error_line(tiny_files, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
-    assert "[0, 6)" in captured.err
+    assert "(12 classes, sha256" in captured.err and "(6 classes, sha256" in captured.err
+
+
+@pytest.mark.parametrize("command", ["eval", "export-attn"])
+def test_a_dataset_that_is_not_the_models_own_is_one_error_line(command, tiny_files, capsys):
+    # same spec, other seed: the class count and patch shape fit, the classes are others
+    tmp_path, cfg_path, data_path = tiny_files
+    model_dir = tmp_path / "model"
+    assert main(["train", "--config", str(cfg_path), "--out", str(model_dir)]) == 0
+    spec_path = tmp_path / "spec5.json"
+    spec_path.write_text(json.dumps(dict(TINY_SPEC, seed=5)))
+    other = tmp_path / "seed5.xrvd"
+    assert main(["gen-data", "--spec", str(spec_path), "--out", str(other)]) == 0
+    out = tmp_path / "out"
+    options = ["--out", str(out)] if command == "export-attn" else []
+    capsys.readouterr()
+    assert main([command, "--model", str(model_dir), "--data", str(other)] + options) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert "are not the model's" in captured.err
+    # the model's own dataset file still scores
+    assert main([command, "--model", str(model_dir), "--data", str(data_path)] + options) == 0
+
+
+@pytest.mark.parametrize("feat_dim", [10**30, 2**40])
+def test_train_with_an_oversized_config_is_one_error_line(feat_dim, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"feat_dim": feat_dim}))
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert f"feat_dim {feat_dim} exceeds the limit" in captured.err
 
 
 def test_train_unknown_config_key_fails(tmp_path, capsys):

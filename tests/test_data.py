@@ -2,10 +2,12 @@
 
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from xrhead.container import MAX_EXTENT
 from xrhead.data import (
     Dataset,
     SyntheticSpec,
@@ -54,6 +56,18 @@ def test_spec_validation():
     with pytest.raises(DataError):
         SyntheticSpec.from_dict({"num_classes": 4, "bogus": 1})
     SyntheticSpec().validate()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["num_classes", "num_superclasses", "tokens_per_image", "patch_dim",
+     "train_per_class", "test_per_class", "embed_dim"],
+)
+def test_spec_refuses_a_size_above_the_extent_limit(name):
+    with pytest.raises(DataError, match=f"{name} {10**30} exceeds the limit {MAX_EXTENT}"):
+        SyntheticSpec.from_dict({name: 10**30})
+    with pytest.raises(DataError, match="exceeds the limit"):
+        generate(replace(SyntheticSpec(), **{name: MAX_EXTENT + 1}))
 
 
 @pytest.mark.parametrize(

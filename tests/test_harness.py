@@ -19,6 +19,7 @@ import pytest
 
 import bruteforce
 from xrhead.attention import TAU, PartAttention
+from xrhead.container import MAX_EXTENT
 from xrhead.data import SyntheticSpec, few_shot_split, generate
 from xrhead.encoders import FrozenImageEncoder, save_features
 from xrhead.errors import (
@@ -29,26 +30,21 @@ from xrhead.errors import (
     NumericError,
     ShapeMismatchError,
 )
-from xrhead import data as data_mod, harness, report as rpt
+from xrhead import data as data_mod, experiments, harness, report as rpt
+from xrhead.analysis import analyze_embeddings, attention_alignment, mutual_information, project_2d
+from xrhead.experiments import ComparisonResult, compare_heads, sweep_parts
 from xrhead.harness import (
-    ComparisonResult,
     Model,
     RunReport,
     TrainConfig,
-    analyze_embeddings,
-    attention_alignment,
     build_model,
     class_name_embeddings,
-    compare_heads,
     config_dataset,
     evaluate,
     export_attention,
     load_model,
-    mutual_information,
     predict_logits,
-    project_2d,
     save_model,
-    sweep_parts,
     train,
 )
 from xrhead.heads import HeadKind
@@ -171,6 +167,22 @@ def test_config_validation_errors(overrides):
 
 def test_config_validation_accepts_the_edges():
     TrainConfig(head="ALIGN", num_parts=1).validate()
+    TrainConfig(feat_dim=MAX_EXTENT, shots=MAX_EXTENT).validate()
+
+
+@pytest.mark.parametrize("size", [10**30, 2**40, MAX_EXTENT + 1])
+@pytest.mark.parametrize(
+    "name", ["num_parts", "ctx_len", "feat_dim", "word_dim", "batch_size", "shots"]
+)
+def test_config_refuses_a_size_above_the_extent_limit(name, size, monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(harness, "_assemble", no_allocation)
+    with pytest.raises(ConfigError, match=f"{name} {size} exceeds the limit {MAX_EXTENT}"):
+        TrainConfig.from_dict({name: size})
+    with pytest.raises(ConfigError, match="exceeds the limit"):
+        build_model(replace(TrainConfig(), **{name: size}), None)
 
 
 def test_config_json_file_round_trip(tmp_path):
@@ -823,7 +835,7 @@ def test_compare_refuses_seed_counts_that_are_not_integers(tiny_dataset, monkeyp
     def no_training(cfg, ds=None):
         raise AssertionError("trained")
 
-    monkeypatch.setattr(harness, "train", no_training)
+    monkeypatch.setattr(experiments, "train", no_training)
     for bad in (1.5, True):
         with pytest.raises(ConfigError, match="num_seeds must be an integer"):
             compare_heads(tiny_config(), ["PWCS", "MLPS"], num_seeds=bad, dataset=tiny_dataset)
@@ -872,7 +884,7 @@ def test_sweep_refuses_part_counts_that_are_not_integers(tiny_dataset, monkeypat
     def no_training(cfg, ds=None):
         raise AssertionError(f"trained {cfg.num_parts} parts")
 
-    monkeypatch.setattr(harness, "train", no_training)
+    monkeypatch.setattr(experiments, "train", no_training)
     for bad in ([1.5], [True, 2], [2, 2.0]):
         with pytest.raises(ConfigError, match="part counts must be an integer"):
             sweep_parts(tiny_config(), bad, dataset=tiny_dataset)
@@ -884,7 +896,7 @@ def test_bad_run_refused_before_any_training(tiny_dataset, monkeypatch):
     def no_training(cfg, ds=None):
         raise AssertionError(f"trained {cfg.head} at {cfg.num_parts} parts")
 
-    monkeypatch.setattr(harness, "train", no_training)
+    monkeypatch.setattr(experiments, "train", no_training)
     with pytest.raises(ConfigError, match="ALIGN needs num_parts == 1"):
         compare_heads(tiny_config(), ["CRM_FULL", "ALIGN"], num_seeds=3, dataset=tiny_dataset)
     with pytest.raises(ConfigError, match="ALIGN needs num_parts == 1"):
@@ -892,7 +904,7 @@ def test_bad_run_refused_before_any_training(tiny_dataset, monkeypatch):
 
 
 def test_sweep_runtime_flag_reads_least_step_time(tiny_dataset, monkeypatch):
-    real_train = harness.train
+    real_train = experiments.train
 
     def loaded_train(cfg, ds=None):
         model, report = real_train(cfg, ds)
@@ -902,7 +914,7 @@ def test_sweep_runtime_flag_reads_least_step_time(tiny_dataset, monkeypatch):
         )
         return model, report
 
-    monkeypatch.setattr(harness, "train", loaded_train)
+    monkeypatch.setattr(experiments, "train", loaded_train)
     result = sweep_parts(tiny_config(epochs=1), [1, 2, 4], dataset=tiny_dataset)
     assert [r["step_cpu_min_seconds"] for r in result.rows] == [1.0, 2.0, 4.0]
     assert result.flags["runtime_monotone"] is True

@@ -1,0 +1,39 @@
+"""The package's module layering, read from the import statements of src/xrhead."""
+
+import ast
+import os
+
+import xrhead
+
+PACKAGE = os.path.dirname(os.path.abspath(xrhead.__file__))
+
+
+def imports(module: str) -> set[str]:
+    """Absolute names of the modules that xrhead.<module> imports, __future__ aside."""
+    with open(os.path.join(PACKAGE, f"{module}.py"), encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["xrhead" if node.level else "", node.module]))
+            if node.module is None:  # `from . import report` imports the module report
+                out.update(f"{base}.{alias.name}" for alias in node.names)
+            else:
+                out.add(base)
+    return out - {"__future__"}
+
+
+def test_analysis_imports_only_numpy_and_errors():
+    assert imports("analysis") == {"numpy", "xrhead.errors"}
+
+
+def test_experiments_build_on_the_harness():
+    # `from . import report as rpt` and `import numpy` are read as well
+    assert {"xrhead.harness", "xrhead.report", "numpy"} <= imports("experiments")
+
+
+def test_harness_imports_neither_experiments_nor_analysis():
+    assert not imports("harness") & {"xrhead.experiments", "xrhead.analysis"}
+

@@ -12,13 +12,15 @@ change's BENCHMARK.json names, the script prints each side's median and
 quartiles, the number of pairs in which the change reads better, and
 "(REGRESSED)" when the change's median is worse than the parent's by more
 than the metric's bound, a fraction of the parent's median.  It also
-prints, per side, the highest 1-minute load average read before a run:
-work on the other CPU slows the runs, so a pair run under load can be
-named.  Every run (metrics, the run's wall and CPU time, the load before
-it, seed, run order, and perfbench's environment line) goes to the --out
-JSON file, which is rewritten atomically after every pair: a set stopped
-part way keeps every pair it ran and the summaries of the workloads it
-finished.
+prints, per side, the highest 1-minute load average read before a run and
+the highest share of CPU time the host stole during a run (the `steal`
+field of /proc/stat; inside a VM the load average cannot see other
+guests): work on the other CPU and a host that steals CPU time both slow
+the runs, so a pair run under either can be named.  Every run (metrics,
+the run's wall and CPU time, the load before it, its steal share, seed,
+run order, and perfbench's environment line) goes to the --out JSON file,
+which is rewritten atomically after every pair: a set stopped part way
+keeps every pair it ran and the summaries of the workloads it finished.
 """
 
 from __future__ import annotations
@@ -53,15 +55,38 @@ def children_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
+def cpu_ticks(path: str = "/proc/stat") -> list[int] | None:
+    """The machine's CPU time so far, in ticks: user, nice, system, idle,
+    iowait, irq, softirq and steal from /proc/stat's `cpu` line; None where
+    the file is missing or unreadable."""
+    try:
+        with open(path, encoding="ascii") as f:
+            ticks = [int(x) for x in f.readline().split()[1:9]]
+    except (OSError, ValueError):
+        return None
+    return ticks if len(ticks) == 8 else None
+
+
+def steal_share(before: list[int] | None, after: list[int] | None) -> float | None:
+    """The share of the CPU time between two cpu_ticks readings that the host stole."""
+    if before is None or after is None:
+        return None
+    delta = [b - a for a, b in zip(before, after)]
+    return delta[7] / sum(delta) if sum(delta) > 0 else 0.0
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
     """One perfbench run: its parsed result, environment line, wall and CPU
-    seconds, and the 1-minute load average just before it."""
+    seconds, the 1-minute load average just before it and the share of CPU
+    time the host stole during it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     load = os.getloadavg()[0]
+    ticks0 = cpu_ticks()
     cpu0, wall0 = children_cpu_s(), time.perf_counter()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     wall, cpu = time.perf_counter() - wall0, children_cpu_s() - cpu0
+    steal = steal_share(ticks0, cpu_ticks())
     lines = proc.stdout.strip().splitlines()
     env = next((json.loads(line.split(" ", 2)[2]) for line in lines
                 if line.startswith("perfbench environment ")), None)
@@ -80,6 +105,7 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
         "wall_s": wall,
         "cpu_s": cpu,
         "load_1min": load,
+        "steal_share": steal,
         "environment": env,
     }
 
@@ -149,9 +175,20 @@ def highest_loads(pairs: list[dict]) -> dict:
     return {s: max(p[s]["load_1min"] for p in pairs) for s in SIDES}
 
 
-def print_loads(loads: dict) -> None:
+def highest_steal(pairs: list[dict]) -> dict:
+    """Per side, the highest steal share of one of its runs; None where none was read."""
+    shares = {s: [p[s]["steal_share"] for p in pairs if p[s]["steal_share"] is not None]
+              for s in SIDES}
+    return {s: max(shares[s]) if shares[s] else None for s in SIDES}
+
+
+def print_loads(loads: dict, steal: dict) -> None:
+    def share(s: str) -> str:
+        return "n/a" if steal[s] is None else f"{steal[s]:.3f}"
+
     print(f"  highest 1-min load before a run: parent {loads['parent']:.2f}, "
-          f"change {loads['change']:.2f}")
+          f"change {loads['change']:.2f}; highest steal share during a run: "
+          f"parent {share('parent')}, change {share('change')}")
 
 
 def write_report(path: str, report: dict) -> None:
@@ -199,8 +236,8 @@ def main(argv=None) -> int:
                 write_report(args.out, report)
         summary = summarize(pairs, metrics)
         print_summary(workload, summary)
-        loads = highest_loads(pairs)
-        print_loads(loads)
+        loads, steal = highest_loads(pairs), highest_steal(pairs)
+        print_loads(loads, steal)
         envs = {s: [p[s]["environment"] for p in pairs if p[s]["environment"]] for s in SIDES}
         first = (envs["parent"] + envs["change"] or [{}])[0]
         report["workloads"][workload] = {
@@ -209,6 +246,7 @@ def main(argv=None) -> int:
             "commits": {s: envs[s][0]["commit"] if envs[s] else None for s in SIDES},
             "all_correct": all(p[s]["correct"] for p in pairs for s in SIDES),
             "highest_loads": loads,
+            "highest_steal": steal,
             "summary": summary,
             "pairs": pairs,
         }
