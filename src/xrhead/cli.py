@@ -11,6 +11,7 @@ no partial outputs behind.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -156,6 +157,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    # NaN would fail every comparison, and no error is below 0
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ConfigError(f"--tol must be a finite number > 0, got {args.tol}")
     config = _load_config(args.config, args.data)
     ds = config_dataset(config)
     patches, labels, _ = few_shot_split(ds, config.shots, config.seed_data)

@@ -266,11 +266,6 @@ def _assemble(
 def build_model(config: TrainConfig, ds: Dataset) -> Model:
     """Assemble a freshly initialized model sized for the dataset."""
     config.validate()
-    return _build_model(config, ds)
-
-
-def _build_model(config: TrainConfig, ds: Dataset) -> Model:
-    """build_model for a config already validated."""
     manual_values = None
     if config.prompt_file is not None:
         manual_values, _ = load_features(config.prompt_file)
@@ -490,7 +485,7 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
     config.validate()
     ds = dataset if dataset is not None else config_dataset(config)
     patches, labels, _ = few_shot_split(ds, config.shots, config.seed_data)
-    model = _build_model(config, ds)
+    model = build_model(config, ds)
     before = model.frozen_checksums()
 
     feats = model.image_encoder.encode(patches)
@@ -539,6 +534,10 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
             seen += idx.size
         losses.append(total / seen)
     wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
+    # a trained model only runs forward passes: let the optimizer's gradient
+    # arena go with it, keeping the values
+    for p in model.params():
+        p.tensor.grad = None
 
     after = model.frozen_checksums()
     if after != before:

@@ -34,11 +34,14 @@ def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
 class Sgd:
     """v <- momentum * v + (grad + weight_decay * w);  w <- w - lr * v.
 
-    Construction packs every parameter's .values and .grad into one flat
-    array each, in list order, and leaves views in their place, one parameter
-    at a time so that no second copy of all the arrays is alive at once; the
-    momentum v is a third flat array, `velocity`.  Code that reads or writes
-    through .values and .grad sees no difference.
+    Construction packs every parameter's .values into one flat array and
+    gives each parameter an adjoint in a second, zero-filled one, `grads`,
+    copying the gradient a parameter already holds; both follow list order,
+    and views take the parameters' places one parameter at a time, so that
+    no second copy of all the values is alive at once.  The momentum v is a
+    third flat array, `velocity`.  Code that reads or writes through .values
+    and .grad sees no difference.  Setting each .grad to None once training
+    ends leaves the parameters holding their values only.
     """
 
     def __init__(
@@ -51,8 +54,8 @@ class Sgd:
     ):
         params = tuple(params)
         for p in params:
-            if p.tensor.grad is None:
-                raise ConfigError(f"parameter {p.name} does not track gradients")
+            if not p.tensor.requires_grad or p.tensor._parents:
+                raise ConfigError(f"parameter {p.name} does not track gradients or is not a leaf")
         self.lr0 = lr0
         self.weight_decay = weight_decay
         self.momentum = momentum
@@ -60,7 +63,7 @@ class Sgd:
         self.epoch = 0
         size = sum(p.tensor.values.size for p in params)
         self.values = np.empty(size)
-        self.grads = np.empty(size)
+        self.grads = np.zeros(size)
         self.velocity = np.empty(size)  # written whole by the first step
         self._scratch = np.empty(min(BLOCK, size))
         self._stepped = False
@@ -71,8 +74,9 @@ class Sgd:
             view = self.values[start:stop].reshape(t.values.shape)
             view[...] = t.values
             t.values = view
-            view = self.grads[start:stop].reshape(t.grad.shape)
-            view[...] = t.grad
+            view = self.grads[start:stop].reshape(t.values.shape)
+            if t.grad is not None:
+                view[...] = t.grad
             t.grad = view
             start = stop
         self._packed = tuple((p, p.tensor.values, p.tensor.grad) for p in params)

@@ -1,13 +1,15 @@
 """Reverse-mode autodiff over float64 numpy arrays.
 
-A Tensor wraps an ndarray.  A leaf created with requires_grad=True also holds
-an adjoint of the same shape in .grad; op results that track gradients hold
-none, only tape links to their parents.  backward() walks the tape once per
-call, routes each intermediate's gradient to its parents without storing it,
-and adds dloss/dleaf into the .grad of every tracking leaf, so repeated calls
-accumulate.  An op computes no gradient for a parent that does not track
-gradients.  Values are treated as immutable once an op has consumed them; the
-optimizer mutates parameter values in place only between tapes.
+A Tensor wraps an ndarray.  A leaf created with requires_grad=True gets an
+adjoint of the same shape in .grad the first time backward() reaches it, and
+keeps it until a caller sets .grad to None; until then .grad is None, so a
+model at rest holds its values only.  Op results that track gradients hold no
+adjoint, only tape links to their parents.  backward() walks the tape once
+per call, routes each intermediate's gradient to its parents without storing
+it, and adds dloss/dleaf into the .grad of every tracking leaf it reaches, so
+repeated calls accumulate.  An op computes no gradient for a parent that does
+not track gradients.  Values are treated as immutable once an op has consumed
+them; the optimizer mutates parameter values in place only between tapes.
 """
 
 from __future__ import annotations
@@ -44,14 +46,15 @@ def no_grad():
 
 
 class Tensor:
-    """values (ndarray, float64) + adjoint in .grad for a requires_grad leaf."""
+    """values (ndarray, float64) + adjoint in .grad once backward reaches a
+    requires_grad leaf."""
 
     __slots__ = ("values", "requires_grad", "grad", "_parents", "_bw")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = bool(requires_grad) and _grad_mode.enabled
-        self.grad = np.zeros_like(self.values) if self.requires_grad else None
+        self.grad = None
         self._parents = ()
         self._bw = None
 
@@ -408,10 +411,11 @@ def _topo_order(root: Tensor):
 
 
 def backward(loss: Tensor) -> None:
-    """Add dloss/dleaf into .grad of every gradient-tracking leaf.
+    """Add dloss/dleaf into .grad of every gradient-tracking leaf it reaches.
 
-    Gradients of intermediate nodes only pass through: each is summed over
-    its consumers, handed to the node's parents and then dropped.
+    A leaf without an adjoint gets zeros first.  Gradients of intermediate
+    nodes only pass through: each is summed over its consumers, handed to the
+    node's parents and then dropped.
     """
     if loss.values.size != 1:
         raise ShapeMismatchError(f"backward needs a scalar loss, got shape {loss.values.shape}")
@@ -425,9 +429,10 @@ def backward(loss: Tensor) -> None:
         g = flows.pop(id(node), None)
         if g is None:
             continue
-        if node.grad is not None:
-            node.grad += g
         if node._bw is None:
+            if node.grad is None:
+                node.grad = np.zeros_like(node.values)
+            node.grad += g
             continue
         for parent, pg in zip(node._parents, node._bw(g)):
             if pg is None or not parent.requires_grad:

@@ -125,7 +125,8 @@ def fake_perfbench_run(monkeypatch, events, ticks):
 
     def fake_run(cmd, **kwargs):
         events.append("run")
-        stdout = 'perfbench environment {"commit": "abc"}\n' + json.dumps(result) + "\n"
+        stdout = ('perfbench environment {"commit": "abc"}\n'
+                  'perfbench details {"train_runs": 3}\n' + json.dumps(result) + "\n")
         return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
 
     monkeypatch.setattr(bench_pairs.os, "getloadavg", loadavg)
@@ -144,6 +145,9 @@ def test_run_once_records_the_load_before_the_run(monkeypatch):
     assert run_["load_1min"] == 1.5
     assert run_["steal_share"] == 0.25
     assert run_["metrics"] == {"train_s": 4.0} and run_["environment"] == {"commit": "abc"}
+    # how many trained models the run held, to read its peak_rss_mb against
+    assert run_["details"] == {"train_runs": 3}
+    assert bench_pairs.tagged_line(['perfbench environment {"commit": "abc"}'], "details") is None
 
 
 def test_run_once_records_no_steal_share_without_proc_stat(monkeypatch, tmp_path):
@@ -186,7 +190,8 @@ def test_an_interrupted_set_keeps_its_pairs(seeds, finished, tmp_path, monkeypat
             raise KeyboardInterrupt
         runs.append((workload, seed))
         return {**run({"train_s": 4.0, "rate": 1.0}), "attempted": 1, "wall_s": 1.0,
-                "cpu_s": 1.0, "load_1min": 0.5, "steal_share": None, "environment": None}
+                "cpu_s": 1.0, "load_1min": 0.5, "steal_share": None, "environment": None,
+                "details": None}
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
     out = tmp_path / "out.json"

@@ -266,16 +266,28 @@ def test_gradcheck_passes_and_respects_tol(tiny_files, capsys):
     assert code2 == 1
 
 
-@pytest.mark.parametrize("coords", ["0", "-1"])
-def test_gradcheck_refuses_max_coords_below_one(tiny_files, capsys, coords):
-    # 0 would check nothing and pass; -1 would fail inside numpy
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [
+        # 0 would check nothing and pass; -1 would fail inside numpy
+        ("--max-coords", "0", "max_coords_per_param"),
+        ("--max-coords", "-1", "max_coords_per_param"),
+        # NaN would run the whole check and print invalid JSON; no error is below 0 or -1
+        ("--tol", "nan", "--tol"),
+        ("--tol", "inf", "--tol"),
+        ("--tol", "0", "--tol"),
+        ("--tol", "-1", "--tol"),
+    ],
+    ids=["max_coords_0", "max_coords_-1", "tol_nan", "tol_inf", "tol_0", "tol_-1"],
+)
+def test_gradcheck_refuses_bad_options(tiny_files, capsys, flag, value, named):
     _, cfg_path, _ = tiny_files
-    code = main(["gradcheck", "--config", str(cfg_path), "--max-coords", coords])
+    code = main(["gradcheck", "--config", str(cfg_path), flag, value])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.startswith("error:")
-    assert "max_coords_per_param" in captured.err
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert named in captured.err
 
 
 def test_analyze_cne_from_features(tmp_path, capsys):

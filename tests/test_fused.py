@@ -402,6 +402,8 @@ def test_model_step_matches_composed(case, training, tiny_dataset):
     backward(want)
     for p, q in zip(model.params(), twin.params()):
         assert p.name == q.name
+        # backward gives an adjoint to the leaves it reaches: the same ones in both
+        assert (p.tensor.grad is None) == (q.tensor.grad is None), p.name
         if p.tensor.grad is not None:
             assert p.tensor.grad.tobytes() == q.tensor.grad.tobytes(), p.name
     for name, bn in model.batch_norms().items():

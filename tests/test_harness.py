@@ -288,7 +288,8 @@ def test_train_encodes_each_training_image_once(tiny_dataset, monkeypatch):
 
 
 def test_train_validates_a_data_spec_once_per_public_entry(monkeypatch):
-    # TrainConfig.validate, SyntheticSpec.from_dict in config_dataset, generate
+    # TrainConfig.validate in train and again in build_model, the public entry
+    # train builds through; SyntheticSpec.from_dict in config_dataset; generate
     validate = SyntheticSpec.validate
     calls = []
 
@@ -298,7 +299,7 @@ def test_train_validates_a_data_spec_once_per_public_entry(monkeypatch):
 
     monkeypatch.setattr(SyntheticSpec, "validate", counted)
     train(tiny_config(epochs=1))
-    assert len(calls) == 3
+    assert len(calls) == 4
 
 
 # epoch_losses of tiny_config() per head kind, as float.hex.  Work the engine
@@ -1148,18 +1149,20 @@ def _assert_in_arena(params, opt):
 def test_parameters_live_in_the_arena(kind, tmp_path, tiny_dataset):
     cfg = tiny_config(head=kind, num_parts=1 if kind == "ALIGN" else 4, epochs=2)
     model, report = train(cfg, tiny_dataset)
-    # train packed every parameter into one flat values array and one flat gradient array
+    # train packed every parameter into one flat values array and dropped the
+    # adjoints after the last step: a trained model holds its values only
     first = model.params()[0].tensor
     for p in model.params():
         assert p.tensor.values.base is first.values.base is not None, p.name
-        assert p.tensor.grad.base is first.grad.base is not None, p.name
+        assert p.tensor.grad is None, p.name
     save_model(str(tmp_path / "model"), model, report)
     for m in (build_model(cfg, tiny_dataset), load_model(str(tmp_path / "model"))[0]):
         params = m.params()
+        assert [p.name for p in params if p.tensor.grad is not None] == []
         before = [p.tensor.values.tobytes() for p in params]
         opt = Sgd(params, lr0=0.1, weight_decay=0.01, momentum=0.9, total_epochs=1)
-        opt.zero_grads()
         _assert_in_arena(params, opt)
+        assert not opt.grads.any()  # each adjoint starts at zero
         assert [p.tensor.values.tobytes() for p in params] == before
         assert opt.values.size == m.param_count() == report.param_count
         opt.grads.fill(1.0)

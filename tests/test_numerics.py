@@ -94,7 +94,7 @@ def test_batch_norm_eval_identity_stats():
 
 def test_sgd_plain_step():
     w = leaf(np.array([1.0]))
-    w.grad[...] = 0.5
+    backward(tsum(mul(w, constant([0.5]))))  # an adjoint made before the optimizer is kept
     opt = Sgd([Parameter("w", w)], lr0=0.1, weight_decay=0.0, momentum=0.0, total_epochs=100)
     opt.step()
     np.testing.assert_allclose(w.values, [0.95], atol=1e-15)
@@ -118,6 +118,10 @@ def test_sgd_momentum_and_decay():
 def test_sgd_refuses_parameter_without_gradient():
     with pytest.raises(ConfigError, match="does not track gradients"):
         Sgd([Parameter("w", constant(np.array([1.0, 2.0])))], lr0=0.5)
+    # an op result tracks gradients but holds no adjoint for backward to fill
+    x = leaf(np.array([1.0, 2.0]))
+    with pytest.raises(ConfigError, match="is not a leaf"):
+        Sgd([Parameter("y", mul(x, x))], lr0=0.5)
 
 
 def test_sgd_arena_matches_per_parameter_loop():
@@ -141,7 +145,7 @@ def test_sgd_arena_matches_per_parameter_loop():
         opt.epoch = oracle.epoch = epoch
         opt.zero_grads()
         for p, q in zip(params, twin):
-            q.tensor.grad[...] = rng.normal(size=q.tensor.grad.shape)
+            q.tensor.grad = rng.normal(size=q.tensor.values.shape)
             p.tensor.grad += q.tensor.grad
         opt.step()
         oracle.step(twin)
@@ -156,7 +160,7 @@ def test_sgd_packs_parameters_into_views():
     rng = np.random.default_rng(23)
     w = leaf(rng.normal(size=(3, 4)))
     b = leaf(rng.normal(size=(1, 4)))
-    w.grad[...] = 1.0
+    w.grad = np.ones((3, 4))  # b holds no adjoint
     before = w.values.copy()
     opt = Sgd([Parameter("w", w), Parameter("b", b)], lr0=0.5)
     assert opt.values.size == opt.grads.size == opt.velocity.size == 16
@@ -164,7 +168,11 @@ def test_sgd_packs_parameters_into_views():
         assert np.shares_memory(t.values, opt.values)
         assert np.shares_memory(t.grad, opt.grads)
     np.testing.assert_array_equal(w.values, before)  # packing keeps the values
-    np.testing.assert_array_equal(w.grad, 1.0)  # and the gradients
+    np.testing.assert_array_equal(w.grad, 1.0)  # and a gradient already held
+    assert b.grad.shape == (1, 4) and not b.grad.any()  # a missing one starts at zero
+    backward(tsum(b))  # backward adds into the view in place
+    assert np.shares_memory(b.grad, opt.grads)
+    np.testing.assert_array_equal(b.grad, 1.0)
     opt.zero_grads()
     assert not w.grad.any()  # zero_grads clears every gradient in one fill
     # a parameter moved off its view would no longer be updated: refused
@@ -218,10 +226,11 @@ def test_no_grad_blocks_tape():
     assert out._bw is None
 
 
-def test_adjoint_present_iff_leaf_requires_grad():
+def test_adjoint_made_when_backward_first_reaches_a_leaf():
     a = leaf([1.0])
     b = constant([2.0])
-    assert a.grad is not None and not np.any(a.grad) and b.grad is None
+    unused = leaf([3.0])
+    assert a.grad is None and b.grad is None  # no adjoint before a gradient arrives
     with no_grad():
         assert leaf([1.0]).grad is None
     out = mul(a, b)
@@ -230,7 +239,12 @@ def test_adjoint_present_iff_leaf_requires_grad():
     assert not out2.requires_grad and out2.grad is None
     backward(tsum(mul(out, out)))
     np.testing.assert_allclose(a.grad, [8.0])  # d(4a^2)/da
-    assert out.grad is None and b.grad is None
+    # only tracking leaves the loss reaches hold an adjoint
+    assert out.grad is None and b.grad is None and unused.grad is None
+    # a dropped adjoint is made again, from zeros, by the next backward
+    a.grad = None
+    backward(tsum(mul(out, out)))
+    np.testing.assert_allclose(a.grad, [8.0])
 
 
 def _records() -> bool:
@@ -566,6 +580,15 @@ def test_finite_diff_refuses_empty_sample():
         with pytest.raises(ConfigError, match="max_coords_per_param"):
             finite_diff_check(lambda: tsum(a), params, max_coords_per_param=coords)
     assert finite_diff_check(lambda: tsum(a), params, max_coords_per_param=None)["a"] < 1e-8
+
+
+def test_finite_diff_reports_zero_for_an_unused_parameter():
+    # the loss never reaches b, so backward leaves it without an adjoint
+    rng = np.random.default_rng(10)
+    a, b = leaf(rng.normal(size=3)), leaf(rng.normal(size=2))
+    worst = finite_diff_check(lambda: tsum(mul(a, a)), [Parameter("a", a), Parameter("b", b)])
+    assert worst == {"a": worst["a"], "b": 0.0} and worst["a"] < 1e-8
+    assert b.grad is None
 
 
 def test_finite_diff_accepts_size_one_loss():

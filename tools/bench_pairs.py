@@ -18,7 +18,9 @@ field of /proc/stat; inside a VM the load average cannot see other
 guests): work on the other CPU and a host that steals CPU time both slow
 the runs, so a pair run under either can be named.  Every run (metrics,
 the run's wall and CPU time, the load before it, its steal share, seed,
-run order, and perfbench's environment line) goes to the --out JSON file,
+run order, and perfbench's environment and details lines; the details'
+`train_runs` is how many trained models the run held, which its
+`peak_rss_mb` has to be read against) goes to the --out JSON file,
 which is rewritten atomically after every pair: a set stopped part way
 keeps every pair it ran and the summaries of the workloads it finished.
 """
@@ -75,10 +77,17 @@ def steal_share(before: list[int] | None, after: list[int] | None) -> float | No
     return delta[7] / sum(delta) if sum(delta) > 0 else 0.0
 
 
+def tagged_line(lines: list[str], tag: str) -> dict | None:
+    """The JSON of the first `perfbench <tag> {...}` line; None if there is none."""
+    prefix = f"perfbench {tag} "
+    return next((json.loads(line[len(prefix):]) for line in lines if line.startswith(prefix)),
+                None)
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
-    """One perfbench run: its parsed result, environment line, wall and CPU
-    seconds, the 1-minute load average just before it and the share of CPU
-    time the host stole during it."""
+    """One perfbench run: its parsed result, environment and details lines,
+    wall and CPU seconds, the 1-minute load average just before it and the
+    share of CPU time the host stole during it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     load = os.getloadavg()[0]
@@ -88,8 +97,6 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
     wall, cpu = time.perf_counter() - wall0, children_cpu_s() - cpu0
     steal = steal_share(ticks0, cpu_ticks())
     lines = proc.stdout.strip().splitlines()
-    env = next((json.loads(line.split(" ", 2)[2]) for line in lines
-                if line.startswith("perfbench environment ")), None)
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
@@ -106,7 +113,8 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
         "cpu_s": cpu,
         "load_1min": load,
         "steal_share": steal,
-        "environment": env,
+        "environment": tagged_line(lines, "environment"),
+        "details": tagged_line(lines, "details"),
     }
 
 
