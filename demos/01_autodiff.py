@@ -10,7 +10,6 @@ two-layer network on a fixed regression problem and verifies its gradients.
 import numpy as np
 
 from xrhead.numerics import (
-    Parameter,
     Tensor,
     add,
     backward,
@@ -30,13 +29,13 @@ rng = np.random.default_rng(0)
 x = constant(rng.standard_normal((16, 3)))
 y = rng.standard_normal((16, 1))
 
-# two trainable layers, wrapped as named Parameters
-w1 = Parameter("w1", Tensor(rng.standard_normal((3, 8)) * 0.5, requires_grad=True))
-w2 = Parameter("w2", Tensor(rng.standard_normal((8, 1)) * 0.5, requires_grad=True))
+# two trainable layers: leaf tensors that track gradients, each with a name
+w1 = Tensor(rng.standard_normal((3, 8)) * 0.5, requires_grad=True, name="w1")
+w2 = Tensor(rng.standard_normal((8, 1)) * 0.5, requires_grad=True, name="w2")
 
 
 def loss_fn():
-    pred = matmul(relu(matmul(x, w1.tensor)), w2.tensor)
+    pred = matmul(relu(matmul(x, w1)), w2)
     err = add(pred, constant(-y))
     return tsum(mul(err, err)) * (1.0 / 16.0)  # scalar loss, shape ()
 
@@ -45,11 +44,11 @@ def loss_fn():
 loss = loss_fn()
 backward(loss)
 print(f"loss            {float(loss.values):.6f}")
-print(f"grad w1 norm    {np.linalg.norm(w1.tensor.grad):.6f}")
-print(f"grad w2 norm    {np.linalg.norm(w2.tensor.grad):.6f}")
+print(f"grad w1 norm    {np.linalg.norm(w1.grad):.6f}")
+print(f"grad w2 norm    {np.linalg.norm(w2.grad):.6f}")
 
 # the checker perturbs a sample of coordinates per parameter and compares
-# central differences against the backprop gradient
+# central differences against the backprop gradient, keyed by name
 errors = finite_diff_check(loss_fn, [w1, w2], rng=np.random.default_rng(1))
 for name, err in errors.items():
     print(f"finite diff     {name}: max rel err {err:.3e}")

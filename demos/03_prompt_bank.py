@@ -19,7 +19,7 @@ rng = np.random.default_rng(0)
 class_embeddings = rng.standard_normal((W, D))
 
 bank = PromptBank(class_embeddings, num_parts=S, ctx_len=M, seed=1)
-print(f"contexts        {bank.contexts.tensor.values.shape}  (W, S, M, word_dim), trainable")
+print(f"contexts        {bank.contexts.values.shape}  (W, S, M, word_dim), trainable")
 print(f"class rows      {bank.class_embeddings.shape}  frozen, a plain array")
 
 # all W * S sequences stacked in class-major order
@@ -38,7 +38,7 @@ print(f"prompt features {features.values.shape}  (W, S, feat_dim)")
 
 # only the contexts accumulate gradient; the class embeddings stay frozen
 backward(tsum(features))
-ctx_norm = np.linalg.norm(bank.contexts.tensor.grad)
+ctx_norm = np.linalg.norm(bank.contexts.grad)
 print(f"context grad    {ctx_norm:.4f}")
 print(f"trained params  {[p.name for p in bank.params()]}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeMismatchError
-from .numerics import Affine, BatchNorm, Parameter, Tensor
+from .numerics import Affine, BatchNorm, Tensor
 from .numerics.layers import seeded
 from .numerics.tensor import from_op, recording, unbroadcast
 
@@ -34,7 +34,7 @@ class PartAttention:
         self.score = Affine(feat_dim, num_parts + 1, rng, name="attn.score")
         self.proj = Affine(feat_dim, feat_dim, rng, name="attn.proj")
 
-    def params(self) -> list[Parameter]:
+    def params(self) -> list[Tensor]:
         return self.bn.params() + self.score.params() + self.proj.params()
 
     def forward(self, tokens: Tensor, training: bool) -> tuple[Tensor, Tensor]:
@@ -48,9 +48,9 @@ class PartAttention:
         """
         b, n, f = self._check(tokens)
         s = self.num_parts
-        gamma, beta = self.bn.gamma.tensor, self.bn.beta.tensor
-        ws, bs = self.score.weight.tensor, self.score.bias.tensor
-        wp, bp = self.proj.weight.tensor, self.proj.bias.tensor
+        gamma, beta = self.bn.gamma, self.bn.beta
+        ws, bs = self.score.weight, self.score.bias
+        wp, bp = self.proj.weight, self.proj.bias
         parents = (tokens, gamma, beta, ws, bs, wp, bp)
         record = recording(parents)
         need_x = record and tokens.requires_grad
@@ -89,7 +89,7 @@ class PartAttention:
             g_total = g_denom * 0.5 * total ** (0.5 - 1.0)
             sq = g_total.reshape(b, 1, 1) * pooled
             g_pooled = g * factor + sq + sq
-            # pooling bmm, part pick, softmax, relu
+            # pooling product, part pick, softmax, relu
             g_weights = np.zeros_like(weights)
             g_picked = (g_pooled @ projected.swapaxes(-1, -2)).swapaxes(-1, -2)
             g_weights.reshape(b, n, s + 1)[:, :, :s] = g_picked

@@ -324,10 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except XRHeadError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (XRHeadError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

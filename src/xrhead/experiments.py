@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError
-from .harness import RunReport, TrainConfig, config_dataset, train
+from .harness import TrainConfig, config_dataset, train
 from .heads import HeadKind
 from . import report as rpt
 
@@ -44,7 +44,6 @@ class ComparisonResult:
     num_seeds: int
     rows: list[dict]
     summary: dict
-    reports: list[RunReport]
 
     CSV_HEADER = ["head", "seed_model", "seed_data", "train_accuracy", "test_accuracy"]
 
@@ -98,12 +97,10 @@ def compare_heads(
 
     rows = []
     summary = {}
-    reports = []
     for kind in kind_names:
         train_accs, test_accs = [], []
         for i in range(num_seeds):
             r = by_key[(kind, i)]
-            reports.append(r)
             rows.append(
                 {
                     "head": kind,
@@ -121,7 +118,7 @@ def compare_heads(
             "mean_test": float(np.mean(test_accs)),
             "std_test": float(np.std(test_accs)),
         }
-    return ComparisonResult(kind_names, num_seeds, rows, summary, reports)
+    return ComparisonResult(kind_names, num_seeds, rows, summary)
 
 
 # --- prompt-count sweep --------------------------------------------------------------

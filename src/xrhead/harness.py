@@ -29,7 +29,7 @@ from .data import Dataset, SyntheticSpec, few_shot_split, generate, load_dataset
 from .encoders import FrozenImageEncoder, FrozenTextEncoder, checksum, load_features
 from .errors import ConfigError, DataError, FormatError, NumericError, ShapeMismatchError
 from .heads import HeadKind, build_head, check_head_parts
-from .numerics import Parameter, Sgd, Tensor, backward, constant, cross_entropy, no_grad
+from .numerics import BatchNorm, Sgd, Tensor, backward, constant, cross_entropy, no_grad
 from .prompts import PromptBank
 from . import report as rpt
 
@@ -161,7 +161,7 @@ class Model:
         self.head = head
         self.eval_paths = _EvalPaths()
 
-    def params(self) -> list[Parameter]:
+    def params(self) -> list[Tensor]:
         out = []
         if self.bank is not None:
             out += self.bank.params()
@@ -170,7 +170,7 @@ class Model:
         return out
 
     def param_count(self) -> int:
-        return int(sum(p.tensor.values.size for p in self.params()))
+        return int(sum(p.values.size for p in self.params()))
 
     def prompt_features(self) -> Tensor | None:
         """The learned bank's encoding, the manual features, or None (MLPS)."""
@@ -195,8 +195,8 @@ class Model:
             logits = logits * LOSS_TEMPERATURE
         return cross_entropy(logits, labels)
 
-    def batch_norms(self) -> dict:
-        return {"attn.bn": self.attention.bn, **self.head.batch_norms()}
+    def batch_norms(self) -> list[BatchNorm]:
+        return [self.attention.bn] + self.head.batch_norms()
 
     def frozen_checksums(self) -> dict[str, str]:
         out = {
@@ -537,7 +537,7 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
     # a trained model only runs forward passes: let the optimizer's gradient
     # arena go with it, keeping the values
     for p in model.params():
-        p.tensor.grad = None
+        p.grad = None
 
     after = model.frozen_checksums()
     if after != before:
@@ -573,10 +573,12 @@ def export_attention(
 ) -> list[dict]:
     """Eval-mode attention rows per sample: weights (tokens, parts + 1) + truth.
 
-    limit, when given, keeps the first `limit` samples and must be >= 1.
+    limit, when given, keeps the first `limit` samples and must be an integer >= 1.
     """
-    if limit is not None and limit < 1:
-        raise ConfigError(f"need an export limit >= 1, got {limit}")
+    if limit is not None and (
+        isinstance(limit, bool) or not isinstance(limit, (int, np.integer)) or limit < 1
+    ):
+        raise ConfigError(f"need an integer export limit >= 1, got {limit!r}")
     patches = np.asarray(patches)
     part_ids = np.asarray(part_ids)
     if limit is not None:
@@ -599,15 +601,14 @@ def save_model(dir_path: str, model: Model, report: RunReport | None = None) -> 
     """Write params.xrvp + config.json (+ report.json) into dir_path."""
     os.makedirs(dir_path, exist_ok=True)
     w = Writer(MODEL_MAGIC, MODEL_VERSION)
-    arrays = [(p.name, p.tensor.values) for p in model.params()]
+    arrays = [(p.name, p.values) for p in model.params()]
     if model.bank is not None:
         arrays.append(("prompts.class_embeddings", model.bank.class_embeddings))
     if model.manual is not None:
         arrays.append(("prompts.manual", model.manual.values))
-    for name, bn in sorted(model.batch_norms().items()):
-        state = bn.state()
-        arrays.append((f"{name}.running_mean", state["running_mean"]))
-        arrays.append((f"{name}.running_var", state["running_var"]))
+    for bn in sorted(model.batch_norms(), key=lambda bn: bn.name):
+        arrays.append((f"{bn.name}.running_mean", bn.running_mean))
+        arrays.append((f"{bn.name}.running_var", bn.running_var))
     w.named_arrays([(name, values, np.float64) for name, values in arrays])
     w.metadata(
         {
@@ -663,32 +664,26 @@ def load_model(dir_path: str) -> tuple[Model, RunReport | None]:
     # the saved model's
     if model.frozen_checksums() != meta["frozen_checksums"]:
         raise DataError("frozen encoders or embeddings differ from the saved model's")
-    # every parameter is replaced or the load refused: no unfilled weight survives
+
+    def stored(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if name not in arrays:
+            raise DataError(f"model file missing array {name!r}")
+        values = arrays[name]
+        if values.shape != shape:
+            raise DataError(f"model array {name!r} has shape {values.shape}, expected {shape}")
+        if values.dtype != np.float64:
+            raise DataError(f"model array {name!r} is stored as {values.dtype}, not floats")
+        return values  # the reader's own fresh copy
+
+    # every parameter and batch-norm statistic is replaced or the load
+    # refused: no unfilled weight survives
     for p in model.params():
-        if p.name not in arrays:
-            raise DataError(f"model file missing parameter {p.name!r}")
-        stored = arrays[p.name]
-        if stored.shape != p.tensor.values.shape:
-            raise DataError(
-                f"parameter {p.name!r} has shape {stored.shape}, "
-                f"expected {p.tensor.values.shape}"
-            )
-        if stored.dtype != np.float64:
-            raise DataError(f"parameter {p.name!r} is stored as {stored.dtype}, not floats")
-        p.tensor.values = stored  # the reader's own fresh copy
-    for name, bn in model.batch_norms().items():
-        mean_key, var_key = f"{name}.running_mean", f"{name}.running_var"
-        if mean_key not in arrays or var_key not in arrays:
-            raise DataError(f"model file missing batch-norm state for {name!r}")
-        mean, var = arrays[mean_key], arrays[var_key]
-        if mean.shape != (bn.dim,) or var.shape != (bn.dim,):
-            raise DataError(
-                f"batch-norm state for {name!r} has shapes {mean.shape} and {var.shape}, "
-                f"expected ({bn.dim},)"
-            )
-        if not np.all(var >= 0.0):
-            raise DataError(f"batch-norm state for {name!r} has a negative or NaN variance")
-        bn.load_state({"running_mean": mean, "running_var": var})
+        p.values = stored(p.name, p.values.shape)
+    for bn in model.batch_norms():
+        bn.running_mean = stored(f"{bn.name}.running_mean", (bn.dim,))
+        bn.running_var = stored(f"{bn.name}.running_var", (bn.dim,))
+        if not np.all(bn.running_var >= 0.0):
+            raise DataError(f"batch-norm state for {bn.name!r} has a negative or NaN variance")
 
     report = None
     report_path = os.path.join(dir_path, REPORT_FILE)

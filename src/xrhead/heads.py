@@ -23,10 +23,8 @@ from .errors import ConfigError, ShapeMismatchError
 from .numerics import (
     BatchNorm,
     Mlp,
-    Parameter,
     Tensor,
     add,
-    bmm,
     gather_cols,
     gather_rows,
     l2_normalize_rows,
@@ -49,6 +47,8 @@ class HeadKind(str, enum.Enum):
 
     @classmethod
     def parse(cls, name: str) -> "HeadKind":
+        if not isinstance(name, str):
+            raise ConfigError(f"a head kind must be a string, got {name!r}")
         try:
             return cls(name.upper())
         except ValueError:
@@ -90,16 +90,16 @@ def pwcs_batch(v: Tensor, t: Tensor) -> Tensor:
     b, s, d, w = _check_pair(v, t)
     vn, tn = l2_normalize_rows(v), l2_normalize_rows(t)
     # one product per part: (s, b, d) @ (s, d, w), then the parts summed in order
-    sims = bmm(transpose(vn, (1, 0, 2)), transpose(tn, (1, 2, 0)))
+    sims = matmul(transpose(vn, (1, 0, 2)), transpose(tn, (1, 2, 0)))
     return sum_axis(sims, 0) * (1.0 / s)
 
 
 # --- heads ---------------------------------------------------------------------
 #
-# A head's whole contract: logits(v, t, training) -> (b, w), params(), and
-# batch_norms() (name -> BatchNorm, the names used in model files).  Heads
-# whose logits are cosines in [-1, 1] set cosine_logits, and training scales
-# those logits by a fixed temperature.
+# A head's whole contract: logits(v, t, training) -> (b, w), params() (named
+# leaf tensors) and batch_norms() (a list; model files store each norm under
+# its own name).  Heads whose logits are cosines in [-1, 1] set
+# cosine_logits, and training scales those logits by a fixed temperature.
 
 
 class PwcsHead:
@@ -110,11 +110,11 @@ class PwcsHead:
     def logits(self, v: Tensor, t: Tensor, training: bool) -> Tensor:
         return pwcs_batch(v, t)
 
-    def params(self) -> list[Parameter]:
+    def params(self) -> list[Tensor]:
         return []
 
-    def batch_norms(self) -> dict[str, BatchNorm]:
-        return {}
+    def batch_norms(self) -> list[BatchNorm]:
+        return []
 
 
 class MlpsHead:
@@ -145,11 +145,11 @@ class MlpsHead:
             acc = out if acc is None else add(acc, out)
         return acc * (1.0 / s)
 
-    def params(self) -> list[Parameter]:
+    def params(self) -> list[Tensor]:
         return [p for mlp in self.mlps for p in mlp.params()]
 
-    def batch_norms(self) -> dict[str, BatchNorm]:
-        return {f"head.part{i}.bn": mlp.bn for i, mlp in enumerate(self.mlps)}
+    def batch_norms(self) -> list[BatchNorm]:
+        return [mlp.bn for mlp in self.mlps]
 
 
 class CrmHead:
@@ -205,11 +205,11 @@ class CrmHead:
         flat = relation_batch(v, t)
         return self.logits_from_relation(flat, training)
 
-    def params(self) -> list[Parameter]:
+    def params(self) -> list[Tensor]:
         return self.clf.params()
 
-    def batch_norms(self) -> dict[str, BatchNorm]:
-        return {"head.clf.bn": self.clf.bn}
+    def batch_norms(self) -> list[BatchNorm]:
+        return [self.clf.bn]
 
 
 def check_head_parts(kind: HeadKind, num_parts: int) -> None:

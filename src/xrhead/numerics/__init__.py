@@ -2,13 +2,12 @@
 
 from .gradcheck import finite_diff_check
 from .layers import Affine, BatchNorm, Mlp
-from .optim import Parameter, Sgd, cosine_lr
+from .optim import Sgd, cosine_lr
 from .tensor import (
     Tensor,
     add,
     affine,
     backward,
-    bmm,
     concat,
     constant,
     cross_entropy,
@@ -29,13 +28,11 @@ __all__ = [
     "Affine",
     "BatchNorm",
     "Mlp",
-    "Parameter",
     "Sgd",
     "Tensor",
     "add",
     "affine",
     "backward",
-    "bmm",
     "concat",
     "constant",
     "cosine_lr",

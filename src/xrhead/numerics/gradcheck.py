@@ -7,46 +7,48 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ConfigError, NumericError
-from .optim import Parameter
 from .tensor import Tensor, backward, no_grad
 
 
 def finite_diff_check(
     loss_fn: Callable[[], Tensor],
-    params: list[Parameter],
+    params: list[Tensor],
     eps: float = 1e-5,
     max_coords_per_param: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> dict[str, float]:
     """Compare analytic and central-difference gradients per parameter.
 
-    loss_fn must rebuild the forward pass from current parameter values on
-    every call and be deterministic; its loss may have any shape of size 1,
-    as for backward.  Returns the max relative error per parameter name,
-    with relative error |a - n| / max(|a|, |n|, 1e-8).
+    params are leaf tensors with distinct names.  loss_fn must rebuild the
+    forward pass from current parameter values on every call and be
+    deterministic; its loss may have any shape of size 1, as for backward.
+    Returns the max relative error per parameter name, with relative error
+    |a - n| / max(|a|, |n|, 1e-8).
     When a parameter has more coordinates than max_coords_per_param, a
     random subset is checked; None checks every coordinate.
     """
     if max_coords_per_param is not None and max_coords_per_param < 1:
         raise ConfigError(f"need max_coords_per_param >= 1, got {max_coords_per_param}")
+    names = [p.name for p in params]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"parameter names must be distinct, got {names}")
     for p in params:
-        if p.tensor.grad is not None:
-            p.tensor.grad[...] = 0.0
+        if p.grad is not None:
+            p.grad[...] = 0.0
     loss = loss_fn()
     if not np.all(np.isfinite(loss.values)):
         raise NumericError("loss_fn returned a non-finite loss")
     backward(loss)
     # a parameter the loss never reaches has no adjoint: its gradient is zero
     analytic = {
-        p.name: np.zeros_like(p.tensor.values) if p.tensor.grad is None else p.tensor.grad.copy()
-        for p in params
+        p.name: np.zeros_like(p.values) if p.grad is None else p.grad.copy() for p in params
     }
 
     if rng is None:
         rng = np.random.default_rng(0)
     worst: dict[str, float] = {}
     for p in params:
-        flat = p.tensor.values.reshape(-1)
+        flat = p.values.reshape(-1)
         a_flat = analytic[p.name].reshape(-1)
         n_coords = flat.size
         if max_coords_per_param is not None and n_coords > max_coords_per_param:

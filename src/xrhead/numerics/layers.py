@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import BatchSizeError, ShapeMismatchError
-from .optim import Parameter
 from .tensor import Tensor, affine, from_op, recording, relu, unbroadcast
 
 
@@ -39,15 +38,15 @@ class Affine:
         self.d_in = d_in
         self.d_out = d_out
         w = init_normal(rng, 1.0 / np.sqrt(d_in), (d_in, d_out))
-        self.weight = Parameter(f"{name}.weight", Tensor(w, requires_grad=True))
+        self.weight = Tensor(w, requires_grad=True, name=f"{name}.weight")
         self.bias = None
         if bias:
-            self.bias = Parameter(f"{name}.bias", Tensor(np.zeros((1, d_out)), requires_grad=True))
+            self.bias = Tensor(np.zeros((1, d_out)), requires_grad=True, name=f"{name}.bias")
 
     def __call__(self, x: Tensor) -> Tensor:
-        return affine(x, self.weight.tensor, None if self.bias is None else self.bias.tensor)
+        return affine(x, self.weight, self.bias)
 
-    def params(self) -> list[Parameter]:
+    def params(self) -> list[Tensor]:
         return [self.weight] if self.bias is None else [self.weight, self.bias]
 
 
@@ -56,7 +55,9 @@ class BatchNorm:
 
     Training mode normalizes by batch mean and biased variance (1/b) and
     drifts running statistics with momentum 0.1; eval mode applies the
-    running statistics as constants.  Training needs b >= 2.
+    running statistics as constants.  Training needs b >= 2.  Model files
+    store the running statistics under `name`, and gamma and beta under
+    names derived from it.
     """
 
     eps = 1e-5
@@ -64,13 +65,14 @@ class BatchNorm:
 
     def __init__(self, dim: int, name: str = "bn"):
         self.dim = dim
-        self.gamma = Parameter(f"{name}.gamma", Tensor(np.ones((1, dim)), requires_grad=True))
-        self.beta = Parameter(f"{name}.beta", Tensor(np.zeros((1, dim)), requires_grad=True))
+        self.name = name
+        self.gamma = Tensor(np.ones((1, dim)), requires_grad=True, name=f"{name}.gamma")
+        self.beta = Tensor(np.zeros((1, dim)), requires_grad=True, name=f"{name}.beta")
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        parents = (x, self.gamma.tensor, self.beta.tensor)
+        parents = (x, self.gamma, self.beta)
         out, bw = self.normalize(x.values, training, recording(parents), x.requires_grad)
         return from_op(out, parents, bw)
 
@@ -84,7 +86,7 @@ class BatchNorm:
         """
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ShapeMismatchError(f"batch norm expects (b, {self.dim}), got {x.shape}")
-        gamma, beta = self.gamma.tensor.values, self.beta.tensor.values
+        gamma, beta = self.gamma.values, self.beta.values
         if not training:
             inv = 1.0 / np.sqrt(self.running_var + self.eps)
             if not record:
@@ -135,15 +137,8 @@ class BatchNorm:
 
         return out, backward
 
-    def params(self) -> list[Parameter]:
+    def params(self) -> list[Tensor]:
         return [self.gamma, self.beta]
-
-    def state(self) -> dict[str, np.ndarray]:
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        self.running_mean = np.asarray(state["running_mean"], dtype=np.float64).copy()
-        self.running_var = np.asarray(state["running_var"], dtype=np.float64).copy()
 
 
 class Mlp:
@@ -159,5 +154,5 @@ class Mlp:
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return self.fc2(relu(self.bn(self.fc1(x), training)))
 
-    def params(self) -> list[Parameter]:
+    def params(self) -> list[Tensor]:
         return self.fc1.params() + self.bn.params() + self.fc2.params()

@@ -1,9 +1,8 @@
-"""Named parameters and SGD with momentum, weight decay and a cosine schedule."""
+"""SGD with momentum, weight decay and a cosine schedule."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,12 +13,6 @@ from .tensor import Tensor
 # values, the gradients, the momentum and the scratch stays in cache across
 # the update's six passes.
 BLOCK = 32_768
-
-
-@dataclass
-class Parameter:
-    name: str
-    tensor: Tensor
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
@@ -34,6 +27,7 @@ def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
 class Sgd:
     """v <- momentum * v + (grad + weight_decay * w);  w <- w - lr * v.
 
+    The parameters are named leaf tensors that track gradients.
     Construction packs every parameter's .values into one flat array and
     gives each parameter an adjoint in a second, zero-filled one, `grads`,
     copying the gradient a parameter already holds; both follow list order,
@@ -46,7 +40,7 @@ class Sgd:
 
     def __init__(
         self,
-        params: list[Parameter],
+        params: list[Tensor],
         lr0: float,
         weight_decay: float = 0.0,
         momentum: float = 0.0,
@@ -54,14 +48,14 @@ class Sgd:
     ):
         params = tuple(params)
         for p in params:
-            if not p.tensor.requires_grad or p.tensor._parents:
+            if not p.requires_grad or p._parents:
                 raise ConfigError(f"parameter {p.name} does not track gradients or is not a leaf")
         self.lr0 = lr0
         self.weight_decay = weight_decay
         self.momentum = momentum
         self.total_epochs = total_epochs
         self.epoch = 0
-        size = sum(p.tensor.values.size for p in params)
+        size = sum(p.values.size for p in params)
         self.values = np.empty(size)
         self.grads = np.zeros(size)
         self.velocity = np.empty(size)  # written whole by the first step
@@ -69,24 +63,23 @@ class Sgd:
         self._stepped = False
         start = 0
         for p in params:
-            t = p.tensor
-            stop = start + t.values.size
-            view = self.values[start:stop].reshape(t.values.shape)
-            view[...] = t.values
-            t.values = view
-            view = self.grads[start:stop].reshape(t.values.shape)
-            if t.grad is not None:
-                view[...] = t.grad
-            t.grad = view
+            stop = start + p.values.size
+            view = self.values[start:stop].reshape(p.values.shape)
+            view[...] = p.values
+            p.values = view
+            view = self.grads[start:stop].reshape(p.values.shape)
+            if p.grad is not None:
+                view[...] = p.grad
+            p.grad = view
             start = stop
-        self._packed = tuple((p, p.tensor.values, p.tensor.grad) for p in params)
+        self._packed = tuple((p, p.values, p.grad) for p in params)
 
     def lr(self) -> float:
         return cosine_lr(self.epoch, self.total_epochs, self.lr0)
 
     def _check_views(self) -> None:
         for p, values, grad in self._packed:
-            if p.tensor.values is not values or p.tensor.grad is not grad:
+            if p.values is not values or p.grad is not grad:
                 raise ConfigError(f"parameter {p.name} no longer uses the optimizer's arrays")
 
     def step(self) -> None:

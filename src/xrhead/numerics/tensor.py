@@ -47,14 +47,19 @@ def no_grad():
 
 class Tensor:
     """values (ndarray, float64) + adjoint in .grad once backward reaches a
-    requires_grad leaf."""
+    requires_grad leaf.
 
-    __slots__ = ("values", "requires_grad", "grad", "_parents", "_bw")
+    A trainable leaf carries its name, the key its values are stored under
+    in model files; op results and constants have none.
+    """
 
-    def __init__(self, values, requires_grad: bool = False):
+    __slots__ = ("values", "requires_grad", "grad", "name", "_parents", "_bw")
+
+    def __init__(self, values, requires_grad: bool = False, name: str | None = None):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = bool(requires_grad) and _grad_mode.enabled
         self.grad = None
+        self.name = name
         self._parents = ()
         self._bw = None
 
@@ -159,20 +164,20 @@ def relu(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a (n, m) @ b (m, k) -> (n, k)."""
-    if a.values.ndim != 2 or b.values.ndim != 2:
+    """a (n, m) @ b (m, k) -> (n, k), or batched: a (B, n, m) @ b (B, m, k) -> (B, n, k)."""
+    sa, sb = a.values.shape, b.values.shape
+    if len(sa) != len(sb) or len(sa) not in (2, 3) or sa[:-2] != sb[:-2] or sa[-1] != sb[-2]:
         raise ShapeMismatchError(
-            f"matmul needs 2-d operands, got {a.values.shape} and {b.values.shape}"
-        )
-    if a.values.shape[1] != b.values.shape[0]:
-        raise ShapeMismatchError(
-            f"matmul inner dims differ: {a.values.shape} @ {b.values.shape}"
+            f"matmul needs (n, m) @ (m, k) or (B, n, m) @ (B, m, k), got {sa} @ {sb}"
         )
     out = a.values @ b.values
     need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return (g @ b.values.T if need_a else None, a.values.T @ g if need_b else None)
+        return (
+            g @ b.values.swapaxes(-1, -2) if need_a else None,
+            a.values.swapaxes(-1, -2) @ g if need_b else None,
+        )
 
     return from_op(out, (a, b), bw)
 
@@ -205,28 +210,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         return gx, gw, unbroadcast(g, b.values.shape) if b.requires_grad else None
 
     return from_op(out, parents, bw)
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched product: a (B, n, m) @ b (B, m, k) -> (B, n, k)."""
-    if a.values.ndim != 3 or b.values.ndim != 3:
-        raise ShapeMismatchError(
-            f"bmm needs 3-d operands, got {a.values.shape} and {b.values.shape}"
-        )
-    if a.values.shape[0] != b.values.shape[0] or a.values.shape[2] != b.values.shape[1]:
-        raise ShapeMismatchError(
-            f"bmm shapes incompatible: {a.values.shape} @ {b.values.shape}"
-        )
-    out = a.values @ b.values
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def bw(g):
-        return (
-            g @ b.values.swapaxes(-1, -2) if need_a else None,
-            a.values.swapaxes(-1, -2) @ g if need_b else None,
-        )
-
-    return from_op(out, (a, b), bw)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatchError
-from .numerics import Parameter, Tensor, concat, constant, reshape
+from .numerics import Tensor, concat, constant, reshape
 from .numerics.layers import init_normal, seeded
 
 # the standard deviation of the contexts' initial normal draw
@@ -41,19 +41,19 @@ class PromptBank:
         self.ctx_len = ctx_len
         shape = (self.num_classes, num_parts, ctx_len, self.word_dim)
         ctx = init_normal(seeded(seed), CONTEXT_STD, shape)
-        self.contexts = Parameter("prompts.contexts", Tensor(ctx, requires_grad=True))
+        self.contexts = Tensor(ctx, requires_grad=True, name="prompts.contexts")
         self.class_embeddings = class_embeddings  # frozen: an input, not a parameter
         # the class row closing every prompt, row i = class i // S
         rows = np.repeat(class_embeddings, num_parts, axis=0)
         self._class_rows = constant(rows.reshape(self.num_classes * num_parts, 1, self.word_dim))
 
-    def params(self) -> list[Parameter]:
+    def params(self) -> list[Tensor]:
         return [self.contexts]
 
     def all_sequences(self) -> Tensor:
         """All prompts stacked: (W * S, ctx_len + 1, word_dim), row i = class i // S, part i % S."""
         w, s, m, d = self.num_classes, self.num_parts, self.ctx_len, self.word_dim
-        ctx = reshape(self.contexts.tensor, (w * s, m, d))
+        ctx = reshape(self.contexts, (w * s, m, d))
         return concat([ctx, self._class_rows], axis=1)
 
     def encode(self, encoder) -> Tensor:

@@ -16,7 +16,6 @@ from xrhead.harness import LOSS_TEMPERATURE, class_name_embeddings
 from xrhead.numerics import (
     Tensor,
     add,
-    bmm,
     concat,
     constant,
     cosine_lr,
@@ -93,10 +92,9 @@ class LoopSgd:
     def step(self, params) -> None:
         lr = cosine_lr(self.epoch, self.total_epochs, self.lr0)
         for p in params:
-            t = p.tensor
-            g = np.empty_like(t.values)
-            np.multiply(t.values, self.weight_decay, out=g)
-            np.add(t.grad, g, out=g)
+            g = np.empty_like(p.values)
+            np.multiply(p.values, self.weight_decay, out=g)
+            np.add(p.grad, g, out=g)
             v = self.velocities.get(id(p))
             if v is None:
                 self.velocities[id(p)] = v = g.copy()
@@ -104,7 +102,7 @@ class LoopSgd:
                 v *= self.momentum
                 v += g
             np.multiply(v, lr, out=g)
-            t.values -= g
+            p.values -= g
 
 
 # --- primitives the composed chains need -------------------------------------------
@@ -211,13 +209,13 @@ def composed_batch_norm(bn, x, training: bool):
     else:
         inv = constant(1.0 / np.sqrt(bn.running_var + bn.eps))
         xhat = mul(sub(x, constant(bn.running_mean)), inv)
-    return add(mul(xhat, bn.gamma.tensor), bn.beta.tensor)
+    return add(mul(xhat, bn.gamma), bn.beta)
 
 
 def composed_mlp(mlp, x, training: bool):
-    h = composed_affine(x, mlp.fc1.weight.tensor)
+    h = composed_affine(x, mlp.fc1.weight)
     h = relu(composed_batch_norm(mlp.bn, h, training))
-    return composed_affine(h, mlp.fc2.weight.tensor, mlp.fc2.bias.tensor)
+    return composed_affine(h, mlp.fc2.weight, mlp.fc2.bias)
 
 
 def composed_attention(attn, tokens, training: bool):
@@ -226,11 +224,11 @@ def composed_attention(attn, tokens, training: bool):
     s = attn.num_parts
     flat = reshape(tokens, (b * n, f))
     normed = composed_batch_norm(attn.bn, flat, training)
-    scores = relu(composed_affine(normed, attn.score.weight.tensor, attn.score.bias.tensor))
+    scores = relu(composed_affine(normed, attn.score.weight, attn.score.bias))
     weights = softmax_rows(scores)
     picked = reshape(gather_cols(weights, np.arange(s)), (b, n, s))
-    projected = composed_affine(flat, attn.proj.weight.tensor, attn.proj.bias.tensor)
-    pooled = bmm(transpose(picked), reshape(projected, (b, n, f)))
+    projected = composed_affine(flat, attn.proj.weight, attn.proj.bias)
+    pooled = matmul(transpose(picked), reshape(projected, (b, n, f)))
     # rescale each image's block to Frobenius norm TAU
     squares = reshape(mul(pooled, pooled), (b, s * f))
     total = sum_axis(squares, 1, keepdims=True)
@@ -270,7 +268,7 @@ def composed_relation(v, t):
 def composed_sequences(bank):
     """PromptBank.all_sequences as a row interleave of contexts and class rows."""
     w, s, m, d = bank.num_classes, bank.num_parts, bank.ctx_len, bank.word_dim
-    ctx2 = reshape(bank.contexts.tensor, (w * s * m, d))
+    ctx2 = reshape(bank.contexts, (w * s * m, d))
     cls_rep = gather_rows(constant(bank.class_embeddings), np.arange(w * s) // s)
     stacked = concat([ctx2, cls_rep])
     order = np.empty((w * s, m + 1), dtype=np.intp)

@@ -5,7 +5,7 @@ import pytest
 
 from xrhead.attention import TAU, PartAttention
 from xrhead.errors import ConfigError, DegenerateInputError, ShapeMismatchError
-from xrhead.numerics import Parameter, Tensor, constant, finite_diff_check, tsum
+from xrhead.numerics import Tensor, constant, finite_diff_check, tsum
 
 
 def make_tokens(b=3, n=6, d=8, seed=0):
@@ -73,14 +73,14 @@ def test_validation():
 
 def test_gradients_through_pooling():
     attn = PartAttention(feat_dim=6, num_parts=2, seed=8)
-    tokens = Tensor(make_tokens(b=2, n=4, d=6, seed=8), requires_grad=True)
+    tokens = Tensor(make_tokens(b=2, n=4, d=6, seed=8), requires_grad=True, name="tokens")
     k = constant(np.random.default_rng(9).normal(size=(2, 2, 6)))
 
     def loss():
         parts, _ = attn.forward(tokens, training=True)
         return tsum(parts * k)
 
-    params = [Parameter("tokens", tokens)] + attn.params()
+    params = [tokens] + attn.params()
     worst = finite_diff_check(loss, params, max_coords_per_param=10)
     assert max(worst.values()) < 1e-5, worst
 

@@ -14,7 +14,7 @@ from xrhead.encoders import (
     save_features,
 )
 from xrhead.errors import FormatError, ShapeMismatchError
-from xrhead.numerics import Parameter, Tensor, backward, constant, finite_diff_check, tsum
+from xrhead.numerics import Tensor, backward, constant, finite_diff_check, tsum
 
 
 def test_text_encoder_deterministic():
@@ -39,12 +39,12 @@ def test_text_encoder_shape_checks():
 
 def test_text_encoder_differentiable_wrt_input():
     enc = FrozenTextEncoder(seed=1, word_dim=6, feat_dim=9, num_positions=4)
-    seqs = Tensor(np.random.default_rng(1).normal(size=(2, 4, 6)), requires_grad=True)
+    seqs = Tensor(np.random.default_rng(1).normal(size=(2, 4, 6)), requires_grad=True, name="seqs")
     out = enc.encode(seqs)
     backward(tsum(out))
     assert np.any(seqs.grad != 0.0)
     worst = finite_diff_check(
-        lambda: tsum(enc.encode(seqs)), [Parameter("seqs", seqs)], max_coords_per_param=12
+        lambda: tsum(enc.encode(seqs)), [seqs], max_coords_per_param=12
     )
     assert worst["seqs"] < 1e-6
 

@@ -19,7 +19,6 @@ from xrhead.heads import pwcs_batch, relation_batch
 from xrhead.numerics import (
     Affine,
     BatchNorm,
-    Parameter,
     Tensor,
     affine,
     backward,
@@ -39,7 +38,7 @@ def jitter(params, seed):
     """Move parameters off their exact initial values (ones, zeros)."""
     rng = np.random.default_rng(seed)
     for p in params:
-        p.tensor.values += 0.3 * rng.normal(size=p.tensor.values.shape)
+        p.values += 0.3 * rng.normal(size=p.values.shape)
 
 
 def bits(out, leaves, seed=0):
@@ -62,7 +61,9 @@ def assert_same_bits(make, fused, composed):
 
 
 def grad_check(loss, leaves, tol=1e-6, max_coords=None):
-    params = [Parameter(f"p{i}", t) for i, t in enumerate(leaves) if t.requires_grad]
+    params = [t for t in leaves if t.requires_grad]
+    for i, t in enumerate(params):
+        t.name = f"p{i}"
     worst = finite_diff_check(loss, params, max_coords_per_param=max_coords)
     assert max(worst.values()) < tol, worst
 
@@ -91,7 +92,7 @@ def test_affine_layer_and_constant_weights():
     layer = Affine(5, 3, rng, name="fc")
     x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     out = layer(x)
-    assert out._parents == (x, layer.weight.tensor, layer.bias.tensor)
+    assert out._parents == (x, layer.weight, layer.bias)
     # frozen weights (as in the text encoder): only the input gets a gradient
     frozen = affine(x, constant(np.ones((5, 3))), constant(np.ones((1, 3))))
     gx, gw, gb = frozen._bw(np.ones((4, 3)))
@@ -116,7 +117,7 @@ def make_bn(tracked, seed=4):
 def test_batch_norm_matches_composed(training, tracked):
     def make():
         bn, x = make_bn(tracked)
-        return (bn, x), [x, bn.gamma.tensor, bn.beta.tensor]
+        return (bn, x), [x, bn.gamma, bn.beta]
 
     (bn, _), (twin, _) = assert_same_bits(
         make,
@@ -131,8 +132,8 @@ def test_batch_norm_untracked_forward_matches_composed():
     # eval without a tape writes into one buffer; the values must not move
     bn, x = make_bn(tracked=False)
     twin, x2 = make_bn(tracked=False)
-    bn.gamma.tensor.requires_grad = twin.gamma.tensor.requires_grad = False
-    bn.beta.tensor.requires_grad = twin.beta.tensor.requires_grad = False
+    bn.gamma.requires_grad = twin.gamma.requires_grad = False
+    bn.beta.requires_grad = twin.beta.requires_grad = False
     got = bn(x, training=False)
     assert not got.requires_grad
     want = bruteforce.composed_batch_norm(twin, x2, training=False)
@@ -149,7 +150,7 @@ def test_batch_norm_gradients(training):
         bn.running_mean, bn.running_var = mean.copy(), var.copy()
         return tsum(mul(bn(x, training), k))
 
-    grad_check(loss, [x, bn.gamma.tensor, bn.beta.tensor], tol=1e-5)
+    grad_check(loss, [x, bn.gamma, bn.beta], tol=1e-5)
 
 
 # --- part attention ---------------------------------------------------------------
@@ -171,7 +172,7 @@ def make_attention(num_parts, tracked, seed=7):
 def test_attention_matches_composed(num_parts, tracked, training):
     def make():
         attn, tokens = make_attention(num_parts, tracked)
-        return (attn, tokens), [tokens] + [p.tensor for p in attn.params()]
+        return (attn, tokens), [tokens] + attn.params()
 
     weights = {}
 
@@ -193,7 +194,7 @@ def test_attention_untracked_forward_matches_composed():
     attn, tokens = make_attention(4, tracked=False)
     twin, tokens2 = make_attention(4, tracked=False)
     for p in attn.params() + twin.params():
-        p.tensor.requires_grad = False
+        p.requires_grad = False
     parts, weights = attn.forward(tokens, training=False)
     assert not parts.requires_grad and parts._bw is None
     want_parts, want_weights = bruteforce.composed_attention(twin, tokens2, training=False)
@@ -213,7 +214,7 @@ def test_attention_gradients(num_parts, training):
         parts, _ = attn.forward(tokens, training)
         return tsum(mul(parts, k))
 
-    grad_check(loss, [tokens] + [p.tensor for p in attn.params()], tol=1e-5, max_coords=12)
+    grad_check(loss, [tokens] + attn.params(), tol=1e-5, max_coords=12)
 
 
 def test_attention_weights_are_values_only():
@@ -261,9 +262,9 @@ def test_relation_matches_composed(num_parts):
 def make_prompts():
     emb = np.random.default_rng(12).normal(size=(4, 6))
     bank = PromptBank(emb, num_parts=3, ctx_len=2, seed=13)
-    bank.contexts.tensor.values *= 25.0  # std 0.5: large enough to bend the tanh
+    bank.contexts.values *= 25.0  # std 0.5: large enough to bend the tanh
     enc = FrozenTextEncoder(seed=14, word_dim=6, feat_dim=5, num_positions=3)
-    return (bank, enc), [bank.contexts.tensor]
+    return (bank, enc), [bank.contexts]
 
 
 def test_all_sequences_matches_composed():
@@ -403,13 +404,13 @@ def test_model_step_matches_composed(case, training, tiny_dataset):
     for p, q in zip(model.params(), twin.params()):
         assert p.name == q.name
         # backward gives an adjoint to the leaves it reaches: the same ones in both
-        assert (p.tensor.grad is None) == (q.tensor.grad is None), p.name
-        if p.tensor.grad is not None:
-            assert p.tensor.grad.tobytes() == q.tensor.grad.tobytes(), p.name
-    for name, bn in model.batch_norms().items():
-        other = twin.batch_norms()[name]
-        assert bn.running_mean.tobytes() == other.running_mean.tobytes(), name
-        assert bn.running_var.tobytes() == other.running_var.tobytes(), name
+        assert (p.grad is None) == (q.grad is None), p.name
+        if p.grad is not None:
+            assert p.grad.tobytes() == q.grad.tobytes(), p.name
+    for bn, other in zip(model.batch_norms(), twin.batch_norms()):
+        assert bn.name == other.name
+        assert bn.running_mean.tobytes() == other.running_mean.tobytes(), bn.name
+        assert bn.running_var.tobytes() == other.running_var.tobytes(), bn.name
 
 
 # Tracked op nodes (leaves excluded) on the tape of one training step.  The

@@ -211,16 +211,16 @@ def test_build_model_parameter_names_unique(tiny_dataset):
     names = [p.name for p in model.params()]
     assert len(names) == len(set(names))
     # every parameter trains; the class embeddings are a frozen input
-    assert all(p.tensor.requires_grad for p in model.params())
+    assert all(p.requires_grad for p in model.params())
     assert "prompts.class_embeddings" not in names
-    assert model.param_count() == sum(p.tensor.values.size for p in model.params())
+    assert model.param_count() == sum(p.values.size for p in model.params())
 
 
 def test_mlps_model_has_no_prompt_side(tiny_dataset):
     model = build_model(tiny_config(head="MLPS"), tiny_dataset)
     assert model.bank is None
     assert model.prompt_features() is None
-    assert all(p.tensor.requires_grad for p in model.params())
+    assert all(p.requires_grad for p in model.params())
 
 
 def test_word_dim_mismatch_rejected(tiny_dataset):
@@ -247,10 +247,10 @@ def test_shared_modules_identically_seeded_across_heads(tiny_dataset):
     a = build_model(tiny_config(head="CRM_FULL"), tiny_dataset)
     b = build_model(tiny_config(head="PWCS"), tiny_dataset)
     np.testing.assert_array_equal(
-        a.bank.contexts.tensor.values, b.bank.contexts.tensor.values
+        a.bank.contexts.values, b.bank.contexts.values
     )
     np.testing.assert_array_equal(
-        a.attention.score.weight.tensor.values, b.attention.score.weight.tensor.values
+        a.attention.score.weight.values, b.attention.score.weight.values
     )
 
 
@@ -264,7 +264,7 @@ def test_train_is_deterministic(tiny_dataset):
     assert report1 == report2
     assert report1.epoch_losses == report2.epoch_losses
     for p1, p2 in zip(model1.params(), model2.params()):
-        np.testing.assert_array_equal(p1.tensor.values, p2.tensor.values)
+        np.testing.assert_array_equal(p1.values, p2.values)
 
 
 def test_train_encodes_each_training_image_once(tiny_dataset, monkeypatch):
@@ -830,6 +830,9 @@ def test_compare_validation(tiny_dataset):
         compare_heads(tiny_config(), ["PWCS", "PWCS"], num_seeds=1, dataset=tiny_dataset)
     with pytest.raises(ConfigError, match="num_seeds"):
         compare_heads(tiny_config(), ["PWCS", "MLPS"], num_seeds=0, dataset=tiny_dataset)
+    for kind in (5, None, 1.5):
+        with pytest.raises(ConfigError, match="head kind must be a string"):
+            compare_heads(tiny_config(), ["PWCS", kind], num_seeds=1, dataset=tiny_dataset)
 
 
 def test_compare_refuses_seed_counts_that_are_not_integers(tiny_dataset, monkeypatch):
@@ -1081,7 +1084,11 @@ def test_export_attention_empty_errors(tiny_dataset):
         export_attention(model, tiny_dataset.test_patches[:0], tiny_dataset.test_part_ids[:0])
 
 
-@pytest.mark.parametrize("limit", [0, -1])
+@pytest.mark.parametrize(
+    "limit",
+    [0, -1, 2.5, "3", True, np.float64(2.0)],
+    ids=["0", "-1", "float", "str", "bool", "numpy_float"],
+)
 def test_export_attention_refuses_limit_below_one(limit, tiny_dataset, monkeypatch):
     model = build_model(tiny_config(), tiny_dataset)
 
@@ -1091,6 +1098,13 @@ def test_export_attention_refuses_limit_below_one(limit, tiny_dataset, monkeypat
     monkeypatch.setattr(model.image_encoder, "encode", fail)
     with pytest.raises(ConfigError, match="limit"):
         export_attention(model, tiny_dataset.test_patches, tiny_dataset.test_part_ids, limit=limit)
+
+
+def test_export_attention_takes_a_numpy_integer_limit(tiny_dataset):
+    model = build_model(tiny_config(), tiny_dataset)
+    patches, part_ids = tiny_dataset.test_patches, tiny_dataset.test_part_ids
+    samples = export_attention(model, patches, part_ids, limit=np.int64(3))
+    assert [s["index"] for s in samples] == [0, 1, 2]
 
 
 def test_mutual_information_basics():
@@ -1135,14 +1149,57 @@ def test_save_load_model_round_trip(kind, tmp_path, tiny_dataset):
     assert loaded_report == report
     patches = tiny_dataset.test_patches[:6]
     assert predict_logits(model, patches).tobytes() == predict_logits(loaded, patches).tobytes()
-    names = sorted(model.batch_norms())
-    assert names == sorted(loaded.batch_norms()) == ["attn.bn"] + HEAD_BATCH_NORMS[kind]
+    names = [bn.name for bn in model.batch_norms()]
+    assert names == [bn.name for bn in loaded.batch_norms()]
+    assert names == ["attn.bn"] + HEAD_BATCH_NORMS[kind]
+
+
+def _names(prefix, leaves):
+    return [f"{prefix}.{leaf}" for leaf in leaves]
+
+
+_STATS = ("running_mean", "running_var")
+_MLP = ("fc1.weight", "bn.gamma", "bn.beta", "fc2.weight", "fc2.bias")
+_ATTENTION = _names("attn", ("bn.gamma", "bn.beta", "score.weight", "score.bias"))
+_ATTENTION += _names("attn", ("proj.weight", "proj.bias"))
+_PROMPTED = ["prompts.contexts"] + _ATTENTION
+_PWCS_FILE = _PROMPTED + ["prompts.class_embeddings"] + _names("attn.bn", _STATS)
+_CRM_FILE = _PROMPTED + _names("head.clf", _MLP) + ["prompts.class_embeddings"]
+_CRM_FILE += _names("attn.bn", _STATS) + _names("head.clf.bn", _STATS)
+_MLPS_FILE = _ATTENTION + [name for i in range(4) for name in _names(f"head.part{i}", _MLP)]
+_MLPS_FILE += _names("attn.bn", _STATS)
+_MLPS_FILE += [name for i in range(4) for name in _names(f"head.part{i}.bn", _STATS)]
+# each head kind's model-file array names, in file order: the parameters as
+# params() lists them, the frozen prompt side, then the batch-norm
+# statistics sorted by norm name
+MODEL_FILE_ARRAYS = {
+    "ALIGN": _PWCS_FILE,
+    "PWCS": _PWCS_FILE,
+    "MLPS": _MLPS_FILE,
+    "CRM_FULL": _CRM_FILE,
+    "CRM_BASE": _CRM_FILE,
+    "CRM_XCLASS": _CRM_FILE,
+    "CRM_XPART": _CRM_FILE,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_FILE_ARRAYS))
+def test_model_file_array_names_in_file_order(kind, tmp_path, tiny_dataset):
+    from xrhead.container import Reader
+
+    cfg = tiny_config(head=kind, num_parts=1 if kind == "ALIGN" else 4)
+    save_model(str(tmp_path), build_model(cfg, tiny_dataset))
+    with open(tmp_path / "params.xrvp", "rb") as f:
+        r = Reader(f)
+        r.magic(harness.MODEL_MAGIC)
+        r.version(harness.MODEL_VERSION)
+        assert list(r.named_arrays("array")) == MODEL_FILE_ARRAYS[kind]
 
 
 def _assert_in_arena(params, opt):
     for p in params:
-        assert np.shares_memory(p.tensor.values, opt.values), p.name
-        assert np.shares_memory(p.tensor.grad, opt.grads), p.name
+        assert np.shares_memory(p.values, opt.values), p.name
+        assert np.shares_memory(p.grad, opt.grads), p.name
 
 
 @pytest.mark.parametrize("kind", sorted(HEAD_BATCH_NORMS))
@@ -1151,19 +1208,19 @@ def test_parameters_live_in_the_arena(kind, tmp_path, tiny_dataset):
     model, report = train(cfg, tiny_dataset)
     # train packed every parameter into one flat values array and dropped the
     # adjoints after the last step: a trained model holds its values only
-    first = model.params()[0].tensor
+    first = model.params()[0]
     for p in model.params():
-        assert p.tensor.values.base is first.values.base is not None, p.name
-        assert p.tensor.grad is None, p.name
+        assert p.values.base is first.values.base is not None, p.name
+        assert p.grad is None, p.name
     save_model(str(tmp_path / "model"), model, report)
     for m in (build_model(cfg, tiny_dataset), load_model(str(tmp_path / "model"))[0]):
         params = m.params()
-        assert [p.name for p in params if p.tensor.grad is not None] == []
-        before = [p.tensor.values.tobytes() for p in params]
+        assert [p.name for p in params if p.grad is not None] == []
+        before = [p.values.tobytes() for p in params]
         opt = Sgd(params, lr0=0.1, weight_decay=0.01, momentum=0.9, total_epochs=1)
         _assert_in_arena(params, opt)
         assert not opt.grads.any()  # each adjoint starts at zero
-        assert [p.tensor.values.tobytes() for p in params] == before
+        assert [p.values.tobytes() for p in params] == before
         assert opt.values.size == m.param_count() == report.param_count
         opt.grads.fill(1.0)
         opt.step()
@@ -1197,7 +1254,7 @@ def test_reloaded_parameters_are_fresh_writable_arrays(kind, tmp_path, tiny_data
     model, _ = train(tiny_config(head=kind, num_parts=1 if kind == "ALIGN" else 4), tiny_dataset)
     save_model(str(tmp_path), model)
     loaded, _ = load_model(str(tmp_path))
-    values = [p.tensor.values for p in loaded.params()]
+    values = [p.values for p in loaded.params()]
     for i, v in enumerate(values):
         assert v.dtype == np.float64 and v.flags.writeable and v.flags.c_contiguous
         assert not any(np.shares_memory(v, other) for other in values[i + 1 :])
@@ -1236,8 +1293,8 @@ def test_reload_draws_only_the_frozen_encoders(kind, tmp_path, tiny_dataset, mon
     text = (cfg.ctx_len + 1) * w + w * f + f + f * f + f  # positions, w1, b1, w2, b2
     image = tiny_dataset.spec.patch_dim * f + f  # w, b
     assert sum(drawn) == text + image
-    stored = [p.tensor.values.tobytes() for p in model.params()]
-    assert [p.tensor.values.tobytes() for p in loaded.params()] == stored
+    stored = [p.values.tobytes() for p in model.params()]
+    assert [p.values.tobytes() for p in loaded.params()] == stored
 
 
 def test_load_model_refuses_integer_parameters(tmp_path, tiny_dataset):
@@ -1329,9 +1386,10 @@ def test_load_model_refuses_malformed_batch_norm_state(tmp_path, tiny_dataset):
         return values
 
     for name, edit, match in (
-        ("attn.bn.running_mean", lambda values: values[:1], "shapes"),
-        ("attn.bn.running_var", lambda values: np.stack([values, values]), "shapes"),
+        ("attn.bn.running_mean", lambda values: values[:1], r"has shape \(1,\)"),
+        ("attn.bn.running_var", lambda values: np.stack([values, values]), "has shape"),
         ("head.clf.bn.running_var", negative, "negative"),
+        ("head.clf.bn.running_mean", lambda values: values.astype(np.int64), "int64, not floats"),
     ):
         params.write_bytes(saved)
         _rewrite_params(params, edit_arrays=lambda a: a.update({name: edit(a[name])}))

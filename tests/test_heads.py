@@ -14,7 +14,7 @@ from xrhead.heads import (
     pwcs_batch,
     relation_batch,
 )
-from xrhead.numerics import Parameter, Tensor, constant, cross_entropy, finite_diff_check
+from xrhead.numerics import Tensor, constant, cross_entropy, finite_diff_check
 
 
 def random_pair(b=3, s=4, w=5, d=6, seed=0):
@@ -217,12 +217,12 @@ def test_shape_mismatch_errors():
 
 def test_gradients_through_relation_heads():
     rng = np.random.default_rng(60)
-    v3 = Tensor(rng.normal(size=(4, 3, 5)), requires_grad=True)
-    t3 = Tensor(rng.normal(size=(4, 3, 5)), requires_grad=True)
+    v3 = Tensor(rng.normal(size=(4, 3, 5)), requires_grad=True, name="v")
+    t3 = Tensor(rng.normal(size=(4, 3, 5)), requires_grad=True, name="t")
     labels = np.array([0, 1, 2, 3])
     for kind in (HeadKind.CRM_FULL, HeadKind.CRM_BASE, HeadKind.CRM_XCLASS, HeadKind.CRM_XPART):
         head = CrmHead(kind, 4, 3, hidden=6, seed=4)
-        params = [Parameter("v", v3), Parameter("t", t3)] + head.params()
+        params = [v3, t3] + head.params()
 
         def loss():
             logits = head.logits_from_relation(relation_batch(v3, t3), training=True)
@@ -234,12 +234,12 @@ def test_gradients_through_relation_heads():
 
 def test_pwcs_gradients():
     rng = np.random.default_rng(61)
-    v3 = Tensor(rng.normal(size=(4, 3, 5)), requires_grad=True)
-    t3 = Tensor(rng.normal(size=(6, 3, 5)), requires_grad=True)
+    v3 = Tensor(rng.normal(size=(4, 3, 5)), requires_grad=True, name="v")
+    t3 = Tensor(rng.normal(size=(6, 3, 5)), requires_grad=True, name="t")
     labels = np.array([0, 5, 2, 3])
 
     def loss():
         return cross_entropy(pwcs_batch(v3, t3) * 10.0, labels)
 
-    worst = finite_diff_check(loss, [Parameter("v", v3), Parameter("t", t3)])
+    worst = finite_diff_check(loss, [v3, t3])
     assert max(worst.values()) < 1e-6, worst

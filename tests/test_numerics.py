@@ -22,12 +22,10 @@ from xrhead.numerics import (
     Affine,
     BatchNorm,
     Mlp,
-    Parameter,
     Sgd,
     Tensor,
     add,
     backward,
-    bmm,
     concat,
     constant,
     cosine_lr,
@@ -47,14 +45,15 @@ from xrhead.numerics import (
 )
 
 
-def leaf(values):
-    return Tensor(values, requires_grad=True)
+def leaf(values, name=None):
+    return Tensor(values, requires_grad=True, name=name)
 
 
 def check_op(build, leaves, tol=1e-6, seed=0):
     """Finite-difference check a closure over the given leaf tensors."""
-    params = [Parameter(f"p{i}", t) for i, t in enumerate(leaves)]
-    worst = finite_diff_check(build, params, rng=np.random.default_rng(seed))
+    for i, t in enumerate(leaves):
+        t.name = f"p{i}"
+    worst = finite_diff_check(build, leaves, rng=np.random.default_rng(seed))
     assert max(worst.values()) < tol, worst
 
 
@@ -95,7 +94,7 @@ def test_batch_norm_eval_identity_stats():
 def test_sgd_plain_step():
     w = leaf(np.array([1.0]))
     backward(tsum(mul(w, constant([0.5]))))  # an adjoint made before the optimizer is kept
-    opt = Sgd([Parameter("w", w)], lr0=0.1, weight_decay=0.0, momentum=0.0, total_epochs=100)
+    opt = Sgd([w], lr0=0.1, weight_decay=0.0, momentum=0.0, total_epochs=100)
     opt.step()
     np.testing.assert_allclose(w.values, [0.95], atol=1e-15)
 
@@ -103,7 +102,7 @@ def test_sgd_plain_step():
 def test_sgd_momentum_and_decay():
     # two steps by hand: v1 = g + wd*w0; w1 = w0 - lr*v1; v2 = m*v1 + g + wd*w1
     w = leaf(np.array([1.0]))
-    opt = Sgd([Parameter("w", w)], lr0=0.1, weight_decay=0.01, momentum=0.9, total_epochs=10)
+    opt = Sgd([w], lr0=0.1, weight_decay=0.01, momentum=0.9, total_epochs=10)
     w.grad[...] = 0.5
     opt.step()
     v1 = 0.5 + 0.01 * 1.0
@@ -117,11 +116,11 @@ def test_sgd_momentum_and_decay():
 
 def test_sgd_refuses_parameter_without_gradient():
     with pytest.raises(ConfigError, match="does not track gradients"):
-        Sgd([Parameter("w", constant(np.array([1.0, 2.0])))], lr0=0.5)
+        Sgd([constant(np.array([1.0, 2.0]))], lr0=0.5)
     # an op result tracks gradients but holds no adjoint for backward to fill
     x = leaf(np.array([1.0, 2.0]))
     with pytest.raises(ConfigError, match="is not a leaf"):
-        Sgd([Parameter("y", mul(x, x))], lr0=0.5)
+        Sgd([mul(x, x)], lr0=0.5)
 
 
 def test_sgd_arena_matches_per_parameter_loop():
@@ -135,7 +134,7 @@ def test_sgd_arena_matches_per_parameter_loop():
 
     def make():
         rng = np.random.default_rng(21)
-        return [Parameter(f"p{i}", leaf(rng.normal(size=s))) for i, s in enumerate(shapes)]
+        return [leaf(rng.normal(size=s), name=f"p{i}") for i, s in enumerate(shapes)]
 
     params, twin = make(), make()
     opt = Sgd(params, lr0=0.3, weight_decay=0.01, momentum=0.9, total_epochs=5)
@@ -145,13 +144,13 @@ def test_sgd_arena_matches_per_parameter_loop():
         opt.epoch = oracle.epoch = epoch
         opt.zero_grads()
         for p, q in zip(params, twin):
-            q.tensor.grad = rng.normal(size=q.tensor.values.shape)
-            p.tensor.grad += q.tensor.grad
+            q.grad = rng.normal(size=q.values.shape)
+            p.grad += q.grad
         opt.step()
         oracle.step(twin)
         for p, q in zip(params, twin):
-            assert p.tensor.values.tobytes() == q.tensor.values.tobytes(), (epoch, p.name)
-            assert p.tensor.grad.tobytes() == q.tensor.grad.tobytes(), (epoch, p.name)
+            assert p.values.tobytes() == q.values.tobytes(), (epoch, p.name)
+            assert p.grad.tobytes() == q.grad.tobytes(), (epoch, p.name)
         velocity = np.concatenate([oracle.velocities[id(q)].reshape(-1) for q in twin])
         assert opt.velocity.tobytes() == velocity.tobytes(), epoch
 
@@ -162,7 +161,7 @@ def test_sgd_packs_parameters_into_views():
     b = leaf(rng.normal(size=(1, 4)))
     w.grad = np.ones((3, 4))  # b holds no adjoint
     before = w.values.copy()
-    opt = Sgd([Parameter("w", w), Parameter("b", b)], lr0=0.5)
+    opt = Sgd([w, b], lr0=0.5)
     assert opt.values.size == opt.grads.size == opt.velocity.size == 16
     for t in (w, b):
         assert np.shares_memory(t.values, opt.values)
@@ -322,10 +321,13 @@ def test_no_grad_holds_under_thread_switches():
     assert _records()
 
 
-@pytest.mark.parametrize("op", [add, sub, mul, div, matmul, bmm])
-def test_constant_operand_gets_no_gradient(op):
+@pytest.mark.parametrize(
+    "op, shape",
+    [(op, (3, 3)) for op in (add, sub, mul, div, matmul)] + [(matmul, (2, 3, 3))],
+    ids=["add", "sub", "mul", "div", "matmul", "batched_matmul"],
+)
+def test_constant_operand_gets_no_gradient(op, shape):
     rng = np.random.default_rng(0)
-    shape = (2, 3, 3) if op is bmm else (3, 3)
     x = leaf(rng.normal(size=shape))
     k = constant(rng.normal(size=shape) + 5.0)
     g = rng.normal(size=shape)
@@ -435,7 +437,11 @@ def test_matmul_shape_errors():
     with pytest.raises(ShapeMismatchError):
         matmul(constant(np.ones(3)), constant(np.ones((3, 1))))
     with pytest.raises(ShapeMismatchError):
-        bmm(constant(np.ones((2, 2, 3))), constant(np.ones((3, 3, 2))))
+        matmul(constant(np.ones((2, 2, 3))), constant(np.ones((3, 3, 2))))
+    with pytest.raises(ShapeMismatchError):
+        matmul(constant(np.ones((2, 3))), constant(np.ones((2, 3, 2))))
+    with pytest.raises(ShapeMismatchError):
+        matmul(constant(np.ones((1, 2, 2, 3))), constant(np.ones((1, 2, 3, 2))))
 
 
 def test_batch_norm_needs_two_rows():
@@ -482,7 +488,7 @@ def test_grad_matrix_ops():
     q = leaf(rng.normal(size=(2, 4, 2)))
     kk = constant(rng.normal(size=(2, 3, 2)))
     kt = constant(rng.normal(size=(2, 4, 3)))
-    check_op(lambda: tsum(mul(bmm(p, q), kk)), [p, q])
+    check_op(lambda: tsum(mul(matmul(p, q), kk)), [p, q])
     check_op(lambda: tsum(mul(transpose(p), kt)), [p])
 
 
@@ -542,7 +548,7 @@ def test_grad_layers():
     def loss():
         return tsum(mul(bn(aff(x), training=True), k))
 
-    check_op(loss, [p.tensor for p in aff.params() + bn.params()], tol=1e-5)
+    check_op(loss, aff.params() + bn.params(), tol=1e-5)
 
     mlp = Mlp(3, 5, 2, rng)
     km = constant(rng.normal(size=(6, 2)))
@@ -550,7 +556,7 @@ def test_grad_layers():
     def loss_mlp():
         return tsum(mul(mlp(x, training=True), km))
 
-    check_op(loss_mlp, [p.tensor for p in mlp.params()], tol=1e-5)
+    check_op(loss_mlp, mlp.params(), tol=1e-5)
 
 
 def test_grad_flows_through_batch_stats():
@@ -564,9 +570,9 @@ def test_grad_flows_through_batch_stats():
 
 def test_finite_diff_sampling_budget():
     rng = np.random.default_rng(8)
-    big = leaf(rng.normal(size=(40, 40)))
+    big = leaf(rng.normal(size=(40, 40)), name="big")
     k = constant(rng.normal(size=(40, 40)))
-    params = [Parameter("big", big)]
+    params = [big]
     worst = finite_diff_check(
         lambda: tsum(mul(big, k)), params, max_coords_per_param=16
     )
@@ -574,19 +580,29 @@ def test_finite_diff_sampling_budget():
 
 
 def test_finite_diff_refuses_empty_sample():
-    a = leaf(np.ones(3))
-    params = [Parameter("a", a)]
+    a = leaf(np.ones(3), name="a")
+    params = [a]
     for coords in (0, -1):
         with pytest.raises(ConfigError, match="max_coords_per_param"):
             finite_diff_check(lambda: tsum(a), params, max_coords_per_param=coords)
     assert finite_diff_check(lambda: tsum(a), params, max_coords_per_param=None)["a"] < 1e-8
 
 
+def test_finite_diff_refuses_repeated_names():
+    # results are keyed by name: two leaves under one name would hide one's error
+    a, b = leaf(np.ones(3)), leaf(np.ones(2))
+    with pytest.raises(ConfigError, match="distinct"):
+        finite_diff_check(lambda: tsum(mul(a, a)), [a, b])
+    a.name, b.name = "a", "b"
+    worst = finite_diff_check(lambda: tsum(mul(a, a)), [a, b])
+    assert sorted(worst) == ["a", "b"] and worst["a"] < 1e-8
+
+
 def test_finite_diff_reports_zero_for_an_unused_parameter():
     # the loss never reaches b, so backward leaves it without an adjoint
     rng = np.random.default_rng(10)
-    a, b = leaf(rng.normal(size=3)), leaf(rng.normal(size=2))
-    worst = finite_diff_check(lambda: tsum(mul(a, a)), [Parameter("a", a), Parameter("b", b)])
+    a, b = leaf(rng.normal(size=3), name="a"), leaf(rng.normal(size=2), name="b")
+    worst = finite_diff_check(lambda: tsum(mul(a, a)), [a, b])
     assert worst == {"a": worst["a"], "b": 0.0} and worst["a"] < 1e-8
     assert b.grad is None
 
@@ -609,34 +625,59 @@ def test_finite_diff_accepts_size_one_loss():
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _numerics_names(path: pathlib.Path, package: str) -> set[str]:
-    """Names a file imports from xrhead.numerics or one of its modules, plus,
-    for a numerics module, the names it both defines and loads itself."""
+def _defined(tree: ast.Module) -> set[str]:
+    """The functions, classes and plain assignments at a module's top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _names_used_from(module: str, path: pathlib.Path, package: str) -> set[str]:
+    """Names a file imports from `module` or one of its submodules, plus, for a
+    file of `module` itself, the names it both defines and loads."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
+            source = node.module or ""
             if node.level:  # relative: drop level - 1 trailing parts of the package
                 parts = package.split(".")
-                module = ".".join(parts[: len(parts) - node.level + 1] + [module]).rstrip(".")
-            if module == "xrhead.numerics" or module.startswith("xrhead.numerics."):
+                source = ".".join(parts[: len(parts) - node.level + 1] + [source]).rstrip(".")
+            if source == module or source.startswith(module + "."):
                 names |= {alias.name for alias in node.names}
-    if package == "xrhead.numerics":
-        defined = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
-        names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in defined}
+    own = package if path.stem == "__init__" else f"{package}.{path.stem}"
+    if own == module or own.startswith(module + "."):
+        defined = _defined(tree)
+        names |= {
+            n.id
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in defined
+        }
     return names
 
 
 def test_numerics_exports_only_what_the_package_or_demos_use():
-    # a primitive that only tests need belongs in tests/bruteforce.py
+    # a primitive that only tests need belongs in tests/bruteforce.py; likewise
+    # every public name of experiments and analysis must serve the package or
+    # a demo
     import xrhead.numerics
 
     src = ROOT / "src"
-    used = set()
-    for path in sorted(src.rglob("*.py")) + sorted((ROOT / "demos").glob("*.py")):
-        if path == src / "xrhead" / "numerics" / "__init__.py":
-            continue
-        package = ".".join(path.relative_to(src).parent.parts) if path.is_relative_to(src) else ""
-        used |= _numerics_names(path, package)
-    assert sorted(set(xrhead.numerics.__all__) - used) == []
+    public = {"xrhead.numerics": set(xrhead.numerics.__all__)}
+    for name in ("experiments", "analysis"):
+        tree = ast.parse((src / "xrhead" / f"{name}.py").read_text(encoding="utf-8"))
+        public[f"xrhead.{name}"] = {n for n in _defined(tree) if not n.startswith("_")}
+    assert {"compare_heads", "TIMING_ROUNDS"} <= public["xrhead.experiments"]
+    assert "mutual_information" in public["xrhead.analysis"]
+    files = sorted(src.rglob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    files.remove(src / "xrhead" / "numerics" / "__init__.py")
+    for module, names in public.items():
+        used = set()
+        for path in files:
+            package = ".".join(path.relative_to(src).parent.parts) if path.is_relative_to(src) else ""
+            used |= _names_used_from(module, path, package)
+        assert sorted(names - used) == [], module

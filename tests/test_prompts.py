@@ -16,12 +16,12 @@ def make_bank(w=4, s=3, m=2, d=6, seed=0):
 
 def test_bank_shapes_and_init():
     bank = make_bank()
-    assert bank.contexts.tensor.values.shape == (4, 3, 2, 6)
+    assert bank.contexts.values.shape == (4, 3, 2, 6)
     assert bank.class_embeddings.shape == (4, 6)
     assert bank.params() == [bank.contexts]  # class embeddings are an input, not trained
     # contexts start small and centered
     big = make_bank(w=16, s=4, m=8, d=32)
-    ctx = big.contexts.tensor.values
+    ctx = big.contexts.values
     assert abs(ctx.mean()) < 0.005
     assert abs(ctx.std() - 0.02) < 0.005
 
@@ -30,7 +30,7 @@ def test_sequence_layout():
     bank = make_bank()
     seq = bank.all_sequences().values[2 * 3 + 1]  # class 2, part 1
     assert seq.shape == (3, 6)  # ctx_len + 1 rows
-    np.testing.assert_array_equal(seq[:2], bank.contexts.tensor.values[2, 1])
+    np.testing.assert_array_equal(seq[:2], bank.contexts.values[2, 1])
     np.testing.assert_array_equal(seq[2], bank.class_embeddings[2])
 
 
@@ -38,7 +38,7 @@ def test_all_sequences_matches_singles():
     bank = make_bank()
     all_seqs = bank.all_sequences()
     assert all_seqs.values.shape == (12, 3, 6)
-    ctx, cls = bank.contexts.tensor.values, bank.class_embeddings
+    ctx, cls = bank.contexts.values, bank.class_embeddings
     for k in range(4):
         for s in range(3):
             want = np.vstack([ctx[k, s], cls[k : k + 1]])
@@ -60,7 +60,7 @@ def test_gradient_locality():
     # pull gradient through a single (class, part) feature row
     flat = reshape(feats, (12, 10))
     backward(tsum(gather_rows(flat, [2 * 3 + 1])))
-    g = bank.contexts.tensor.grad
+    g = bank.contexts.grad
     assert np.any(g[2, 1] != 0.0)
     g_rest = g.copy()
     g_rest[2, 1] = 0.0
