@@ -428,10 +428,12 @@ def _eval_pass(
                     feats = model.image_encoder.encode(feats)
                 with no_grad():  # grad mode is per thread: set it in this one
                     v, w = model.attention.forward(constant(feats), training=False)
+                    del feats  # read by attention only: not held while the head runs
                     out = model.head.logits(v, prompts, training=False)
                 logits[start : start + chunk] = out.values
                 if keep_weights:
                     weights[start : start + chunk] = w.values
+                del v, w, out  # not held while the next chunk is encoded
         except BaseException:
             with lock:  # the other thread stops after its current chunk
                 for _ in starts:
@@ -484,11 +486,12 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
     """Few-shot training with SGD + cosine schedule; deterministic given seeds."""
     config.validate()
     ds = dataset if dataset is not None else config_dataset(config)
-    patches, labels, _ = few_shot_split(ds, config.shots, config.seed_data)
+    patches, labels = few_shot_split(ds, config.shots, config.seed_data)[:2]
     model = build_model(config, ds)
     before = model.frozen_checksums()
 
     feats = model.image_encoder.encode(patches)
+    del patches  # the steps read the encoded features only
     n = feats.shape[0]
     notes: list[str] = []
     if n % config.batch_size == 1:
@@ -532,22 +535,26 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
             step_cpu_min = min(step_cpu_min, time.process_time() - step_cpu0)
             total += float(loss.values) * idx.size
             seen += idx.size
+            del loss  # and with it the step's tape, before the next forward
         losses.append(total / seen)
     wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
-    # a trained model only runs forward passes: let the optimizer's gradient
-    # arena go with it, keeping the values
+    # a trained model only runs forward passes: let the optimizer's gradient,
+    # velocity and scratch arrays go with it, keeping the values
     for p in model.params():
         p.grad = None
+    del opt
 
     after = model.frozen_checksums()
     if after != before:
         raise ConfigError("frozen parameters changed during training")
 
+    train_accuracy = _accuracy(_eval_pass(model, feats, encoded=True)[0], labels)
+    del feats  # the test split's pass holds the model and one chunk at a time
     report = RunReport(
         head=config.head,
         seed_data=config.seed_data,
         seed_model=config.seed_model,
-        train_accuracy=_accuracy(_eval_pass(model, feats, encoded=True)[0], labels),
+        train_accuracy=train_accuracy,
         test_accuracy=evaluate(model, ds.test_patches, ds.test_labels),
         num_train=int(n),
         num_test=int(ds.test_labels.shape[0]),

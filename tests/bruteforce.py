@@ -8,6 +8,8 @@ comes the whole-split eval, the bitwise oracle of the chunked one, and last
 the frozen prompt features that manual-prompt runs load from a file.
 """
 
+import math
+
 import numpy as np
 
 from xrhead.attention import TAU
@@ -72,6 +74,21 @@ def align_logits(v: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.array(
         [float(np.dot(v, row)) / (np.linalg.norm(v) * np.linalg.norm(row)) for row in t]
     )
+
+
+def mutual_information(x, y) -> float:
+    """MI in nats of two equal-length label sequences, counted pair by pair."""
+    n = len(x)
+    joint, px, py = {}, {}, {}
+    for a, b in zip(x, y):
+        joint[a, b] = joint.get((a, b), 0) + 1
+        px[a] = px.get(a, 0) + 1
+        py[b] = py.get(b, 0) + 1
+    total = 0.0
+    for (a, b), count in joint.items():
+        p = count / n
+        total += p * math.log(p / ((px[a] / n) * (py[b] / n)))
+    return total
 
 
 class LoopSgd:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from xrhead.analysis import analyze_embeddings, project_2d
+import bruteforce
+from xrhead.analysis import analyze_embeddings, mutual_information, project_2d
 from xrhead.errors import DataError
 
 
@@ -28,3 +29,15 @@ def test_analyze_refuses_bins_that_are_not_integers():
         with pytest.raises(DataError, match="bins must be an integer"):
             analyze_embeddings(emb, bins=bad)
     assert analyze_embeddings(emb, bins=np.int64(2))["counts"].tolist() == [0, 4]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mutual_information_matches_the_loop_oracle(seed):
+    # y copies x in about two thirds of the entries, so the MI is far from 0
+    # and a relative tolerance means something
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 5, size=200)
+    y = np.where(rng.random(200) < 0.65, x, rng.integers(0, 4, size=200))
+    want = bruteforce.mutual_information(x.tolist(), y.tolist())
+    assert want > 0.3
+    assert mutual_information(x, y) == pytest.approx(want, rel=1e-14, abs=0.0)

@@ -205,3 +205,37 @@ def test_an_interrupted_set_keeps_its_pairs(seeds, finished, tmp_path, monkeypat
     for name in finished:
         assert report["workloads"][name]["summary"]["train_s"]["pairs"] == 2
     assert sorted(os.listdir(tmp_path)) == ["BENCHMARK.json", "out.json"]
+
+
+def summary_entry(ratio, better="lower", wins=10, gain=False):
+    return {"ratio": ratio, "better": better, "bound": 0.25, "change_wins": wins, "pairs": 10,
+            "gain_claimable": gain}
+
+
+def test_history_prints_each_files_ratios(tmp_path, capsys):
+    # two hand-written sets; the older file's summaries lack the stored "regressed" flag
+    newer = {"workloads": {
+        "train_pwcs": {"summary": {"peak_rss_mb": summary_entry(0.92, gain=True)}},
+        "train_crm": {"summary": {"train_s": summary_entry(1.3, wins=0),
+                                  "rate": summary_entry(0.8, better="higher", wins=2)}},
+    }}
+    older = {"workloads": {"train_crm": {"summary": {"rate": summary_entry(None)}},
+                           "eval_crm": {"pairs": []}}}
+    (tmp_path / "BENCH_b.json").write_text(json.dumps(newer))
+    (tmp_path / "BENCH_a.json").write_text(json.dumps(older))
+    (tmp_path / "other.json").write_text("not a benchmark")
+    assert bench_pairs.main(["--history", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "BENCH_a.json eval_crm: no summary (stopped part way)",
+        "BENCH_a.json train_crm: rate - 10/10",
+        "BENCH_b.json train_crm: train_s 1.300x 0/10 REGRESSED, rate 0.800x 2/10",
+        "BENCH_b.json train_pwcs: peak_rss_mb 0.920x 10/10 gain",
+    ]
+
+
+def test_history_reads_every_committed_set():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    files = [f for f in os.listdir(root) if f.startswith("BENCH_") and f.endswith(".json")]
+    lines = bench_pairs.history(root)
+    assert {line.split()[0] for line in lines} == set(files)
+    assert not [line for line in lines if "no summary" in line]

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from xrhead.cli import main
+from xrhead.container import Reader, Writer
+from xrhead.harness import MODEL_MAGIC, MODEL_VERSION
 
 TINY_SPEC = {
     "num_classes": 6,
@@ -127,6 +129,31 @@ def test_eval_on_a_dataset_with_other_classes_is_one_error_line(tiny_files, caps
     assert captured.out == ""
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
     assert "(12 classes, sha256" in captured.err and "(6 classes, sha256" in captured.err
+
+
+@pytest.mark.parametrize("missing", ["prompts.class_embeddings", "attn.score.weight"])
+def test_eval_of_a_model_file_without_an_array_is_one_error_line(missing, tiny_files, capsys):
+    tmp_path, cfg_path, _ = tiny_files
+    model_dir = tmp_path / "model"
+    assert main(["train", "--config", str(cfg_path), "--out", str(model_dir)]) == 0
+    params = model_dir / "params.xrvp"
+    with open(params, "rb") as f:
+        r = Reader(f)
+        r.magic(MODEL_MAGIC)
+        r.version(MODEL_VERSION)
+        arrays = r.named_arrays("model array")
+        meta = r.metadata()
+    del arrays[missing]
+    w = Writer(MODEL_MAGIC, MODEL_VERSION)
+    w.named_arrays([(name, values, np.float64) for name, values in arrays.items()])
+    w.metadata(meta)
+    w.save(str(params))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert "model file" in captured.err
 
 
 @pytest.mark.parametrize("command", ["eval", "export-attn"])

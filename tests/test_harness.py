@@ -1309,6 +1309,21 @@ def test_load_model_refuses_integer_parameters(tmp_path, tiny_dataset):
         load_model(str(tmp_path))
 
 
+@pytest.mark.parametrize(
+    "missing, match",
+    [
+        ("prompts.class_embeddings", "learned prompts need class embeddings"),
+        ("attn.score.weight", "model file missing array 'attn.score.weight'"),
+    ],
+    ids=["class_embeddings", "parameter"],
+)
+def test_load_model_refuses_a_file_without_an_array(missing, match, tmp_path, tiny_dataset):
+    save_model(str(tmp_path), build_model(tiny_config(), tiny_dataset))
+    _rewrite_params(tmp_path / "params.xrvp", edit_arrays=lambda arrays: arrays.pop(missing))
+    with pytest.raises(DataError, match=match):
+        load_model(str(tmp_path))
+
+
 def test_load_model_refuses_other_encoders(tmp_path, tiny_dataset):
     # the frozen encoders are rebuilt from patch_dim and the config's shapes;
     # their checksums in the params file catch an edit to either

@@ -43,6 +43,7 @@ from xrhead.numerics import (
     transpose,
     tsum,
 )
+from xrhead.numerics.tensor import from_op
 
 
 def leaf(values, name=None):
@@ -369,6 +370,25 @@ def test_broadcast_grad_sums():
     backward(tsum(add(full, row)))
     np.testing.assert_allclose(row.grad, np.full((1, 3), 4.0))
     np.testing.assert_allclose(full.grad, np.ones((4, 3)))
+
+
+def test_broadcast_grad_sums_over_extra_leading_axes():
+    vec = leaf(np.ones(3))
+    full = leaf(np.ones((2, 3)))
+    k = constant(np.arange(6.0).reshape(2, 3))
+    backward(tsum(mul(add(full, vec), k)))
+    np.testing.assert_array_equal(vec.grad, [3.0, 5.0, 7.0])  # k summed over its rows
+    np.testing.assert_array_equal(full.grad, k.values)
+
+
+def test_backward_skips_a_node_no_gradient_reached():
+    # from_op lets a backward return None for a parent that tracks gradients:
+    # that parent gets no adjoint, the other one does
+    x, y = leaf([2.0]), leaf([3.0])
+    out = from_op(x.values * y.values, (x, y), lambda g: (g * y.values, None))
+    backward(tsum(out))
+    np.testing.assert_array_equal(x.grad, [3.0])
+    assert y.grad is None
 
 
 def test_gather_rows_duplicates_accumulate():

@@ -1,6 +1,7 @@
 """CSV/SVG emission and atomic writes."""
 
 import csv
+import hashlib
 import io
 import os
 import xml.etree.ElementTree as ET
@@ -121,3 +122,26 @@ def test_svg_histogram_bar_per_bin():
 def test_flat_series_and_constant_values_render():
     text = rpt.svg_lines([1.0, 2.0], {"flat": [0.5, 0.5]}, "t", "x", "y")
     ET.fromstring(text)
+
+
+def test_svg_coordinates_have_two_decimals():
+    assert [rpt._fmt(x) for x in (0.0, 1.005, 123.456, -3.14159, 2.0 / 3.0)] == [
+        "0.00",
+        "1.00",
+        "123.46",
+        "-3.14",
+        "0.67",
+    ]
+
+
+def test_svg_lines_bytes_pinned():
+    # a sweep-style plot; any change to the layout or the number format moves the digest
+    text = rpt.svg_lines(
+        [1.0, 2.0, 4.0, 8.0],
+        {"train": [0.5, 0.61, 0.7, 0.83], "test": [0.4, 0.45, 0.52, 0.65]},
+        "accuracy by part count",
+        "parts",
+        "accuracy",
+    )
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == "e8c5b86780c910ef65ee6220e86f3c169523d570daf815d52a32f842002f06d1"

@@ -23,11 +23,20 @@ run order, and perfbench's environment and details lines; the details'
 `peak_rss_mb` has to be read against) goes to the --out JSON file,
 which is rewritten atomically after every pair: a set stopped part way
 keeps every pair it ran and the summaries of the workloads it finished.
+
+    python3 tools/bench_pairs.py --history .
+
+prints one row per BENCH_*.json file in a directory and workload: each
+end-to-end metric's change/parent median ratio, the pairs the change won,
+and "gain" or "REGRESSED" as the file's summary reads.  Only ratios are
+shown: each file pairs its own parent and change runs, and the machine's
+speed drifts between sets, so absolute medians do not compare across files.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import resource
@@ -211,17 +220,47 @@ def write_report(path: str, report: dict) -> None:
         raise
 
 
+def history(directory: str) -> list[str]:
+    """One line per BENCH_*.json file in `directory` and workload, files in
+    name order: each summarized metric's ratio, wins and flags.  A metric is
+    REGRESSED when its ratio is worse than 1 by more than its bound, the
+    rule summarize applies to the medians."""
+    lines = []
+    for path in sorted(glob.glob(os.path.join(directory, "BENCH_*.json"))):
+        with open(path, encoding="utf-8") as f:
+            workloads = json.load(f)["workloads"]
+        for workload, result in sorted(workloads.items()):
+            cells = []
+            for name, s in result.get("summary", {}).items():
+                ratio = s["ratio"]  # None when the parent's median is 0
+                known = ratio is not None
+                worse_by = (ratio - 1.0 if s["better"] == "lower" else 1.0 - ratio) if known else 0.0
+                cells.append(f"{name} {f'{ratio:.3f}x' if known else '-'} "
+                             f"{s['change_wins']}/{s['pairs']}"
+                             f"{' gain' if s['gain_claimable'] else ''}"
+                             f"{' REGRESSED' if worse_by > s['bound'] else ''}")
+            row = ", ".join(cells) if cells else "no summary (stopped part way)"
+            lines.append(f"{os.path.basename(path)} {workload}: {row}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
-    parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--workload", action="append", required=True,
-                        help="perfbench workload; repeatable")
-    parser.add_argument("--seeds", required=True,
-                        help="seeds, e.g. 301-310 or 5,7,9; one pair per seed")
+    parser.add_argument("--parent", help="checkout of the parent commit")
+    parser.add_argument("--change", help="checkout of the change")
+    parser.add_argument("--workload", action="append", help="perfbench workload; repeatable")
+    parser.add_argument("--seeds", help="seeds, e.g. 301-310 or 5,7,9; one pair per seed")
     parser.add_argument("--seconds", type=int, default=30, help="perfbench --seconds")
     parser.add_argument("--out", help="JSON file for every run and the summaries")
+    parser.add_argument("--history", metavar="DIR",
+                        help="print the ratios of every BENCH_*.json in DIR and run nothing")
     args = parser.parse_args(argv)
+    if args.history is not None:
+        print("\n".join(history(args.history)))
+        return 0
+    missing = [f"--{k}" for k in ("parent", "change", "workload", "seeds") if not getattr(args, k)]
+    if missing:
+        parser.error(f"the following arguments are required: {', '.join(missing)}")
     seeds = parse_seeds(args.seeds)
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(checkouts["change"], "BENCHMARK.json"), encoding="utf-8") as f:
