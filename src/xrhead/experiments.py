@@ -14,16 +14,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError
-from .harness import TrainConfig, config_dataset, train
+from .harness import TrainConfig, _count, config_dataset, train
 from .heads import HeadKind
 from . import report as rpt
-
-
-def _count(value, what: str) -> int:
-    """value as an int; a bool or a non-integer is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _train_runs(config: TrainConfig, runs: dict, dataset: Dataset | None) -> tuple[dict, Dataset]:

@@ -29,7 +29,16 @@ from .data import Dataset, SyntheticSpec, few_shot_split, generate, load_dataset
 from .encoders import FrozenImageEncoder, FrozenTextEncoder, checksum, load_features
 from .errors import ConfigError, DataError, FormatError, NumericError, ShapeMismatchError
 from .heads import HeadKind, build_head, check_head_parts
-from .numerics import BatchNorm, Sgd, Tensor, backward, constant, cross_entropy, no_grad
+from .numerics import (
+    BatchNorm,
+    Sgd,
+    Tensor,
+    backward,
+    constant,
+    cosine_lr,
+    cross_entropy,
+    no_grad,
+)
 from .prompts import PromptBank
 from . import report as rpt
 
@@ -122,6 +131,13 @@ def config_dataset(config: TrainConfig) -> Dataset:
     return generate(spec)
 
 
+def _count(value, what: str) -> int:
+    """value as an int; a bool or a non-integer is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _seed_stream(seed_model: int, k: int) -> int:
     # disjoint child seeds per module as long as k < 10
     return seed_model * 10 + k
@@ -143,22 +159,53 @@ class Model:
         config: TrainConfig,
         num_classes: int,
         patch_dim: int,
-        text_encoder: FrozenTextEncoder,
-        image_encoder: FrozenImageEncoder,
-        bank: PromptBank | None,
-        manual: Tensor | None,
-        attention: PartAttention,
-        head,
+        class_embeddings: np.ndarray | None,
+        manual_values: np.ndarray | None,
+        seed_model: int | None,
     ):
+        """With seed_model None the trainable modules draw nothing and leave
+        their weights unfilled, for load_model to replace with the stored
+        values.  The frozen encoders are drawn either way: their checksums
+        identify the config a model was saved under."""
+
+        def seed(k: int) -> int | None:
+            return None if seed_model is None else _seed_stream(seed_model, k)
+
+        kind = HeadKind.parse(config.head)
         self.config = config
         self.num_classes = num_classes
         self.patch_dim = patch_dim
-        self.text_encoder = text_encoder
-        self.image_encoder = image_encoder
-        self.bank = bank
-        self.manual = manual
-        self.attention = attention
-        self.head = head
+        self.text_encoder = _text_encoder(config)
+        self.image_encoder = FrozenImageEncoder(ENCODER_SEED + 1, patch_dim, config.feat_dim)
+
+        self.bank = None
+        self.manual = None
+        if kind != HeadKind.MLPS:
+            if manual_values is not None:
+                manual_values = np.asarray(manual_values, dtype=np.float64)
+                want = (num_classes, config.num_parts, config.feat_dim)
+                if manual_values.shape != want:
+                    raise ConfigError(
+                        f"manual prompt features must be {want}, got {manual_values.shape}"
+                    )
+                self.manual = constant(manual_values)
+            else:
+                if class_embeddings is None:
+                    raise ConfigError("learned prompts need class embeddings")
+                if class_embeddings.ndim != 2 or class_embeddings.shape[1] != config.word_dim:
+                    raise ConfigError(
+                        f"class embeddings {class_embeddings.shape} do not match "
+                        f"word_dim {config.word_dim}"
+                    )
+                self.bank = PromptBank(
+                    class_embeddings,
+                    config.num_parts,
+                    config.ctx_len,
+                    seed=seed(0),
+                )
+
+        self.attention = PartAttention(config.feat_dim, config.num_parts, seed=seed(1))
+        self.head = build_head(kind, num_classes, config.num_parts, config.feat_dim, seed=seed(2))
         self.eval_paths = _EvalPaths()
 
     def params(self) -> list[Tensor]:
@@ -210,66 +257,13 @@ class Model:
         return out
 
 
-def _assemble(
-    config: TrainConfig,
-    num_classes: int,
-    patch_dim: int,
-    class_embeddings: np.ndarray | None,
-    manual_values: np.ndarray | None,
-    seed_model: int | None,
-) -> Model:
-    """The model's modules.  With seed_model None the trainable modules draw
-    nothing and leave their weights unfilled, for load_model to replace with
-    the stored values.  The frozen encoders are drawn either way: their
-    checksums identify the config a model was saved under."""
-
-    def seed(k: int) -> int | None:
-        return None if seed_model is None else _seed_stream(seed_model, k)
-
-    kind = HeadKind.parse(config.head)
-    text_encoder = _text_encoder(config)
-    image_encoder = FrozenImageEncoder(ENCODER_SEED + 1, patch_dim, config.feat_dim)
-
-    bank = None
-    manual = None
-    if kind != HeadKind.MLPS:
-        if manual_values is not None:
-            manual_values = np.asarray(manual_values, dtype=np.float64)
-            want = (num_classes, config.num_parts, config.feat_dim)
-            if manual_values.shape != want:
-                raise ConfigError(
-                    f"manual prompt features must be {want}, got {manual_values.shape}"
-                )
-            manual = constant(manual_values)
-        else:
-            if class_embeddings is None:
-                raise ConfigError("learned prompts need class embeddings")
-            if class_embeddings.ndim != 2 or class_embeddings.shape[1] != config.word_dim:
-                raise ConfigError(
-                    f"class embeddings {class_embeddings.shape} do not match "
-                    f"word_dim {config.word_dim}"
-                )
-            bank = PromptBank(
-                class_embeddings,
-                config.num_parts,
-                config.ctx_len,
-                seed=seed(0),
-            )
-
-    attention = PartAttention(config.feat_dim, config.num_parts, seed=seed(1))
-    head = build_head(kind, num_classes, config.num_parts, config.feat_dim, seed=seed(2))
-    return Model(
-        config, num_classes, patch_dim, text_encoder, image_encoder, bank, manual, attention, head
-    )
-
-
 def build_model(config: TrainConfig, ds: Dataset) -> Model:
     """Assemble a freshly initialized model sized for the dataset."""
     config.validate()
     manual_values = None
     if config.prompt_file is not None:
         manual_values, _ = load_features(config.prompt_file)
-    return _assemble(
+    return Model(
         config,
         ds.num_classes,
         ds.spec.patch_dim,
@@ -499,13 +493,7 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
         warnings.warn(msg)
         notes.append(msg)
 
-    opt = Sgd(
-        model.params(),
-        lr0=LR0,
-        weight_decay=WEIGHT_DECAY,
-        momentum=MOMENTUM,
-        total_epochs=config.epochs,
-    )
+    opt = Sgd(model.params(), weight_decay=WEIGHT_DECAY, momentum=MOMENTUM)
     shuffle_rng = np.random.default_rng(_seed_stream(config.seed_model, 3))
 
     losses: list[float] = []
@@ -514,8 +502,8 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
     step_cpu_min = float("inf")
     wall0, cpu0 = time.perf_counter(), time.process_time()
     for epoch in range(config.epochs):
-        opt.epoch = epoch
-        lrs.append(opt.lr())
+        lr = cosine_lr(epoch, config.epochs, LR0)
+        lrs.append(lr)
         order = shuffle_rng.permutation(n)
         total, seen = 0.0, 0
         for step, start in enumerate(range(0, n, config.batch_size)):
@@ -531,7 +519,7 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
                 raise NumericError(
                     f"training diverged at epoch {epoch}, step {step} (0-based): {e}"
                 ) from e
-            opt.step()
+            opt.step(lr)
             step_cpu_min = min(step_cpu_min, time.process_time() - step_cpu0)
             total += float(loss.values) * idx.size
             seen += idx.size
@@ -582,10 +570,8 @@ def export_attention(
 
     limit, when given, keeps the first `limit` samples and must be an integer >= 1.
     """
-    if limit is not None and (
-        isinstance(limit, bool) or not isinstance(limit, (int, np.integer)) or limit < 1
-    ):
-        raise ConfigError(f"need an integer export limit >= 1, got {limit!r}")
+    if limit is not None and _count(limit, "export limit") < 1:
+        raise ConfigError(f"need an export limit >= 1, got {limit!r}")
     patches = np.asarray(patches)
     part_ids = np.asarray(part_ids)
     if limit is not None:
@@ -656,7 +642,7 @@ def load_model(dir_path: str) -> tuple[Model, RunReport | None]:
             raise FormatError(f"model metadata {key!r} must be an integer >= {least}: {value!r}")
 
     try:
-        model = _assemble(
+        model = Model(
             config,
             meta["num_classes"],
             meta["patch_dim"],

@@ -38,23 +38,13 @@ class Sgd:
     ends leaves the parameters holding their values only.
     """
 
-    def __init__(
-        self,
-        params: list[Tensor],
-        lr0: float,
-        weight_decay: float = 0.0,
-        momentum: float = 0.0,
-        total_epochs: int = 1,
-    ):
+    def __init__(self, params: list[Tensor], weight_decay: float, momentum: float):
         params = tuple(params)
         for p in params:
             if not p.requires_grad or p._parents:
                 raise ConfigError(f"parameter {p.name} does not track gradients or is not a leaf")
-        self.lr0 = lr0
         self.weight_decay = weight_decay
         self.momentum = momentum
-        self.total_epochs = total_epochs
-        self.epoch = 0
         size = sum(p.values.size for p in params)
         self.values = np.empty(size)
         self.grads = np.zeros(size)
@@ -74,19 +64,15 @@ class Sgd:
             start = stop
         self._packed = tuple((p, p.values, p.grad) for p in params)
 
-    def lr(self) -> float:
-        return cosine_lr(self.epoch, self.total_epochs, self.lr0)
-
     def _check_views(self) -> None:
         for p, values, grad in self._packed:
             if p.values is not values or p.grad is not grad:
                 raise ConfigError(f"parameter {p.name} no longer uses the optimizer's arrays")
 
-    def step(self) -> None:
-        """Update in place, block by block; per element, the operations and
-        their order match the formula above."""
+    def step(self, lr: float) -> None:
+        """Update in place at learning rate lr, block by block; per element,
+        the operations and their order match the formula above."""
         self._check_views()
-        lr = self.lr()
         for start in range(0, self.values.size, BLOCK):
             w = self.values[start : start + BLOCK]
             v = self.velocity[start : start + BLOCK]

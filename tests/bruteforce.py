@@ -20,7 +20,6 @@ from xrhead.numerics import (
     add,
     concat,
     constant,
-    cosine_lr,
     cross_entropy,
     gather_cols,
     gather_rows,
@@ -98,16 +97,12 @@ class LoopSgd:
     same operations in the same order as this loop.
     """
 
-    def __init__(self, lr0, weight_decay, momentum, total_epochs):
-        self.lr0 = lr0
+    def __init__(self, weight_decay, momentum):
         self.weight_decay = weight_decay
         self.momentum = momentum
-        self.total_epochs = total_epochs
-        self.epoch = 0
         self.velocities: dict[int, np.ndarray] = {}
 
-    def step(self, params) -> None:
-        lr = cosine_lr(self.epoch, self.total_epochs, self.lr0)
+    def step(self, params, lr) -> None:
         for p in params:
             g = np.empty_like(p.values)
             np.multiply(p.values, self.weight_decay, out=g)

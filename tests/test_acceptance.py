@@ -301,7 +301,12 @@ def test_sweep_mechanics():
     config = TrainConfig(data_spec={})
     result = sweep_parts(config, [1, 2, 4, 8])
     assert [row["num_parts"] for row in result.rows] == [1, 2, 4, 8]
-    assert result.flags["runtime_monotone"] is True
+    timings = ", ".join(
+        f"S={row['num_parts']} rounds {row['rounds_step_cpu_min_seconds']:.6f}"
+        f" own {row['step_cpu_min_seconds']:.6f}"
+        for row in result.rows
+    )
+    assert result.flags["runtime_monotone"] is True, f"least step CPU seconds: {timings}"
 
     by_parts = {row["num_parts"]: row["test_accuracy"] for row in result.rows}
     best = max(by_parts.values())

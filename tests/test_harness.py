@@ -48,7 +48,7 @@ from xrhead.harness import (
     train,
 )
 from xrhead.heads import HeadKind
-from xrhead.numerics import Sgd, constant, no_grad
+from xrhead.numerics import Sgd, constant, cosine_lr, no_grad
 
 TINY_SPEC = {
     "num_classes": 6,
@@ -178,7 +178,7 @@ def test_config_refuses_a_size_above_the_extent_limit(name, size, monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("allocated")
 
-    monkeypatch.setattr(harness, "_assemble", no_allocation)
+    monkeypatch.setattr(harness, "Model", no_allocation)
     with pytest.raises(ConfigError, match=f"{name} {size} exceeds the limit {MAX_EXTENT}"):
         TrainConfig.from_dict({name: size})
     with pytest.raises(ConfigError, match="exceeds the limit"):
@@ -358,12 +358,29 @@ def test_report_equality_ignores_timing(tiny_dataset):
     assert 0.0 < timing["step_cpu_min_seconds"] <= timing["train_cpu_seconds"]
 
 
-def test_lr_trace_follows_cosine_schedule(tiny_dataset):
-    _, report = train(tiny_config(epochs=5), tiny_dataset)
+def test_lr_trace_follows_cosine_schedule(tiny_dataset, monkeypatch):
+    step_lrs = []
+    step = Sgd.step
+
+    def recording_step(opt, lr):
+        step_lrs.append(lr)
+        step(opt, lr)
+
+    monkeypatch.setattr(Sgd, "step", recording_step)
+    cfg = tiny_config(epochs=5)
+    _, report = train(cfg, tiny_dataset)
     assert report.epoch_lrs[0] == harness.LR0
     expected_last = harness.LR0 * 0.5 * (1.0 + np.cos(np.pi * 4 / 5))
     assert report.epoch_lrs[-1] == pytest.approx(expected_last, rel=1e-12)
     assert all(a >= b for a, b in zip(report.epoch_lrs, report.epoch_lrs[1:]))
+    # every step of epoch e updates at the rate the report gives for epoch e
+    assert report.num_train % cfg.batch_size != 1  # no dropped tail: whole batches only
+    steps = -(-report.num_train // cfg.batch_size)
+    assert len(step_lrs) == cfg.epochs * steps
+    for epoch, lr in enumerate(report.epoch_lrs):
+        assert lr.hex() == cosine_lr(epoch, cfg.epochs, harness.LR0).hex(), epoch
+        got = step_lrs[epoch * steps : (epoch + 1) * steps]
+        assert [x.hex() for x in got] == [lr.hex()] * steps, epoch
 
 
 def test_training_reduces_loss_and_learns(tiny_dataset):
@@ -1217,13 +1234,13 @@ def test_parameters_live_in_the_arena(kind, tmp_path, tiny_dataset):
         params = m.params()
         assert [p.name for p in params if p.grad is not None] == []
         before = [p.values.tobytes() for p in params]
-        opt = Sgd(params, lr0=0.1, weight_decay=0.01, momentum=0.9, total_epochs=1)
+        opt = Sgd(params, weight_decay=0.01, momentum=0.9)
         _assert_in_arena(params, opt)
         assert not opt.grads.any()  # each adjoint starts at zero
         assert [p.values.tobytes() for p in params] == before
         assert opt.values.size == m.param_count() == report.param_count
         opt.grads.fill(1.0)
-        opt.step()
+        opt.step(0.1)
         _assert_in_arena(params, opt)
 
 

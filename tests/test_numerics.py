@@ -95,33 +95,33 @@ def test_batch_norm_eval_identity_stats():
 def test_sgd_plain_step():
     w = leaf(np.array([1.0]))
     backward(tsum(mul(w, constant([0.5]))))  # an adjoint made before the optimizer is kept
-    opt = Sgd([w], lr0=0.1, weight_decay=0.0, momentum=0.0, total_epochs=100)
-    opt.step()
+    opt = Sgd([w], weight_decay=0.0, momentum=0.0)
+    opt.step(0.1)
     np.testing.assert_allclose(w.values, [0.95], atol=1e-15)
 
 
 def test_sgd_momentum_and_decay():
     # two steps by hand: v1 = g + wd*w0; w1 = w0 - lr*v1; v2 = m*v1 + g + wd*w1
     w = leaf(np.array([1.0]))
-    opt = Sgd([w], lr0=0.1, weight_decay=0.01, momentum=0.9, total_epochs=10)
+    opt = Sgd([w], weight_decay=0.01, momentum=0.9)
     w.grad[...] = 0.5
-    opt.step()
+    opt.step(0.1)
     v1 = 0.5 + 0.01 * 1.0
     w1 = 1.0 - 0.1 * v1
     np.testing.assert_allclose(w.values, [w1], atol=1e-15)
     w.grad[...] = 0.2
-    opt.step()
+    opt.step(0.1)
     v2 = 0.9 * v1 + 0.2 + 0.01 * w1
     np.testing.assert_allclose(w.values, [w1 - 0.1 * v2], atol=1e-15)
 
 
 def test_sgd_refuses_parameter_without_gradient():
     with pytest.raises(ConfigError, match="does not track gradients"):
-        Sgd([constant(np.array([1.0, 2.0]))], lr0=0.5)
+        Sgd([constant(np.array([1.0, 2.0]))], weight_decay=0.0, momentum=0.0)
     # an op result tracks gradients but holds no adjoint for backward to fill
     x = leaf(np.array([1.0, 2.0]))
     with pytest.raises(ConfigError, match="is not a leaf"):
-        Sgd([mul(x, x)], lr0=0.5)
+        Sgd([mul(x, x)], weight_decay=0.0, momentum=0.0)
 
 
 def test_sgd_arena_matches_per_parameter_loop():
@@ -138,17 +138,17 @@ def test_sgd_arena_matches_per_parameter_loop():
         return [leaf(rng.normal(size=s), name=f"p{i}") for i, s in enumerate(shapes)]
 
     params, twin = make(), make()
-    opt = Sgd(params, lr0=0.3, weight_decay=0.01, momentum=0.9, total_epochs=5)
-    oracle = bruteforce.LoopSgd(lr0=0.3, weight_decay=0.01, momentum=0.9, total_epochs=5)
+    opt = Sgd(params, weight_decay=0.01, momentum=0.9)
+    oracle = bruteforce.LoopSgd(weight_decay=0.01, momentum=0.9)
     rng = np.random.default_rng(22)
     for epoch in range(4):
-        opt.epoch = oracle.epoch = epoch
+        lr = cosine_lr(epoch, 5, 0.3)
         opt.zero_grads()
         for p, q in zip(params, twin):
             q.grad = rng.normal(size=q.values.shape)
             p.grad += q.grad
-        opt.step()
-        oracle.step(twin)
+        opt.step(lr)
+        oracle.step(twin, lr)
         for p, q in zip(params, twin):
             assert p.values.tobytes() == q.values.tobytes(), (epoch, p.name)
             assert p.grad.tobytes() == q.grad.tobytes(), (epoch, p.name)
@@ -162,7 +162,7 @@ def test_sgd_packs_parameters_into_views():
     b = leaf(rng.normal(size=(1, 4)))
     w.grad = np.ones((3, 4))  # b holds no adjoint
     before = w.values.copy()
-    opt = Sgd([w, b], lr0=0.5)
+    opt = Sgd([w, b], weight_decay=0.0, momentum=0.0)
     assert opt.values.size == opt.grads.size == opt.velocity.size == 16
     for t in (w, b):
         assert np.shares_memory(t.values, opt.values)
@@ -178,7 +178,7 @@ def test_sgd_packs_parameters_into_views():
     # a parameter moved off its view would no longer be updated: refused
     w.values = w.values.copy()
     with pytest.raises(ConfigError, match="no longer uses the optimizer's arrays"):
-        opt.step()
+        opt.step(0.5)
     with pytest.raises(ConfigError, match="no longer uses the optimizer's arrays"):
         opt.zero_grads()
 
