@@ -24,9 +24,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .container import MAX_EXTENT, Reader, Writer
+from .container import MAX_EXTENT, pack, unpack
 from .errors import DataError, FormatError
-from .report import JsonFields
+from .report import JsonFields, write_atomic
 
 DATASET_MAGIC = b"XRVD"
 DATASET_VERSION = 1
@@ -279,31 +279,17 @@ def _array_layout(spec: SyntheticSpec) -> dict[str, tuple[tuple[int, ...], int |
 
 
 def save_dataset(path: str, ds: Dataset) -> None:
-    w = Writer(DATASET_MAGIC, DATASET_VERSION)
-    w.named_arrays(
-        [
-            (name, getattr(ds, name), np.dtype("<f8" if bound is None else "<i8"))
-            for name, (_, bound) in _array_layout(ds.spec).items()
-        ]
-    )
-    w.metadata(
-        {
-            "spec": asdict(ds.spec),
-            "class_names": ds.class_names,
-            "part_names": ds.part_names,
-        }
-    )
-    w.save(path)
+    arrays = [
+        (name, getattr(ds, name), "<f8" if bound is None else "<i8")
+        for name, (_, bound) in _array_layout(ds.spec).items()
+    ]
+    meta = {"spec": asdict(ds.spec), "class_names": ds.class_names, "part_names": ds.part_names}
+    write_atomic(path, pack(DATASET_MAGIC, DATASET_VERSION, arrays, meta))
 
 
 def load_dataset(path: str) -> Dataset:
     with open(path, "rb") as f:
-        r = Reader(f)
-        r.magic(DATASET_MAGIC)
-        r.version(DATASET_VERSION)
-        arrays = r.named_arrays("dataset array")
-        meta = r.metadata()
-        r.done()
+        arrays, meta = unpack(f, DATASET_MAGIC, DATASET_VERSION, "dataset array")
     names = {key: meta.get(key, []) for key in ("class_names", "part_names")}
     for key, value in names.items():
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):

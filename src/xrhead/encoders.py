@@ -13,13 +13,14 @@ import hashlib
 
 import numpy as np
 
-from .container import Reader, Writer
+from .container import pack, unpack
 from .errors import FormatError, ShapeMismatchError
 from .numerics import Tensor
 from .numerics.tensor import from_op, recording
+from .report import write_atomic
 
 FEATURE_MAGIC = b"XRVF"
-FEATURE_VERSION = 1
+FEATURE_VERSION = 2
 
 
 def checksum(*arrays: np.ndarray) -> str:
@@ -114,23 +115,19 @@ class FrozenImageEncoder:
 
 
 def save_features(path: str, values: np.ndarray, metadata: dict | None = None) -> None:
-    """Write an f32 feature array plus JSON metadata (class/part names etc.)."""
+    """Write one f32 array named "features" plus JSON metadata (class/part names etc.)."""
     values = np.asarray(values)
     if not np.all(np.isfinite(values)):
         raise FormatError("refusing to save non-finite feature values")
-    w = Writer(FEATURE_MAGIC, FEATURE_VERSION)
-    w.array(values, np.dtype("<f4"))
-    w.metadata(metadata or {})
-    w.save(path)
+    arrays = [("features", values, "<f4")]
+    write_atomic(path, pack(FEATURE_MAGIC, FEATURE_VERSION, arrays, metadata or {}))
 
 
 def load_features(path: str) -> tuple[np.ndarray, dict]:
     """Read a feature file back as (float64 array, metadata dict)."""
     with open(path, "rb") as f:
-        r = Reader(f)
-        r.magic(FEATURE_MAGIC)
-        r.version(FEATURE_VERSION)
-        values = r.array("features")
-        meta = r.metadata()
-        r.done()
-    return values, meta
+        arrays, meta = unpack(f, FEATURE_MAGIC, FEATURE_VERSION, "feature array")
+    if list(arrays) != ["features"] or arrays["features"].dtype.kind != "f":
+        found = ", ".join(f"{name!r} {v.dtype}" for name, v in arrays.items()) or "none"
+        raise FormatError(f"a feature file holds one float array 'features', found: {found}")
+    return arrays["features"], meta

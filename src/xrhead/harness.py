@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .attention import PartAttention
-from .container import MAX_EXTENT, Reader, Writer
+from .container import MAX_EXTENT, pack, unpack
 from .data import Dataset, SyntheticSpec, few_shot_split, generate, load_dataset
 from .encoders import FrozenImageEncoder, FrozenTextEncoder, checksum, load_features
 from .errors import ConfigError, DataError, FormatError, NumericError, ShapeMismatchError
@@ -593,7 +593,6 @@ def export_attention(
 def save_model(dir_path: str, model: Model, report: RunReport | None = None) -> None:
     """Write params.xrvp + config.json (+ report.json) into dir_path."""
     os.makedirs(dir_path, exist_ok=True)
-    w = Writer(MODEL_MAGIC, MODEL_VERSION)
     arrays = [(p.name, p.values) for p in model.params()]
     if model.bank is not None:
         arrays.append(("prompts.class_embeddings", model.bank.class_embeddings))
@@ -602,16 +601,16 @@ def save_model(dir_path: str, model: Model, report: RunReport | None = None) -> 
     for bn in sorted(model.batch_norms(), key=lambda bn: bn.name):
         arrays.append((f"{bn.name}.running_mean", bn.running_mean))
         arrays.append((f"{bn.name}.running_var", bn.running_var))
-    w.named_arrays([(name, values, np.float64) for name, values in arrays])
-    w.metadata(
-        {
-            "num_classes": model.num_classes,
-            "patch_dim": model.patch_dim,
-            "head": model.config.head,
-            "frozen_checksums": model.frozen_checksums(),
-        }
+    meta = {
+        "num_classes": model.num_classes,
+        "patch_dim": model.patch_dim,
+        "head": model.config.head,
+        "frozen_checksums": model.frozen_checksums(),
+    }
+    rpt.write_atomic(
+        os.path.join(dir_path, PARAMS_FILE),
+        pack(MODEL_MAGIC, MODEL_VERSION, [(n, v, "<f8") for n, v in arrays], meta),
     )
-    w.save(os.path.join(dir_path, PARAMS_FILE))
     rpt.write_atomic(os.path.join(dir_path, CONFIG_FILE), rpt.json_text(model.config.to_dict()))
     if report is not None:
         rpt.write_atomic(os.path.join(dir_path, REPORT_FILE), report.to_json())
@@ -627,12 +626,7 @@ def load_model(dir_path: str) -> tuple[Model, RunReport | None]:
     except (ConfigError, DataError) as e:
         raise FormatError(f"model config is invalid: {e}") from e
     with open(os.path.join(dir_path, PARAMS_FILE), "rb") as f:
-        r = Reader(f)
-        r.magic(MODEL_MAGIC)
-        r.version(MODEL_VERSION)
-        arrays = r.named_arrays("model array")
-        meta = r.metadata()
-        r.done()
+        arrays, meta = unpack(f, MODEL_MAGIC, MODEL_VERSION, "model array")
     for key in ("num_classes", "patch_dim", "frozen_checksums"):
         if key not in meta:
             raise FormatError(f"model metadata missing {key!r}", offset=0)

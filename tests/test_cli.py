@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from xrhead.cli import main
-from xrhead.container import Reader, Writer
+from xrhead.container import pack, unpack
 from xrhead.harness import MODEL_MAGIC, MODEL_VERSION
 
 TINY_SPEC = {
@@ -138,16 +138,10 @@ def test_eval_of_a_model_file_without_an_array_is_one_error_line(missing, tiny_f
     assert main(["train", "--config", str(cfg_path), "--out", str(model_dir)]) == 0
     params = model_dir / "params.xrvp"
     with open(params, "rb") as f:
-        r = Reader(f)
-        r.magic(MODEL_MAGIC)
-        r.version(MODEL_VERSION)
-        arrays = r.named_arrays("model array")
-        meta = r.metadata()
+        arrays, meta = unpack(f, MODEL_MAGIC, MODEL_VERSION, "model array")
     del arrays[missing]
-    w = Writer(MODEL_MAGIC, MODEL_VERSION)
-    w.named_arrays([(name, values, np.float64) for name, values in arrays.items()])
-    w.metadata(meta)
-    w.save(str(params))
+    kept = [(name, values, "<f8") for name, values in arrays.items()]
+    params.write_bytes(pack(MODEL_MAGIC, MODEL_VERSION, kept, meta))
     capsys.readouterr()
     assert main(["eval", "--model", str(model_dir)]) == 1
     captured = capsys.readouterr()
@@ -251,6 +245,36 @@ def test_seed_env_override_and_determinism(tiny_files, capsys, monkeypatch):
     with open(tmp_path / "a" / "comparison.csv", newline="") as f:
         rows = list(csv.reader(f))
     assert rows[1][1] == "9"  # seed_model column reflects the override
+
+
+def test_gen_data_seed_env_gives_the_bytes_of_that_spec_seed(tmp_path, capsys, monkeypatch):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(TINY_SPEC))
+    seeded_path = tmp_path / "seeded.json"
+    seeded_path.write_text(json.dumps(dict(TINY_SPEC, seed=5)))
+    assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "plain.xrvd")]) == 0
+    assert main(["gen-data", "--spec", str(seeded_path), "--out", str(tmp_path / "spec.xrvd")]) == 0
+    monkeypatch.setenv("XRHEAD_SEED", "5")
+    assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "env.xrvd")]) == 0
+    capsys.readouterr()
+    env = (tmp_path / "env.xrvd").read_bytes()
+    assert env == (tmp_path / "spec.xrvd").read_bytes()
+    assert env != (tmp_path / "plain.xrvd").read_bytes()
+
+
+def test_train_data_flag_overrides_the_configs_data_spec(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(dict(TINY_SPEC, test_per_class=3)))
+    data_path = tmp_path / "other.xrvd"
+    assert main(["gen-data", "--spec", str(spec_path), "--out", str(data_path)]) == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(TINY_CFG, data_spec=TINY_SPEC)))
+    capsys.readouterr()
+    code, report, err = run_json(
+        capsys, ["train", "--config", str(cfg_path), "--data", str(data_path)]
+    )
+    assert code == 0 and err == ""
+    assert report["num_test"] == 6 * 3  # the --data file's count, not the spec's 6 * 8
 
 
 def test_invalid_seed_env(tiny_files, capsys, monkeypatch):

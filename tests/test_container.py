@@ -1,4 +1,4 @@
-"""The shared binary container: Writer bytes against a struct oracle, Reader copies."""
+"""The shared binary container: pack bytes against a struct oracle, unpack copies."""
 
 import io
 import json
@@ -7,8 +7,9 @@ import struct
 import numpy as np
 import pytest
 
-from xrhead.container import Reader, Writer
+from xrhead.container import pack, unpack
 from xrhead.errors import FormatError
+from xrhead.report import write_atomic
 
 CODES = {np.dtype("<f4"): 0, np.dtype("<i8"): 1, np.dtype("<f8"): 2}
 
@@ -17,6 +18,7 @@ ARRAYS = [
     ("plain", np.arange(12.0).reshape(3, 4), "<f8"),
     ("strided", np.arange(12.0).reshape(3, 4).T, "<f8"),
     ("narrowed", np.linspace(-1.0, 1.0, 5), "<f4"),
+    ("strided as f4", np.arange(12.0).reshape(3, 4).T, "<f4"),
     ("widened", np.arange(6, dtype=np.int32).reshape(2, 3), "<i8"),
     ("big-endian", np.arange(4.0).astype(">f8"), "<f8"),
     ("zero-d", np.array(2.5), "<f8"),
@@ -38,46 +40,32 @@ def oracle_bytes() -> bytes:
         encoded = name.encode("utf-8")
         out += struct.pack("<I", len(encoded)) + encoded + struct.pack("<B", CODES[np.dtype(dtype)])
         out += oracle_array(values, dtype)
-    out += oracle_array(ARRAYS[1][1], "<f4")
     meta = json.dumps(META, sort_keys=True).encode("utf-8")
     return out + struct.pack("<I", len(meta)) + meta
 
 
-def written() -> Writer:
-    w = Writer(b"TEST", 3)
-    w.named_arrays([(name, values, np.dtype(dtype)) for name, values, dtype in ARRAYS])
-    w.array(ARRAYS[1][1], np.dtype("<f4"))
-    w.metadata(META)
-    return w
-
-
-def test_writer_bytes_match_struct_oracle(tmp_path):
-    w = written()
-    assert bytes(w.buf) == oracle_bytes()
+def test_pack_bytes_match_struct_oracle(tmp_path):
+    buf = pack(b"TEST", 3, ARRAYS, META)
+    assert isinstance(buf, bytearray) and bytes(buf) == oracle_bytes()
     path = tmp_path / "x.bin"
-    w.save(str(path))
+    write_atomic(str(path), buf)
     assert path.read_bytes() == oracle_bytes()
 
 
 def test_reader_returns_fresh_writable_arrays():
     data = bytearray(oracle_bytes())
-    r = Reader(io.BytesIO(data))
-    r.magic(b"TEST")
-    r.version(3)
-    arrays = r.named_arrays("array")
-    strided_f4 = r.array("strided as f4")
-    assert r.metadata() == META
-    r.done()
+    arrays, meta = unpack(io.BytesIO(data), b"TEST", 3, "array")
+    assert meta == META
     data[:] = bytes(len(data))  # the arrays hold no view of the input
+    assert list(arrays) == [name for name, _, _ in ARRAYS]
     for name, values, dtype in ARRAYS:
         got = arrays[name]
         assert got.flags.owndata and got.flags.writeable, name
         want = np.asarray(values, dtype=np.dtype(dtype)).astype(got.dtype)
         assert got.shape == values.shape and got.tobytes() == want.tobytes(), name
-    assert strided_f4.tobytes() == ARRAYS[1][1].astype("<f4").astype(np.float64).tobytes()
 
 
 def test_reader_errors_print_bytes():
     with pytest.raises(FormatError) as err:
-        Reader(io.BytesIO(b"WRNG" + bytes(4))).magic(b"TEST")
+        unpack(io.BytesIO(b"WRNG" + bytes(4)), b"TEST", 3, "array")
     assert "b'WRNG'" in str(err.value) and "memory" not in str(err.value)

@@ -1,5 +1,6 @@
 """Frozen encoder stubs and the feature file format."""
 
+import json
 import struct
 import subprocess
 import sys
@@ -7,7 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from xrhead.container import pack
 from xrhead.encoders import (
+    FEATURE_MAGIC,
+    FEATURE_VERSION,
     FrozenImageEncoder,
     FrozenTextEncoder,
     load_features,
@@ -134,13 +138,49 @@ def test_feature_file_rejects_non_finite(tmp_path):
     path = str(tmp_path / "nan.xrvf")
     with pytest.raises(FormatError):
         save_features(path, np.array([np.nan]))
-    # craft one on disk directly
-    from xrhead.container import Writer
-
-    w = Writer(b"XRVF", 1)
-    w.array(np.array([np.inf], dtype=np.float32), np.dtype("<f4"))
-    w.metadata({})
+    # craft one on disk directly, in the layout save_features writes
+    arrays = [("features", np.array([np.inf]), "<f4")]
     with open(path, "wb") as f:
-        f.write(bytes(w.buf))
-    with pytest.raises(FormatError):
+        f.write(pack(FEATURE_MAGIC, FEATURE_VERSION, arrays, {}))
+    with pytest.raises(FormatError, match="non-finite"):
         load_features(path)
+
+
+def version_1_feature_file(values: np.ndarray, meta: dict) -> bytes:
+    """A feature file as version 1 wrote it: one untagged f4 array, then the metadata."""
+    raw = json.dumps(meta, sort_keys=True).encode("utf-8")
+    out = b"XRVF" + struct.pack(f"<II{values.ndim}Q", 1, values.ndim, *values.shape)
+    out += values.astype("<f4").tobytes()
+    return out + struct.pack("<I", len(raw)) + raw
+
+
+def test_feature_file_is_one_named_f4_array(tmp_path):
+    path = tmp_path / "ok.xrvf"
+    values = np.arange(6.0).reshape(2, 3)
+    save_features(str(path), values, {"a": 1})
+    want = pack(FEATURE_MAGIC, 2, [("features", values, "<f4")], {"a": 1})
+    assert path.read_bytes() == bytes(want)
+
+
+FEATURE_FILE_REFUSALS = {
+    "two arrays": [("features", np.ones(3), "<f4"), ("extra", np.ones(3), "<f4")],
+    "int64 features": [("features", np.arange(3), "<i8")],
+    "wrong name": [("feature", np.ones(3), "<f4")],
+    "no array": [],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FEATURE_FILE_REFUSALS))
+def test_feature_file_refuses_other_arrays(case, tmp_path):
+    path = tmp_path / "bad.xrvf"
+    path.write_bytes(pack(FEATURE_MAGIC, FEATURE_VERSION, FEATURE_FILE_REFUSALS[case], {}))
+    with pytest.raises(FormatError, match="one float array 'features'"):
+        load_features(str(path))
+
+
+def test_feature_file_of_version_1_is_refused(tmp_path):
+    path = tmp_path / "old.xrvf"
+    path.write_bytes(version_1_feature_file(np.arange(6.0).reshape(2, 3), {"class_names": []}))
+    with pytest.raises(FormatError, match="unsupported version 1, expected 2") as err:
+        load_features(str(path))
+    assert err.value.offset == 4

@@ -19,7 +19,7 @@ import pytest
 
 import bruteforce
 from xrhead.attention import TAU, PartAttention
-from xrhead.container import MAX_EXTENT
+from xrhead.container import MAX_EXTENT, pack, unpack
 from xrhead.data import SyntheticSpec, few_shot_split, generate
 from xrhead.encoders import FrozenImageEncoder, save_features
 from xrhead.errors import (
@@ -1202,15 +1202,11 @@ MODEL_FILE_ARRAYS = {
 
 @pytest.mark.parametrize("kind", sorted(MODEL_FILE_ARRAYS))
 def test_model_file_array_names_in_file_order(kind, tmp_path, tiny_dataset):
-    from xrhead.container import Reader
-
     cfg = tiny_config(head=kind, num_parts=1 if kind == "ALIGN" else 4)
     save_model(str(tmp_path), build_model(cfg, tiny_dataset))
     with open(tmp_path / "params.xrvp", "rb") as f:
-        r = Reader(f)
-        r.magic(harness.MODEL_MAGIC)
-        r.version(harness.MODEL_VERSION)
-        assert list(r.named_arrays("array")) == MODEL_FILE_ARRAYS[kind]
+        arrays, _ = unpack(f, harness.MODEL_MAGIC, harness.MODEL_VERSION, "array")
+    assert list(arrays) == MODEL_FILE_ARRAYS[kind]
 
 
 def _assert_in_arena(params, opt):
@@ -1247,23 +1243,14 @@ def test_parameters_live_in_the_arena(kind, tmp_path, tiny_dataset):
 def _rewrite_params(path, edit_meta=None, edit_arrays=None):
     """Rewrite a params file with edit_meta(metadata) and edit_arrays(arrays) applied;
     arrays is a dict from name to values."""
-    from xrhead.container import Reader, Writer
-
-    r = Reader(io.BytesIO(path.read_bytes()))
-    r.magic(harness.MODEL_MAGIC)
-    r.version(harness.MODEL_VERSION)
-    arrays = dict(r.tagged_array("array") for _ in range(r.u32("count")))
-    meta = r.metadata()
+    with open(path, "rb") as f:
+        arrays, meta = unpack(f, harness.MODEL_MAGIC, harness.MODEL_VERSION, "array")
     if edit_meta is not None:
         edit_meta(meta)
     if edit_arrays is not None:
         edit_arrays(arrays)
-    w = Writer(harness.MODEL_MAGIC, harness.MODEL_VERSION)
-    w.u32(len(arrays))
-    for name, values in arrays.items():
-        w.tagged_array(name, values, np.int64 if values.dtype.kind == "i" else np.float64)
-    w.metadata(meta)
-    path.write_bytes(bytes(w.buf))
+    triples = [(n, v, "<i8" if v.dtype.kind == "i" else "<f8") for n, v in arrays.items()]
+    path.write_bytes(pack(harness.MODEL_MAGIC, harness.MODEL_VERSION, triples, meta))
 
 
 @pytest.mark.parametrize("kind", HEAD_KINDS)

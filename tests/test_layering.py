@@ -37,3 +37,35 @@ def test_experiments_build_on_the_harness():
 def test_harness_imports_neither_experiments_nor_analysis():
     assert not imports("harness") & {"xrhead.experiments", "xrhead.analysis"}
 
+
+def container_names(path: str, package: str) -> set[str]:
+    """Names that the module at path (in package) takes from xrhead.container:
+    `from .container import x` gives x, and `container.x` after importing the module gives x."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = package.split(".")
+            base = ".".join(parts[: len(parts) - node.level + 1]) if node.level else ""
+            module = ".".join(filter(None, [base, node.module]))
+            if module == "xrhead.container":
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "container":
+                out.add(node.attr)
+    return out
+
+
+def test_only_the_container_knows_the_file_framing():
+    # every other module reads and writes files through pack / unpack only
+    taken = {}
+    for root, _, files in os.walk(PACKAGE):
+        rel = os.path.relpath(root, PACKAGE)
+        package = "xrhead" if rel == "." else "xrhead." + rel.replace(os.sep, ".")
+        for name in files:
+            path = os.path.join(root, name)
+            if name.endswith(".py") and path != os.path.join(PACKAGE, "container.py"):
+                taken[os.path.relpath(path, PACKAGE)] = container_names(path, package)
+    assert {m: sorted(n) for m, n in taken.items() if n - {"MAX_EXTENT", "pack", "unpack"}} == {}
+    assert taken["harness.py"] == {"MAX_EXTENT", "pack", "unpack"}

@@ -202,6 +202,16 @@ def test_backward_requires_scalar():
         backward(mul(x, x))
 
 
+def test_backward_of_a_loss_that_tracks_no_gradient_returns():
+    x = leaf([2.0])
+    with no_grad():
+        loss = tsum(mul(x, x))
+    assert not loss.requires_grad
+    backward(loss)
+    # neither the leaf nor the loss, which backward would otherwise seed, holds an adjoint
+    assert x.grad is None and loss.grad is None
+
+
 def test_repeated_backward_accumulates():
     x = leaf([2.0])
     loss = tsum(mul(x, x))

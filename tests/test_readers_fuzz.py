@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from xrhead.container import Reader, Writer
+from xrhead.container import pack, unpack
 from xrhead.data import (
     DATASET_MAGIC,
     DATASET_VERSION,
@@ -108,36 +108,25 @@ def write(path: str, data: bytes) -> str:
     return path
 
 
-# --- container.Reader ------------------------------------------------------------
+# --- container.unpack ------------------------------------------------------------
 
 
 def container_bytes(names=("ints", "floats")) -> bytes:
-    w = Writer(b"TEST", 3)
-    w.named_arrays(
-        [
-            (names[0], np.arange(6).reshape(2, 3), np.int64),
-            (names[1], np.linspace(0.0, 1.0, 4), np.float64),
-        ]
-    )
-    w.array(np.ones((2, 2)), np.float32)
-    w.metadata({"a": [1, 2], "b": "x"})
-    return bytes(w.buf)
+    arrays = [
+        (names[0], np.arange(6).reshape(2, 3), "<i8"),
+        (names[1], np.linspace(0.0, 1.0, 4), "<f8"),
+        ("narrow", np.ones((2, 2)), "<f4"),
+    ]
+    return bytes(pack(b"TEST", 3, arrays, {"a": [1, 2], "b": "x"}))
 
 
 def read_container(data: bytes) -> dict:
-    r = Reader(io.BytesIO(data))
-    r.magic(b"TEST")
-    r.version(3)
-    arrays = r.named_arrays("array")
-    r.array("plain")
-    r.metadata()
-    r.done()
-    return arrays
+    return unpack(io.BytesIO(data), b"TEST", 3, "array")[0]
 
 
 def test_container_round_trip():
     arrays = read_container(container_bytes())
-    assert sorted(arrays) == ["floats", "ints"]
+    assert sorted(arrays) == ["floats", "ints", "narrow"]
     np.testing.assert_array_equal(arrays["ints"], np.arange(6).reshape(2, 3))
 
 
@@ -207,12 +196,8 @@ def dataset_arrays(ds) -> list[tuple[str, np.ndarray]]:
 
 def dataset_container(arrays, meta) -> bytes:
     """A well-formed dataset container holding the given (name, values) arrays and metadata."""
-    w = Writer(DATASET_MAGIC, DATASET_VERSION)
-    w.named_arrays(
-        [(name, v, np.int64 if v.dtype.kind == "i" else np.float64) for name, v in arrays]
-    )
-    w.metadata(meta)
-    return bytes(w.buf)
+    triples = [(name, v, "<i8" if v.dtype.kind == "i" else "<f8") for name, v in arrays]
+    return bytes(pack(DATASET_MAGIC, DATASET_VERSION, triples, meta))
 
 
 def good_metadata(ds) -> dict:
@@ -339,6 +324,13 @@ def damaged_copy(src: str, dst: str, name: str, data: bytes) -> str:
     return write(os.path.join(dst, name), data)
 
 
+def model_file(model_dir) -> tuple[list[tuple[str, np.ndarray, str]], dict]:
+    """The (name, values, "<f8") arrays and the metadata of model_dir's params.xrvp."""
+    with open(os.path.join(model_dir, "params.xrvp"), "rb") as f:
+        arrays, meta = unpack(f, MODEL_MAGIC, MODEL_VERSION, "array")
+    return [(name, values, "<f8") for name, values in arrays.items()], meta
+
+
 def test_model_dir_round_trip(model_dir):
     model, report = load_model(model_dir)
     assert report is not None and model.param_count() > 0
@@ -358,17 +350,10 @@ def test_model_reader_refuses_damage(data, model_dir, workdir):
 @FUZZ
 @given(data=st.data())
 def test_model_reader_refuses_wrong_metadata(data, model_dir, workdir):
-    with open(os.path.join(model_dir, "params.xrvp"), "rb") as f:
-        r = Reader(io.BytesIO(f.read()))
-    r.magic(MODEL_MAGIC)
-    r.version(MODEL_VERSION)
-    arrays = r.named_arrays("array")
-    meta = r.metadata()
-    w = Writer(MODEL_MAGIC, MODEL_VERSION)
-    w.named_arrays([(name, values, np.float64) for name, values in arrays.items()])
-    w.metadata(data.draw(mutated_dict(meta)))
+    arrays, meta = model_file(model_dir)
+    raw = pack(MODEL_MAGIC, MODEL_VERSION, arrays, data.draw(mutated_dict(meta)))
     dst = os.path.join(workdir, "meta-model")
-    damaged_copy(model_dir, dst, "params.xrvp", bytes(w.buf))
+    damaged_copy(model_dir, dst, "params.xrvp", bytes(raw))
     with open(os.path.join(model_dir, "config.json"), encoding="utf-8") as f:
         config = json.load(f)
     if data.draw(st.booleans()):
@@ -391,15 +376,8 @@ def test_unbuildable_model_metadata_is_a_format_error(model_dir, workdir):
 
 
 def test_model_reader_refuses_duplicate_array(model_dir, workdir):
-    with open(os.path.join(model_dir, "params.xrvp"), "rb") as f:
-        r = Reader(io.BytesIO(f.read()))
-    r.magic(MODEL_MAGIC)
-    r.version(MODEL_VERSION)
-    arrays = list(r.named_arrays("array").items())
-    meta = r.metadata()
-    w = Writer(MODEL_MAGIC, MODEL_VERSION)
-    w.named_arrays([(name, values, np.float64) for name, values in arrays + arrays[:1]])
-    w.metadata(meta)
-    dst = damaged_copy(model_dir, os.path.join(workdir, "dup-model"), "params.xrvp", bytes(w.buf))
+    arrays, meta = model_file(model_dir)
+    raw = pack(MODEL_MAGIC, MODEL_VERSION, arrays + arrays[:1], meta)
+    dst = damaged_copy(model_dir, os.path.join(workdir, "dup-model"), "params.xrvp", bytes(raw))
     with pytest.raises(FormatError, match="appears twice"):
         load_model(os.path.dirname(dst))
