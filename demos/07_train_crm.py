@@ -9,12 +9,15 @@ after so nothing moves that should not. Models round-trip through a tagged
 binary directory format.
 """
 
+import json
 import os
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
-from xrhead.harness import TrainConfig, evaluate, load_model, save_model, train
+from xrhead.harness import RunReport, TrainConfig, evaluate, load_model, save_model, train
+from xrhead.report import json_text
 
 config = TrainConfig(
     head="CRM_FULL",
@@ -46,8 +49,9 @@ losses, lrs = report.epoch_losses, report.epoch_lrs
 for e in (0, 9, 19, 29):
     print(f"  epoch {e + 1:>2d}      loss {losses[e]:.4f}  lr {lrs[e]:.2e}")
 
-# reports serialize to JSON and compare ignoring timing jitter
-clone = report.from_json(report.to_json())
+# reports are dataclasses: asdict writes them, from_dict reads them back,
+# and they compare ignoring timing jitter
+clone = RunReport.from_dict(json.loads(json_text(asdict(report))))
 print(f"report JSON     round trip equal: {clone == report}")
 
 # models persist as a directory: tagged parameter file + config + report

@@ -14,7 +14,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -37,6 +37,11 @@ from .harness import (
     train,
 )
 from .numerics import constant, finite_diff_check
+
+# gradcheck's loss is over the first GRADCHECK_BATCH few-shot images, and it
+# checks GRADCHECK_COORDS random coordinates of each parameter
+GRADCHECK_BATCH = 4
+GRADCHECK_COORDS = 3
 
 
 def _env_seed() -> int | None:
@@ -115,7 +120,7 @@ def _cmd_train(args) -> int:
     model, run = train(config)
     if args.out:
         save_model(args.out, model, run)
-    _emit(run.to_dict())
+    _emit(asdict(run))
     return 0
 
 
@@ -137,7 +142,7 @@ def _cmd_compare(args) -> int:
     kinds = [k.strip() for k in args.heads.split(",") if k.strip()]
     result = compare_heads(config, kinds, num_seeds=args.seeds)
     rpt.write_atomic(os.path.join(args.out, "comparison.csv"), result.csv())
-    rpt.write_atomic(os.path.join(args.out, "comparison.json"), rpt.json_text(result.to_dict()))
+    rpt.write_atomic(os.path.join(args.out, "comparison.json"), rpt.json_text(asdict(result)))
     _emit({"out": args.out, "summary": result.summary})
     return 0
 
@@ -151,7 +156,7 @@ def _cmd_sweep(args) -> int:
     result = sweep_parts(config, parts)
     rpt.write_atomic(os.path.join(args.out, "sweep.csv"), result.csv())
     rpt.write_atomic(os.path.join(args.out, "sweep.svg"), result.svg())
-    rpt.write_atomic(os.path.join(args.out, "sweep.json"), rpt.json_text(result.to_dict()))
+    rpt.write_atomic(os.path.join(args.out, "sweep.json"), rpt.json_text(asdict(result)))
     _emit({"out": args.out, "flags": result.flags})
     return 0
 
@@ -164,15 +169,13 @@ def _cmd_gradcheck(args) -> int:
     ds = config_dataset(config)
     patches, labels, _ = few_shot_split(ds, config.shots, config.seed_data)
     model = build_model(config, ds)
-    batch = min(args.batch, patches.shape[0])
-    if batch < 2:
-        raise ConfigError("gradcheck needs a batch of at least 2 samples")
+    batch = min(GRADCHECK_BATCH, patches.shape[0])  # >= 2: 2 classes of >= 1 shot
     feats = constant(model.image_encoder.encode(patches[:batch]))
     labels = labels[:batch]
     errors = finite_diff_check(
         lambda: model.loss(feats, labels, training=True),
         model.params(),
-        max_coords_per_param=args.max_coords,
+        max_coords_per_param=GRADCHECK_COORDS,
         rng=np.random.default_rng(0),
     )
     worst = max(errors.values())
@@ -296,8 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--data", help="dataset file overriding the config source")
     p.add_argument("--tol", type=float, default=1e-4, help="max relative error allowed")
-    p.add_argument("--batch", type=int, default=4, help="batch size for the checked loss")
-    p.add_argument("--max-coords", type=int, default=3, help="coordinates sampled per parameter")
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("analyze-cne", help="nearest-neighbor structure of class embeddings")

@@ -146,10 +146,9 @@ def generate(spec: SyntheticSpec) -> Dataset:
 
     base_perms = np.zeros((w, s), dtype=np.int64)
     if spec.cross_structure:
-        # distinct assignments per superclass, drawn from one pool
+        # distinct assignments per superclass, drawn from one pool of at least
+        # `siblings`: s! by validate, or (s-1)! rotation-free ones by num_styles
         pool = _perm_pool(s, styles > 1)
-        if len(pool) < siblings:
-            raise DataError(f"only {len(pool)} usable assignments for {siblings} sibling classes")
         for sc in range(g):
             picked = rng.permutation(len(pool))[:siblings]
             base_perms[sc * siblings : (sc + 1) * siblings] = pool[picked]

@@ -51,14 +51,6 @@ class ComparisonResult:
             rows.append([kind, "std", "", s["std_train"], s["std_test"]])
         return rpt.csv_text(self.CSV_HEADER, rows)
 
-    def to_dict(self) -> dict:
-        return {
-            "kinds": self.kinds,
-            "num_seeds": self.num_seeds,
-            "rows": self.rows,
-            "summary": self.summary,
-        }
-
 
 def compare_heads(
     config: TrainConfig,
@@ -145,9 +137,6 @@ class SweepResult:
             "test": [r["test_accuracy"] for r in self.rows],
         }
         return rpt.svg_lines(xs, series, "accuracy vs part count", "parts", "accuracy")
-
-    def to_dict(self) -> dict:
-        return {"parts": self.parts, "rows": self.rows, "flags": self.flags}
 
 
 def sweep_parts(

@@ -13,7 +13,6 @@ written into CSV or SVG outputs.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -115,9 +114,6 @@ class TrainConfig:
     @classmethod
     def from_json_file(cls, path: str) -> "TrainConfig":
         return cls.from_dict(rpt.read_json_object(path, "config"))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 _CONFIG_FIELDS = rpt.JsonFields(TrainConfig, ConfigError, "config")
@@ -304,20 +300,9 @@ class RunReport:
     notes: list[str] = field(default_factory=list)
     timing: dict = field(default_factory=dict, compare=False)
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        return out
-
     @classmethod
     def from_dict(cls, raw: dict) -> "RunReport":
         return _REPORT_FIELDS.from_dict(raw)
-
-    def to_json(self) -> str:
-        return rpt.json_text(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls.from_dict(json.loads(text))
 
 
 _REPORT_FIELDS = rpt.JsonFields(RunReport, ConfigError, "report")
@@ -549,7 +534,7 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
         param_count=model.param_count(),
         epoch_losses=losses,
         epoch_lrs=lrs,
-        config=config.to_dict(),
+        config=asdict(config),
         notes=notes,
         timing={
             "train_wall_seconds": wall,
@@ -611,9 +596,9 @@ def save_model(dir_path: str, model: Model, report: RunReport | None = None) -> 
         os.path.join(dir_path, PARAMS_FILE),
         pack(MODEL_MAGIC, MODEL_VERSION, [(n, v, "<f8") for n, v in arrays], meta),
     )
-    rpt.write_atomic(os.path.join(dir_path, CONFIG_FILE), rpt.json_text(model.config.to_dict()))
+    rpt.write_atomic(os.path.join(dir_path, CONFIG_FILE), rpt.json_text(asdict(model.config)))
     if report is not None:
-        rpt.write_atomic(os.path.join(dir_path, REPORT_FILE), report.to_json())
+        rpt.write_atomic(os.path.join(dir_path, REPORT_FILE), rpt.json_text(asdict(report)))
 
 
 def load_model(dir_path: str) -> tuple[Model, RunReport | None]:
@@ -677,6 +662,6 @@ def load_model(dir_path: str) -> tuple[Model, RunReport | None]:
     if os.path.exists(report_path):
         try:
             report = RunReport.from_dict(rpt.read_json_object(report_path, "report"))
-        except (TypeError, ConfigError) as e:  # bad UTF-8 or JSON, missing or wrong keys or types
+        except ConfigError as e:  # bad UTF-8 or JSON, missing or wrong keys or types
             raise FormatError(f"model report is invalid: {e}") from e
     return model, report

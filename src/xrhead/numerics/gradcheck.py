@@ -9,11 +9,13 @@ import numpy as np
 from ..errors import ConfigError, NumericError
 from .tensor import Tensor, backward, no_grad
 
+# the central difference's step on each coordinate
+EPS = 1e-5
+
 
 def finite_diff_check(
     loss_fn: Callable[[], Tensor],
     params: list[Tensor],
-    eps: float = 1e-5,
     max_coords_per_param: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> dict[str, float]:
@@ -58,14 +60,14 @@ def finite_diff_check(
         err = 0.0
         for i in coords:
             keep = flat[i]
-            flat[i] = keep + eps
+            flat[i] = keep + EPS
             with no_grad():
                 up = loss_fn().values.item()
-            flat[i] = keep - eps
+            flat[i] = keep - EPS
             with no_grad():
                 down = loss_fn().values.item()
             flat[i] = keep
-            numeric = (up - down) / (2.0 * eps)
+            numeric = (up - down) / (2.0 * EPS)
             a = float(a_flat[i])
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
             err = max(err, rel)

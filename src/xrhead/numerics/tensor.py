@@ -63,10 +63,6 @@ class Tensor:
         self._parents = ()
         self._bw = None
 
-    @property
-    def shape(self):
-        return self.values.shape
-
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 

@@ -12,7 +12,7 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 from .errors import ConfigError
 
@@ -85,21 +85,29 @@ def _json_types(annotation: str) -> tuple:
 class JsonFields:
     """Builds a dataclass from a JSON object whose keys name its fields.
 
-    Unknown keys and values of the wrong JSON type raise `error`, the
-    caller's own error class; a list's elements are checked too.  The
-    accepted types come from the field annotations when the JsonFields is
-    made, at the caller's import, so a field without a JSON type fails
-    there and not on load.
+    The reading half of a record's JSON form; `dataclasses.asdict` and
+    json_text write it.  Unknown keys, missing keys of fields without a
+    default and values of the wrong JSON type raise `error`, the caller's
+    own error class; a list's elements are checked too.  The accepted
+    types come from the field annotations when the JsonFields is made, at
+    the caller's import, so a field without a JSON type fails there and
+    not on load.
     """
 
     def __init__(self, cls: type, error: type[Exception], what: str):
         self.cls, self.error, self.what = cls, error, what
         self.types = {f.name: _json_types(f.type) for f in fields(cls)}
+        self.required = {
+            f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+        }
 
     def from_dict(self, raw: dict):
         unknown = sorted(set(raw) - set(self.types))
         if unknown:
             raise self.error(f"unknown {self.what} keys: {', '.join(unknown)}")
+        missing = sorted(self.required - set(raw))
+        if missing:
+            raise self.error(f"missing {self.what} keys: {', '.join(missing)}")
         obj = self.cls(**raw)
         for f in fields(self.cls):
             value = getattr(obj, f.name)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import bruteforce
-from xrhead.analysis import analyze_embeddings, mutual_information, project_2d
+from xrhead.analysis import (
+    analyze_embeddings,
+    attention_alignment,
+    mutual_information,
+    project_2d,
+)
 from xrhead.errors import DataError
 
 
@@ -21,6 +26,11 @@ def test_analyses_refuse_arrays_that_are_not_numbers(analysis):
     for bad in (np.array([["1.0", "2.0"]] * 4), np.array([[None, 1.0]] * 4)):
         with pytest.raises(DataError, match="numeric"):
             analysis(bad)
+
+
+def test_attention_alignment_refuses_no_samples():
+    with pytest.raises(DataError, match="no samples"):
+        attention_alignment([])
 
 
 def test_analyze_refuses_bins_that_are_not_integers():

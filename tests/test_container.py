@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from xrhead.container import pack, unpack
+from xrhead.container import MAX_METADATA_BYTES, pack, unpack
 from xrhead.errors import FormatError
 from xrhead.report import write_atomic
 
@@ -69,3 +69,40 @@ def test_reader_errors_print_bytes():
     with pytest.raises(FormatError) as err:
         unpack(io.BytesIO(b"WRNG" + bytes(4)), b"TEST", 3, "array")
     assert "b'WRNG'" in str(err.value) and "memory" not in str(err.value)
+
+
+class ShortRead(io.BytesIO):
+    """A file whose read() returns one byte fewer than asked for."""
+
+    def read(self, n=-1):
+        return super().read(n)[:-1]
+
+
+class ShortReadinto(io.BytesIO):
+    """A file whose readinto() fills all but the last byte of the buffer."""
+
+    def readinto(self, buffer):
+        return super().readinto(memoryview(buffer)[:-1])
+
+
+def oversized_metadata() -> io.BytesIO:
+    """A file with no arrays whose metadata length is one past the limit."""
+    buf = pack(b"TEST", 3, [], {})
+    buf[12:16] = struct.pack("<I", MAX_METADATA_BYTES + 1)
+    return io.BytesIO(buf)
+
+
+@pytest.mark.parametrize(
+    "file, match",
+    [
+        (io.BytesIO(pack(b"TEST", 3, [], [1, 2])), "metadata must be a JSON object"),
+        (oversized_metadata(), f"metadata length {MAX_METADATA_BYTES + 1} exceeds limit"),
+        # the size says the bytes are there; the reads that come up short are refused
+        (ShortRead(oracle_bytes()), "truncated while reading magic"),
+        (ShortReadinto(oracle_bytes()), "truncated while reading plain payload"),
+    ],
+    ids=["metadata_not_object", "metadata_too_long", "short_read", "short_readinto"],
+)
+def test_unpack_refuses(file, match):
+    with pytest.raises(FormatError, match=match):
+        unpack(file, b"TEST", 3, "array")

@@ -1,14 +1,17 @@
 """Synthetic benchmark generator: construction properties, splits, files."""
 
 import hashlib
+import io
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from xrhead.container import MAX_EXTENT
+from xrhead.container import MAX_EXTENT, pack, unpack
 from xrhead.data import (
+    DATASET_MAGIC,
+    DATASET_VERSION,
     Dataset,
     SyntheticSpec,
     few_shot_split,
@@ -56,6 +59,22 @@ def test_spec_validation():
     with pytest.raises(DataError):
         SyntheticSpec.from_dict({"num_classes": 4, "bogus": 1})
     SyntheticSpec().validate()
+
+
+@pytest.mark.parametrize(
+    "raw, match",
+    [
+        ({"true_parts": 9, "tokens_per_image": 16}, "true_parts 9 too large"),
+        ({"noise": -0.1}, "noise must be >= 0"),
+        ({"train_per_class": 0}, "need at least one sample per class"),
+        ({"test_per_class": 0}, "need at least one sample per class"),
+        ({"patch_dim": 0}, "patch_dim and embed_dim must be positive"),
+    ],
+    ids=["true_parts_9", "noise", "train_per_class", "test_per_class", "patch_dim"],
+)
+def test_spec_refusals_name_the_bad_field(raw, match):
+    with pytest.raises(DataError, match=match):
+        SyntheticSpec.from_dict(raw)
 
 
 @pytest.mark.parametrize(
@@ -248,6 +267,14 @@ def test_dataset_file_errors(tmp_path):
         f.write(raw[: len(raw) // 2])
     with pytest.raises(FormatError):
         load_dataset(cut)
+
+    arrays, meta = unpack(io.BytesIO(raw), DATASET_MAGIC, DATASET_VERSION, "dataset array")
+    del arrays["templates"]
+    missing = tmp_path / "missing.xrvd"
+    kept = [(n, v, "<i8" if v.dtype.kind == "i" else "<f8") for n, v in arrays.items()]
+    missing.write_bytes(pack(DATASET_MAGIC, DATASET_VERSION, kept, meta))
+    with pytest.raises(FormatError, match=r"dataset file missing arrays: \['templates'\]"):
+        load_dataset(str(missing))
 
     trailing = str(tmp_path / "trail.xrvd")
     with open(trailing, "wb") as f:

@@ -12,7 +12,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ import bruteforce
 from xrhead.attention import TAU, PartAttention
 from xrhead.container import MAX_EXTENT, pack, unpack
 from xrhead.data import SyntheticSpec, few_shot_split, generate
-from xrhead.encoders import FrozenImageEncoder, save_features
+from xrhead.encoders import FrozenImageEncoder, FrozenTextEncoder, save_features
 from xrhead.errors import (
     ConfigError,
     DataError,
@@ -188,7 +188,7 @@ def test_config_refuses_a_size_above_the_extent_limit(name, size, monkeypatch):
 def test_config_json_file_round_trip(tmp_path):
     cfg = tiny_config(head="CRM_XPART", batch_size=6)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg.to_dict()))
+    path.write_text(json.dumps(asdict(cfg)))
     loaded = TrainConfig.from_json_file(str(path))
     assert loaded == cfg
 
@@ -397,6 +397,25 @@ def test_frozen_checksums_unchanged_by_training(tiny_dataset):
     assert trained.frozen_checksums() == before
 
 
+@pytest.mark.parametrize(
+    "encoder, weight",
+    [(FrozenImageEncoder, "_w"), (FrozenTextEncoder, "_w1")],
+    ids=["image", "text"],
+)
+def test_training_refuses_an_encoder_that_moves_its_weights(
+    tiny_dataset, monkeypatch, encoder, weight
+):
+    encode = encoder.encode
+
+    def drifting(self, x):
+        getattr(self, weight)[0, 0] += 1.0
+        return encode(self, x)
+
+    monkeypatch.setattr(encoder, "encode", drifting)
+    with pytest.raises(ConfigError, match="frozen parameters changed during training"):
+        train(tiny_config(), tiny_dataset)
+
+
 def test_singleton_tail_dropped_with_warning(tiny_dataset):
     # 6 classes x 4 shots = 24 samples; batch 23 leaves a 1-sample tail
     cfg = tiny_config(batch_size=23)
@@ -407,11 +426,18 @@ def test_singleton_tail_dropped_with_warning(tiny_dataset):
 
 def test_run_report_json_round_trip(tiny_dataset):
     _, report = train(tiny_config(), tiny_dataset)
-    again = RunReport.from_json(report.to_json())
+    raw = json.loads(rpt.json_text(asdict(report)))
+    again = RunReport.from_dict(raw)
     assert again == report
     assert again.timing == report.timing
     with pytest.raises(ConfigError, match="unknown report keys"):
         RunReport.from_dict({"bogus": 1})
+    # notes and timing have defaults; every other field must be present
+    del raw["notes"], raw["timing"]
+    assert RunReport.from_dict(raw) == report
+    del raw["test_accuracy"], raw["config"]
+    with pytest.raises(ConfigError, match="^missing report keys: config, test_accuracy$"):
+        RunReport.from_dict(raw)
 
 
 # --- evaluation ------------------------------------------------------------------------

@@ -215,6 +215,39 @@ def test_shape_mismatch_errors():
         pwcs_batch(constant(v3[0]), constant(t3))
 
 
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (
+            lambda: relation_batch(constant(np.ones((3, 4, 6))), constant(np.ones((4, 6)))),
+            ShapeMismatchError,
+            r"prompt features must be \(w, s, d\)",
+        ),
+        (
+            lambda: MlpsHead(5, 4, 6, 8, seed=0).logits(constant(np.ones((3, 4, 5))), None, True),
+            ShapeMismatchError,
+            r"expected \(b, 4, 6\)",
+        ),
+        (
+            lambda: CrmHead(HeadKind.PWCS, 5, 4, 8, seed=0),
+            ConfigError,
+            "is not a relation-matrix head",
+        ),
+        (
+            lambda: CrmHead(HeadKind.CRM_FULL, 5, 2, 8, seed=0).logits_from_relation(
+                constant(np.ones((3, 19))), training=True
+            ),
+            ShapeMismatchError,
+            r"expected relation vectors \(b, 20\)",
+        ),
+    ],
+    ids=["prompt_rank", "mlps_parts", "crm_kind", "crm_relation_width"],
+)
+def test_heads_refuse_mismatched_inputs(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_gradients_through_relation_heads():
     rng = np.random.default_rng(60)
     v3 = Tensor(rng.normal(size=(4, 3, 5)), requires_grad=True, name="v")

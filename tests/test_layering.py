@@ -69,3 +69,33 @@ def test_only_the_container_knows_the_file_framing():
                 taken[os.path.relpath(path, PACKAGE)] = container_names(path, package)
     assert {m: sorted(n) for m, n in taken.items() if n - {"MAX_EXTENT", "pack", "unpack"}} == {}
     assert taken["harness.py"] == {"MAX_EXTENT", "pack", "unpack"}
+
+
+def modules() -> dict[str, ast.Module]:
+    """The parsed source of every module under src/xrhead, by path relative to it."""
+    out = {}
+    for root, _, files in os.walk(PACKAGE):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                with open(path, encoding="utf-8") as f:
+                    out[os.path.relpath(path, PACKAGE)] = ast.parse(f.read())
+    return out
+
+
+def test_records_cross_json_through_asdict_and_from_dict():
+    # records are written with dataclasses.asdict and read with JsonFields.from_dict
+    wrappers = [
+        f"{path}: {node.name}.{item.name}"
+        for path, tree in modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in {"to_dict", "to_json", "from_json"}
+    ]
+    assert wrappers == []
+
+
+def test_only_report_and_container_import_json():
+    importers = {path for path in modules() if "json" in imports(os.path.splitext(path)[0])}
+    assert importers == {"report.py", "container.py"}

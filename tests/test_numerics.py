@@ -16,6 +16,7 @@ from xrhead.errors import (
     BatchSizeError,
     ConfigError,
     DegenerateInputError,
+    NumericError,
     ShapeMismatchError,
 )
 from xrhead.numerics import (
@@ -25,6 +26,7 @@ from xrhead.numerics import (
     Sgd,
     Tensor,
     add,
+    affine,
     backward,
     concat,
     constant,
@@ -480,6 +482,47 @@ def test_batch_norm_needs_two_rows():
         bn(constant([[1.0, 2.0]]), training=True)
 
 
+def ones(*shape):
+    return constant(np.ones(shape))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: affine(ones(2, 3), ones(2, 3)), r"affine needs \(n, m\) @ \(m, k\)"),
+        (lambda: affine(ones(2, 3), ones(3, 4), ones(4)), r"affine bias must be \(1, 4\)"),
+        (lambda: transpose(ones(3)), "transpose needs ndim >= 2"),
+        (lambda: transpose(ones(2, 3), (0, 0)), "do not permute the axes"),
+        (lambda: gather_rows(ones(3), [0]), "gather_rows needs a 2-d tensor"),
+        (lambda: gather_cols(ones(3), [0]), "gather_cols needs a 2-d tensor"),
+        (lambda: concat([ones(2, 3), ones(2, 4)], axis=0), "concat along axis 0"),
+        (lambda: cross_entropy(ones(3), [0, 1, 2]), "cross_entropy needs 2-d logits"),
+        (lambda: cross_entropy(ones(2, 3), [0]), r"labels shape \(1,\) does not match batch 2"),
+        (lambda: BatchNorm(2)(ones(3, 3), training=True), r"batch norm expects \(b, 2\)"),
+    ],
+    ids=[
+        "affine_inner",
+        "affine_bias",
+        "transpose_1d",
+        "transpose_axes",
+        "gather_rows_1d",
+        "gather_cols_1d",
+        "concat_shapes",
+        "cross_entropy_1d",
+        "cross_entropy_labels",
+        "batch_norm_width",
+    ],
+)
+def test_ops_refuse_mismatched_shapes(call, match):
+    with pytest.raises(ShapeMismatchError, match=match):
+        call()
+
+
+def test_tensor_repr_names_shape_and_grad():
+    assert repr(leaf(np.ones((2, 3)))) == "Tensor(shape=(2, 3), requires_grad=True)"
+    assert repr(ones(4)) == "Tensor(shape=(4,), requires_grad=False)"
+
+
 def test_batch_norm_running_stats_drift():
     bn = BatchNorm(1)
     assert bn.momentum == 0.1
@@ -616,6 +659,12 @@ def test_finite_diff_refuses_empty_sample():
         with pytest.raises(ConfigError, match="max_coords_per_param"):
             finite_diff_check(lambda: tsum(a), params, max_coords_per_param=coords)
     assert finite_diff_check(lambda: tsum(a), params, max_coords_per_param=None)["a"] < 1e-8
+
+
+def test_finite_diff_refuses_a_non_finite_loss():
+    a = leaf(np.ones(3), name="a")
+    with pytest.raises(NumericError, match="loss_fn returned a non-finite loss"):
+        finite_diff_check(lambda: tsum(mul(a, constant(np.full(3, np.inf)))), [a])
 
 
 def test_finite_diff_refuses_repeated_names():
