@@ -47,9 +47,9 @@ print(f"loss            {float(loss.values):.6f}")
 print(f"grad w1 norm    {np.linalg.norm(w1.grad):.6f}")
 print(f"grad w2 norm    {np.linalg.norm(w2.grad):.6f}")
 
-# the checker perturbs a sample of coordinates per parameter and compares
+# the checker perturbs every coordinate of each parameter and compares
 # central differences against the backprop gradient, keyed by name
-errors = finite_diff_check(loss_fn, [w1, w2], rng=np.random.default_rng(1))
+errors = finite_diff_check(loss_fn, [w1, w2])
 for name, err in errors.items():
     print(f"finite diff     {name}: max rel err {err:.3e}")
 assert max(errors.values()) < 1e-6

@@ -63,11 +63,14 @@ def project_2d(embeddings: np.ndarray) -> np.ndarray:
 
 
 def mutual_information(x: np.ndarray, y: np.ndarray) -> float:
-    """MI in nats between two integer label arrays of equal length."""
-    x = np.asarray(x, dtype=np.int64).ravel()
-    y = np.asarray(y, dtype=np.int64).ravel()
+    """MI in nats between two equal-length arrays of class indices (integers >= 0)."""
+    x, y = np.ravel(x), np.ravel(y)
     if x.shape != y.shape or x.size == 0:
         raise DataError(f"labels must be equal-length and nonempty, got {x.shape}, {y.shape}")
+    if x.dtype.kind not in "iu" or y.dtype.kind not in "iu":
+        raise DataError(f"labels must be integers, got dtypes {x.dtype}, {y.dtype}")
+    if x.min() < 0 or y.min() < 0:
+        raise IndexError("labels must be >= 0")
     joint = np.zeros((int(x.max()) + 1, int(y.max()) + 1))
     np.add.at(joint, (x, y), 1.0)
     p = joint / x.size

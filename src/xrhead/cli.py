@@ -173,10 +173,7 @@ def _cmd_gradcheck(args) -> int:
     feats = constant(model.image_encoder.encode(patches[:batch]))
     labels = labels[:batch]
     errors = finite_diff_check(
-        lambda: model.loss(feats, labels, training=True),
-        model.params(),
-        max_coords_per_param=GRADCHECK_COORDS,
-        rng=np.random.default_rng(0),
+        lambda: model.loss(feats, labels), model.params(), max_coords_per_param=GRADCHECK_COORDS
     )
     worst = max(errors.values())
     _emit({"errors": errors, "max": worst, "tol": args.tol, "ok": bool(worst < args.tol)})

@@ -47,6 +47,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        _SPEC_FIELDS.check(self)
         for name in ("num_classes", "num_superclasses", "tokens_per_image", "patch_dim",
                      "train_per_class", "test_per_class", "embed_dim"):
             if getattr(self, name) > MAX_EXTENT:  # refused before anything is allocated
@@ -66,8 +67,8 @@ class SyntheticSpec:
             raise DataError(
                 f"tokens_per_image {self.tokens_per_image} cannot cover {s} parts plus background"
             )
-        if self.noise < 0:
-            raise DataError(f"noise must be >= 0, got {self.noise}")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise DataError(f"noise must be >= 0 and finite, got {self.noise}")
         if self.train_per_class < 1 or self.test_per_class < 1:
             raise DataError("need at least one sample per class in each split")
         if self.patch_dim < 1 or self.embed_dim < 1:

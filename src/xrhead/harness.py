@@ -55,10 +55,8 @@ REPORT_FILE = "report.json"
 LOSS_TEMPERATURE = 64.0
 # the frozen text encoder's seed; the image encoder's is one more
 ENCODER_SEED = 7
-# the SGD values every head trains with; the rate decays from LR0 on a cosine schedule
+# the SGD rate every head trains with, decaying from LR0 on a cosine schedule
 LR0 = 2e-3
-WEIGHT_DECAY = 1e-4
-MOMENTUM = 0.9
 # images per eval chunk; the chunk size moves the last bits of the logits
 EVAL_CHUNK = 256
 
@@ -80,6 +78,7 @@ class TrainConfig:
     prompt_file: str | None = None  # when set, prompts are frozen at its features
 
     def validate(self) -> None:
+        _CONFIG_FIELDS.check(self)
         kind = HeadKind.parse(self.head)
         for name in ("num_parts", "ctx_len", "feat_dim", "word_dim", "batch_size", "shots"):
             if getattr(self, name) > MAX_EXTENT:  # refused before anything is allocated
@@ -226,14 +225,14 @@ class Model:
         v, _ = self.attention.forward(feats, training)
         return self.head.logits(v, self.prompt_features(), training)
 
-    def loss(self, feats: Tensor, labels: np.ndarray, training: bool = True) -> Tensor:
-        """Cross-entropy objective.
+    def loss(self, feats: Tensor, labels: np.ndarray) -> Tensor:
+        """Training-mode cross-entropy objective.
 
         Cosine-valued heads (ALIGN, PWCS) are bounded to [-1, 1], so the loss
         applies a fixed temperature to them; reported logits stay plain
         cosines and argmax predictions are unaffected.
         """
-        logits = self.logits(feats, training)
+        logits = self.logits(feats, training=True)
         if self.head.cosine_logits:
             logits = logits * LOSS_TEMPERATURE
         return cross_entropy(logits, labels)
@@ -478,7 +477,7 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
         warnings.warn(msg)
         notes.append(msg)
 
-    opt = Sgd(model.params(), weight_decay=WEIGHT_DECAY, momentum=MOMENTUM)
+    opt = Sgd(model.params())
     shuffle_rng = np.random.default_rng(_seed_stream(config.seed_model, 3))
 
     losses: list[float] = []
@@ -497,7 +496,7 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
                 continue
             step_cpu0 = time.process_time()
             opt.zero_grads()
-            loss = model.loss(constant(feats[idx]), labels[idx], training=True)
+            loss = model.loss(constant(feats[idx]), labels[idx])
             try:
                 backward(loss)
             except NumericError as e:
@@ -553,7 +552,8 @@ def export_attention(
 ) -> list[dict]:
     """Eval-mode attention rows per sample: weights (tokens, parts + 1) + truth.
 
-    limit, when given, keeps the first `limit` samples and must be an integer >= 1.
+    part_ids holds an integer id per token of each image.  limit, when
+    given, keeps the first `limit` samples and must be an integer >= 1.
     """
     if limit is not None and _count(limit, "export limit") < 1:
         raise ConfigError(f"need an export limit >= 1, got {limit!r}")
@@ -561,9 +561,16 @@ def export_attention(
     part_ids = np.asarray(part_ids)
     if limit is not None:
         patches = patches[:limit]
-    if part_ids.ndim == 0 or part_ids.shape[0] < patches.shape[0]:
+    if part_ids.dtype.kind not in "iu":
+        raise DataError(f"part_ids must be integers, got dtype {part_ids.dtype}")
+    # patches that are not (images, tokens, features) are the eval pass's to refuse
+    if (
+        part_ids.ndim != 2
+        or part_ids.shape[0] < patches.shape[0]
+        or (patches.ndim == 3 and part_ids.shape[1] != patches.shape[1])
+    ):
         raise DataError(
-            f"part_ids {part_ids.shape} needs a row for each of {patches.shape[0]} images"
+            f"part_ids {part_ids.shape} needs a row of token ids for each image of {patches.shape}"
         )
     logits, weights = _eval_pass(model, patches, keep_weights=True)
     return [

@@ -25,8 +25,7 @@ from .numerics import (
     Mlp,
     Tensor,
     add,
-    gather_cols,
-    gather_rows,
+    gather,
     l2_normalize_rows,
     matmul,
     reshape,
@@ -81,7 +80,7 @@ def relation_batch(v: Tensor, t: Tensor) -> Tensor:
     # prompt rows in (s2 outer, w inner) order, so a plain matmul + reshape
     # lands every product at flat[s * (s*w) + s2 * w + w_idx]
     trows = reshape(transpose(t, (1, 0, 2)), (s * w, d))
-    products = matmul(reshape(v, (b * s, d)), transpose(trows))  # (b*s, s*w)
+    products = matmul(reshape(v, (b * s, d)), transpose(trows, (1, 0)))  # (b*s, s*w)
     return reshape(products, (b, s * s * w))
 
 
@@ -141,7 +140,7 @@ class MlpsHead:
         flat = reshape(v, (b * s, d))
         acc = None
         for part, mlp in enumerate(self.mlps):
-            out = mlp(gather_rows(flat, np.arange(b) * s + part), training)
+            out = mlp(gather(flat, np.arange(b) * s + part, 0), training)
             acc = out if acc is None else add(acc, out)
         return acc * (1.0 / s)
 
@@ -195,7 +194,7 @@ class CrmHead:
                 f"expected relation vectors (b, {s * s * w}), got {flat.values.shape}"
             )
         if self.pick is not None:
-            flat = gather_cols(flat, self.pick)
+            flat = gather(flat, self.pick, 1)
         if not self.per_class:
             return self.clf(flat, training)
         scores = self.clf(reshape(flat, (b * w, self.pick.size // w)), training)

@@ -11,8 +11,7 @@ from .tensor import (
     concat,
     constant,
     cross_entropy,
-    gather_cols,
-    gather_rows,
+    gather,
     l2_normalize_rows,
     matmul,
     mul,
@@ -38,8 +37,7 @@ __all__ = [
     "cosine_lr",
     "cross_entropy",
     "finite_diff_check",
-    "gather_cols",
-    "gather_rows",
+    "gather",
     "l2_normalize_rows",
     "matmul",
     "mul",

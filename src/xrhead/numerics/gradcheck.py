@@ -17,7 +17,6 @@ def finite_diff_check(
     loss_fn: Callable[[], Tensor],
     params: list[Tensor],
     max_coords_per_param: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> dict[str, float]:
     """Compare analytic and central-difference gradients per parameter.
 
@@ -27,7 +26,8 @@ def finite_diff_check(
     Returns the max relative error per parameter name, with relative error
     |a - n| / max(|a|, |n|, 1e-8).
     When a parameter has more coordinates than max_coords_per_param, a
-    random subset is checked; None checks every coordinate.
+    subset drawn from np.random.default_rng(0) is checked; None checks
+    every coordinate.
     """
     if max_coords_per_param is not None and max_coords_per_param < 1:
         raise ConfigError(f"need max_coords_per_param >= 1, got {max_coords_per_param}")
@@ -46,8 +46,7 @@ def finite_diff_check(
         p.name: np.zeros_like(p.values) if p.grad is None else p.grad.copy() for p in params
     }
 
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     worst: dict[str, float] = {}
     for p in params:
         flat = p.values.reshape(-1)

@@ -38,13 +38,15 @@ class Sgd:
     ends leaves the parameters holding their values only.
     """
 
-    def __init__(self, params: list[Tensor], weight_decay: float, momentum: float):
+    # the values every head trains with
+    weight_decay = 1e-4
+    momentum = 0.9
+
+    def __init__(self, params: list[Tensor]):
         params = tuple(params)
         for p in params:
             if not p.requires_grad or p._parents:
                 raise ConfigError(f"parameter {p.name} does not track gradients or is not a leaf")
-        self.weight_decay = weight_decay
-        self.momentum = momentum
         size = sum(p.values.size for p in params)
         self.values = np.empty(size)
         self.grads = np.zeros(size)

@@ -208,15 +208,10 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return from_op(out, parents, bw)
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
-    """Permute the axes as np.transpose(a, axes); by default swap the last two (ndim >= 2)."""
-    nd = a.values.ndim
-    if axes is None:
-        if nd < 2:
-            raise ShapeMismatchError(f"transpose needs ndim >= 2, got {a.values.shape}")
-        axes = tuple(range(nd - 2)) + (nd - 1, nd - 2)
+def transpose(a: Tensor, axes) -> Tensor:
+    """Permute the axes as np.transpose(a, axes)."""
     axes = tuple(axes)
-    if sorted(axes) != list(range(nd)):
+    if sorted(axes) != list(range(a.values.ndim)):
         raise ShapeMismatchError(f"axes {axes} do not permute the axes of {a.values.shape}")
     out = a.values.transpose(axes)
     inverse = tuple(np.argsort(axes))
@@ -254,31 +249,21 @@ def _scatter_add(ga: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
         np.add.at(ga, idx, g)
 
 
-def gather_rows(a: Tensor, idx) -> Tensor:
-    """a (n, d), idx (k,) int -> (k, d); duplicate rows accumulate on backward."""
-    if a.values.ndim != 2:
-        raise ShapeMismatchError(f"gather_rows needs a 2-d tensor, got {a.values.shape}")
+def gather(a: Tensor, idx, axis: int) -> Tensor:
+    """a (n, d), idx (k,) int -> (k, d) at axis 0, (n, k) at axis 1.
+
+    Duplicate indices accumulate on backward.
+    """
+    if a.values.ndim != 2 or axis not in (0, 1):
+        raise ShapeMismatchError(
+            f"gather needs a 2-d tensor and axis 0 or 1, got {a.values.shape} at axis {axis}"
+        )
     idx = np.asarray(idx, dtype=np.intp)
-    out = a.values[idx]
+    out = np.moveaxis(np.moveaxis(a.values, axis, 0)[idx], 0, axis)
 
     def bw(g):
         ga = np.zeros_like(a.values)
-        _scatter_add(ga, idx, g)
-        return (ga,)
-
-    return from_op(out, (a,), bw)
-
-
-def gather_cols(a: Tensor, idx) -> Tensor:
-    """a (n, d), idx (k,) int -> (n, k)."""
-    if a.values.ndim != 2:
-        raise ShapeMismatchError(f"gather_cols needs a 2-d tensor, got {a.values.shape}")
-    idx = np.asarray(idx, dtype=np.intp)
-    out = a.values[:, idx]
-
-    def bw(g):
-        ga = np.zeros_like(a.values)
-        _scatter_add(ga.T, idx, g.T)  # scatter per column through the view
+        _scatter_add(np.moveaxis(ga, axis, 0), idx, np.moveaxis(g, axis, 0))
         return (ga,)
 
     return from_op(out, (a,), bw)
@@ -313,13 +298,11 @@ def tsum(a: Tensor) -> Tensor:
     return from_op(out, (a,), bw)
 
 
-def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    out = a.values.sum(axis=axis, keepdims=keepdims)
+def sum_axis(a: Tensor, axis: int) -> Tensor:
+    out = a.values.sum(axis=axis)
 
     def bw(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.values.shape),)
+        return (np.broadcast_to(np.expand_dims(g, axis), a.values.shape),)
 
     return from_op(out, (a,), bw)
 

@@ -88,7 +88,8 @@ class JsonFields:
     The reading half of a record's JSON form; `dataclasses.asdict` and
     json_text write it.  Unknown keys, missing keys of fields without a
     default and values of the wrong JSON type raise `error`, the caller's
-    own error class; a list's elements are checked too.  The accepted
+    own error class; a list's elements are checked too.  `check` applies
+    the type rule alone, to a record made in Python.  The accepted
     types come from the field annotations when the JsonFields is made, at
     the caller's import, so a field without a JSON type fails there and
     not on load.
@@ -109,11 +110,15 @@ class JsonFields:
         if missing:
             raise self.error(f"missing {self.what} keys: {', '.join(missing)}")
         obj = self.cls(**raw)
+        self.check(obj)
+        return obj
+
+    def check(self, obj) -> None:
+        """Raise `error` when a field of obj holds a value of the wrong JSON type."""
         for f in fields(self.cls):
             value = getattr(obj, f.name)
             if not any(check(value) for check in self.types[f.name]):
                 raise self.error(f"{self.what} key {f.name!r} must be {f.type}, got {value!r}")
-        return obj
 
 
 def write_atomic(path: str, data: str | bytes | bytearray) -> None:

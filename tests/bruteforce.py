@@ -21,8 +21,7 @@ from xrhead.numerics import (
     concat,
     constant,
     cross_entropy,
-    gather_cols,
-    gather_rows,
+    gather,
     l2_normalize_rows,
     matmul,
     mul,
@@ -238,12 +237,12 @@ def composed_attention(attn, tokens, training: bool):
     normed = composed_batch_norm(attn.bn, flat, training)
     scores = relu(composed_affine(normed, attn.score.weight, attn.score.bias))
     weights = softmax_rows(scores)
-    picked = reshape(gather_cols(weights, np.arange(s)), (b, n, s))
+    picked = reshape(gather(weights, np.arange(s), 1), (b, n, s))
     projected = composed_affine(flat, attn.proj.weight, attn.proj.bias)
-    pooled = matmul(transpose(picked), reshape(projected, (b, n, f)))
+    pooled = matmul(transpose(picked, (0, 2, 1)), reshape(projected, (b, n, f)))
     # rescale each image's block to Frobenius norm TAU
     squares = reshape(mul(pooled, pooled), (b, s * f))
-    total = sum_axis(squares, 1, keepdims=True)
+    total = reshape(sum_axis(squares, 1), (b, 1))
     factor = div(constant(TAU), power(total, 0.5))
     parts = mul(pooled, reshape(factor, (b, 1, 1)))
     return parts, reshape(weights, (b, n, s + 1))
@@ -257,9 +256,9 @@ def composed_pwcs(v, t):
     tn = l2_normalize_rows(reshape(t, (w * s, d)))
     acc = None
     for part in range(s):
-        vs = gather_rows(vn, np.arange(b) * s + part)
-        ts = gather_rows(tn, np.arange(w) * s + part)
-        sims = matmul(vs, transpose(ts))
+        vs = gather(vn, np.arange(b) * s + part, 0)
+        ts = gather(tn, np.arange(w) * s + part, 0)
+        sims = matmul(vs, transpose(ts, (1, 0)))
         acc = sims if acc is None else add(acc, sims)
     return acc * (1.0 / s)
 
@@ -272,8 +271,8 @@ def composed_relation(v, t):
     # reorder prompt rows to (s2 outer, w inner) so a plain matmul + reshape
     # lands every product at flat[s * (s*w) + s2 * w + w_idx]
     perm = np.arange(s * w)
-    trows = gather_rows(t2, (perm % w) * s + perm // w)
-    products = matmul(reshape(v, (b * s, d)), transpose(trows))  # (b*s, s*w)
+    trows = gather(t2, (perm % w) * s + perm // w, 0)
+    products = matmul(reshape(v, (b * s, d)), transpose(trows, (1, 0)))  # (b*s, s*w)
     return reshape(products, (b, s * s * w))
 
 
@@ -281,12 +280,12 @@ def composed_sequences(bank):
     """PromptBank.all_sequences as a row interleave of contexts and class rows."""
     w, s, m, d = bank.num_classes, bank.num_parts, bank.ctx_len, bank.word_dim
     ctx2 = reshape(bank.contexts, (w * s * m, d))
-    cls_rep = gather_rows(constant(bank.class_embeddings), np.arange(w * s) // s)
+    cls_rep = gather(constant(bank.class_embeddings), np.arange(w * s) // s, 0)
     stacked = concat([ctx2, cls_rep])
     order = np.empty((w * s, m + 1), dtype=np.intp)
     order[:, :m] = np.arange(w * s * m).reshape(w * s, m)
     order[:, m] = w * s * m + np.arange(w * s)
-    return reshape(gather_rows(stacked, order.reshape(-1)), (w * s, m + 1, d))
+    return reshape(gather(stacked, order.reshape(-1), 0), (w * s, m + 1, d))
 
 
 def composed_text_encode(enc, sequences):
@@ -296,18 +295,18 @@ def composed_text_encode(enc, sequences):
     return composed_affine(h, constant(enc._w2), constant(enc._b2))
 
 
-def composed_model_loss(model, feats, labels, training: bool = True):
-    """Model.loss with every fused layer replaced by its chain."""
+def composed_model_loss(model, feats, labels):
+    """Model.loss, a training-mode loss, with every fused layer replaced by its chain."""
     from xrhead.heads import CrmHead, HeadKind, MlpsHead
 
-    v, _ = composed_attention(model.attention, feats, training)
+    v, _ = composed_attention(model.attention, feats, True)
     b, s, d = v.values.shape
     head = model.head
     if isinstance(head, MlpsHead):
         flat = reshape(v, (b * s, d))
         acc = None
         for part, mlp in enumerate(head.mlps):
-            out = composed_mlp(mlp, gather_rows(flat, np.arange(b) * s + part), training)
+            out = composed_mlp(mlp, gather(flat, np.arange(b) * s + part, 0), True)
             acc = out if acc is None else add(acc, out)
         return cross_entropy(acc * (1.0 / s), labels)
     if model.manual is not None:
@@ -321,12 +320,12 @@ def composed_model_loss(model, feats, labels, training: bool = True):
         return cross_entropy(composed_pwcs(v, t) * LOSS_TEMPERATURE, labels)
     flat = composed_relation(v, t)
     if head.kind == HeadKind.CRM_FULL:
-        return cross_entropy(composed_mlp(head.clf, flat, training), labels)
-    picked = gather_cols(flat, head.pick)
+        return cross_entropy(composed_mlp(head.clf, flat, True), labels)
+    picked = gather(flat, head.pick, 1)
     if head.kind == HeadKind.CRM_XCLASS:
-        return cross_entropy(composed_mlp(head.clf, picked, training), labels)
+        return cross_entropy(composed_mlp(head.clf, picked, True), labels)
     per_class = head.pick.size // w
-    scores = composed_mlp(head.clf, reshape(picked, (b * w, per_class)), training)
+    scores = composed_mlp(head.clf, reshape(picked, (b * w, per_class)), True)
     return cross_entropy(reshape(scores, (b, w)), labels)
 
 

@@ -82,6 +82,20 @@ def test_wrong_json_type_in_a_spec_is_one_error_line(tmp_path, capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("noise", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+def test_gen_data_refuses_a_noise_that_is_not_finite(noise, tmp_path, capsys):
+    # json writes and reads these as the words NaN and Infinity; a NaN noise
+    # would write a noise-free dataset, an infinite one a dataset no reader loads
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(dict(TINY_SPEC, noise=noise)))
+    code = main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d.xrvd")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "noise must be >= 0 and finite" in err
+    assert not (tmp_path / "d.xrvd").exists()
+
+
 @pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe"], ids=["bad_json", "bad_utf8"])
 def test_gen_data_unreadable_spec_exits_nonzero(tmp_path, capsys, content):
     spec_path = tmp_path / "spec.json"

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -66,11 +67,22 @@ def test_spec_validation():
     [
         ({"true_parts": 9, "tokens_per_image": 16}, "true_parts 9 too large"),
         ({"noise": -0.1}, "noise must be >= 0"),
+        # NaN would pass as a noise-free spec, and inf would write a dataset no reader loads
+        ({"noise": math.nan}, "noise must be >= 0 and finite"),
+        ({"noise": math.inf}, "noise must be >= 0 and finite"),
         ({"train_per_class": 0}, "need at least one sample per class"),
         ({"test_per_class": 0}, "need at least one sample per class"),
         ({"patch_dim": 0}, "patch_dim and embed_dim must be positive"),
     ],
-    ids=["true_parts_9", "noise", "train_per_class", "test_per_class", "patch_dim"],
+    ids=[
+        "true_parts_9",
+        "noise",
+        "noise_nan",
+        "noise_inf",
+        "train_per_class",
+        "test_per_class",
+        "patch_dim",
+    ],
 )
 def test_spec_refusals_name_the_bad_field(raw, match):
     with pytest.raises(DataError, match=match):
@@ -91,13 +103,34 @@ def test_spec_refuses_a_size_above_the_extent_limit(name):
 
 @pytest.mark.parametrize(
     "raw",
-    [{"num_classes": 20.0}, {"seed": True}, {"cross_structure": 1}],
-    ids=["float_in_int", "bool_in_int", "int_in_bool"],
+    [
+        {"num_classes": 20.0},
+        {"seed": True},
+        {"cross_structure": 1},
+        {"train_per_class": 2.5},
+        {"patch_dim": True},
+        {"seed": 1.5},
+        {"true_parts": 3.0},
+        {"noise": "0.1"},
+    ],
+    ids=[
+        "float_in_int",
+        "bool_in_int",
+        "int_in_bool",
+        "fraction_in_int",
+        "bool_in_size",
+        "fraction_in_seed",
+        "float_in_parts",
+        "str_in_float",
+    ],
 )
 def test_spec_refuses_wrong_json_types(raw):
     key = next(iter(raw))
     with pytest.raises(DataError, match=f"dataset spec key '{key}' must be"):
         SyntheticSpec.from_dict(raw)
+    # a spec made in Python meets the same check, before numpy sees its values
+    with pytest.raises(DataError, match=f"dataset spec key '{key}' must be"):
+        generate(replace(small_spec(), **raw))
 
 
 def test_generate_shapes_and_labels():

@@ -388,16 +388,15 @@ STEP_CASES = {
 }
 
 
-@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
-@pytest.mark.parametrize("case", sorted(STEP_CASES))
-def test_model_step_matches_composed(case, training, tiny_dataset):
+@pytest.mark.parametrize("case", sorted(STEP_CASES), ids=lambda case: f"{case}-train")
+def test_model_step_matches_composed(case, tiny_dataset):
     cfg = tiny_config(**STEP_CASES[case])
     model, feats, labels = step_inputs(cfg, tiny_dataset)
     twin, _, _ = step_inputs(cfg, tiny_dataset)
     for m, seed in ((model, 17), (twin, 17)):
         jitter(m.params(), seed)
-    loss = model.loss(feats, labels, training)
-    want = bruteforce.composed_model_loss(twin, feats, labels, training)
+    loss = model.loss(feats, labels)
+    want = bruteforce.composed_model_loss(twin, feats, labels)
     assert loss.values.tobytes() == want.values.tobytes()
     backward(loss)
     backward(want)
@@ -433,6 +432,6 @@ PINNED_STEP_NODES = {
 def test_training_step_tape_size(kind, tiny_dataset):
     cfg = tiny_config(head=kind, num_parts=1 if kind == "ALIGN" else 4)
     model, feats, labels = step_inputs(cfg, tiny_dataset)
-    loss = model.loss(feats, labels, training=True)
+    loss = model.loss(feats, labels)
     ops = [node for node in _topo_order(loss) if node._parents]
     assert len(ops) == PINNED_STEP_NODES[kind]

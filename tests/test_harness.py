@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -96,8 +97,8 @@ def test_config_defaults_match_protocol():
     assert harness.LOSS_TEMPERATURE == 64.0
     assert harness.ENCODER_SEED == 7
     assert harness.LR0 == 2e-3
-    assert harness.WEIGHT_DECAY == 1e-4
-    assert harness.MOMENTUM == 0.9
+    assert Sgd.weight_decay == 1e-4
+    assert Sgd.momentum == 0.9
 
 
 def test_every_config_field_has_a_json_type():
@@ -168,6 +169,16 @@ def test_config_validation_errors(overrides):
 def test_config_validation_accepts_the_edges():
     TrainConfig(head="ALIGN", num_parts=1).validate()
     TrainConfig(feat_dim=MAX_EXTENT, shots=MAX_EXTENT).validate()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("shots", 2.5), ("epochs", 1.5), ("batch_size", 4.0), ("num_parts", 2.0), ("seed_model", 1.5)],
+)
+def test_config_made_in_python_is_type_checked(field, value, tiny_dataset):
+    # refused by validate, before numpy or range sees a float count
+    with pytest.raises(ConfigError, match=f"config key '{field}' must be int"):
+        train(tiny_config(**{field: value}), tiny_dataset)
 
 
 @pytest.mark.parametrize("size", [10**30, 2**40, MAX_EXTENT + 1])
@@ -317,11 +328,73 @@ PINNED_TINY_LOSSES = {
 }
 
 
+# SHA-256 of the saved params.xrvp, of the reloaded model's test-split
+# logits and of its exported attention weights, for the trainings above.
+# These hold for numpy PINNED_DIGESTS_NUMPY; a change that moves one re-pins
+# it and says why.
+PINNED_DIGESTS_NUMPY = "2.4.6"
+PINNED_TINY_DIGESTS = {
+    "ALIGN": (
+        "aac13105ea32332646cb3c88b83869ed278abf25b60a43ccb14fc934f325c80a",
+        "c095edc7edda284dbb7521aa982aa75d8dd0408ce300f14d4ab4a70fbdc93bba",
+        "e27f8b2705f12bef838dfd761f8c990afb5a8ff2dedbf0a9d9fa71383f24f9f8",
+    ),
+    "PWCS": (
+        "2f30929cd7f8c2f5d7ba492947df0c5c12568c8808196f284a70b5948c82247b",
+        "3678341f6bad680d84ef99916395af067e639ae9b83de9fb0e5197847f241efb",
+        "a44d41a44db5a2f4f7b07227d3d7fa35e2b0256c7725bf39521f141238e21a5b",
+    ),
+    "MLPS": (
+        "e5200a6d78a7ae03226caf73dd01ef0a8ace13b22eeefa24b9c10c03542cea50",
+        "dbba112529e7f28b392543fb85e65a5656f12a0fa9b9f0538662890e53391efb",
+        "21565e1d78248ec5c9ba02d8f443dbed2bfa88d3229e17c8c035599690ae8019",
+    ),
+    "CRM_FULL": (
+        "79f46010a8ece649d7aeb2e116a0eb53ea0d58b773d9ecc5098036c3acae60f4",
+        "eacde0f2ec411a43e305324be908192daf607e1ab3e8cd92e9950da8a4bfe7f9",
+        "bac26fe14856bcdf09decb22afb571215e6bc73459aa176689d5f34ffd00f657",
+    ),
+    "CRM_BASE": (
+        "81fa319aaee8446e90059a4f4aebf45a3fa4793c9bc307efa45b0b5213e7728f",
+        "c429ce6ef26b5bba68d31386c4ad032889a031d0b436484c92c8628b31f11c52",
+        "35e7a895422f9aab4782e91929a27f8fa1f8353d1578999447ec175eb9fe9979",
+    ),
+    "CRM_XCLASS": (
+        "8c357bb3336199e1367e9a749f49a076d8fe6dab68f44dc848fa1d375faf744f",
+        "28ee9d38762ae54881e3ed3afb5287f26db13d1ad46a26677febbf1ffcff7fa6",
+        "934a3cf1a661a35e63ddc01a2115f7dac02012a7edf94ca0a0c61e8ba55df74f",
+    ),
+    "CRM_XPART": (
+        "760e31ae27e96b131f2f31ab6bd4efcaef5e73c5c5294656c68753f3f9194e0a",
+        "a69cc3ce9bdcd4a3d9482d65ded85ca1acabad3531301a985f8df8e7855e854d",
+        "32a18c0d4db8bf9172dd8c7efe53e332b549fbab5774c0c4e5048f237ae16548",
+    ),
+}
+
+
+def test_bit_pins_cover_every_head_kind():
+    assert set(PINNED_TINY_LOSSES) == set(PINNED_TINY_DIGESTS) == set(HEAD_KINDS)
+
+
 @pytest.mark.parametrize("kind", sorted(PINNED_TINY_LOSSES))
-def test_epoch_losses_pinned_bitwise(kind, tiny_dataset):
+def test_epoch_losses_pinned_bitwise(kind, tiny_dataset, tmp_path):
     cfg = tiny_config(head=kind, num_parts=1 if kind == "ALIGN" else 4)
-    _, report = train(cfg, tiny_dataset)
+    model, report = train(cfg, tiny_dataset)
     assert [x.hex() for x in report.epoch_losses] == PINNED_TINY_LOSSES[kind]
+    save_model(str(tmp_path), model, report)
+    loaded, _ = load_model(str(tmp_path))
+    logits = predict_logits(loaded, tiny_dataset.test_patches)
+    assert logits.tobytes() == predict_logits(model, tiny_dataset.test_patches).tobytes()
+    assert np.__version__ == PINNED_DIGESTS_NUMPY, (
+        f"the digests are pinned for numpy {PINNED_DIGESTS_NUMPY}, "
+        f"this is numpy {np.__version__}: re-pin"
+    )
+    samples = export_attention(loaded, tiny_dataset.test_patches, tiny_dataset.test_part_ids)
+    weights = np.stack([sample["weights"] for sample in samples])
+    with open(tmp_path / harness.PARAMS_FILE, "rb") as f:
+        params = f.read()
+    digests = tuple(hashlib.sha256(b).hexdigest() for b in (params, logits, weights))
+    assert digests == PINNED_TINY_DIGESTS[kind]
 
 
 def test_epoch_losses_independent_of_blas_threads():
@@ -1121,6 +1194,26 @@ def test_export_attention_refuses_missing_part_ids(tiny_dataset, monkeypatch):
             export_attention(model, patches, part_ids, limit=limit)
 
 
+def test_export_attention_refuses_part_ids_it_would_misread(tiny_dataset, monkeypatch):
+    # two ids for ten tokens would come back beside (10, 5) weights, and the
+    # analyses would truncate fractional ids
+    model = build_model(tiny_config(), tiny_dataset)
+
+    def fail(patches):
+        raise AssertionError("encoded before part_ids were checked")
+
+    monkeypatch.setattr(model.image_encoder, "encode", fail)
+    patches, part_ids = tiny_dataset.test_patches, tiny_dataset.test_part_ids
+    for bad, match in (
+        (part_ids[:, :2], r"needs a row of token ids"),
+        (part_ids[:, 0], r"needs a row of token ids"),
+        (part_ids + 0.5, "part_ids must be integers"),
+        (part_ids > 0, "part_ids must be integers"),
+    ):
+        with pytest.raises(DataError, match=match):
+            export_attention(model, patches, bad)
+
+
 def test_export_attention_empty_errors(tiny_dataset):
     model = build_model(tiny_config(), tiny_dataset)
     with pytest.raises(DataError, match="empty"):
@@ -1156,6 +1249,18 @@ def test_mutual_information_basics():
     assert mutual_information(x, np.zeros_like(x)) == pytest.approx(0.0)
     with pytest.raises(DataError):
         mutual_information(x, x[:3])
+
+
+def test_mutual_information_refuses_labels_it_would_misread():
+    # a negative label would wrap to the last row, and floats would be truncated
+    with pytest.raises(IndexError, match="labels must be >= 0"):
+        mutual_information(np.array([-1, 0]), np.array([0, 1]))
+    with pytest.raises(IndexError, match="labels must be >= 0"):
+        mutual_information(np.array([0, 1]), np.array([0, -1]))
+    for x, y in (([0.5, 1.7], [0, 1]), ([0, 1], [0.0, 1.0]), ([False, True], [0, 1])):
+        with pytest.raises(DataError, match="labels must be integers"):
+            mutual_information(np.array(x), np.array(y))
+    assert mutual_information(np.array([1, 0]), np.array([0, 1])) == pytest.approx(np.log(2))
 
 
 def test_attention_alignment_beats_permuted_baseline():
@@ -1256,7 +1361,7 @@ def test_parameters_live_in_the_arena(kind, tmp_path, tiny_dataset):
         params = m.params()
         assert [p.name for p in params if p.grad is not None] == []
         before = [p.values.tobytes() for p in params]
-        opt = Sgd(params, weight_decay=0.01, momentum=0.9)
+        opt = Sgd(params)
         _assert_in_arena(params, opt)
         assert not opt.grads.any()  # each adjoint starts at zero
         assert [p.values.tobytes() for p in params] == before

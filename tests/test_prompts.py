@@ -5,7 +5,7 @@ import pytest
 
 from xrhead.encoders import FrozenTextEncoder
 from xrhead.errors import ConfigError, ShapeMismatchError
-from xrhead.numerics import backward, gather_rows, reshape, tsum
+from xrhead.numerics import backward, gather, reshape, tsum
 from xrhead.prompts import PromptBank
 
 
@@ -59,7 +59,7 @@ def test_gradient_locality():
     feats = bank.encode(enc)
     # pull gradient through a single (class, part) feature row
     flat = reshape(feats, (12, 10))
-    backward(tsum(gather_rows(flat, [2 * 3 + 1])))
+    backward(tsum(gather(flat, [2 * 3 + 1], 0)))
     g = bank.contexts.grad
     assert np.any(g[2, 1] != 0.0)
     g_rest = g.copy()
