@@ -3,7 +3,7 @@ A synthetic fine-grained benchmark
 ==================================
 
 Images are bags of patch tokens: background noise plus a few part tokens.
-Classes within a superclass share part prototypes and differ only in how
+Classes within a superclass share part patterns and differ only in how
 parts pair up with styles, which makes the task fine-grained: telling
 superclasses apart is easy, telling siblings apart requires reading the
 part combination. The cross-structure variant pushes this to the point
@@ -31,27 +31,26 @@ print(f"classes         {ds.spec.num_classes} in {ds.spec.num_superclasses} supe
 print(f"train/test      {ds.train_patches.shape[0]} / {ds.test_patches.shape[0]} images")
 print(f"image           {ds.spec.tokens_per_image} tokens of dim {ds.spec.patch_dim}")
 print(f"superclass map  {ds.superclass_of}")
-print(f"class names     {ds.class_names[:3]} ...")
+print(f"labels          class-major: {ds.train_labels[:3]} ... {ds.train_labels[-3:]}")
 
 # part ids label which tokens carry parts (0 = background)
 counts = np.bincount(ds.train_part_ids[0], minlength=ds.spec.true_parts + 1)
 print(f"token roles     image 0 has {counts[0]} background, {counts[1:]} part tokens")
 
-# an oracle that sees the noise-free part prototypes solves the task
+# an oracle that sees the noise-free part templates solves the task
 print(f"oracle          nearest prototype test accuracy {nearest_prototype_accuracy(ds):.3f}")
 
 # few-shot split: per-class subsample of the training pool, seed-controlled
-shots_x, shots_y, idx = few_shot_split(ds, shots=4, seed=0)
+shots_x, shots_y = few_shot_split(ds, shots=4, seed=0)
 print(f"4-shot split    {shots_x.shape[0]} images, per-class counts {np.bincount(shots_y)[:5]}...")
 
-# the cross-structure variant keeps every part prototype identical across
-# siblings; only the part-to-style pairing separates them
+# the cross-structure variant gives siblings one pattern set, assigned to
+# the parts in another order; only the part-to-pattern pairing separates them
 cross = generate(SyntheticSpec(cross_structure=True))
 sibs = np.flatnonzero(cross.superclass_of == 0)
-same = [
-    np.allclose(cross.prototypes[sibs[0]].sum(0), cross.prototypes[c].sum(0)) for c in sibs[1:]
-]
-print(f"cross structure siblings {sibs} share part-prototype sums: {same}")
+parts = cross.templates[:, 0, 1:]  # (classes, parts, patch_dim) at style 0
+same = [np.allclose(parts[sibs[0]].sum(0), parts[c].sum(0)) for c in sibs[1:]]
+print(f"cross structure siblings {sibs} share part-template sums: {same}")
 print(f"oracle (cross)  nearest prototype test accuracy {nearest_prototype_accuracy(cross):.3f}")
 
 # class-name embeddings mirror fine-grained label spaces: every class's

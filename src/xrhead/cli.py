@@ -167,7 +167,7 @@ def _cmd_gradcheck(args) -> int:
         raise ConfigError(f"--tol must be a finite number > 0, got {args.tol}")
     config = _load_config(args.config, args.data)
     ds = config_dataset(config)
-    patches, labels, _ = few_shot_split(ds, config.shots, config.seed_data)
+    patches, labels = few_shot_split(ds, config.shots, config.seed_data)
     model = build_model(config, ds)
     batch = min(GRADCHECK_BATCH, patches.shape[0])  # >= 2: 2 classes of >= 1 shot
     feats = constant(model.image_encoder.encode(patches[:batch]))

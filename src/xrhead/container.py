@@ -2,10 +2,10 @@
 
 Feature, dataset and model files all hold a 4-byte magic, a u32 version, a
 u32 count of arrays, then that many arrays, and last length-prefixed UTF-8
-JSON metadata.  Each array is tagged with a unique name and a dtype code and
-stored as rank + u64 extents + row-major payload.  pack() builds that layout
-and unpack() reads it back; no other module knows the framing.  Decoding
-errors always report the byte offset of the failure.
+JSON metadata.  Each array is tagged with a unique name and a dtype code (f4
+or f8) and stored as rank + u64 extents + row-major payload.  pack() builds
+that layout and unpack() reads it back; no other module knows the framing.
+Decoding errors always report the byte offset of the failure.
 
 Arrays are copied at most once each way.  pack appends each payload through
 the buffer protocol into the one buffer that the caller hands to the atomic
@@ -25,9 +25,9 @@ import numpy as np
 
 from .errors import FormatError
 
-# array payload dtypes; everything is read back as float64 / int64
-_DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<i8"), 2: np.dtype("<f8")}
-_CODE_FOR = {np.dtype("<f4"): 0, np.dtype("<i8"): 1, np.dtype("<f8"): 2}
+# array payload dtypes; everything is read back as float64
+_DTYPE_CODES = {0: np.dtype("<f4"), 2: np.dtype("<f8")}
+_CODE_FOR = {dtype: code for code, dtype in _DTYPE_CODES.items()}
 
 MAX_RANK = 8
 # the largest array extent a file may declare; configs refuse sizes above it too
@@ -105,11 +105,13 @@ class Reader:
     def u64(self, what: str) -> int:
         return struct.unpack("<Q", self.take(8, what))[0]
 
-    def array(self, what: str, dtype_code: int) -> np.ndarray:
-        """rank u32, extents rank x u64, payload of the dtype the code names."""
-        dtype = _DTYPE_CODES.get(dtype_code)
+    def array(self, what: str) -> np.ndarray:
+        """dtype code u8, rank u32, extents rank x u64, payload of the dtype the code names."""
+        code_at = self.offset
+        code = self.take(1, f"{what} dtype code")[0]
+        dtype = _DTYPE_CODES.get(code)
         if dtype is None:
-            raise FormatError(f"unknown dtype code {dtype_code} for {what}", self.offset)
+            raise FormatError(f"unknown dtype code {code} for {what}", code_at)
         at = self.offset
         rank = self.u32(f"{what} rank")
         if rank > MAX_RANK:
@@ -127,14 +129,13 @@ class Reader:
         if self.f.readinto(values.reshape(-1).view(np.uint8)) != nbytes:
             raise FormatError(f"truncated while reading {what} payload", payload_at)
         self.offset += nbytes
-        if dtype.kind == "f" and not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(values)):
             raise FormatError(f"{what} payload contains non-finite values", payload_at)
         # copies only to widen f4 or, on a big-endian host, to swap bytes
-        out_dtype = np.int64 if dtype.kind == "i" else np.float64
-        return values.astype(out_dtype, copy=False)
+        return values.astype(np.float64, copy=False)
 
     def named_arrays(self, what: str) -> dict[str, np.ndarray]:
-        """u32 count, then that many (name, dtype code, array); a repeated name is refused."""
+        """u32 count, then that many (name, array); a repeated name is refused."""
         out: dict[str, np.ndarray] = {}
         for _ in range(self.u32(f"{what} count")):
             at = self.offset
@@ -145,7 +146,7 @@ class Reader:
                 raise FormatError(f"{what} name is not valid UTF-8", at + 4) from e
             if name in out:
                 raise FormatError(f"{what} {name!r} appears twice", at)
-            out[name] = self.array(name, self.take(1, f"{name} dtype code")[0])
+            out[name] = self.array(name)
         return out
 
     def metadata(self) -> dict:

@@ -1,14 +1,14 @@
 """Synthetic fine-grained benchmark.
 
 Images are bags of patch vectors.  Every patch is the sum of a part anchor
-(shared by all classes, it identifies which part a patch belongs to), a class
-prototype for that part, and gaussian noise.  Token order is round-robin over
-part slots with slot 0 reserved for background, so ground-truth part ids are
-known.  Classes group into superclasses that share prototype structure, which
+(shared by all classes, it identifies which part a patch belongs to), the
+class's pattern for that part, and gaussian noise.  Token order is round-robin
+over part slots with slot 0 reserved for background, so ground-truth part ids
+are known.  Classes group into superclasses that share part patterns, which
 keeps the problem fine-grained: telling siblings apart is the hard part.
 
 cross_structure makes sibling classes use permutations of one shared
-prototype set, so siblings differ only in which part carries which pattern.
+pattern set, so siblings differ only in which part carries which pattern.
 When enough rotation-inequivalent permutations exist, each image additionally
 draws a random cyclic style shift applied to every part jointly; the per-part
 pattern marginals then match exactly across siblings and only the joint
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import DataError, FormatError
 from .report import JsonFields, write_atomic
 
 DATASET_MAGIC = b"XRVD"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 
 @dataclass
@@ -67,7 +68,8 @@ class SyntheticSpec:
             raise DataError(
                 f"tokens_per_image {self.tokens_per_image} cannot cover {s} parts plus background"
             )
-        if not (math.isfinite(self.noise) and self.noise >= 0):
+        # NaN fails both comparisons; an int too large for a float fails the second
+        if not 0 <= self.noise <= sys.float_info.max:
             raise DataError(f"noise must be >= 0 and finite, got {self.noise}")
         if self.train_per_class < 1 or self.test_per_class < 1:
             raise DataError("need at least one sample per class in each split")
@@ -99,24 +101,47 @@ _SPEC_FIELDS = JsonFields(SyntheticSpec, DataError, "dataset spec")
 
 @dataclass
 class Dataset:
+    """What generate drew, plus the layout it samples in, derived from the spec.
+
+    Images are class-major (each class's images in one run) and every image
+    has the same round-robin part slots, so labels, part ids and superclasses
+    follow from the spec; __post_init__ derives them, for generate and for
+    load_dataset alike.
+    """
+
     spec: SyntheticSpec
     train_patches: np.ndarray  # (n_train, tokens, patch_dim)
-    train_labels: np.ndarray  # (n_train,)
-    train_part_ids: np.ndarray  # (n_train, tokens), 0 = background
-    test_patches: np.ndarray
-    test_labels: np.ndarray
-    test_part_ids: np.ndarray
+    test_patches: np.ndarray  # (n_test, tokens, patch_dim)
     class_embeddings: np.ndarray  # (classes, embed_dim)
-    superclass_of: np.ndarray  # (classes,)
     templates: np.ndarray  # (classes, styles, true_parts + 1, patch_dim), noise-free token means
-    prototypes: np.ndarray  # (classes, true_parts, patch_dim), class part components at style 0
-    base_perms: np.ndarray  # (classes, true_parts) pattern index per part, style 0
-    class_names: list[str] = field(default_factory=list)
-    part_names: list[str] = field(default_factory=list)
+    train_labels: np.ndarray = field(init=False)  # (n_train,)
+    train_part_ids: np.ndarray = field(init=False)  # (n_train, tokens), 0 = background
+    test_labels: np.ndarray = field(init=False)
+    test_part_ids: np.ndarray = field(init=False)
+    superclass_of: np.ndarray = field(init=False)  # (classes,)
+
+    def __post_init__(self) -> None:
+        spec = self.spec
+        classes, slots = np.arange(spec.num_classes), _part_slots(spec)
+        self.train_labels = np.repeat(classes, spec.train_per_class)
+        self.train_part_ids = np.tile(slots, (self.train_labels.size, 1))
+        self.test_labels = np.repeat(classes, spec.test_per_class)
+        self.test_part_ids = np.tile(slots, (self.test_labels.size, 1))
+        self.superclass_of = _superclass_of(spec)
 
     @property
     def num_classes(self) -> int:
         return self.spec.num_classes
+
+
+def _superclass_of(spec: SyntheticSpec) -> np.ndarray:
+    """Each class's superclass: siblings are consecutive classes."""
+    return np.arange(spec.num_classes) // (spec.num_classes // spec.num_superclasses)
+
+
+def _part_slots(spec: SyntheticSpec) -> np.ndarray:
+    """Every image's part id per token: round-robin over slot 0 (background) and the parts."""
+    return np.arange(spec.tokens_per_image) % (spec.true_parts + 1)
 
 
 def _perm_pool(true_parts: int, rotation_free: bool) -> np.ndarray:
@@ -145,7 +170,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
     offsets = rng.normal(0.0, 1.0, size=(w, s, d)) * 0.25
     proj = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, spec.embed_dim))
 
-    base_perms = np.zeros((w, s), dtype=np.int64)
+    base_perms = np.zeros((w, s), dtype=np.int64)  # pattern index per part, style 0
     if spec.cross_structure:
         # distinct assignments per superclass, drawn from one pool of at least
         # `siblings`: s! by validate, or (s-1)! rotation-free ones by num_styles
@@ -156,25 +181,22 @@ def generate(spec: SyntheticSpec) -> Dataset:
     else:
         base_perms[:] = np.arange(s)
 
-    superclass_of = np.arange(w) // siblings
-    prototypes = patterns[superclass_of[:, None], base_perms]  # (w, s, d)
+    superclass_of = _superclass_of(spec)
     pattern_ids = (base_perms[:, None, :] + np.arange(styles)[:, None]) % s  # (w, styles, s)
     templates = np.empty((w, styles, s + 1, d))
     templates[:, :, 0] = anchors[0]
     templates[:, :, 1:] = anchors[1:] + patterns[superclass_of[:, None, None], pattern_ids]
     if not spec.cross_structure:
-        prototypes += offsets
         templates[:, :, 1:] += offsets[:, None]
 
     class_means = templates[:, 0, 1:, :].mean(axis=1)  # (w, d)
     class_embeddings = class_means @ proj
 
-    slots = np.arange(n) % (s + 1)  # round-robin part assignment, 0 = background
+    slots = _part_slots(spec)
 
-    def sample(count: int):
+    def sample(count: int) -> np.ndarray:
+        """count images per class, class-major."""
         patches = np.empty((w * count, n, d))
-        labels = np.zeros(w * count, dtype=np.int64)
-        part_ids = np.tile(slots, (w * count, 1)).astype(np.int64)
         for c in range(w):
             rows = patches[c * count : (c + 1) * count]
             chosen = rng.integers(0, styles, size=count)
@@ -189,34 +211,18 @@ def generate(spec: SyntheticSpec) -> Dataset:
             else:
                 # + 0.0 turns any -0.0 into 0.0
                 np.add(templates[c][chosen[:, None], slots], 0.0, out=rows)
-            labels[c * count : (c + 1) * count] = c
-        return patches, labels, part_ids
+        return patches
 
-    train_patches, train_labels, train_part_ids = sample(spec.train_per_class)
-    test_patches, test_labels, test_part_ids = sample(spec.test_per_class)
-
+    # the train split draws first
     return Dataset(
-        spec=spec,
-        train_patches=train_patches,
-        train_labels=train_labels,
-        train_part_ids=train_part_ids,
-        test_patches=test_patches,
-        test_labels=test_labels,
-        test_part_ids=test_part_ids,
-        class_embeddings=class_embeddings,
-        superclass_of=superclass_of,
-        templates=templates,
-        prototypes=prototypes,
-        base_perms=base_perms,
-        class_names=[f"class_{i:03d}" for i in range(w)],
-        part_names=["background"] + [f"part_{i}" for i in range(s)],
+        spec, sample(spec.train_per_class), sample(spec.test_per_class), class_embeddings, templates
     )
 
 
 def few_shot_split(ds: Dataset, shots: int, seed: int):
     """Pick `shots` train samples per class without replacement.
 
-    Returns (patches, labels, part_ids) in class-major order.
+    Returns (patches, labels) in class-major order.
     """
     if shots < 1 or shots > ds.spec.train_per_class:
         raise DataError(
@@ -229,7 +235,7 @@ def few_shot_split(ds: Dataset, shots: int, seed: int):
         pick = rng.permutation(per)[:shots]
         rows.append(c * per + np.sort(pick))
     rows = np.concatenate(rows)
-    return ds.train_patches[rows], ds.train_labels[rows], ds.train_part_ids[rows]
+    return ds.train_patches[rows], ds.train_labels[rows]
 
 
 def nearest_prototype_accuracy(ds: Dataset) -> float:
@@ -253,47 +259,25 @@ def nearest_prototype_accuracy(ds: Dataset) -> float:
 # --- dataset files ------------------------------------------------------------
 
 
-def _array_layout(spec: SyntheticSpec) -> dict[str, tuple[tuple[int, ...], int | None]]:
-    """Every array of a dataset file: name -> (shape the spec implies, value bound).
-
-    Integer arrays carry an exclusive upper bound on their values (the least
-    is 0) and are stored as int64; float arrays carry None and are stored as
-    float64.
-    """
-    w, g, s = spec.num_classes, spec.num_superclasses, spec.true_parts
-    t, d = spec.tokens_per_image, spec.patch_dim
-    n_train, n_test = w * spec.train_per_class, w * spec.test_per_class
+def _array_layout(spec: SyntheticSpec) -> dict[str, tuple[int, ...]]:
+    """Every array of a dataset file, stored as float64: name -> the shape the spec implies."""
+    w, t, d = spec.num_classes, spec.tokens_per_image, spec.patch_dim
     return {
-        "train_patches": ((n_train, t, d), None),
-        "train_labels": ((n_train,), w),
-        "train_part_ids": ((n_train, t), s + 1),
-        "test_patches": ((n_test, t, d), None),
-        "test_labels": ((n_test,), w),
-        "test_part_ids": ((n_test, t), s + 1),
-        "class_embeddings": ((w, spec.embed_dim), None),
-        "superclass_of": ((w,), g),
-        "templates": ((w, spec.num_styles(), s + 1, d), None),
-        "prototypes": ((w, s, d), None),
-        "base_perms": ((w, s), s),
+        "train_patches": (w * spec.train_per_class, t, d),
+        "test_patches": (w * spec.test_per_class, t, d),
+        "class_embeddings": (w, spec.embed_dim),
+        "templates": (w, spec.num_styles(), spec.true_parts + 1, d),
     }
 
 
 def save_dataset(path: str, ds: Dataset) -> None:
-    arrays = [
-        (name, getattr(ds, name), "<f8" if bound is None else "<i8")
-        for name, (_, bound) in _array_layout(ds.spec).items()
-    ]
-    meta = {"spec": asdict(ds.spec), "class_names": ds.class_names, "part_names": ds.part_names}
-    write_atomic(path, pack(DATASET_MAGIC, DATASET_VERSION, arrays, meta))
+    arrays = [(name, getattr(ds, name), "<f8") for name in _array_layout(ds.spec)]
+    write_atomic(path, pack(DATASET_MAGIC, DATASET_VERSION, arrays, {"spec": asdict(ds.spec)}))
 
 
 def load_dataset(path: str) -> Dataset:
     with open(path, "rb") as f:
         arrays, meta = unpack(f, DATASET_MAGIC, DATASET_VERSION, "dataset array")
-    names = {key: meta.get(key, []) for key in ("class_names", "part_names")}
-    for key, value in names.items():
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise FormatError(f"dataset metadata {key!r} must be a list of strings")
     spec_raw = meta.get("spec", {})
     if not isinstance(spec_raw, dict):
         raise FormatError("dataset metadata 'spec' must be a JSON object")
@@ -302,22 +286,11 @@ def load_dataset(path: str) -> Dataset:
     except DataError as e:
         raise FormatError(f"dataset metadata has an invalid spec: {e}") from None
     layout = _array_layout(spec)
-    missing = set(layout) - set(arrays)
-    if missing:
-        raise FormatError(f"dataset file missing arrays: {sorted(missing)}")
-    for name, (shape, bound) in layout.items():
-        values = arrays[name]
-        kind = "f" if bound is None else "i"
-        if values.shape != shape or values.dtype.kind != kind:
+    if sorted(arrays) != sorted(layout):
+        raise FormatError(f"dataset file holds arrays {sorted(arrays)}, expected {sorted(layout)}")
+    for name, shape in layout.items():
+        if arrays[name].shape != shape:
             raise FormatError(
-                f"dataset array {name!r} is {values.dtype} {values.shape}, "
-                f"the spec implies kind {kind!r} {shape}"
+                f"dataset array {name!r} has shape {arrays[name].shape}, the spec implies {shape}"
             )
-        if bound is not None and (values.min() < 0 or values.max() >= bound):
-            raise FormatError(f"dataset array {name!r} must hold values in [0, {bound})")
-    return Dataset(
-        spec=spec,
-        class_names=names["class_names"],
-        part_names=names["part_names"],
-        **{name: arrays[name] for name in layout},
-    )
+    return Dataset(spec, **{name: arrays[name] for name in layout})

@@ -357,6 +357,16 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else 1
 
 
+def _patch_array(patches) -> np.ndarray:
+    """patches as a numeric (images, tokens, features) array, or the eval pass's refusal."""
+    patches = np.asarray(patches)
+    if patches.dtype.kind not in "biuf":
+        raise DataError(f"patches must be numeric, got dtype {patches.dtype}")
+    if patches.ndim != 3:
+        raise ShapeMismatchError(f"expected (images, tokens, features), got {patches.shape}")
+    return patches
+
+
 def _eval_pass(
     model: Model, patches: np.ndarray, encoded: bool = False, keep_weights: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -375,11 +385,7 @@ def _eval_pass(
     thread that computes it.  Passes of encoded features run on the calling
     thread.
     """
-    patches = np.asarray(patches)
-    if patches.dtype.kind not in "biuf":
-        raise DataError(f"patches must be numeric, got dtype {patches.dtype}")
-    if patches.ndim != 3:
-        raise ShapeMismatchError(f"expected (images, tokens, features), got {patches.shape}")
+    patches = _patch_array(patches)
     n = patches.shape[0]
     if n == 0:
         raise DataError("empty split")
@@ -464,7 +470,7 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> tuple[Model, R
     """Few-shot training with SGD + cosine schedule; deterministic given seeds."""
     config.validate()
     ds = dataset if dataset is not None else config_dataset(config)
-    patches, labels = few_shot_split(ds, config.shots, config.seed_data)[:2]
+    patches, labels = few_shot_split(ds, config.shots, config.seed_data)
     model = build_model(config, ds)
     before = model.frozen_checksums()
 
@@ -557,17 +563,14 @@ def export_attention(
     """
     if limit is not None and _count(limit, "export limit") < 1:
         raise ConfigError(f"need an export limit >= 1, got {limit!r}")
-    patches = np.asarray(patches)
+    patches = _patch_array(patches)[:limit]
     part_ids = np.asarray(part_ids)
-    if limit is not None:
-        patches = patches[:limit]
     if part_ids.dtype.kind not in "iu":
         raise DataError(f"part_ids must be integers, got dtype {part_ids.dtype}")
-    # patches that are not (images, tokens, features) are the eval pass's to refuse
     if (
         part_ids.ndim != 2
         or part_ids.shape[0] < patches.shape[0]
-        or (patches.ndim == 3 and part_ids.shape[1] != patches.shape[1])
+        or part_ids.shape[1] != patches.shape[1]
     ):
         raise DataError(
             f"part_ids {part_ids.shape} needs a row of token ids for each image of {patches.shape}"
@@ -650,9 +653,7 @@ def load_model(dir_path: str) -> tuple[Model, RunReport | None]:
         values = arrays[name]
         if values.shape != shape:
             raise DataError(f"model array {name!r} has shape {values.shape}, expected {shape}")
-        if values.dtype != np.float64:
-            raise DataError(f"model array {name!r} is stored as {values.dtype}, not floats")
-        return values  # the reader's own fresh copy
+        return values  # the reader's own fresh float64 copy
 
     # every parameter and batch-norm statistic is replaced or the load
     # refused: no unfilled weight survives

@@ -4,11 +4,15 @@ The first group is deliberately written as plain python loops over numpy
 rows, independent of the library's batched tensor code paths.  The second
 group adds the primitive tape ops that only the oracles use, and the third
 rebuilds the fused layers from primitive tape ops, as bitwise oracles.  Then
-comes the whole-split eval, the bitwise oracle of the chunked one, and last
-the frozen prompt features that manual-prompt runs load from a file.
+comes the whole-split eval, the bitwise oracle of the chunked one, then
+the frozen prompt features that manual-prompt runs load from a file, and
+last the container layout framed with struct, the byte oracle of pack that
+also writes dtype codes pack refuses.
 """
 
+import json
 import math
+import struct
 
 import numpy as np
 
@@ -359,3 +363,21 @@ def random_prompt_features(config, num_classes: int, seed: int = 0) -> np.ndarra
     """Frozen standard-normal (classes, parts, feat_dim) features, for robustness runs."""
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, 1.0, size=(num_classes, config.num_parts, config.feat_dim))
+
+
+# --- the container layout, framed by hand -----------------------------------------------
+
+
+def framed_by_hand(magic: bytes, version: int, arrays, meta: dict) -> tuple[bytes, list[int]]:
+    """The bytes of pack's layout from (name, dtype code, values) triples, each
+    payload written as values.tobytes(), and the offset of each dtype code byte."""
+    out = magic + struct.pack("<II", version, len(arrays))
+    code_offsets = []
+    for name, code, values in arrays:
+        encoded = name.encode("utf-8")
+        out += struct.pack("<I", len(encoded)) + encoded
+        code_offsets.append(len(out))
+        out += struct.pack(f"<BI{values.ndim}Q", code, values.ndim, *values.shape)
+        out += values.tobytes()  # row-major, whatever the strides
+    raw = json.dumps(meta, sort_keys=True).encode("utf-8")
+    return out + struct.pack("<I", len(raw)) + raw, code_offsets

@@ -71,7 +71,7 @@ def test_gradient_integrity():
         },
     )
     ds = generate(SyntheticSpec(**config.data_spec))
-    patches, labels, _ = few_shot_split(ds, config.shots, config.seed_data)
+    patches, labels = few_shot_split(ds, config.shots, config.seed_data)
     model = build_model(config, ds)
     feats = constant(model.image_encoder.encode(patches[:4]))
     batch_labels = labels[:4]

@@ -82,10 +82,13 @@ def test_wrong_json_type_in_a_spec_is_one_error_line(tmp_path, capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("noise", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize(
+    "noise", [float("nan"), float("inf"), 10**400], ids=["NaN", "Infinity", "beyond_float"]
+)
 def test_gen_data_refuses_a_noise_that_is_not_finite(noise, tmp_path, capsys):
-    # json writes and reads these as the words NaN and Infinity; a NaN noise
-    # would write a noise-free dataset, an infinite one a dataset no reader loads
+    # json writes and reads the first two as the words NaN and Infinity; a NaN
+    # noise would write a noise-free dataset, an infinite one a dataset no
+    # reader loads, and an integer beyond the float range printed a traceback
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(dict(TINY_SPEC, noise=noise)))
     code = main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d.xrvd")])

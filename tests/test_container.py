@@ -1,17 +1,17 @@
 """The shared binary container: pack bytes against a struct oracle, unpack copies."""
 
 import io
-import json
 import struct
 
 import numpy as np
 import pytest
 
+import bruteforce
 from xrhead.container import MAX_METADATA_BYTES, pack, unpack
 from xrhead.errors import FormatError
 from xrhead.report import write_atomic
 
-CODES = {np.dtype("<f4"): 0, np.dtype("<i8"): 1, np.dtype("<f8"): 2}
+CODES = {np.dtype("<f4"): 0, np.dtype("<f8"): 2}
 
 # C-contiguous, strided, narrowed, widened, big-endian, 0-d and empty inputs
 ARRAYS = [
@@ -19,29 +19,21 @@ ARRAYS = [
     ("strided", np.arange(12.0).reshape(3, 4).T, "<f8"),
     ("narrowed", np.linspace(-1.0, 1.0, 5), "<f4"),
     ("strided as f4", np.arange(12.0).reshape(3, 4).T, "<f4"),
-    ("widened", np.arange(6, dtype=np.int32).reshape(2, 3), "<i8"),
+    ("widened", np.arange(6, dtype=np.int32).reshape(2, 3), "<f8"),
     ("big-endian", np.arange(4.0).astype(">f8"), "<f8"),
     ("zero-d", np.array(2.5), "<f8"),
     ("empty", np.zeros((0, 3)), "<f8"),
-    ("näme", np.array([[7]]), "<i8"),
+    ("näme", np.array([[7]]), "<f4"),
 ]
 META = {"b": [1, 2.5, None], "a": "ü"}
 
 
-def oracle_array(values, dtype) -> bytes:
-    out = struct.pack("<I", values.ndim)
-    out += b"".join(struct.pack("<Q", e) for e in values.shape)
-    return out + np.ascontiguousarray(values, dtype=dtype).tobytes()
-
-
 def oracle_bytes() -> bytes:
-    out = b"TEST" + struct.pack("<I", 3) + struct.pack("<I", len(ARRAYS))
-    for name, values, dtype in ARRAYS:
-        encoded = name.encode("utf-8")
-        out += struct.pack("<I", len(encoded)) + encoded + struct.pack("<B", CODES[np.dtype(dtype)])
-        out += oracle_array(values, dtype)
-    meta = json.dumps(META, sort_keys=True).encode("utf-8")
-    return out + struct.pack("<I", len(meta)) + meta
+    arrays = [
+        (name, CODES[np.dtype(dtype)], np.asarray(values, dtype=dtype))
+        for name, values, dtype in ARRAYS
+    ]
+    return bruteforce.framed_by_hand(b"TEST", 3, arrays, META)[0]
 
 
 def test_pack_bytes_match_struct_oracle(tmp_path):
@@ -63,6 +55,15 @@ def test_reader_returns_fresh_writable_arrays():
         assert got.flags.owndata and got.flags.writeable, name
         want = np.asarray(values, dtype=np.dtype(dtype)).astype(got.dtype)
         assert got.shape == values.shape and got.tobytes() == want.tobytes(), name
+
+
+def test_reader_refuses_dtype_code_1_at_its_offset():
+    # code 1 was int64; pack no longer writes it, so the bytes are framed by hand
+    arrays = [("floats", 2, np.ones(3)), ("ints", 1, np.arange(6).reshape(2, 3))]
+    raw, code_offsets = bruteforce.framed_by_hand(b"TEST", 3, arrays, {})
+    with pytest.raises(FormatError, match="unknown dtype code 1 for ints") as err:
+        unpack(io.BytesIO(raw), b"TEST", 3, "array")
+    assert err.value.offset == code_offsets[1]
 
 
 def test_reader_errors_print_bytes():

@@ -3,8 +3,10 @@
 import hashlib
 import io
 import math
+import re
+import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -70,6 +72,8 @@ def test_spec_validation():
         # NaN would pass as a noise-free spec, and inf would write a dataset no reader loads
         ({"noise": math.nan}, "noise must be >= 0 and finite"),
         ({"noise": math.inf}, "noise must be >= 0 and finite"),
+        # an int beyond the float range used to raise OverflowError
+        ({"noise": 10**400}, "noise must be >= 0 and finite"),
         ({"train_per_class": 0}, "need at least one sample per class"),
         ({"test_per_class": 0}, "need at least one sample per class"),
         ({"patch_dim": 0}, "patch_dim and embed_dim must be positive"),
@@ -79,6 +83,7 @@ def test_spec_validation():
         "noise",
         "noise_nan",
         "noise_inf",
+        "noise_beyond_float",
         "train_per_class",
         "test_per_class",
         "patch_dim",
@@ -143,7 +148,6 @@ def test_generate_shapes_and_labels():
     np.testing.assert_array_equal(np.bincount(ds.test_labels), np.full(6, 4))
     assert ds.class_embeddings.shape == (6, 5)
     assert ds.superclass_of.tolist() == [0, 0, 0, 1, 1, 1]
-    assert len(ds.class_names) == 6 and len(ds.part_names) == 4
 
 
 def test_round_robin_part_ids():
@@ -200,20 +204,35 @@ def test_two_class_swap_construction():
     )
     ds = generate(spec)
     assert spec.num_styles() == 1  # too few rotation-free assignments, stays fixed
-    np.testing.assert_array_equal(ds.prototypes[1], ds.prototypes[0][::-1])
+    # a part's template is its anchor plus its pattern, so the anchors cancel
+    # in a difference: the two classes swap one pair of patterns
+    diff = ds.templates[1, 0, 1:] - ds.templates[0, 0, 1:]
+    np.testing.assert_allclose(diff[1], -diff[0], atol=1e-12)
+    assert np.abs(diff).max() > 0.1
+
+
+def _pattern_parts(ds) -> np.ndarray:
+    """(classes, parts, d): each part's pattern at style 0, less the mean pattern.
+
+    With one style per cyclic shift, a part's mean template over the styles
+    is its anchor plus the mean of the superclass's patterns.
+    """
+    return ds.templates[:, 0, 1:] - ds.templates[:, :, 1:].mean(axis=1)
 
 
 def test_cross_structure_marginals_and_styles():
     spec = SyntheticSpec(cross_structure=True, seed=5)
     assert spec.num_styles() == 4
     ds = generate(spec)
-    # sibling classes share one prototype set, permuted
+    # sibling classes share one pattern set, assigned to the parts in
+    # another order
     siblings = 4
+    patterns = _pattern_parts(ds)
     for base in (0, 4, 8):
-        ref = np.sort(ds.prototypes[base].round(12), axis=0)
+        ref = np.sort(patterns[base], axis=0)
         for c in range(base + 1, base + siblings):
-            np.testing.assert_allclose(np.sort(ds.prototypes[c].round(12), axis=0), ref)
-            assert not np.array_equal(ds.base_perms[c], ds.base_perms[base])
+            np.testing.assert_allclose(np.sort(patterns[c], axis=0), ref, atol=1e-12)
+            assert not np.allclose(patterns[c], patterns[base])
     # per-part template sets match across siblings exactly: marginals identical
     for p in range(1, 5):
         ref = np.sort(ds.templates[0, :, p, :], axis=0)
@@ -232,13 +251,15 @@ def test_cross_structure_marginals_and_styles():
 
 def test_cross_structure_perms_rotation_inequivalent():
     ds = generate(SyntheticSpec(cross_structure=True, seed=7))
-    s = 4
+    # a style shift rotates the pattern assignment; no shift of one sibling's
+    # assignment is another's
     for base in range(0, 20, 4):
-        group = ds.base_perms[base : base + 4]
+        group = ds.templates[base : base + 4]
         for i in range(4):
-            for j in range(i + 1, 4):
-                for r in range(s):
-                    assert not np.array_equal((group[i] + r) % s, group[j]), (base, i, j, r)
+            for j in range(4):
+                for r in range(group.shape[1]):
+                    if i != j:
+                        assert not np.array_equal(group[i, r], group[j, 0]), (base, i, j, r)
 
 
 def test_sibling_embeddings_collapse_in_cross_mode():
@@ -253,13 +274,12 @@ def test_sibling_embeddings_collapse_in_cross_mode():
 
 def test_few_shot_split():
     ds = generate(small_spec())
-    patches, labels, part_ids = few_shot_split(ds, shots=3, seed=11)
+    patches, labels = few_shot_split(ds, shots=3, seed=11)
     assert patches.shape == (18, 8, 10)
     np.testing.assert_array_equal(np.bincount(labels), np.full(6, 3))
-    assert part_ids.shape == (18, 8)
-    again, _, _ = few_shot_split(ds, shots=3, seed=11)
+    again, _ = few_shot_split(ds, shots=3, seed=11)
     np.testing.assert_array_equal(patches, again)
-    other, _, _ = few_shot_split(ds, shots=3, seed=12)
+    other, _ = few_shot_split(ds, shots=3, seed=12)
     assert not np.array_equal(patches, other)
     with pytest.raises(DataError):
         few_shot_split(ds, shots=7, seed=0)
@@ -272,14 +292,35 @@ def test_dataset_round_trip(tmp_path):
     ds = generate(small_spec(cross_structure=False))
     save_dataset(path, ds)
     back = load_dataset(path)
-    np.testing.assert_array_equal(back.train_patches, ds.train_patches)
-    np.testing.assert_array_equal(back.test_labels, ds.test_labels)
-    np.testing.assert_array_equal(back.class_embeddings, ds.class_embeddings)
-    np.testing.assert_array_equal(back.templates, ds.templates)
-    np.testing.assert_array_equal(back.prototypes, ds.prototypes)
+    for name, values in vars(ds).items():
+        if isinstance(values, np.ndarray):
+            assert getattr(back, name).tobytes() == values.tobytes(), name
     assert back.spec == ds.spec
-    assert back.class_names == ds.class_names
-    assert back.part_names == ds.part_names
+
+
+def test_dataset_file_stores_only_the_drawn_floats(tmp_path):
+    # labels, part ids and superclasses follow from the spec, so a file
+    # cannot hold labels that disagree with the images' layout
+    path = tmp_path / "ds.xrvd"
+    ds = generate(small_spec())
+    save_dataset(str(path), ds)
+    raw = path.read_bytes()
+    arrays, meta = unpack(io.BytesIO(raw), DATASET_MAGIC, DATASET_VERSION, "dataset array")
+    assert list(arrays) == ["train_patches", "test_patches", "class_embeddings", "templates"]
+    assert meta == {"spec": asdict(ds.spec)}
+    want = pack(DATASET_MAGIC, 2, [(n, getattr(ds, n), "<f8") for n in arrays], meta)
+    assert raw == bytes(want)
+
+
+def test_dataset_file_of_version_1_is_refused(tmp_path):
+    path = tmp_path / "old.xrvd"
+    save_dataset(str(path), generate(small_spec()))
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="unsupported version 1, expected 2") as err:
+        load_dataset(str(path))
+    assert err.value.offset == 4
 
 
 def test_dataset_file_errors(tmp_path):
@@ -304,9 +345,10 @@ def test_dataset_file_errors(tmp_path):
     arrays, meta = unpack(io.BytesIO(raw), DATASET_MAGIC, DATASET_VERSION, "dataset array")
     del arrays["templates"]
     missing = tmp_path / "missing.xrvd"
-    kept = [(n, v, "<i8" if v.dtype.kind == "i" else "<f8") for n, v in arrays.items()]
+    kept = [(n, v, "<f8") for n, v in arrays.items()]
     missing.write_bytes(pack(DATASET_MAGIC, DATASET_VERSION, kept, meta))
-    with pytest.raises(FormatError, match=r"dataset file missing arrays: \['templates'\]"):
+    held = "['class_embeddings', 'test_patches', 'train_patches']"
+    with pytest.raises(FormatError, match=re.escape(f"holds arrays {held}, expected")):
         load_dataset(str(missing))
 
     trailing = str(tmp_path / "trail.xrvd")
@@ -330,9 +372,7 @@ GENERATE_SHA256 = [
     (
         {"seed": 0},
         {
-            "base_perms": "235885c55609ef75ed7245c6ea1ce9982be7f9d29b7dc1b9e46ec9677ba0641b",
             "class_embeddings": "558667946ed6bcc437162ce8b75bef61ce2c28afa064b2a884fc25c113e8e849",
-            "prototypes": "618456334db7fd373eb32fea4a85f88fb3219e4961e5117243e0ae2aada1c57f",
             "templates": "e8035a06078a26d4eefae71e1737da4a6fd179f5aa68807bc22f377167c163e5",
             "test_patches": "254e8910d0c366385eefa509582f94db5557c56a1bf61027fa097aabee7b8ab2",
             "train_patches": "994090a523066009d01bca0bdf37c5bf3d07e65cb49242eb753b3947c2c39369",
@@ -341,9 +381,7 @@ GENERATE_SHA256 = [
     (
         {"seed": 1301},
         {
-            "base_perms": "235885c55609ef75ed7245c6ea1ce9982be7f9d29b7dc1b9e46ec9677ba0641b",
             "class_embeddings": "a23f5321126baf48d04d69e3fe6ff3ebd4e067e371863fb5732d06d61bf4e805",
-            "prototypes": "87cd2a49b823d2294c9dba4080bc7a6a0af1de8b7f0750d3e161a0b4a6e3d255",
             "templates": "d91b269df51c80cc194e0c1c34006af05f1b6c49c41b12ee219d91675e67ad60",
             "test_patches": "a967e26a729dbb9d7503bf1e6a59ef2dafde18ad4f0c438c795e9acc9e09c8a4",
             "train_patches": "eca891ad05d12e75ea0cdea91037579768f2b890902de2a7b187612251db522d",
@@ -352,9 +390,7 @@ GENERATE_SHA256 = [
     (
         {"cross_structure": True, "seed": 0},
         {
-            "base_perms": "889ae8c62c6b34769c3e44083b75fd72580b4edc2811d980f15d966fa8f67c1f",
             "class_embeddings": "e7fbfc7e13d5a6383535c0855973b4e06899d65f7228d1274bc1a4830fa4c576",
-            "prototypes": "57894baebb7c00fbab886e9506f31267fc25effc74e0575dc75f77eb2aa8a0eb",
             "templates": "8d4f31384693b5a5e0f9c57fc269effc04626a1c59b4719591fc90bee3e62843",
             "test_patches": "6b61d32902e0dc1138d982db9564bbc742fb460fd3c0930779bc01294da128de",
             "train_patches": "c5d6acf2dc289adb2d529812123a9206eb7715eea76e81380a9815ffea555b3d",
@@ -363,9 +399,7 @@ GENERATE_SHA256 = [
     (
         {"cross_structure": True, "seed": 1301},
         {
-            "base_perms": "293f57d76ca9f3156a894fe59ff28be5568878dd16851bf0c91a6fcd63928151",
             "class_embeddings": "ea4f84405470e28b2b4e3575fc887450d97b609d48f4163bdc0c0adb1430a861",
-            "prototypes": "07de6792b67db5eda231981c714d0b49fb82c57d76b73ba1a1aa69896c014480",
             "templates": "165b04f4380f03c5951a3b07c8e290de406be96f85ddcc5005aee06932dffb3d",
             "test_patches": "e336bf66ab96ae93ae8d50aa689200344395a8c89230de38b452fa449846ede2",
             "train_patches": "2abf0811145aedb060ad97fc701f1798001aaa317ad75365e999f836f3e2c293",
@@ -374,9 +408,7 @@ GENERATE_SHA256 = [
     (
         {"noise": 0.0, "seed": 0},
         {
-            "base_perms": "235885c55609ef75ed7245c6ea1ce9982be7f9d29b7dc1b9e46ec9677ba0641b",
             "class_embeddings": "558667946ed6bcc437162ce8b75bef61ce2c28afa064b2a884fc25c113e8e849",
-            "prototypes": "618456334db7fd373eb32fea4a85f88fb3219e4961e5117243e0ae2aada1c57f",
             "templates": "e8035a06078a26d4eefae71e1737da4a6fd179f5aa68807bc22f377167c163e5",
             "test_patches": "f2e5bb319e365421cce322ea2b6b2eca0109245ed44edec992f06e0fe3e6a6a6",
             "train_patches": "2a7462335033e46f44317c72713b4e3ffa75f7f71055c8bc614f66ef60a42501",

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import bruteforce
 from xrhead.container import pack
 from xrhead.encoders import (
     FEATURE_MAGIC,
@@ -164,7 +165,6 @@ def test_feature_file_is_one_named_f4_array(tmp_path):
 
 FEATURE_FILE_REFUSALS = {
     "two arrays": [("features", np.ones(3), "<f4"), ("extra", np.ones(3), "<f4")],
-    "int64 features": [("features", np.arange(3), "<i8")],
     "wrong name": [("feature", np.ones(3), "<f4")],
     "no array": [],
 }
@@ -176,6 +176,17 @@ def test_feature_file_refuses_other_arrays(case, tmp_path):
     path.write_bytes(pack(FEATURE_MAGIC, FEATURE_VERSION, FEATURE_FILE_REFUSALS[case], {}))
     with pytest.raises(FormatError, match="one float array 'features'"):
         load_features(str(path))
+
+
+def test_feature_file_refuses_dtype_code_1(tmp_path):
+    # code 1 was int64; pack no longer writes it, so the bytes are framed by hand
+    path = tmp_path / "ints.xrvf"
+    arrays = [("features", 1, np.arange(3))]
+    raw, code_offsets = bruteforce.framed_by_hand(FEATURE_MAGIC, FEATURE_VERSION, arrays, {})
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match="unknown dtype code 1 for features") as err:
+        load_features(str(path))
+    assert err.value.offset == code_offsets[0]
 
 
 def test_feature_file_of_version_1_is_refused(tmp_path):

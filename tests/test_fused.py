@@ -364,7 +364,7 @@ def tiny_dataset():
 
 
 def step_inputs(config, dataset):
-    patches, labels, _ = few_shot_split(dataset, config.shots, config.seed_data)
+    patches, labels = few_shot_split(dataset, config.shots, config.seed_data)
     model = build_model(config, dataset)
     return model, constant(model.image_encoder.encode(patches[:9])), labels[:9]
 

@@ -294,7 +294,7 @@ def test_train_encodes_each_training_image_once(tiny_dataset, monkeypatch):
     assert rows == [24, 48]
     monkeypatch.undo()
     assert report == plain
-    patches, labels, _ = few_shot_split(tiny_dataset, cfg.shots, cfg.seed_data)
+    patches, labels = few_shot_split(tiny_dataset, cfg.shots, cfg.seed_data)
     assert report.train_accuracy == evaluate(model, patches, labels)
 
 
@@ -571,6 +571,14 @@ def test_eval_refuses_patches_that_are_not_three_dimensional(tiny_dataset):
             predict_logits(model, bad)
         with pytest.raises(ShapeMismatchError, match="images, tokens, features"):
             export_attention(model, bad, part_ids)
+
+
+def test_export_attention_refuses_zero_d_patches(tiny_dataset):
+    # a 0-d array has no images to slice or to count: it used to raise IndexError
+    model = build_model(tiny_config(), tiny_dataset)
+    for limit in (None, 2):
+        with pytest.raises(ShapeMismatchError, match="images, tokens, features"):
+            export_attention(model, np.float64(1.0), tiny_dataset.test_part_ids, limit=limit)
 
 
 def test_eval_refuses_patches_that_are_not_numeric(tiny_dataset):
@@ -1380,7 +1388,7 @@ def _rewrite_params(path, edit_meta=None, edit_arrays=None):
         edit_meta(meta)
     if edit_arrays is not None:
         edit_arrays(arrays)
-    triples = [(n, v, "<i8" if v.dtype.kind == "i" else "<f8") for n, v in arrays.items()]
+    triples = [(n, v, "<f8") for n, v in arrays.items()]
     path.write_bytes(pack(harness.MODEL_MAGIC, harness.MODEL_VERSION, triples, meta))
 
 
@@ -1433,15 +1441,21 @@ def test_reload_draws_only_the_frozen_encoders(kind, tmp_path, tiny_dataset, mon
 
 
 def test_load_model_refuses_integer_parameters(tmp_path, tiny_dataset):
+    # dtype code 1 was int64; pack no longer writes it, so the bytes are framed by hand
     model, _ = train(tiny_config(), tiny_dataset)
     save_model(str(tmp_path), model)
+    params = tmp_path / "params.xrvp"
+    with open(params, "rb") as f:
+        arrays, meta = unpack(f, harness.MODEL_MAGIC, harness.MODEL_VERSION, "array")
     name = model.params()[0].name
-    _rewrite_params(
-        tmp_path / "params.xrvp",
-        edit_arrays=lambda arrays: arrays.update({name: arrays[name].astype(np.int64)}),
+    framed = [(n, 1 if n == name else 2, v) for n, v in arrays.items()]
+    raw, code_offsets = bruteforce.framed_by_hand(
+        harness.MODEL_MAGIC, harness.MODEL_VERSION, framed, meta
     )
-    with pytest.raises(DataError, match="int64"):
+    params.write_bytes(raw)
+    with pytest.raises(FormatError, match=re.escape(f"unknown dtype code 1 for {name}")) as err:
         load_model(str(tmp_path))
+    assert err.value.offset == code_offsets[list(arrays).index(name)]
 
 
 @pytest.mark.parametrize(
@@ -1539,7 +1553,6 @@ def test_load_model_refuses_malformed_batch_norm_state(tmp_path, tiny_dataset):
         ("attn.bn.running_mean", lambda values: values[:1], r"has shape \(1,\)"),
         ("attn.bn.running_var", lambda values: np.stack([values, values]), "has shape"),
         ("head.clf.bn.running_var", negative, "negative"),
-        ("head.clf.bn.running_mean", lambda values: values.astype(np.int64), "int64, not floats"),
     ):
         params.write_bytes(saved)
         _rewrite_params(params, edit_arrays=lambda a: a.update({name: edit(a[name])}))

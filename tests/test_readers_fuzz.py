@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import bruteforce
 from xrhead.container import pack, unpack
 from xrhead.data import (
     DATASET_MAGIC,
@@ -111,9 +112,9 @@ def write(path: str, data: bytes) -> str:
 # --- container.unpack ------------------------------------------------------------
 
 
-def container_bytes(names=("ints", "floats")) -> bytes:
+def container_bytes(names=("grid", "floats")) -> bytes:
     arrays = [
-        (names[0], np.arange(6).reshape(2, 3), "<i8"),
+        (names[0], np.arange(6.0).reshape(2, 3), "<f8"),
         (names[1], np.linspace(0.0, 1.0, 4), "<f8"),
         ("narrow", np.ones((2, 2)), "<f4"),
     ]
@@ -126,13 +127,13 @@ def read_container(data: bytes) -> dict:
 
 def test_container_round_trip():
     arrays = read_container(container_bytes())
-    assert sorted(arrays) == ["floats", "ints", "narrow"]
-    np.testing.assert_array_equal(arrays["ints"], np.arange(6).reshape(2, 3))
+    assert sorted(arrays) == ["floats", "grid", "narrow"]
+    np.testing.assert_array_equal(arrays["grid"], np.arange(6.0).reshape(2, 3))
 
 
 def test_container_refuses_duplicate_names():
-    with pytest.raises(FormatError, match="'ints' appears twice"):
-        read_container(container_bytes(names=("ints", "ints")))
+    with pytest.raises(FormatError, match="'grid' appears twice"):
+        read_container(container_bytes(names=("grid", "grid")))
 
 
 @FUZZ
@@ -188,20 +189,21 @@ def dataset(workdir):
         return ds, f.read()
 
 
+STORED = ["train_patches", "test_patches", "class_embeddings", "templates"]
+
+
 def dataset_arrays(ds) -> list[tuple[str, np.ndarray]]:
-    return sorted(
-        ((k, v) for k, v in vars(ds).items() if isinstance(v, np.ndarray)), key=lambda kv: kv[0]
-    )
+    """The (name, values) arrays a dataset file stores."""
+    return [(name, getattr(ds, name)) for name in STORED]
 
 
 def dataset_container(arrays, meta) -> bytes:
     """A well-formed dataset container holding the given (name, values) arrays and metadata."""
-    triples = [(name, v, "<i8" if v.dtype.kind == "i" else "<f8") for name, v in arrays]
-    return bytes(pack(DATASET_MAGIC, DATASET_VERSION, triples, meta))
+    return bytes(pack(DATASET_MAGIC, DATASET_VERSION, [(n, v, "<f8") for n, v in arrays], meta))
 
 
 def good_metadata(ds) -> dict:
-    return {"spec": SMALL_SPEC, "class_names": ds.class_names, "part_names": ds.part_names}
+    return {"spec": SMALL_SPEC}
 
 
 def test_dataset_with_metadata_round_trips(dataset, workdir):
@@ -235,10 +237,10 @@ def test_dataset_reader_refuses_a_spec_of_wrong_types_or_removed_keys(
 
 def test_dataset_reader_refuses_duplicate_array(dataset, workdir):
     ds, _ = dataset
-    # a second, shorter train_labels used to replace the real one silently
-    arrays = dataset_arrays(ds) + [("train_labels", np.zeros(5, dtype=np.int64))]
+    # a second, shorter array used to replace the real one silently
+    arrays = dataset_arrays(ds) + [("templates", np.zeros(5))]
     path = write(os.path.join(workdir, "dup.xrvd"), dataset_container(arrays, good_metadata(ds)))
-    with pytest.raises(FormatError, match="'train_labels' appears twice"):
+    with pytest.raises(FormatError, match="'templates' appears twice"):
         load_dataset(path)
 
 
@@ -259,25 +261,31 @@ def test_dataset_reader_refuses_duplicate_array(dataset, workdir):
     ],
 )
 def test_dataset_reader_checks_every_array_against_the_spec(name, dataset, workdir):
+    # a stored array of another shape or dtype code is refused; the arrays
+    # the spec implies (labels, part ids, superclasses) and the ones files no
+    # longer hold are refused when stored
     ds, _ = dataset
     path = os.path.join(workdir, "bad.xrvd")
 
-    def load_with(values):
-        arrays = [(k, values if k == name else v) for k, v in dataset_arrays(ds)]
-        write(path, dataset_container(arrays, good_metadata(ds)))
-        with pytest.raises(FormatError, match=repr(name)):
+    def refused(raw: bytes) -> FormatError:
+        write(path, raw)
+        with pytest.raises(FormatError, match=name) as err:
             load_dataset(path)
+        return err.value
 
+    if name not in STORED:
+        extra = (name, np.zeros((2, 3)))
+        refused(dataset_container(dataset_arrays(ds) + [extra], good_metadata(ds)))
+        return
     values = getattr(ds, name)
-    load_with(values[1:])  # one leading row short
-    load_with(values.astype(np.float64) if values.dtype.kind == "i" else values.astype(np.int64))
-    if values.dtype.kind == "i":
-        too_big = values.copy()
-        too_big.flat[0] = values.max() + 100
-        load_with(too_big)
-        negative = values.copy()
-        negative.flat[0] = -1
-        load_with(negative)
+    arrays = [(k, values[1:] if k == name else v) for k, v in dataset_arrays(ds)]
+    refused(dataset_container(arrays, good_metadata(ds)))  # one leading row short
+    # code 1 was int64; pack no longer writes it, so the bytes are framed by hand
+    framed = [(k, 1 if k == name else 2, v) for k, v in dataset_arrays(ds)]
+    raw, code_offsets = bruteforce.framed_by_hand(
+        DATASET_MAGIC, DATASET_VERSION, framed, good_metadata(ds)
+    )
+    assert refused(raw).offset == code_offsets[STORED.index(name)]
 
 
 @FUZZ
@@ -292,11 +300,7 @@ def test_dataset_reader_refuses_damage(data, workdir, dataset):
 @given(data=st.data())
 def test_dataset_reader_refuses_wrong_metadata(data, workdir, dataset):
     ds, _ = dataset
-    base = {
-        "spec": data.draw(st.one_of(mutated_dict(SMALL_SPEC), json_values)),
-        "class_names": ds.class_names,
-        "part_names": ds.part_names,
-    }
+    base = {"spec": data.draw(st.one_of(mutated_dict(SMALL_SPEC), json_values))}
     meta = data.draw(mutated_dict(base))
     path = write(os.path.join(workdir, "meta.xrvd"), dataset_container(dataset_arrays(ds), meta))
     must_load_or_refuse(load_dataset, path)
