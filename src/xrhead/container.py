@@ -7,6 +7,10 @@ or f8) and stored as rank + u64 extents + row-major payload.  pack() builds
 that layout and unpack() reads it back; no other module knows the framing.
 Decoding errors always report the byte offset of the failure.
 
+One rule says what any file may hold: exactly the arrays its reader names,
+in the shapes it implies (check_arrays), each finite in its stored dtype.
+pack refuses on write what the reader refuses on read.
+
 Arrays are copied at most once each way.  pack appends each payload through
 the buffer protocol into the one buffer that the caller hands to the atomic
 file write.  Reader reads each payload from the open file straight into its
@@ -38,16 +42,25 @@ MAX_METADATA_BYTES = 1 << 24
 def pack(
     magic: bytes, version: int, arrays: list[tuple[str, np.ndarray, str]], meta: dict
 ) -> bytearray:
-    """The layout unpack reads, from (name, values, dtype) triples and a metadata dict."""
+    """The layout unpack reads, from (name, values, dtype) triples and a metadata dict.
+
+    FormatError for an array that is not numeric or not finite as its dtype.
+    """
     buf = bytearray(magic)
     buf += struct.pack("<II", version, len(arrays))
     for name, values, dtype in arrays:
         dtype = np.dtype(dtype)
+        if values.dtype.kind not in "iuf":
+            raise FormatError(f"array {name!r} is not numeric: dtype {values.dtype}")
+        with np.errstate(over="ignore"):  # a value beyond the dtype's range is refused below
+            payload = np.ascontiguousarray(values, dtype=dtype)
+        if not np.all(np.isfinite(payload)):
+            raise FormatError(f"array {name!r} has values that are not finite as {dtype}")
         encoded = name.encode("utf-8")
         buf += struct.pack("<I", len(encoded))
         buf += encoded
         buf += struct.pack(f"<BI{values.ndim}Q", _CODE_FOR[dtype], values.ndim, *values.shape)
-        buf += np.ascontiguousarray(values, dtype=dtype).data
+        buf += payload.data
     raw = json.dumps(meta, sort_keys=True).encode("utf-8")
     buf += struct.pack("<I", len(raw))
     buf += raw
@@ -73,6 +86,21 @@ def unpack(
     if r.offset != r.size:
         raise FormatError(f"{r.size - r.offset} trailing bytes after payload", r.offset)
     return arrays, meta
+
+
+def check_arrays(
+    arrays: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...] | None], what: str
+) -> None:
+    """Refuse `arrays` unless they are exactly the names of `shapes`, each in its shape
+    (None: any shape); FormatError names the first unknown, missing or misshapen array."""
+    for name in arrays:
+        if name not in shapes:
+            raise FormatError(f"unknown {what} {name!r}")
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise FormatError(f"missing {what} {name!r}")
+        if shape is not None and arrays[name].shape != shape:
+            raise FormatError(f"{what} {name!r} has shape {arrays[name].shape}, expected {shape}")
 
 
 class Reader:

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .container import MAX_EXTENT, pack, unpack
+from .container import MAX_EXTENT, check_arrays, pack, unpack
 from .errors import DataError, FormatError
 from .report import JsonFields, write_atomic
 
@@ -285,12 +285,5 @@ def load_dataset(path: str) -> Dataset:
         spec = SyntheticSpec.from_dict(spec_raw)
     except DataError as e:
         raise FormatError(f"dataset metadata has an invalid spec: {e}") from None
-    layout = _array_layout(spec)
-    if sorted(arrays) != sorted(layout):
-        raise FormatError(f"dataset file holds arrays {sorted(arrays)}, expected {sorted(layout)}")
-    for name, shape in layout.items():
-        if arrays[name].shape != shape:
-            raise FormatError(
-                f"dataset array {name!r} has shape {arrays[name].shape}, the spec implies {shape}"
-            )
-    return Dataset(spec, **{name: arrays[name] for name in layout})
+    check_arrays(arrays, _array_layout(spec), "dataset array")
+    return Dataset(spec, **arrays)

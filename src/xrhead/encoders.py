@@ -13,8 +13,8 @@ import hashlib
 
 import numpy as np
 
-from .container import pack, unpack
-from .errors import FormatError, ShapeMismatchError
+from .container import check_arrays, pack, unpack
+from .errors import ShapeMismatchError
 from .numerics import Tensor
 from .numerics.tensor import from_op, recording
 from .report import write_atomic
@@ -116,10 +116,7 @@ class FrozenImageEncoder:
 
 def save_features(path: str, values: np.ndarray, metadata: dict | None = None) -> None:
     """Write one f32 array named "features" plus JSON metadata (class/part names etc.)."""
-    values = np.asarray(values)
-    if not np.all(np.isfinite(values)):
-        raise FormatError("refusing to save non-finite feature values")
-    arrays = [("features", values, "<f4")]
+    arrays = [("features", np.asarray(values), "<f4")]
     write_atomic(path, pack(FEATURE_MAGIC, FEATURE_VERSION, arrays, metadata or {}))
 
 
@@ -127,7 +124,5 @@ def load_features(path: str) -> tuple[np.ndarray, dict]:
     """Read a feature file back as (float64 array, metadata dict)."""
     with open(path, "rb") as f:
         arrays, meta = unpack(f, FEATURE_MAGIC, FEATURE_VERSION, "feature array")
-    if list(arrays) != ["features"]:
-        found = ", ".join(map(repr, arrays)) or "none"
-        raise FormatError(f"a feature file holds one float array 'features', found: {found}")
+    check_arrays(arrays, {"features": None}, "feature array")
     return arrays["features"], meta

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .attention import PartAttention
-from .container import MAX_EXTENT, pack, unpack
+from .container import MAX_EXTENT, check_arrays, pack, unpack
 from .data import Dataset, SyntheticSpec, few_shot_split, generate, load_dataset
 from .encoders import FrozenImageEncoder, FrozenTextEncoder, checksum, load_features
 from .errors import ConfigError, DataError, FormatError, NumericError, ShapeMismatchError
@@ -585,27 +585,33 @@ def export_attention(
 # --- model persistence --------------------------------------------------------------
 
 
-def save_model(dir_path: str, model: Model, report: RunReport | None = None) -> None:
-    """Write params.xrvp + config.json (+ report.json) into dir_path."""
-    os.makedirs(dir_path, exist_ok=True)
-    arrays = [(p.name, p.values) for p in model.params()]
+def _model_arrays(model: Model) -> list[tuple[str, object, str]]:
+    """Every array of a model file in file order: (name, the object holding it, its attribute)."""
+    out = [(p.name, p, "values") for p in model.params()]
     if model.bank is not None:
-        arrays.append(("prompts.class_embeddings", model.bank.class_embeddings))
+        out.append(("prompts.class_embeddings", model.bank, "class_embeddings"))
     if model.manual is not None:
-        arrays.append(("prompts.manual", model.manual.values))
+        out.append(("prompts.manual", model.manual, "values"))
     for bn in sorted(model.batch_norms(), key=lambda bn: bn.name):
-        arrays.append((f"{bn.name}.running_mean", bn.running_mean))
-        arrays.append((f"{bn.name}.running_var", bn.running_var))
+        out += [(f"{bn.name}.{stat}", bn, stat) for stat in ("running_mean", "running_var")]
+    return out
+
+
+def save_model(dir_path: str, model: Model, report: RunReport | None = None) -> None:
+    """Write params.xrvp + config.json (+ report.json) into dir_path.
+
+    An array that is not finite raises FormatError before anything is written.
+    """
+    arrays = [(name, getattr(obj, attr), "<f8") for name, obj, attr in _model_arrays(model)]
     meta = {
         "num_classes": model.num_classes,
         "patch_dim": model.patch_dim,
         "head": model.config.head,
         "frozen_checksums": model.frozen_checksums(),
     }
-    rpt.write_atomic(
-        os.path.join(dir_path, PARAMS_FILE),
-        pack(MODEL_MAGIC, MODEL_VERSION, [(n, v, "<f8") for n, v in arrays], meta),
-    )
+    params = pack(MODEL_MAGIC, MODEL_VERSION, arrays, meta)
+    os.makedirs(dir_path, exist_ok=True)
+    rpt.write_atomic(os.path.join(dir_path, PARAMS_FILE), params)
     rpt.write_atomic(os.path.join(dir_path, CONFIG_FILE), rpt.json_text(asdict(model.config)))
     if report is not None:
         rpt.write_atomic(os.path.join(dir_path, REPORT_FILE), rpt.json_text(asdict(report)))
@@ -614,7 +620,9 @@ def save_model(dir_path: str, model: Model, report: RunReport | None = None) -> 
 def load_model(dir_path: str) -> tuple[Model, RunReport | None]:
     """Rebuild a model from a save_model directory.
 
-    A damaged or inconsistent directory raises FormatError or DataError.
+    A damaged or inconsistent directory raises FormatError or DataError.  The
+    params file must hold exactly the arrays save_model writes for the config,
+    each in its shape (FormatError otherwise).
     """
     try:
         config = TrainConfig.from_json_file(os.path.join(dir_path, CONFIG_FILE))
@@ -647,21 +655,14 @@ def load_model(dir_path: str) -> tuple[Model, RunReport | None]:
     if model.frozen_checksums() != meta["frozen_checksums"]:
         raise DataError("frozen encoders or embeddings differ from the saved model's")
 
-    def stored(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        if name not in arrays:
-            raise DataError(f"model file missing array {name!r}")
-        values = arrays[name]
-        if values.shape != shape:
-            raise DataError(f"model array {name!r} has shape {values.shape}, expected {shape}")
-        return values  # the reader's own fresh float64 copy
-
-    # every parameter and batch-norm statistic is replaced or the load
-    # refused: no unfilled weight survives
-    for p in model.params():
-        p.values = stored(p.name, p.values.shape)
+    layout = _model_arrays(model)
+    shapes = {name: getattr(obj, attr).shape for name, obj, attr in layout}
+    check_arrays(arrays, shapes, "model array")
+    # every parameter and batch-norm statistic is replaced by the reader's own
+    # fresh float64 copy: no unfilled weight survives
+    for name, obj, attr in layout:
+        setattr(obj, attr, arrays[name])
     for bn in model.batch_norms():
-        bn.running_mean = stored(f"{bn.name}.running_mean", (bn.dim,))
-        bn.running_var = stored(f"{bn.name}.running_var", (bn.dim,))
         if not np.all(bn.running_var >= 0.0):
             raise DataError(f"batch-norm state for {bn.name!r} has a negative or NaN variance")
 

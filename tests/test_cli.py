@@ -148,8 +148,17 @@ def test_eval_on_a_dataset_with_other_classes_is_one_error_line(tiny_files, caps
     assert "(12 classes, sha256" in captured.err and "(6 classes, sha256" in captured.err
 
 
-@pytest.mark.parametrize("missing", ["prompts.class_embeddings", "attn.score.weight"])
-def test_eval_of_a_model_file_without_an_array_is_one_error_line(missing, tiny_files, capsys):
+@pytest.mark.parametrize(
+    "missing, message",
+    [
+        ("prompts.class_embeddings", "model file does not match its config"),
+        ("attn.score.weight", "missing model array 'attn.score.weight'"),
+    ],
+    ids=["prompts.class_embeddings", "attn.score.weight"],
+)
+def test_eval_of_a_model_file_without_an_array_is_one_error_line(
+    missing, message, tiny_files, capsys
+):
     tmp_path, cfg_path, _ = tiny_files
     model_dir = tmp_path / "model"
     assert main(["train", "--config", str(cfg_path), "--out", str(model_dir)]) == 0
@@ -164,7 +173,7 @@ def test_eval_of_a_model_file_without_an_array_is_one_error_line(missing, tiny_f
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
-    assert "model file" in captured.err
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("command", ["eval", "export-attn"])

@@ -5,6 +5,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import bruteforce
 from xrhead.container import MAX_METADATA_BYTES, pack, unpack
@@ -107,3 +110,35 @@ def oversized_metadata() -> io.BytesIO:
 def test_unpack_refuses(file, match):
     with pytest.raises(FormatError, match=match):
         unpack(file, b"TEST", 3, "array")
+
+
+# every dtype kind pack may meet: numbers of each width, and bools, complex
+# numbers and strings, which it refuses
+any_dtype = st.one_of(
+    hnp.floating_dtypes(),
+    hnp.integer_dtypes(),
+    hnp.unsigned_integer_dtypes(),
+    hnp.boolean_dtypes(),
+    hnp.complex_number_dtypes(),
+    hnp.unicode_string_dtypes(max_len=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=hnp.arrays(any_dtype, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)),
+    dtype=st.sampled_from(["<f4", "<f8"]),
+)
+def test_what_pack_accepts_unpack_returns(values, dtype):
+    numeric = values.dtype.kind in "iuf"
+    with np.errstate(over="ignore"):
+        stored = values.astype(dtype) if numeric else None
+    try:
+        buf = pack(b"TEST", 3, [("x", values, dtype)], {})
+    except FormatError:
+        assert not numeric or not np.isfinite(stored).all()
+        return
+    assert numeric and np.isfinite(stored).all()
+    got = unpack(io.BytesIO(buf), b"TEST", 3, "array")[0]["x"]
+    # bit-equal to the cast to the stored dtype (exact for f8), widened to float64
+    assert got.shape == values.shape and got.tobytes() == stored.astype(np.float64).tobytes()

@@ -4,6 +4,7 @@ import json
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -135,14 +136,31 @@ def test_feature_file_trailing_bytes(tmp_path):
     assert "trailing" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "values, match",
+    [
+        ([[1e39, 1.0]], "not finite as float32"),  # finite as f8, inf once stored as f4
+        ([["a"]], "not numeric"),
+    ],
+    ids=["beyond_f4", "strings"],
+)
+def test_save_features_refuses_what_load_features_would(values, match, tmp_path):
+    path = tmp_path / "bad.xrvf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from the cast, no numpy TypeError
+        with pytest.raises(FormatError, match=match):
+            save_features(str(path), values)
+    assert not path.exists()
+
+
 def test_feature_file_rejects_non_finite(tmp_path):
     path = str(tmp_path / "nan.xrvf")
     with pytest.raises(FormatError):
         save_features(path, np.array([np.nan]))
-    # craft one on disk directly, in the layout save_features writes
-    arrays = [("features", np.array([np.inf]), "<f4")]
+    # craft one on disk directly; pack refuses it, so the bytes are framed by hand
+    arrays = [("features", 0, np.array([np.inf], "<f4"))]
     with open(path, "wb") as f:
-        f.write(pack(FEATURE_MAGIC, FEATURE_VERSION, arrays, {}))
+        f.write(bruteforce.framed_by_hand(FEATURE_MAGIC, FEATURE_VERSION, arrays, {})[0])
     with pytest.raises(FormatError, match="non-finite"):
         load_features(path)
 
@@ -164,17 +182,21 @@ def test_feature_file_is_one_named_f4_array(tmp_path):
 
 
 FEATURE_FILE_REFUSALS = {
-    "two arrays": [("features", np.ones(3), "<f4"), ("extra", np.ones(3), "<f4")],
-    "wrong name": [("feature", np.ones(3), "<f4")],
-    "no array": [],
+    "two arrays": (
+        [("features", np.ones(3), "<f4"), ("extra", np.ones(3), "<f4")],
+        "unknown feature array 'extra'",
+    ),
+    "wrong name": ([("feature", np.ones(3), "<f4")], "unknown feature array 'feature'"),
+    "no array": ([], "missing feature array 'features'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FEATURE_FILE_REFUSALS))
 def test_feature_file_refuses_other_arrays(case, tmp_path):
     path = tmp_path / "bad.xrvf"
-    path.write_bytes(pack(FEATURE_MAGIC, FEATURE_VERSION, FEATURE_FILE_REFUSALS[case], {}))
-    with pytest.raises(FormatError, match="one float array 'features'"):
+    arrays, match = FEATURE_FILE_REFUSALS[case]
+    path.write_bytes(pack(FEATURE_MAGIC, FEATURE_VERSION, arrays, {}))
+    with pytest.raises(FormatError, match=match):
         load_features(str(path))
 
 

@@ -1459,17 +1459,19 @@ def test_load_model_refuses_integer_parameters(tmp_path, tiny_dataset):
 
 
 @pytest.mark.parametrize(
-    "missing, match",
+    "missing, error, match",
     [
-        ("prompts.class_embeddings", "learned prompts need class embeddings"),
-        ("attn.score.weight", "model file missing array 'attn.score.weight'"),
+        ("prompts.class_embeddings", DataError, "learned prompts need class embeddings"),
+        ("attn.score.weight", FormatError, "missing model array 'attn.score.weight'"),
     ],
     ids=["class_embeddings", "parameter"],
 )
-def test_load_model_refuses_a_file_without_an_array(missing, match, tmp_path, tiny_dataset):
+def test_load_model_refuses_a_file_without_an_array(
+    missing, error, match, tmp_path, tiny_dataset
+):
     save_model(str(tmp_path), build_model(tiny_config(), tiny_dataset))
     _rewrite_params(tmp_path / "params.xrvp", edit_arrays=lambda arrays: arrays.pop(missing))
-    with pytest.raises(DataError, match=match):
+    with pytest.raises(error, match=match):
         load_model(str(tmp_path))
 
 
@@ -1549,15 +1551,29 @@ def test_load_model_refuses_malformed_batch_norm_state(tmp_path, tiny_dataset):
         values[0] = -1.0
         return values
 
-    for name, edit, match in (
-        ("attn.bn.running_mean", lambda values: values[:1], r"has shape \(1,\)"),
-        ("attn.bn.running_var", lambda values: np.stack([values, values]), "has shape"),
-        ("head.clf.bn.running_var", negative, "negative"),
+    def doubled(values):
+        return np.stack([values, values])
+
+    for name, edit, error, match in (
+        ("attn.bn.running_mean", lambda values: values[:1], FormatError, r"has shape \(1,\)"),
+        ("attn.bn.running_var", doubled, FormatError, "has shape"),
+        ("head.clf.bn.running_var", negative, DataError, "negative"),
     ):
         params.write_bytes(saved)
         _rewrite_params(params, edit_arrays=lambda a: a.update({name: edit(a[name])}))
-        with pytest.raises(DataError, match=match):
+        with pytest.raises(error, match=match):
             load_model(str(out))
+
+
+def test_save_model_refuses_a_non_finite_parameter(tmp_path, tiny_dataset):
+    # such a file was written, and then refused by load_model
+    model = build_model(tiny_config(), tiny_dataset)
+    p = model.params()[-1]
+    p.values.flat[0] = np.nan
+    out = tmp_path / "model"
+    with pytest.raises(FormatError, match=re.escape(f"array {p.name!r} has values that are not")):
+        save_model(str(out), model)
+    assert not out.exists()
 
 
 def test_save_load_mlps_model(tmp_path, tiny_dataset):

@@ -4,12 +4,15 @@ Each reader gets a valid file with one corruption drawn by hypothesis:
 truncation, bit flips, overwritten byte runs, or a well-formed container
 whose metadata holds wrong values.  Loading may still succeed when the
 damage lands in payload values; any exception other than the two reader
-errors fails the test.
+errors fails the test.  Last, every reader holds a file to one rule: exactly
+the arrays it names, each in the shape it implies, or FormatError naming the
+first array that breaks it.
 """
 
 import io
 import json
 import os
+import re
 import shutil
 import struct
 import tempfile
@@ -29,7 +32,7 @@ from xrhead.data import (
     load_dataset,
     save_dataset,
 )
-from xrhead.encoders import load_features, save_features
+from xrhead.encoders import FEATURE_MAGIC, FEATURE_VERSION, load_features, save_features
 from xrhead.errors import DataError, FormatError
 from xrhead.harness import MODEL_MAGIC, MODEL_VERSION, TrainConfig, load_model, save_model, train
 
@@ -385,3 +388,58 @@ def test_model_reader_refuses_duplicate_array(model_dir, workdir):
     dst = damaged_copy(model_dir, os.path.join(workdir, "dup-model"), "params.xrvp", bytes(raw))
     with pytest.raises(FormatError, match="appears twice"):
         load_model(os.path.dirname(dst))
+
+
+# --- the read rule: exactly the named arrays, each in its shape -------------------
+
+
+def edited(arrays, edit: str, name: str) -> list[tuple[str, np.ndarray, str]]:
+    """(name, values, dtype) triples with `name` added as a (3, 3) array, removed, or
+    one leading row short."""
+    if edit == "added":
+        return arrays + [(name, np.ones((3, 3)), "<f8")]
+    if edit == "removed":
+        return [a for a in arrays if a[0] != name]
+    return [(n, v[1:] if n == name else v, dtype) for n, v, dtype in arrays]
+
+
+def refused_naming(name: str, load, path: str) -> None:
+    with pytest.raises(FormatError, match=re.escape(repr(name))):
+        load(path)
+
+
+@pytest.mark.parametrize("edit, name", [("added", "extra"), ("removed", "features")])
+def test_feature_reader_takes_one_array_named_features(edit, name, workdir):
+    arrays = [("features", np.arange(12.0).reshape(3, 4), "<f4")]
+    raw = pack(FEATURE_MAGIC, FEATURE_VERSION, edited(arrays, edit, name), {})
+    refused_naming(name, load_features, write(os.path.join(workdir, "rule.xrvf"), bytes(raw)))
+    # a feature file's one array may have any shape
+    raw = pack(FEATURE_MAGIC, FEATURE_VERSION, edited(arrays, "reshaped", "features"), {})
+    path = write(os.path.join(workdir, "rule.xrvf"), bytes(raw))
+    assert load_features(path)[0].shape == (2, 4)
+
+
+@pytest.mark.parametrize(
+    "edit, name", [("added", "train_labels"), ("removed", "templates"), ("reshaped", "templates")]
+)
+def test_dataset_reader_takes_exactly_the_spec_arrays(edit, name, dataset, workdir):
+    ds, _ = dataset
+    arrays = [(n, v, "<f8") for n, v in dataset_arrays(ds)]
+    raw = pack(DATASET_MAGIC, DATASET_VERSION, edited(arrays, edit, name), good_metadata(ds))
+    refused_naming(name, load_dataset, write(os.path.join(workdir, "rule.xrvd"), bytes(raw)))
+
+
+@pytest.mark.parametrize(
+    "edit, name",
+    # a stale array once loaded unnoticed, while the other readers refused one
+    [
+        ("added", "attn.stale.weight"),
+        ("removed", "attn.score.weight"),
+        ("reshaped", "attn.bn.running_mean"),
+    ],
+)
+def test_model_reader_takes_exactly_the_model_arrays(edit, name, model_dir, workdir):
+    arrays, meta = model_file(model_dir)
+    raw = pack(MODEL_MAGIC, MODEL_VERSION, edited(arrays, edit, name), meta)
+    dst = damaged_copy(model_dir, os.path.join(workdir, "rule-model"), "params.xrvp", bytes(raw))
+    refused_naming(name, load_model, os.path.dirname(dst))
