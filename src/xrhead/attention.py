@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeMismatchError
 from .numerics import Affine, BatchNorm, Tensor
-from .numerics.layers import seeded
+from .numerics.layers import rowwise, seeded
 from .numerics.tensor import from_op, recording, unbroadcast
 
 # tau: the Frobenius norm of every image's pooled part block
@@ -63,12 +63,17 @@ class PartAttention:
         weights += bs.values
         active = weights > 0.0 if record else None  # relu subgradient 0 at the kink
         np.maximum(weights, 0.0, out=weights)
-        weights -= weights.max(axis=1, keepdims=True)
+        # the row max, one column at a time, without max(axis=1)'s per-row
+        # calls: a max is exact, so the softmax keeps its bits at every width
+        top = weights[:, 0].copy()
+        for j in range(1, s + 1):
+            np.maximum(top, weights[:, j], out=top)
+        weights -= top[:, None]
         np.exp(weights, out=weights)
         weights /= weights.sum(axis=1, keepdims=True)
         picked = np.ascontiguousarray(weights[:, :s]).reshape(b, n, s)
         projected = flat @ wp.values
-        projected += bp.values
+        rowwise(projected, [(np.add, bp.values)], out=projected)
         projected = projected.reshape(b, n, f)
         pooled = picked.swapaxes(-1, -2) @ projected  # (b, s, f)
 

@@ -14,8 +14,9 @@ import hashlib
 import numpy as np
 
 from .container import check_arrays, pack, unpack
-from .errors import ShapeMismatchError
+from .errors import FormatError, ShapeMismatchError
 from .numerics import Tensor
+from .numerics.layers import rowwise
 from .numerics.tensor import from_op, recording
 from .report import write_atomic
 
@@ -104,7 +105,8 @@ class FrozenImageEncoder:
             )
         # one output array, updated in place: fewer large temporaries per call
         out = patches @ self._w
-        out += self._b
+        rows = out.reshape(-1, self.feat_dim)  # a view: matmul's result is C-ordered
+        rowwise(rows, [(np.add, self._b)], out=rows)
         return np.tanh(out, out=out)
 
     def checksum(self) -> str:
@@ -116,7 +118,11 @@ class FrozenImageEncoder:
 
 def save_features(path: str, values: np.ndarray, metadata: dict | None = None) -> None:
     """Write one f32 array named "features" plus JSON metadata (class/part names etc.)."""
-    arrays = [("features", np.asarray(values), "<f4")]
+    try:
+        values = np.asarray(values)
+    except ValueError as err:  # a ragged nested list
+        raise FormatError(f"features are not one rectangular array: {err}") from None
+    arrays = [("features", values, "<f4")]
     write_atomic(path, pack(FEATURE_MAGIC, FEATURE_VERSION, arrays, metadata or {}))
 
 

@@ -19,6 +19,38 @@ def init_normal(rng: np.random.Generator | None, std: float, shape: tuple[int, .
     return np.empty(shape) if rng is None else rng.normal(0.0, std, size=shape)
 
 
+# elements per block of `rowwise`: a block, and each row constant tiled to its
+# shape, is 64 KiB of float64
+ROW_BLOCK = 8192
+
+
+def rowwise(x: np.ndarray, steps, out: np.ndarray | None = None) -> np.ndarray:
+    """x (n, d) through a chain of (ufunc, row) steps, row (d,) or (1, d):
+    out = x op0 row0, then out = out op row for each later step.
+
+    The bits of the broadcast chain `out = x op0 row0; out op1= row1; ...`:
+    each element meets the same ufuncs in the same order.  The chain runs
+    over blocks of about ROW_BLOCK elements, whole rows, with each row
+    constant tiled once to a block's shape, so each call gets same-shape
+    contiguous operands and the block stays in cache through the chain
+    (a broadcast calls its inner loop once per row).  Writes into `out`,
+    which may be x itself, or into a new array.
+    """
+    n, d = x.shape
+    rows = max(1, min(n, ROW_BLOCK // max(d, 1)))
+    tiles = [(ufunc, np.repeat(np.reshape(row, (1, d)), rows, axis=0)) for ufunc, row in steps]
+    if out is None:
+        out = np.empty((n, d), np.result_type(x, *(tile for _, tile in tiles)))
+    for start in range(0, n, rows):
+        src, dst = x[start : start + rows], out[start : start + rows]
+        if len(dst) < rows:  # a ragged last block: the tiles' first rows
+            tiles = [(ufunc, tile[: len(dst)]) for ufunc, tile in tiles]
+        for ufunc, tile in tiles:
+            ufunc(src, tile, out=dst)
+            src = dst
+    return out
+
+
 class Affine:
     """x (b, d_in) -> x @ weight + bias, weight (d_in, d_out).
 
@@ -89,15 +121,12 @@ class BatchNorm:
         gamma, beta = self.gamma.values, self.beta.values
         if not training:
             inv = 1.0 / np.sqrt(self.running_var + self.eps)
+            center = [(np.subtract, self.running_mean), (np.multiply, inv)]
+            shift = [(np.multiply, gamma), (np.add, beta)]
             if not record:
-                out = x - self.running_mean
-                out *= inv
-                out *= gamma
-                out += beta
-                return out, None
-            xhat = (x - self.running_mean) * inv
-            out = xhat * gamma
-            out += beta
+                return rowwise(x, center + shift), None
+            xhat = rowwise(x, center)
+            out = rowwise(xhat, shift)
 
             def backward_eval(g):
                 gx = (g * gamma) * inv if need_x else None

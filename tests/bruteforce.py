@@ -299,6 +299,12 @@ def composed_text_encode(enc, sequences):
     return composed_affine(h, constant(enc._w2), constant(enc._b2))
 
 
+def composed_image_encode(enc, patches):
+    """FrozenImageEncoder.encode with its bias added by broadcasting: the
+    encoder is forward-only numpy, so its chain is numpy too."""
+    return np.tanh(np.asarray(patches, dtype=np.float64) @ enc._w + enc._b)
+
+
 def composed_model_loss(model, feats, labels):
     """Model.loss, a training-mode loss, with every fused layer replaced by its chain."""
     from xrhead.heads import CrmHead, HeadKind, MlpsHead

@@ -141,8 +141,9 @@ def test_feature_file_trailing_bytes(tmp_path):
     [
         ([[1e39, 1.0]], "not finite as float32"),  # finite as f8, inf once stored as f4
         ([["a"]], "not numeric"),
+        ([[1.0, 2.0], [3.0]], "not one rectangular array"),
     ],
-    ids=["beyond_f4", "strings"],
+    ids=["beyond_f4", "strings", "ragged"],
 )
 def test_save_features_refuses_what_load_features_would(values, match, tmp_path):
     path = tmp_path / "bad.xrvf"
