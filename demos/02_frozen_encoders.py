@@ -19,7 +19,7 @@ from xrhead.encoders import (
     load_features,
     save_features,
 )
-from xrhead.numerics import constant
+from xrhead.numerics import Tensor
 
 # the same seed always builds the same encoder; checksums make that auditable
 text = FrozenTextEncoder(seed=7, word_dim=32, feat_dim=64, num_positions=17)
@@ -28,11 +28,13 @@ print(f"text checksum   {text.checksum()[:16]}...")
 print(f"same seed       {text.checksum() == text_again.checksum()}")
 print(f"other seed      {text.checksum() == FrozenTextEncoder(8, 32, 64, 17).checksum()}")
 
-# text encoding: (batch, positions, word_dim) -> (batch, feat_dim)
+# text encoding: 16 context rows (batch, positions - 1, word_dim) and one
+# closing row (batch, word_dim) per sequence -> (batch, feat_dim)
 rng = np.random.default_rng(0)
-sequences = constant(rng.standard_normal((5, 17, 32)))
-feats = text.encode(sequences)
-print(f"text features   {sequences.values.shape} -> {feats.values.shape}")
+context = Tensor(rng.standard_normal((5, 16, 32)), requires_grad=True)
+closing = rng.standard_normal((5, 32))
+feats = text.encode(context, closing)
+print(f"text features   {context.values.shape} + {closing.shape} -> {feats.values.shape}")
 
 # gradients flow through to the inputs, so learned prompts can be trained
 # through the frozen encoder even though its own weights never move

@@ -3,9 +3,9 @@ Multi-part learnable prompts
 ============================
 
 Each class gets one prompt per part: a block of trainable context vectors
-followed by the frozen class embedding. Encoding every sequence through the
-frozen text encoder yields one feature row per (class, part) pair, and
-gradients reach only the contexts.
+followed by the frozen class embedding. The frozen text encoder reads every
+context block with its closing class row in one call, yields one feature row
+per (class, part) pair, and passes gradients to the contexts only.
 """
 
 import numpy as np
@@ -22,19 +22,19 @@ bank = PromptBank(class_embeddings, num_parts=S, ctx_len=M, seed=1)
 print(f"contexts        {bank.contexts.values.shape}  (W, S, M, word_dim), trainable")
 print(f"class rows      {bank.class_embeddings.shape}  frozen, a plain array")
 
-# all W * S sequences stacked in class-major order
-stacked = bank.all_sequences()
-print(f"all sequences   {stacked.values.shape}  row i = (class i // S, part i % S)")
-
-# one sequence = M context rows then the class embedding row
-seq = stacked.values[2 * S + 1]  # class 2, part 1
-print(f"sequence        {seq.shape}  (M + 1, word_dim)")
-print(f"last row is     class embedding: {np.array_equal(seq[-1], class_embeddings[2])}")
+# one prompt = M context rows then the class embedding row; the encoder
+# takes the two blocks separately and writes them into one sequence itself
+ctx = bank.contexts.values[2, 1]  # class 2, part 1
+print(f"context block   {ctx.shape}  (M, word_dim), trainable")
+print(f"closing row     {bank.class_embeddings[2].shape}  class 2's embedding, frozen")
 
 # encode through the frozen text encoder: one feature row per (class, part)
 encoder = FrozenTextEncoder(seed=7, word_dim=D, feat_dim=24, num_positions=M + 1)
 features = bank.encode(encoder)
 print(f"prompt features {features.values.shape}  (W, S, feat_dim)")
+one = encoder.encode(constant(ctx), class_embeddings[2])
+print(f"one prompt      {one.values.shape}  same as row [2, 1]: "
+      f"{np.allclose(one.values, features.values[2, 1], rtol=1e-12)}")
 
 # only the contexts accumulate gradient; the class embeddings stay frozen
 backward(tsum(features))

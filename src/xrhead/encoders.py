@@ -3,7 +3,7 @@
 Real vision-language towers are out of scope; these stubs are seeded,
 deterministic, and cheap, with just enough structure to behave like fixed
 feature extractors.  The text stub is differentiable with respect to its
-input sequence so gradients can reach learnable prompt vectors; its own
+context rows so gradients can reach learnable prompt vectors; its own
 weights never train.  The image stub is forward-only numpy.
 """
 
@@ -35,8 +35,9 @@ def checksum(*arrays: np.ndarray) -> str:
 class FrozenTextEncoder:
     """Positional add, mean pool over positions, then affine-tanh-affine.
 
-    encode: sequences (b, num_positions, word_dim) -> features (b, feat_dim),
-    differentiable w.r.t. the input sequences only.
+    encode: context rows (..., num_positions - 1, word_dim) and one closing
+    row (..., word_dim) per sequence -> features (..., feat_dim),
+    differentiable w.r.t. the context rows only.
     """
 
     def __init__(self, seed: int, word_dim: int, feat_dim: int, num_positions: int):
@@ -51,36 +52,45 @@ class FrozenTextEncoder:
         self._w2 = rng.normal(0.0, 1.0 / np.sqrt(feat_dim), size=(feat_dim, feat_dim))
         self._b2 = rng.normal(0.0, 0.01, size=(1, feat_dim))
 
-    def encode(self, sequences: Tensor) -> Tensor:
-        """One tape op over the sequences.  Its values and its backward are
-        those of the composed chain kept in tests/bruteforce.py (add, mean,
-        affine, tanh, affine), bit for bit: the same numpy calls in the
-        same order."""
-        if sequences.values.ndim != 3 or sequences.values.shape[1:] != (
-            self.num_positions,
-            self.word_dim,
-        ):
+    def encode(self, context: Tensor, closing: np.ndarray) -> Tensor:
+        """One tape op over the context rows; the closing rows are constants.
+
+        Its values and its backward are those of the composed chain kept in
+        tests/bruteforce.py (concat, add, mean, affine, tanh, affine), bit
+        for bit: the same numpy calls in the same order, on the whole
+        (n, num_positions, word_dim) sequences written into one fresh array.
+        """
+        m, d = self.num_positions - 1, self.word_dim
+        shape = context.values.shape
+        if shape[-2:] != (m, d):
+            raise ShapeMismatchError(f"expected context (..., {m}, {d}), got {shape}")
+        closing = np.asarray(closing, dtype=np.float64)
+        lead = shape[:-2]
+        if closing.shape != lead + (d,):
             raise ShapeMismatchError(
-                f"expected sequences (b, {self.num_positions}, {self.word_dim}), "
-                f"got {sequences.values.shape}"
+                f"expected closing rows {lead + (d,)} for context {shape}, got {closing.shape}"
             )
-        pooled = (sequences.values + self._positions).mean(axis=1)
+        seq = np.empty(lead + (m + 1, d))
+        np.add(context.values, self._positions[:m], out=seq[..., :m, :])
+        np.add(closing, self._positions[m], out=seq[..., m, :])
+        pooled = seq.reshape(-1, m + 1, d).mean(axis=1)
         h = pooled @ self._w1
         h += self._b1
         h = np.tanh(h)
         out = h @ self._w2
         out += self._b2
-        if not recording((sequences,)):
-            return from_op(out, (sequences,), None)
-        shape = sequences.values.shape
+        out = out.reshape(lead + (self.feat_dim,))
+        if not recording((context,)):
+            return from_op(out, (context,), None)
 
         def backward(g):
-            g_h = g @ self._w2.T
+            g_h = g.reshape(-1, self.feat_dim) @ self._w2.T
             g_pre = g_h * (1.0 - h * h)
             g_pooled = g_pre @ self._w1.T
-            return (np.broadcast_to(np.expand_dims(g_pooled, 1) / self.num_positions, shape),)
+            rows = g_pooled.reshape(lead + (1, d)) / self.num_positions
+            return (np.broadcast_to(rows, shape),)
 
-        return from_op(out, (sequences,), backward)
+        return from_op(out, (context,), backward)
 
     def checksum(self) -> str:
         return checksum(self._positions, self._w1, self._b1, self._w2, self._b2)

@@ -275,9 +275,8 @@ def class_name_embeddings(config: TrainConfig, class_embeddings: np.ndarray) -> 
     """Text-encode each bare class name: the embedding tiled over all positions."""
     enc = _text_encoder(config)
     emb = np.asarray(class_embeddings, dtype=np.float64)
-    seqs = np.repeat(emb[:, None, :], config.ctx_len + 1, axis=1)
-    with no_grad():
-        return enc.encode(constant(seqs)).values.copy()
+    context = np.repeat(emb[:, None, :], config.ctx_len, axis=1)
+    return enc.encode(constant(context), emb).values  # a constant context: no tape
 
 
 # --- training and evaluation -----------------------------------------------------

@@ -8,7 +8,6 @@ from .tensor import (
     add,
     affine,
     backward,
-    concat,
     constant,
     cross_entropy,
     gather,
@@ -32,7 +31,6 @@ __all__ = [
     "add",
     "affine",
     "backward",
-    "concat",
     "constant",
     "cosine_lr",
     "cross_entropy",

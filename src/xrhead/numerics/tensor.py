@@ -269,22 +269,6 @@ def gather(a: Tensor, idx, axis: int) -> Tensor:
     return from_op(out, (a,), bw)
 
 
-def concat(parts, axis: int = 0) -> Tensor:
-    """Join tensors along axis (0 <= axis < ndim); all other axes must agree."""
-    parts = list(parts)
-    shapes = [p.values.shape for p in parts]
-    rest = {(len(s),) + s[:axis] + s[axis + 1 :] for s in shapes}
-    if len(rest) != 1 or not 0 <= axis < len(shapes[0]):
-        raise ShapeMismatchError(f"concat along axis {axis} needs matching shapes, got {shapes}")
-    out = np.concatenate([p.values for p in parts], axis=axis)
-    bounds = np.cumsum([s[axis] for s in shapes])[:-1]
-
-    def bw(g):
-        return tuple(np.split(g, bounds, axis=axis))
-
-    return from_op(out, tuple(parts), bw)
-
-
 # --- reductions -------------------------------------------------------------
 
 

@@ -1,8 +1,8 @@
 """Learnable multi-part prompt bank.
 
 Each (class, part) pair owns a private sequence of ctx_len context vectors;
-appending the class embedding gives a sequence of ctx_len + 1 word vectors
-that the frozen text encoder turns into one prompt feature.  Contexts train,
+the frozen text encoder reads them followed by the class embedding, ctx_len
++ 1 word vectors, and turns them into one prompt feature.  Contexts train,
 class embeddings stay frozen.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatchError
-from .numerics import Tensor, concat, constant, reshape
+from .numerics import Tensor
 from .numerics.layers import init_normal, seeded
 
 # the standard deviation of the contexts' initial normal draw
@@ -43,20 +43,12 @@ class PromptBank:
         ctx = init_normal(seeded(seed), CONTEXT_STD, shape)
         self.contexts = Tensor(ctx, requires_grad=True, name="prompts.contexts")
         self.class_embeddings = class_embeddings  # frozen: an input, not a parameter
-        # the class row closing every prompt, row i = class i // S
-        rows = np.repeat(class_embeddings, num_parts, axis=0)
-        self._class_rows = constant(rows.reshape(self.num_classes * num_parts, 1, self.word_dim))
+        # the class row closing every prompt: (W, S, word_dim), row [k, s] = class k
+        self._closing = np.repeat(class_embeddings[:, None, :], num_parts, axis=1)
 
     def params(self) -> list[Tensor]:
         return [self.contexts]
 
-    def all_sequences(self) -> Tensor:
-        """All prompts stacked: (W * S, ctx_len + 1, word_dim), row i = class i // S, part i % S."""
-        w, s, m, d = self.num_classes, self.num_parts, self.ctx_len, self.word_dim
-        ctx = reshape(self.contexts, (w * s, m, d))
-        return concat([ctx, self._class_rows], axis=1)
-
     def encode(self, encoder) -> Tensor:
         """Run every prompt through the frozen text encoder: (W, S, feat_dim)."""
-        feats = encoder.encode(self.all_sequences())
-        return reshape(feats, (self.num_classes, self.num_parts, feats.values.shape[1]))
+        return encoder.encode(self.contexts, self._closing)

@@ -22,7 +22,6 @@ from xrhead.harness import LOSS_TEMPERATURE, class_name_embeddings
 from xrhead.numerics import (
     Tensor,
     add,
-    concat,
     constant,
     cross_entropy,
     gather,
@@ -184,6 +183,22 @@ def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     return from_op(out, (a,), bw)
 
 
+def concat(parts, axis: int = 0) -> Tensor:
+    """Join tensors along axis (0 <= axis < ndim); all other axes must agree."""
+    parts = list(parts)
+    shapes = [p.values.shape for p in parts]
+    rest = {(len(s),) + s[:axis] + s[axis + 1 :] for s in shapes}
+    if len(rest) != 1 or not 0 <= axis < len(shapes[0]):
+        raise ShapeMismatchError(f"concat along axis {axis} needs matching shapes, got {shapes}")
+    out = np.concatenate([p.values for p in parts], axis=axis)
+    bounds = np.cumsum([s[axis] for s in shapes])[:-1]
+
+    def bw(g):
+        return tuple(np.split(g, bounds, axis=axis))
+
+    return from_op(out, tuple(parts), bw)
+
+
 def softmax_rows(a: Tensor) -> Tensor:
     """Row softmax of a (n, d), stabilized by max subtraction."""
     if a.values.ndim != 2:
@@ -281,7 +296,9 @@ def composed_relation(v, t):
 
 
 def composed_sequences(bank):
-    """PromptBank.all_sequences as a row interleave of contexts and class rows."""
+    """Every prompt of the bank as a whole sequence, its contexts then its
+    class row: (W * S, ctx_len + 1, word_dim), row i = class i // S, part
+    i % S, built as a row interleave of contexts and class rows."""
     w, s, m, d = bank.num_classes, bank.num_parts, bank.ctx_len, bank.word_dim
     ctx2 = reshape(bank.contexts, (w * s * m, d))
     cls_rep = gather(constant(bank.class_embeddings), np.arange(w * s) // s, 0)
@@ -297,6 +314,12 @@ def composed_text_encode(enc, sequences):
     pooled = mean_axis(x, 1)
     h = tanh(composed_affine(pooled, constant(enc._w1), constant(enc._b1)))
     return composed_affine(h, constant(enc._w2), constant(enc._b2))
+
+
+def composed_prompt_features(bank, enc):
+    """PromptBank.encode as a chain: whole sequences, encoded, then (W, S, feat_dim)."""
+    feats = composed_text_encode(enc, composed_sequences(bank))
+    return reshape(feats, (bank.num_classes, bank.num_parts, feats.values.shape[1]))
 
 
 def composed_image_encode(enc, patches):
@@ -322,9 +345,7 @@ def composed_model_loss(model, feats, labels):
     if model.manual is not None:
         t = model.manual
     else:
-        bank = model.bank
-        feats_t = composed_text_encode(model.text_encoder, composed_sequences(bank))
-        t = reshape(feats_t, (bank.num_classes, bank.num_parts, feats_t.values.shape[1]))
+        t = composed_prompt_features(model.bank, model.text_encoder)
     w = t.values.shape[0]
     if not isinstance(head, CrmHead):  # PWCS, and ALIGN as PWCS at one part
         return cross_entropy(composed_pwcs(v, t) * LOSS_TEMPERATURE, labels)

@@ -27,32 +27,60 @@ def test_text_encoder_deterministic():
     a = FrozenTextEncoder(seed=7, word_dim=8, feat_dim=12, num_positions=5)
     b = FrozenTextEncoder(seed=7, word_dim=8, feat_dim=12, num_positions=5)
     c = FrozenTextEncoder(seed=8, word_dim=8, feat_dim=12, num_positions=5)
-    x = constant(np.random.default_rng(0).normal(size=(3, 5, 8)))
-    np.testing.assert_array_equal(a.encode(x).values, b.encode(x).values)
+    rng = np.random.default_rng(0)
+    x, closing = constant(rng.normal(size=(3, 4, 8))), rng.normal(size=(3, 8))
+    np.testing.assert_array_equal(a.encode(x, closing).values, b.encode(x, closing).values)
     assert a.checksum() == b.checksum()
     assert a.checksum() != c.checksum()
 
 
+# (context shape, closing shape, message) for an encoder of 5 positions, word_dim 8
+TEXT_ENCODE_REFUSALS = [
+    ((3, 3, 8), (3, 8), r"expected context \(\.\.\., 4, 8\), got \(3, 3, 8\)"),
+    ((3, 5, 8), (3, 8), r"expected context \(\.\.\., 4, 8\), got \(3, 5, 8\)"),
+    ((3, 4, 7), (3, 7), r"expected context \(\.\.\., 4, 8\), got \(3, 4, 7\)"),
+    ((8,), (8,), r"expected context \(\.\.\., 4, 8\), got \(8,\)"),
+    ((3, 4, 8), (3, 7), r"expected closing rows \(3, 8\) for context \(3, 4, 8\), got \(3, 7\)"),
+    ((3, 4, 8), (2, 8), r"expected closing rows \(3, 8\)"),
+    ((3, 4, 8), (3, 1, 8), r"expected closing rows \(3, 8\)"),
+    ((2, 3, 4, 8), (3, 8), r"expected closing rows \(2, 3, 8\)"),
+]
+
+
 def test_text_encoder_shape_checks():
     enc = FrozenTextEncoder(seed=0, word_dim=8, feat_dim=12, num_positions=5)
-    with pytest.raises(ShapeMismatchError):
-        enc.encode(constant(np.zeros((3, 4, 8))))  # wrong sequence length
-    with pytest.raises(ShapeMismatchError):
-        enc.encode(constant(np.zeros((3, 5, 7))))  # wrong word dim
-    with pytest.raises(ShapeMismatchError):
-        enc.encode(constant(np.zeros((5, 8))))
+    for context, closing, match in TEXT_ENCODE_REFUSALS:
+        with pytest.raises(ShapeMismatchError, match=match):
+            enc.encode(constant(np.zeros(context)), np.zeros(closing))
+
+
+def test_text_encoder_leading_shapes():
+    # (..., M, word_dim) -> (..., feat_dim): one sequence, a batch, a grid
+    enc = FrozenTextEncoder(seed=2, word_dim=3, feat_dim=5, num_positions=3)
+    rng = np.random.default_rng(3)
+    ctx, closing = rng.normal(size=(4, 2, 2, 3)), rng.normal(size=(4, 2, 3))
+    grid = enc.encode(constant(ctx), closing).values
+    assert grid.shape == (4, 2, 5)
+    flat = enc.encode(constant(ctx.reshape(8, 2, 3)), closing.reshape(8, 3)).values
+    assert grid.tobytes() == flat.tobytes()
+    one = enc.encode(constant(ctx[1, 0]), closing[1, 0]).values
+    assert one.shape == (5,)
+    np.testing.assert_allclose(one, grid[1, 0], rtol=1e-12)
 
 
 def test_text_encoder_differentiable_wrt_input():
     enc = FrozenTextEncoder(seed=1, word_dim=6, feat_dim=9, num_positions=4)
-    seqs = Tensor(np.random.default_rng(1).normal(size=(2, 4, 6)), requires_grad=True, name="seqs")
-    out = enc.encode(seqs)
+    rng = np.random.default_rng(1)
+    ctx = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True, name="ctx")
+    closing = rng.normal(size=(2, 6))
+    out = enc.encode(ctx, closing)
+    assert out._parents == (ctx,)  # the closing rows are a constant
     backward(tsum(out))
-    assert np.any(seqs.grad != 0.0)
+    assert np.any(ctx.grad != 0.0)
     worst = finite_diff_check(
-        lambda: tsum(enc.encode(seqs)), [seqs], max_coords_per_param=12
+        lambda: tsum(enc.encode(ctx, closing)), [ctx], max_coords_per_param=12
     )
-    assert worst["seqs"] < 1e-6
+    assert worst["ctx"] < 1e-6
 
 
 def test_image_encoder_deterministic_and_bounded():

@@ -9,6 +9,8 @@ running statistics.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import bruteforce
 from xrhead.attention import PartAttention
@@ -22,7 +24,6 @@ from xrhead.numerics import (
     Tensor,
     affine,
     backward,
-    concat,
     constant,
     finite_diff_check,
     mul,
@@ -259,64 +260,79 @@ def test_relation_matches_composed(num_parts):
 # --- prompt bank and text encoder -------------------------------------------------
 
 
-def make_prompts():
-    emb = np.random.default_rng(12).normal(size=(4, 6))
-    bank = PromptBank(emb, num_parts=3, ctx_len=2, seed=13)
+def make_prompts(w=4, s=3, m=2, d=6, f=5, seed=12):
+    emb = np.random.default_rng(seed).normal(size=(w, d))
+    bank = PromptBank(emb, num_parts=s, ctx_len=m, seed=seed + 1)
     bank.contexts.values *= 25.0  # std 0.5: large enough to bend the tanh
-    enc = FrozenTextEncoder(seed=14, word_dim=6, feat_dim=5, num_positions=3)
+    enc = FrozenTextEncoder(seed=seed + 2, word_dim=d, feat_dim=f, num_positions=m + 1)
     return (bank, enc), [bank.contexts]
-
-
-def test_all_sequences_matches_composed():
-    assert_same_bits(
-        make_prompts,
-        lambda s: s[0].all_sequences(),
-        lambda s: bruteforce.composed_sequences(s[0]),
-    )
 
 
 def test_text_encode_matches_composed():
     assert_same_bits(
         make_prompts,
-        lambda s: s[1].encode(s[0].all_sequences()),
-        lambda s: bruteforce.composed_text_encode(s[1], bruteforce.composed_sequences(s[0])),
+        lambda s: s[0].encode(s[1]),
+        lambda s: bruteforce.composed_prompt_features(s[0], s[1]),
     )
     (bank, enc), leaves = make_prompts()
     k = constant(np.random.default_rng(15).normal(size=(4, 3, 5)))
     grad_check(lambda: tsum(mul(bank.encode(enc), k)), leaves)
 
 
+# numpy pools (n, M + 1, 1) pairwise along the positions once that axis is
+# the contiguous one: word_dim 1 with ctx_len 7 and 15 is where a shortcut
+# that sums the contexts and adds the class row apart changed bits
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(w=2, s=1, m=7, d=1, f=3, seed=0)
+@example(w=5, s=4, m=15, d=1, f=8, seed=1)
+@given(
+    w=st.integers(2, 12),
+    s=st.integers(1, 8),
+    m=st.integers(1, 20),
+    d=st.sampled_from([1, 2, 3, 6, 32]),
+    f=st.integers(1, 24),
+    seed=st.integers(0, 2**16),
+)
+def test_prompt_encode_matches_composed_at_drawn_shapes(w, s, m, d, f, seed):
+    assert_same_bits(
+        lambda: make_prompts(w, s, m, d, f, seed),
+        lambda state: state[0].encode(state[1]),
+        lambda state: bruteforce.composed_prompt_features(state[0], state[1]),
+    )
+
+
 @pytest.mark.parametrize("tracked", [True, False], ids=["tracked", "constant"])
 def test_text_encode_op_matches_composed(tracked):
     def make():
         enc = FrozenTextEncoder(seed=14, word_dim=6, feat_dim=5, num_positions=3)
-        seq = np.random.default_rng(18).normal(size=(7, 3, 6))
-        x = Tensor(seq, requires_grad=True) if tracked else constant(seq)
-        return (x, enc), [x]
+        rng = np.random.default_rng(18)
+        ctx, closing = rng.normal(size=(7, 2, 6)), rng.normal(size=(7, 6))
+        x = Tensor(ctx, requires_grad=True) if tracked else constant(ctx)
+        return (x, closing, enc), [x]
+
+    def composed(s):
+        x, closing, enc = s
+        closing_rows = constant(closing[:, None, :])
+        return bruteforce.composed_text_encode(enc, bruteforce.concat([x, closing_rows], axis=1))
 
     if tracked:
-        assert_same_bits(
-            make,
-            lambda s: s[1].encode(s[0]),
-            lambda s: bruteforce.composed_text_encode(s[1], s[0]),
-        )
-        (x, enc), leaves = make()
+        assert_same_bits(make, lambda s: s[2].encode(s[0], s[1]), composed)
+        (x, closing, enc), leaves = make()
         k = constant(np.random.default_rng(19).normal(size=(7, 5)))
-        grad_check(lambda: tsum(mul(enc.encode(x), k)), leaves)
+        grad_check(lambda: tsum(mul(enc.encode(x, closing), k)), leaves)
     else:
-        (x, enc), _ = make()
-        out = enc.encode(x)
-        want = bruteforce.composed_text_encode(enc, x)
-        assert out.values.tobytes() == want.values.tobytes()
+        state, _ = make()
+        out = state[2].encode(state[0], state[1])
+        assert out.values.tobytes() == composed(state).values.tobytes()
         assert not out.requires_grad and out._bw is None
 
 
 def test_text_encode_is_one_tape_op():
     (bank, enc), _ = make_prompts()
-    seq = bank.all_sequences()
-    out = enc.encode(seq)
-    assert out._parents == (seq,)
-    assert len([n for n in _topo_order(out) if n._parents]) == 3  # reshape, concat, encode
+    out = bank.encode(enc)
+    assert out._parents == (bank.contexts,)
+    assert out.values.shape == (4, 3, 5)
+    assert len([n for n in _topo_order(out) if n._parents]) == 1
 
 
 # --- shape ops used by the fused layers --------------------------------------------
@@ -327,7 +343,7 @@ def test_concat_and_permute_gradients():
     a = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(3, 1, 4)), requires_grad=True)
     k = constant(rng.normal(size=(3, 3, 4)))
-    grad_check(lambda: tsum(mul(concat([a, b], axis=1), k)), [a, b])
+    grad_check(lambda: tsum(mul(bruteforce.concat([a, b], axis=1), k)), [a, b])
     kp = constant(rng.normal(size=(2, 4, 3)))
     grad_check(lambda: tsum(mul(transpose(a, (1, 2, 0)), kp)), [a])
 
@@ -414,17 +430,18 @@ def test_model_step_matches_composed(case, tiny_dataset):
 
 # Tracked op nodes (leaves excluded) on the tape of one training step.  The
 # composed layers recorded 58 (PWCS), 52 (CRM_FULL), 55 (CRM_BASE) and 82
-# (MLPS); the five-op text encoder chain as one op took 4 off every head
-# with a prompt bank.  A change that splits a fused layer back into
-# primitives fails here.
+# (MLPS).  A head with a prompt bank spends one node on its prompts: the
+# text encoder reads the contexts and the constant class rows as one op, in
+# place of the reshape, concat, encode and reshape that took four.  A change
+# that splits a fused layer back into primitives fails here.
 PINNED_STEP_NODES = {
-    "ALIGN": 14,
-    "PWCS": 14,
+    "ALIGN": 11,
+    "PWCS": 11,
     "MLPS": 27,
-    "CRM_FULL": 16,
-    "CRM_BASE": 19,
-    "CRM_XCLASS": 17,
-    "CRM_XPART": 19,
+    "CRM_FULL": 13,
+    "CRM_BASE": 16,
+    "CRM_XCLASS": 14,
+    "CRM_XPART": 16,
 }
 
 

@@ -480,9 +480,9 @@ def test_training_refuses_an_encoder_that_moves_its_weights(
 ):
     encode = encoder.encode
 
-    def drifting(self, x):
+    def drifting(self, *args):
         getattr(self, weight)[0, 0] += 1.0
-        return encode(self, x)
+        return encode(self, *args)
 
     monkeypatch.setattr(encoder, "encode", drifting)
     with pytest.raises(ConfigError, match="frozen parameters changed during training"):

@@ -179,9 +179,9 @@ PINNED_TINY_PEAKS_KIB = {
     "ALIGN": 564,
     "PWCS": 587,
     "MLPS": 3453,
-    "CRM_FULL": 2590,
+    "CRM_FULL": 2559,
     "CRM_BASE": 599,
-    "CRM_XCLASS": 1347,
+    "CRM_XCLASS": 1318,
     "CRM_XPART": 600,
 }
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import bruteforce
-from bruteforce import div, mean_axis, power, softmax_rows, sub, tanh
+from bruteforce import concat, div, mean_axis, power, softmax_rows, sub, tanh
 from xrhead.errors import (
     BatchSizeError,
     ConfigError,
@@ -28,7 +28,6 @@ from xrhead.numerics import (
     add,
     affine,
     backward,
-    concat,
     constant,
     cosine_lr,
     cross_entropy,

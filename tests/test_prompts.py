@@ -1,11 +1,12 @@
-"""Prompt bank: sequence assembly, encoding, gradient locality."""
+"""Prompt bank: sequence layout, encoding, gradient locality."""
 
 import numpy as np
 import pytest
 
+from bruteforce import composed_text_encode
 from xrhead.encoders import FrozenTextEncoder
 from xrhead.errors import ConfigError, ShapeMismatchError
-from xrhead.numerics import backward, gather, reshape, tsum
+from xrhead.numerics import backward, constant, gather, reshape, tsum
 from xrhead.prompts import PromptBank
 
 
@@ -26,23 +27,27 @@ def test_bank_shapes_and_init():
     assert abs(ctx.std() - 0.02) < 0.005
 
 
-def test_sequence_layout():
-    bank = make_bank()
-    seq = bank.all_sequences().values[2 * 3 + 1]  # class 2, part 1
-    assert seq.shape == (3, 6)  # ctx_len + 1 rows
-    np.testing.assert_array_equal(seq[:2], bank.contexts.values[2, 1])
-    np.testing.assert_array_equal(seq[2], bank.class_embeddings[2])
-
-
-def test_all_sequences_matches_singles():
-    bank = make_bank()
-    all_seqs = bank.all_sequences()
-    assert all_seqs.values.shape == (12, 3, 6)
+def stacked_sequences(bank):
+    """Every prompt as a whole sequence, built row by row: (W * S, ctx_len + 1, word_dim)."""
     ctx, cls = bank.contexts.values, bank.class_embeddings
-    for k in range(4):
-        for s in range(3):
-            want = np.vstack([ctx[k, s], cls[k : k + 1]])
-            np.testing.assert_array_equal(all_seqs.values[k * 3 + s], want)
+    rows = [(k, s) for k in range(bank.num_classes) for s in range(bank.num_parts)]
+    return np.stack([np.vstack([ctx[k, s], cls[k : k + 1]]) for k, s in rows])
+
+
+def test_sequence_layout():
+    # the prompt of class 2, part 1 is its contexts, then class 2's embedding
+    bank = make_bank()
+    enc = FrozenTextEncoder(seed=9, word_dim=6, feat_dim=10, num_positions=3)
+    seq = stacked_sequences(bank)[2 * 3 + 1]
+    want = composed_text_encode(enc, constant(seq[None]))
+    np.testing.assert_allclose(bank.encode(enc).values[2, 1], want.values[0], rtol=1e-12)
+
+
+def test_encode_matches_single_prompts():
+    bank = make_bank()
+    enc = FrozenTextEncoder(seed=9, word_dim=6, feat_dim=10, num_positions=3)
+    want = composed_text_encode(enc, constant(stacked_sequences(bank)))
+    assert bank.encode(enc).values.tobytes() == want.values.tobytes()
 
 
 def test_encode_shape_and_determinism():
