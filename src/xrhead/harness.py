@@ -389,8 +389,9 @@ def _eval_pass(
     if n == 0:
         raise DataError("empty split")
     with no_grad():
-        # eval mode: the prompt features are the same for every chunk
-        prompts = model.prompt_features()
+        # eval mode: the prompt features, and so the head's scorer, are the
+        # same for every chunk
+        score = model.head.scorer(model.prompt_features())
     logits = np.empty((n, model.num_classes))
     weights = None
     if keep_weights:
@@ -412,7 +413,7 @@ def _eval_pass(
                 with no_grad():  # grad mode is per thread: set it in this one
                     v, w = model.attention.forward(constant(feats), training=False)
                     del feats  # read by attention only: not held while the head runs
-                    out = model.head.logits(v, prompts, training=False)
+                    out = score(v)
                 logits[start : start + chunk] = out.values
                 if keep_weights:
                     weights[start : start + chunk] = w.values

@@ -16,6 +16,7 @@ of diagonals across classes, or the full per-class block.
 from __future__ import annotations
 
 import enum
+from typing import Callable
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .numerics import (
     Mlp,
     Tensor,
     add,
+    constant,
     gather,
     l2_normalize_rows,
     matmul,
@@ -93,15 +95,34 @@ def pwcs_batch(v: Tensor, t: Tensor) -> Tensor:
     return sum_axis(sims, 0) * (1.0 / s)
 
 
+def folds_eval(num_parts: int, num_classes: int, feat_dim: int, hidden: int) -> bool:
+    """Whether CRM_FULL's eval head folds into one (S*d, hidden) weight: only
+    where that costs fewer flops per image.  Unfolded, an image takes
+    S*d*S*W for the relation product and S*S*W*hidden for fc1; folded,
+    S*d*hidden."""
+    s, w, d = num_parts, num_classes, feat_dim
+    return s * w * (hidden + d) > d * hidden
+
+
 # --- heads ---------------------------------------------------------------------
 #
-# A head's whole contract: logits(v, t, training) -> (b, w), params() (named
-# leaf tensors) and batch_norms() (a list; model files store each norm under
-# its own name).  Heads whose logits are cosines in [-1, 1] set
-# cosine_logits, and training scales those logits by a fixed temperature.
+# A head's whole contract: logits(v, t, training) -> (b, w), scorer(t) (the
+# eval-mode v -> logits for fixed prompt features), params() (named leaf
+# tensors) and batch_norms() (a list; model files store each norm under its
+# own name).  Heads whose logits are cosines in [-1, 1] set cosine_logits,
+# and training scales those logits by a fixed temperature.
 
 
-class PwcsHead:
+class Head:
+    """The default eval scorer: the eval-mode logits as they are."""
+
+    def scorer(self, t: Tensor | None) -> Callable[[Tensor], Tensor]:
+        """Eval-mode v (b, s, d) -> logits (b, w) for the prompt features t,
+        which stay fixed while the scorer is in use."""
+        return lambda v: self.logits(v, t, training=False)
+
+
+class PwcsHead(Head):
     """Parameter-free mean per-part cosine head; ALIGN is this head at num_parts == 1."""
 
     cosine_logits = True
@@ -116,7 +137,7 @@ class PwcsHead:
         return []
 
 
-class MlpsHead:
+class MlpsHead(Head):
     """Baseline without prompts: one MLP per part, logits averaged."""
 
     cosine_logits = False
@@ -151,7 +172,7 @@ class MlpsHead:
         return [mlp.bn for mlp in self.mlps]
 
 
-class CrmHead:
+class CrmHead(Head):
     """Relation-matrix heads: a classifier over flattened inner products.
 
     The variants are the 2x2 of cross-part products (s != s2) and one
@@ -203,6 +224,38 @@ class CrmHead:
     def logits(self, v: Tensor, t: Tensor, training: bool) -> Tensor:
         flat = relation_batch(v, t)
         return self.logits_from_relation(flat, training)
+
+    def scorer(self, t: Tensor) -> Callable[[Tensor], Tensor]:
+        """Eval-mode v -> logits for the prompt features t, folded for
+        CRM_FULL where `folds_eval` says so.
+
+        In eval mode t and batch norm's running statistics are constants, so
+        the relation product, fc1 and batch norm are three linear maps in a
+        row.  Block s of the folded weight, the rows image part s meets, is
+        trows^T @ fc1.weight[s*S*W : (s+1)*S*W] (trows in relation_batch's
+        row order) times batch norm's scale gamma / sqrt(running_var + eps);
+        the bias is beta - running_mean * scale.  The folded logits equal the
+        unfolded chain's up to rounding, not bit for bit.
+        """
+        w, s = self.num_classes, self.num_parts
+        fc1, bn = self.clf.fc1, self.clf.bn
+        d = t.values.shape[2]
+        if self.kind != HeadKind.CRM_FULL or not folds_eval(s, w, d, bn.dim):
+            return super().scorer(t)
+        trows = t.values.transpose(1, 0, 2).reshape(s * w, d)
+        blocks = trows.T @ fc1.weight.values.reshape(s, s * w, bn.dim)  # (s, d, hidden)
+        scale = bn.gamma.values / np.sqrt(bn.running_var + bn.eps)
+        weight = blocks.reshape(s * d, bn.dim) * scale
+        bias = bn.beta.values - bn.running_mean * scale
+
+        def score(v: Tensor) -> Tensor:
+            b = _check_pair(v, t)[0]
+            h = v.values.reshape(b, s * d) @ weight
+            h += bias
+            np.maximum(h, 0.0, out=h)  # relu in place: one (b, hidden) array per chunk
+            return self.clf.fc2(constant(h))
+
+        return score
 
     def params(self) -> list[Tensor]:
         return self.clf.params()

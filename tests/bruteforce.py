@@ -4,10 +4,11 @@ The first group is deliberately written as plain python loops over numpy
 rows, independent of the library's batched tensor code paths.  The second
 group adds the primitive tape ops that only the oracles use, and the third
 rebuilds the fused layers from primitive tape ops, as bitwise oracles.  Then
-comes the whole-split eval, the bitwise oracle of the chunked one, then
-the frozen prompt features that manual-prompt runs load from a file, and
-last the container layout framed with struct, the byte oracle of pack that
-also writes dtype codes pack refuses.
+comes the whole-split eval, the bitwise oracle of the chunked one, with
+CRM_FULL's folded eval head, then the frozen prompt features that
+manual-prompt runs load from a file, and last the container layout framed
+with struct, the byte oracle of pack that also writes dtype codes pack
+refuses.
 """
 
 import json
@@ -363,16 +364,47 @@ def composed_model_loss(model, feats, labels):
 # --- whole-split eval ---------------------------------------------------------------
 
 
-def whole_split_eval(model, patches, chunk: int = 256):
+def folded_crm_full(head, t: np.ndarray):
+    """CRM_FULL's eval head with the relation product, fc1 and eval batch
+    norm folded into one (S * d, hidden) weight and a bias, as the chain of
+    numpy calls the library makes: v (b, S, d) -> logits (b, W).  Block s of
+    the weight is built on its own, the product of the prompt rows that
+    image part s meets with fc1's rows for them."""
+    fc1, bn, fc2 = head.clf.fc1, head.clf.bn, head.clf.fc2
+    w, s, d = t.shape
+    trows = t.transpose(1, 0, 2).reshape(s * w, d)  # row s2 * w + w_idx
+    rows = s * w
+    blocks = [trows.T @ fc1.weight.values[i * rows : (i + 1) * rows] for i in range(s)]
+    scale = bn.gamma.values / np.sqrt(bn.running_var + bn.eps)
+    weight = np.concatenate(blocks) * scale
+    bias = bn.beta.values - bn.running_mean * scale
+
+    def score(v: np.ndarray) -> np.ndarray:
+        h = v.reshape(v.shape[0], s * d) @ weight
+        h += bias
+        return np.maximum(h, 0.0) @ fc2.weight.values + fc2.bias.values
+
+    return score
+
+
+def whole_split_eval(model, patches, chunk: int = 256, folded: bool = False):
     """Eval-mode (logits, attention weights) of a whole split: every patch
-    converted and encoded at once, then one attention pass per chunk."""
+    converted and encoded at once, then one attention pass per chunk.  The
+    head is the model's own eval-mode logits, or with `folded`, CRM_FULL's
+    folded_crm_full."""
     feats = model.image_encoder.encode(np.asarray(patches, dtype=np.float64))
     logits, weights = [], []
     with no_grad():
         prompts = model.prompt_features()
+        if folded:
+            score = folded_crm_full(model.head, prompts.values)
+        else:
+            def score(v):
+                return model.head.logits(constant(v), prompts, training=False).values
+
         for start in range(0, feats.shape[0], chunk):
             v, w = model.attention.forward(constant(feats[start : start + chunk]), training=False)
-            logits.append(model.head.logits(v, prompts, training=False).values)
+            logits.append(score(v.values))
             weights.append(w.values)
     return np.concatenate(logits, axis=0), np.concatenate(weights, axis=0)
 

@@ -326,7 +326,8 @@ def test_dataset_file_errors(tmp_path):
     path = str(tmp_path / "ds.xrvd")
     ds = generate(small_spec())
     save_dataset(path, ds)
-    raw = open(path, "rb").read()
+    with open(path, "rb") as f:
+        raw = f.read()
 
     bad = str(tmp_path / "bad.xrvd")
     with open(bad, "wb") as f:

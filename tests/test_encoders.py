@@ -145,7 +145,8 @@ def test_feature_file_bad_version(tmp_path):
 def test_feature_file_truncated(tmp_path):
     path = str(tmp_path / "ok.xrvf")
     save_features(path, np.ones((4, 4)), {})
-    raw = open(path, "rb").read()
+    with open(path, "rb") as f:
+        raw = f.read()
     cut = str(tmp_path / "cut.xrvf")
     with open(cut, "wb") as f:
         f.write(raw[:30])

@@ -257,6 +257,46 @@ def test_relation_matches_composed(num_parts):
     )
 
 
+PART_PRODUCTS = {
+    "pwcs": (pwcs_batch, bruteforce.composed_pwcs),
+    "relation": (relation_batch, bruteforce.composed_relation),
+}
+
+
+def part_product_bits(op, b, s, d, w, seed):
+    fused, composed = PART_PRODUCTS[op]
+
+    def make():
+        rng = np.random.default_rng(seed)
+        v = Tensor(rng.normal(size=(b, s, d)), requires_grad=True)
+        t = Tensor(rng.normal(size=(w, s, d)), requires_grad=True)
+        return (v, t), [v, t]
+
+    assert_same_bits(make, lambda state: fused(*state), lambda state: composed(*state))
+
+
+# the products that training runs at every step; an eval pass folds CRM_FULL's
+# relation product away only where heads.folds_eval says so.  PWCS is drawn
+# from feat_dim 2: at feat_dim 1 see the xfail below
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@pytest.mark.parametrize("op, least_d", [("pwcs", 2), ("relation", 1)])
+@given(data=st.data())
+def test_part_products_match_composed_at_drawn_shapes(op, least_d, data):
+    b, s = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 8))
+    d, w = data.draw(st.integers(least_d, 70)), data.draw(st.integers(2, 24))
+    part_product_bits(op, b, s, d, w, data.draw(st.integers(0, 2**16)))
+
+
+# at feat_dim 1 the gradient into the prompt features is rounding noise around
+# an exact 0 (a normalized scalar is +-1), and the batched product's backward
+# sums the batch in another order than the chain's per-part products: 14 of
+# about 21 drawn shapes with feat_dim 1 differed in t's gradient, none with
+# feat_dim 2-70
+@pytest.mark.xfail(reason="pwcs_batch's t gradient at feat_dim 1 is not the chain's bits")
+def test_pwcs_matches_composed_at_feat_dim_one():
+    part_product_bits("pwcs", 4, 2, 1, 3, 0)
+
+
 # --- prompt bank and text encoder -------------------------------------------------
 
 

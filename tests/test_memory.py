@@ -143,7 +143,7 @@ def test_no_step_starts_with_the_last_steps_tape(kind, reference_dataset, monkey
 def test_an_eval_thread_drops_each_chunk_once_read(reference_dataset, monkeypatch):
     model = build_model(TrainConfig(data_spec=REFERENCE_SPEC), reference_dataset)
     chunks = []
-    forward, logits = model.attention.forward, model.head.logits
+    forward, scorer = model.attention.forward, model.head.scorer
 
     def spy_forward(tokens, training):
         start = held()
@@ -152,12 +152,17 @@ def test_an_eval_thread_drops_each_chunk_once_read(reference_dataset, monkeypatc
                        "kept": v.values.nbytes + w.values.nbytes})
         return v, w
 
-    def spy_logits(*args, **kwargs):
-        chunks[-1]["head"] = held()
-        return logits(*args, **kwargs)
+    def spy_scorer(prompts):
+        score = scorer(prompts)
+
+        def spy_score(*args, **kwargs):
+            chunks[-1]["head"] = held()
+            return score(*args, **kwargs)
+
+        return spy_score
 
     monkeypatch.setattr(model.attention, "forward", spy_forward)
-    monkeypatch.setattr(model.head, "logits", spy_logits)
+    monkeypatch.setattr(model.head, "scorer", spy_scorer)
     with one_cpu(), traced():
         predict_logits(model, reference_dataset.test_patches)
     assert len(chunks) == 5
