@@ -108,32 +108,6 @@ def test_print_summary_marks_a_regression(capsys):
     assert lines[1].endswith("(REGRESSED)") and "REGRESSED" not in lines[2]
 
 
-def test_eval_paths_name_the_shared_runs_and_the_mixed_pairs(capsys):
-    def side(wall, cpu):
-        return run({"eval_ms_p50": wall, "eval_cpu_ms": cpu})
-
-    # a shared pass spends the helper's CPU time on top of the caller's
-    assert bench_pairs.ran_shared({"eval_ms_p50": 20.1, "eval_cpu_ms": 33.0})
-    assert not bench_pairs.ran_shared({"eval_ms_p50": 27.6, "eval_cpu_ms": 27.5})
-    assert not bench_pairs.ran_shared({"eval_ms_p50": 10.0, "eval_cpu_ms": 12.0})  # not above
-    assert bench_pairs.ran_shared({"eval_ms_p50": 0.0, "eval_cpu_ms": 1.0}) is None
-    assert bench_pairs.ran_shared({"train_s": 4.0}) is None
-    pairs = [
-        {"seed": 1, "parent": side(20.0, 34.0), "change": side(18.0, 30.0)},
-        {"seed": 2, "parent": side(27.6, 27.5), "change": side(20.1, 33.0)},
-        {"seed": 3, "parent": side(19.0, 31.0), "change": side(23.0, 23.1)},
-        {"seed": 4, "parent": side(27.0, 27.0), "change": side(23.0, 23.1)},
-        {"seed": 5, "parent": run({}), "change": side(18.0, 30.0)},  # the parent read nothing
-    ]
-    paths = bench_pairs.eval_paths(pairs)
-    assert paths == {"shared_runs": {"parent": 2, "change": 3}, "runs": 5, "mixed_pairs": [2, 3]}
-    bench_pairs.print_eval_paths(paths)
-    out = capsys.readouterr().out
-    assert "ran shared: parent 2, change 3 of 5; pairs on different paths: 2, 3" in out
-    bench_pairs.print_eval_paths(bench_pairs.eval_paths(pairs[:1]))
-    assert capsys.readouterr().out.endswith("pairs on different paths: none\n")
-
-
 def fake_perfbench_run(monkeypatch, events, ticks):
     """run_once with a faked load average, /proc/stat reader and perfbench run;
     the reader returns the given readings in turn."""
@@ -171,7 +145,6 @@ def test_run_once_records_the_load_before_the_run(monkeypatch):
     assert run_["load_1min"] == 1.5
     assert run_["steal_share"] == 0.25
     assert run_["metrics"] == {"train_s": 4.0} and run_["environment"] == {"commit": "abc"}
-    assert run_["eval_shared"] is None  # the run read no eval times
     # how many trained models the run held, to read its peak_rss_mb against
     assert run_["details"] == {"train_runs": 3}
     assert bench_pairs.tagged_line(['perfbench environment {"commit": "abc"}'], "details") is None

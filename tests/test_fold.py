@@ -2,27 +2,23 @@
 
 In an eval pass the prompt features and batch norm's running statistics are
 constants, so CRM_FULL's relation product, fc1 and batch norm fold into one
-(S * d, 512) weight and a bias, where `heads.folds_eval` says the fold costs
-fewer flops per image.  A folded pass must give the bytes of
+(S * d, 512) weight and a bias.  A CRM_FULL pass must give the bytes of
 bruteforce.folded_crm_full, the fold written as its own chain of numpy calls,
 and that oracle must stay within FOLD_RTOL of the unfolded chain
-(bruteforce.whole_split_eval), relative to the largest logit.  Where the rule
-says not to fold, and for every other head kind, the pass keeps the bytes of
-the unfolded chain.
+(bruteforce.whole_split_eval), relative to the largest logit.  Every other
+head kind keeps the bytes of the unfolded chain.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce
 from xrhead import harness, heads
 from xrhead.harness import Model, TrainConfig, predict_logits
-from xrhead.heads import HeadKind, folds_eval, relation_batch
+from xrhead.heads import HeadKind, relation_batch
 from xrhead.numerics import constant, no_grad
 
-HIDDEN = 512
 # the folded logits sum the same products in another order; the reference
 # model's moved by at most 1.3e-15 of its largest logit
 FOLD_RTOL = 1e-12
@@ -56,20 +52,11 @@ def make_model(kind: str, w: int, s: int, d: int, seed: int) -> Model:
     return model
 
 
-def test_the_fold_rule():
-    # the reference shapes fold; one and two parts at the same W and d do not
-    assert folds_eval(4, 20, 64, HIDDEN)
-    assert not folds_eval(1, 20, 64, HIDDEN) and not folds_eval(2, 20, 64, HIDDEN)
-    # the tiny trainings of test_harness.py and test_memory.py do not fold, so
-    # their pinned logits and peaks hold
-    assert not folds_eval(4, 6, 32, HIDDEN)
-
-
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@example(kind="CRM_FULL", w=20, s=4, d=64, n=3, seed=0)  # the reference shapes: folds
-@example(kind="CRM_FULL", w=20, s=2, d=64, n=3, seed=1)  # does not fold
-@example(kind="CRM_FULL", w=6, s=4, d=32, n=3, seed=2)  # the tiny trainings: does not fold
-@example(kind="CRM_FULL", w=2, s=1, d=1, n=1, seed=3)  # one image, one part: folds
+@example(kind="CRM_FULL", w=20, s=4, d=64, n=3, seed=0)  # the reference shapes
+@example(kind="CRM_FULL", w=20, s=2, d=64, n=3, seed=1)
+@example(kind="CRM_FULL", w=6, s=4, d=32, n=3, seed=2)  # the tiny trainings
+@example(kind="CRM_FULL", w=2, s=1, d=1, n=1, seed=3)  # one image, one part
 @example(kind="CRM_XCLASS", w=20, s=4, d=64, n=3, seed=4)
 @given(
     kind=st.sampled_from([k.value for k in HeadKind if k != HeadKind.ALIGN]),
@@ -79,12 +66,12 @@ def test_the_fold_rule():
     n=st.integers(1, 12),
     seed=st.integers(0, 2**16),
 )
-def test_eval_pass_folds_where_the_rule_says(kind, w, s, d, n, seed):
+def test_eval_pass_folds_crm_full_only(kind, w, s, d, n, seed):
     model = make_model(kind, w, s, d, seed)
     patches = np.random.default_rng(seed + 1).normal(size=(n, TOKENS, PATCH_DIM))
     got = predict_logits(model, patches)
     unfolded, _ = bruteforce.whole_split_eval(model, patches)
-    if kind != "CRM_FULL" or not folds_eval(s, w, d, HIDDEN):
+    if kind != "CRM_FULL":
         assert got.tobytes() == unfolded.tobytes()
         return
     folded, _ = bruteforce.whole_split_eval(model, patches, folded=True)
@@ -95,7 +82,6 @@ def test_eval_pass_folds_where_the_rule_says(kind, w, s, d, n, seed):
 def test_the_fold_is_built_once_per_pass(monkeypatch):
     monkeypatch.setattr(harness, "EVAL_CHUNK", 7)
     model = make_model("CRM_FULL", 6, 4, 8, seed=5)
-    assert folds_eval(4, 6, 8, HIDDEN)
     patches = np.random.default_rng(6).normal(size=(30, TOKENS, PATCH_DIM))
     built, scored, related = [], [], []
     scorer = model.head.scorer
@@ -122,17 +108,3 @@ def test_the_fold_is_built_once_per_pass(monkeypatch):
         assert sorted(scored) == sorted([7] * 4 * passes + [2] * passes)
     # the folded head never builds a relation vector
     assert related == []
-
-
-@pytest.mark.parametrize("s", [1, 2])
-def test_one_and_two_parts_score_through_the_relation_vector(s, monkeypatch):
-    model = make_model("CRM_FULL", 20, s, 64, seed=7)
-    related = []
-
-    def spy_relation(*args):
-        related.append(args)
-        return relation_batch(*args)
-
-    monkeypatch.setattr(heads, "relation_batch", spy_relation)
-    predict_logits(model, np.random.default_rng(8).normal(size=(4, TOKENS, PATCH_DIM)))
-    assert len(related) == 1

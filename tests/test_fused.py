@@ -276,8 +276,8 @@ def part_product_bits(op, b, s, d, w, seed):
 
 
 # the products that training runs at every step; an eval pass folds CRM_FULL's
-# relation product away only where heads.folds_eval says so.  PWCS is drawn
-# from feat_dim 2: at feat_dim 1 see the xfail below
+# relation product away.  PWCS is drawn from feat_dim 2: at feat_dim 1 see the
+# strict xfail below
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @pytest.mark.parametrize("op, least_d", [("pwcs", 2), ("relation", 1)])
 @given(data=st.data())
@@ -292,7 +292,8 @@ def test_part_products_match_composed_at_drawn_shapes(op, least_d, data):
 # sums the batch in another order than the chain's per-part products: 14 of
 # about 21 drawn shapes with feat_dim 1 differed in t's gradient, none with
 # feat_dim 2-70
-@pytest.mark.xfail(reason="pwcs_batch's t gradient at feat_dim 1 is not the chain's bits")
+@pytest.mark.xfail(reason="pwcs_batch's t gradient at feat_dim 1 is not the chain's bits",
+                   strict=True)
 def test_pwcs_matches_composed_at_feat_dim_one():
     part_product_bits("pwcs", 4, 2, 1, 3, 0)
 

@@ -351,7 +351,7 @@ PINNED_TINY_DIGESTS = {
     ),
     "CRM_FULL": (
         "79f46010a8ece649d7aeb2e116a0eb53ea0d58b773d9ecc5098036c3acae60f4",
-        "eacde0f2ec411a43e305324be908192daf607e1ab3e8cd92e9950da8a4bfe7f9",
+        "df89894664668813834f60ac32288d0b22b7a584e215670d5c7ebf62bbf41e6a",
         "bac26fe14856bcdf09decb22afb571215e6bc73459aa176689d5f34ffd00f657",
     ),
     "CRM_BASE": (
@@ -661,15 +661,16 @@ def test_chunked_eval_matches_whole_split_oracle(kind, tiny_dataset, monkeypatch
     patches = np.concatenate([tiny_dataset.test_patches] * 6)
     part_ids = np.concatenate([tiny_dataset.test_part_ids] * 6)
     shared = count_shared_passes(monkeypatch)
+    folded = kind == "CRM_FULL"  # its eval head is the folded chain: see test_fold.py
 
     def check():
         for raw in (patches, patches.astype(np.float32)):
             for chunk in (256, 7):
                 monkeypatch.setattr(harness, "EVAL_CHUNK", chunk)
-                want, _ = bruteforce.whole_split_eval(model, raw, chunk)
+                want, _ = bruteforce.whole_split_eval(model, raw, chunk, folded)
                 assert predict_logits(model, raw).tobytes() == want.tobytes()
             monkeypatch.setattr(harness, "EVAL_CHUNK", 256)
-            want_logits, want_weights = bruteforce.whole_split_eval(model, raw)
+            want_logits, want_weights = bruteforce.whole_split_eval(model, raw, folded=folded)
             samples = export_attention(model, raw, part_ids)
             assert [s["index"] for s in samples] == list(range(raw.shape[0]))
             assert [s["prediction"] for s in samples] == np.argmax(want_logits, axis=1).tolist()
@@ -752,7 +753,7 @@ def test_shared_eval_has_at_most_two_chunks_in_flight(tiny_dataset, monkeypatch)
     monkeypatch.setattr(harness, "EVAL_CHUNK", 3)
     model = build_model(tiny_config(), tiny_dataset)
     patches = tiny_dataset.test_patches
-    encode, head_logits = model.image_encoder.encode, model.head.logits
+    encode, scorer = model.image_encoder.encode, model.head.scorer
     lock = threading.Lock()
     started = []  # chunk indices, in the order their encodes began
     in_flight = peak = 0
@@ -767,15 +768,20 @@ def test_shared_eval_has_at_most_two_chunks_in_flight(tiny_dataset, monkeypatch)
         time.sleep(0.005)  # a slow chunk: an unbounded pass would start more meanwhile
         return encode(chunk)
 
-    def end(*args, **kwargs):
-        nonlocal in_flight
-        out = head_logits(*args, **kwargs)
-        with lock:
-            in_flight -= 1
-        return out
+    def spy_scorer(prompts):
+        score = scorer(prompts)
+
+        def end(*args, **kwargs):
+            nonlocal in_flight
+            out = score(*args, **kwargs)
+            with lock:
+                in_flight -= 1
+            return out
+
+        return end
 
     monkeypatch.setattr(model.image_encoder, "encode", begin)
-    monkeypatch.setattr(model.head, "logits", end)
+    monkeypatch.setattr(model.head, "scorer", spy_scorer)
     threads = threading.active_count()
     predict_logits(model, patches)
     assert peak <= 2

@@ -16,14 +16,9 @@ prints, per side, the highest 1-minute load average read before a run and
 the highest share of CPU time the host stole during a run (the `steal`
 field of /proc/stat; inside a VM the load average cannot see other
 guests): work on the other CPU and a host that steals CPU time both slow
-the runs, so a pair run under either can be named.  It also prints, per
-side, how many runs' eval passes ran shared with xrhead's helper thread,
-read from eval_cpu_ms / eval_ms_p50 (above SHARED_CPU_RATIO: a second
-thread's CPU time), and the seeds of the pairs whose two sides took
-different paths: a shared pass reads far faster than a one-thread pass, by
-more than most changes gain.  Every run (metrics, whether its passes ran
-shared, the run's wall and CPU time, the load before it, its steal share,
-seed, run order, and perfbench's environment and details lines; the details'
+the runs, so a pair run under either can be named.  Every run (metrics,
+the run's wall and CPU time, the load before it, its steal share, seed,
+run order, and perfbench's environment and details lines; the details'
 `train_runs` is how many trained models the run held, which its
 `peak_rss_mb` has to be read against) goes to the --out JSON file,
 which is rewritten atomically after every pair: a set stopped part way
@@ -52,9 +47,6 @@ import tempfile
 import time
 
 SIDES = ("parent", "change")
-# eval_cpu_ms / eval_ms_p50 above this: the passes ran shared with a helper
-# thread, whose CPU time adds to the caller's; one-thread passes read about 1
-SHARED_CPU_RATIO = 1.2
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -101,35 +93,6 @@ def tagged_line(lines: list[str], tag: str) -> dict | None:
                 None)
 
 
-def ran_shared(metrics: dict) -> bool | None:
-    """Whether a run's eval passes ran shared with the helper thread, from
-    its eval_cpu_ms / eval_ms_p50; None where either is missing or 0."""
-    wall, cpu = metrics.get("eval_ms_p50"), metrics.get("eval_cpu_ms")
-    if not wall or cpu is None:
-        return None
-    return cpu / wall > SHARED_CPU_RATIO
-
-
-def eval_paths(pairs: list[dict]) -> dict:
-    """Per side, how many runs' passes ran shared, and the seeds of the pairs
-    whose two sides took different paths (a side that cannot say differs
-    from neither)."""
-    shared = {s: [ran_shared(p[s]["metrics"]) for p in pairs] for s in SIDES}
-    return {
-        "shared_runs": {s: sum(x is True for x in shared[s]) for s in SIDES},
-        "runs": len(pairs),
-        "mixed_pairs": [p["seed"] for p, a, b in zip(pairs, shared["parent"], shared["change"])
-                        if None not in (a, b) and a != b],
-    }
-
-
-def print_eval_paths(paths: dict) -> None:
-    shared, mixed = paths["shared_runs"], paths["mixed_pairs"]
-    print(f"  runs whose eval passes ran shared: parent {shared['parent']}, change "
-          f"{shared['change']} of {paths['runs']}; pairs on different paths: "
-          f"{', '.join(str(seed) for seed in mixed) if mixed else 'none'}")
-
-
 def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
     """One perfbench run: its parsed result, environment and details lines,
     wall and CPU seconds, the 1-minute load average just before it and the
@@ -150,13 +113,11 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
     if proc.returncode != 0 or not result["correct"]:
         sys.stderr.write(f"bench_pairs: {checkout} {workload} seed {seed} failed:\n")
         sys.stderr.write(proc.stderr[-2000:] + "\n")
-    metrics = {k: v["value"] for k, v in result["metrics"].items()}
     return {
         "correct": bool(result["correct"]) and proc.returncode == 0,
         "attempted": result["attempted"],
         "failed": result["failed"],
-        "metrics": metrics,
-        "eval_shared": ran_shared(metrics),
+        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
         "wall_s": wall,
         "cpu_s": cpu,
         "load_1min": load,
@@ -324,8 +285,6 @@ def main(argv=None) -> int:
         print_summary(workload, summary)
         loads, steal = highest_loads(pairs), highest_steal(pairs)
         print_loads(loads, steal)
-        paths = eval_paths(pairs)
-        print_eval_paths(paths)
         envs = {s: [p[s]["environment"] for p in pairs if p[s]["environment"]] for s in SIDES}
         first = (envs["parent"] + envs["change"] or [{}])[0]
         report["workloads"][workload] = {
@@ -335,7 +294,6 @@ def main(argv=None) -> int:
             "all_correct": all(p[s]["correct"] for p in pairs for s in SIDES),
             "highest_loads": loads,
             "highest_steal": steal,
-            "eval_paths": paths,
             "summary": summary,
             "pairs": pairs,
         }
