@@ -14,10 +14,8 @@ written into CSV or SVG outputs.
 from __future__ import annotations
 
 import os
-import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -201,7 +199,6 @@ class Model:
 
         self.attention = PartAttention(config.feat_dim, config.num_parts, seed=seed(1))
         self.head = build_head(kind, num_classes, config.num_parts, config.feat_dim, seed=seed(2))
-        self.eval_paths = _EvalPaths()
 
     def params(self) -> list[Tensor]:
         out = []
@@ -306,56 +303,6 @@ class RunReport:
 _REPORT_FIELDS = rpt.JsonFields(RunReport, ConfigError, "report")
 
 
-class _EvalPaths:
-    """Chooses, for one model's eval passes of raw patches, whether the
-    calling thread shares a pass's chunks with a helper thread, from the
-    measured time of recent passes on each path.
-
-    A second thread pays only while a second CPU is free for it.  BLAS
-    threads, other processes and a host that steals the VM's CPU time can
-    each make a shared pass slower than one thread (a helper preempted while
-    it holds the GIL stalls the caller), and none of them can be read
-    beforehand.  So the passes alternate between the paths, one thread
-    first, until each path has RECENT times.  Later passes are shared while
-    the median time per image of the last RECENT shared passes is below GAIN
-    times that of the last RECENT one-thread passes (a tie is not worth a
-    second thread's CPU time: with BLAS on two threads, a helper only
-    competes with them), and every PROBE-th pass takes the other path, so a
-    change of load is seen.  Bits do not depend on the path.
-    """
-
-    RECENT = 3
-    PROBE = 10
-    GAIN = 0.9
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._times = {False: [], True: []}  # shared -> seconds per image of recent passes
-        self._passes = 0
-
-    def choose(self) -> bool:
-        """Whether the next pass is shared."""
-        with self._lock:
-            self._passes += 1
-            solo, shared = self._times[False], self._times[True]
-            if len(shared) < self.RECENT or len(solo) < self.RECENT:
-                return len(shared) < len(solo)
-            faster = bool(np.median(shared) < self.GAIN * np.median(solo))
-            return faster != (self._passes % self.PROBE == 0)
-
-    def record(self, shared: bool, seconds_per_image: float) -> None:
-        with self._lock:
-            recent = self._times[shared]
-            recent.append(seconds_per_image)
-            del recent[: -self.RECENT]
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where the platform cannot say."""
-    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
-    return len(affinity(0)) if affinity else 1
-
-
 def _patch_array(patches) -> np.ndarray:
     """patches as a numeric (images, tokens, features) array, or the eval pass's refusal."""
     patches = np.asarray(patches)
@@ -373,71 +320,36 @@ def _eval_pass(
     when they are already `encoded`, and the attention weights
     (n, tokens, parts + 1) when `keep_weights`, else None.
 
-    Each chunk of EVAL_CHUNK raw patches is converted to float64, encoded
-    and attended on its own, and its rows are written in place, so a thread
-    holds one chunk of token features at a time.  The encoder works image
-    by image, so the bits equal those of one encode of every patch.  A pass
-    of two or more chunks of raw patches, with two or more usable CPUs, runs
-    either on the calling thread or on it and one helper thread, as the model's
-    _EvalPaths choose: the two take chunk starts from one iterator, so at
-    most two chunks are in flight.  A chunk's bits do not depend on the
-    thread that computes it.  Passes of encoded features run on the calling
-    thread.
+    The pass runs on the calling thread.  Each chunk of EVAL_CHUNK raw
+    patches is converted to float64, encoded and attended on its own, and
+    its rows are written in place, so the pass holds one chunk of token
+    features at a time.  The encoder works image by image, so the bits
+    equal those of one encode of every patch.
     """
     patches = _patch_array(patches)
     n = patches.shape[0]
     if n == 0:
         raise DataError("empty split")
-    with no_grad():
-        # eval mode: the prompt features, and so the head's scorer, are the
-        # same for every chunk
-        score = model.head.scorer(model.prompt_features())
     logits = np.empty((n, model.num_classes))
     weights = None
     if keep_weights:
         weights = np.empty((n, patches.shape[1], model.attention.num_parts + 1))
     chunk = EVAL_CHUNK
-    starts = iter(range(0, n, chunk))
-    lock = threading.Lock()
-
-    def work() -> None:
-        try:
-            while True:
-                with lock:
-                    start = next(starts, None)
-                if start is None:
-                    return
-                feats = patches[start : start + chunk]
-                if not encoded:
-                    feats = model.image_encoder.encode(feats)
-                with no_grad():  # grad mode is per thread: set it in this one
-                    v, w = model.attention.forward(constant(feats), training=False)
-                    del feats  # read by attention only: not held while the head runs
-                    out = score(v)
-                logits[start : start + chunk] = out.values
-                if keep_weights:
-                    weights[start : start + chunk] = w.values
-                del v, w, out  # not held while the next chunk is encoded
-        except BaseException:
-            with lock:  # the other thread stops after its current chunk
-                for _ in starts:
-                    pass
-            raise
-
-    # an encoded pass (train's training-accuracy pass, one per model) would
-    # never get past the first, one-thread pass of the alternation
-    chosen = not encoded and n > chunk and _usable_cpus() >= 2
-    shared = chosen and model.eval_paths.choose()
-    t0 = time.perf_counter()
-    if shared:
-        with ThreadPoolExecutor(1, thread_name_prefix="xrhead-eval") as pool:  # joined on exit
-            helper = pool.submit(work)
-            work()
-        helper.result()  # a helper's error, raised here
-    else:
-        work()
-    if chosen:
-        model.eval_paths.record(shared, (time.perf_counter() - t0) / n)
+    with no_grad():
+        # eval mode: the prompt features, and so the head's scorer, are the
+        # same for every chunk
+        score = model.head.scorer(model.prompt_features())
+        for start in range(0, n, chunk):
+            feats = patches[start : start + chunk]
+            if not encoded:
+                feats = model.image_encoder.encode(feats)
+            v, w = model.attention.forward(constant(feats), training=False)
+            del feats  # read by attention only: not held while the head runs
+            out = score(v)
+            logits[start : start + chunk] = out.values
+            if keep_weights:
+                weights[start : start + chunk] = w.values
+            del v, w, out  # not held while the next chunk is encoded
     if not np.isfinite(logits).all():
         raise DataError("non-finite logits: patches must be finite")
     return logits, weights

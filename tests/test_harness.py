@@ -1,6 +1,5 @@
 """Config handling, model assembly, training, comparisons, analyses, persistence."""
 
-import contextlib
 import csv
 import hashlib
 import io
@@ -11,7 +10,6 @@ import re
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 from dataclasses import asdict, fields, replace
 
@@ -26,7 +24,6 @@ from xrhead.encoders import FrozenImageEncoder, FrozenTextEncoder, save_features
 from xrhead.errors import (
     ConfigError,
     DataError,
-    DegenerateInputError,
     FormatError,
     NumericError,
     ShapeMismatchError,
@@ -613,45 +610,7 @@ def test_eval_encodes_one_chunk_at_a_time(tiny_dataset, monkeypatch):
 
     monkeypatch.setattr(model.image_encoder, "encode", counted)
     predict_logits(model, tiny_dataset.test_patches)
-    # two threads may encode the chunks in either order
-    assert sorted(rows) == [3] + [5] * 9  # 48 test images
-
-
-@contextlib.contextmanager
-def one_cpu():
-    """Pin the calling thread to one of its CPUs: eval then starts no helper thread."""
-    allowed = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(allowed)})
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, allowed)
-
-
-def two_cpus() -> bool:
-    return harness._usable_cpus() >= 2
-
-
-def always_shared(monkeypatch):
-    """Share every eval pass of two or more chunks with a helper thread,
-    whatever the measured times say."""
-    if not two_cpus():
-        pytest.skip("the shared eval path needs two usable CPUs")
-    monkeypatch.setattr(harness._EvalPaths, "choose", lambda self: True)
-
-
-def count_shared_passes(monkeypatch) -> list:
-    """Record each eval pass that shares its chunks with a helper thread:
-    one entry per helper executor it starts."""
-    calls = []
-    executor = harness.ThreadPoolExecutor
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return executor(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", spy)
-    return calls
+    assert rows == [5] * 9 + [3]  # 48 test images
 
 
 @pytest.mark.parametrize("kind", HEAD_KINDS)
@@ -660,252 +619,61 @@ def test_chunked_eval_matches_whole_split_oracle(kind, tiny_dataset, monkeypatch
     # 288 images: a multiple of neither the default chunk (256) nor 7
     patches = np.concatenate([tiny_dataset.test_patches] * 6)
     part_ids = np.concatenate([tiny_dataset.test_part_ids] * 6)
-    shared = count_shared_passes(monkeypatch)
     folded = kind == "CRM_FULL"  # its eval head is the folded chain: see test_fold.py
-
-    def check():
-        for raw in (patches, patches.astype(np.float32)):
-            for chunk in (256, 7):
-                monkeypatch.setattr(harness, "EVAL_CHUNK", chunk)
-                want, _ = bruteforce.whole_split_eval(model, raw, chunk, folded)
-                assert predict_logits(model, raw).tobytes() == want.tobytes()
-            monkeypatch.setattr(harness, "EVAL_CHUNK", 256)
-            want_logits, want_weights = bruteforce.whole_split_eval(model, raw, folded=folded)
-            samples = export_attention(model, raw, part_ids)
-            assert [s["index"] for s in samples] == list(range(raw.shape[0]))
-            assert [s["prediction"] for s in samples] == np.argmax(want_logits, axis=1).tolist()
-            for sample, weights, ids in zip(samples, want_weights, part_ids):
-                assert sample["weights"].tobytes() == weights.tobytes()
-                assert sample["part_ids"].tobytes() == ids.tobytes()
-
-    with one_cpu():
-        check()
-    assert shared == []
-    if two_cpus():
-        always_shared(monkeypatch)
-        check()
-        assert len(shared) == 6
+    for raw in (patches, patches.astype(np.float32)):
+        for chunk in (256, 7):
+            monkeypatch.setattr(harness, "EVAL_CHUNK", chunk)
+            want, _ = bruteforce.whole_split_eval(model, raw, chunk, folded)
+            assert predict_logits(model, raw).tobytes() == want.tobytes()
+        monkeypatch.setattr(harness, "EVAL_CHUNK", 256)
+        want_logits, want_weights = bruteforce.whole_split_eval(model, raw, folded=folded)
+        samples = export_attention(model, raw, part_ids)
+        assert [s["index"] for s in samples] == list(range(raw.shape[0]))
+        assert [s["prediction"] for s in samples] == np.argmax(want_logits, axis=1).tolist()
+        for sample, weights, ids in zip(samples, want_weights, part_ids):
+            assert sample["weights"].tobytes() == weights.tobytes()
+            assert sample["part_ids"].tobytes() == ids.tobytes()
 
 
-def test_eval_error_in_the_helper_reaches_the_caller(tiny_dataset, monkeypatch):
-    always_shared(monkeypatch)
-    monkeypatch.setattr(harness, "EVAL_CHUNK", 5)
-    model = build_model(tiny_config(), tiny_dataset)
-    encode = model.image_encoder.encode
-    caller = threading.get_ident()
-    helper_failed = threading.Event()
-    raised = []
-
-    def failing(chunk):
-        if threading.get_ident() == caller:
-            helper_failed.wait(timeout=10)  # let the helper fail on its first chunk
-            return encode(chunk)
-        raised.append(DegenerateInputError("chunk failed in the helper"))
-        helper_failed.set()
-        raise raised[-1]
-
-    monkeypatch.setattr(model.image_encoder, "encode", failing)
-    threads = threading.active_count()
-    for _ in range(3):
-        helper_failed.clear()
-        raised.clear()
-        with pytest.raises(DegenerateInputError) as info:
-            predict_logits(model, tiny_dataset.test_patches)
-        assert len(raised) == 1 and info.value is raised[0]
-        assert threading.active_count() == threads
-
-
-def test_eval_error_in_the_caller_stops_the_helper(tiny_dataset, monkeypatch):
-    always_shared(monkeypatch)
-    monkeypatch.setattr(harness, "EVAL_CHUNK", 5)
-    model = build_model(tiny_config(), tiny_dataset)
-    encode = model.image_encoder.encode
-    caller = threading.get_ident()
-    helper_busy = threading.Event()
-    began = []  # one entry per chunk, in the order their encodes began
-    raised = []  # (chunks begun when the caller raised, the error)
-
-    def failing(chunk):
-        began.append(chunk)
-        if threading.get_ident() == caller:
-            helper_busy.wait(timeout=10)  # fail while the helper computes a chunk
-            raised.append((len(began), DegenerateInputError("chunk failed in the caller")))
-            raise raised[-1][1]
-        helper_busy.set()
-        time.sleep(0.02)
-        return encode(chunk)
-
-    monkeypatch.setattr(model.image_encoder, "encode", failing)
-    threads = threading.active_count()
-    for _ in range(3):
-        helper_busy.clear()
-        began.clear()
-        raised.clear()
-        with pytest.raises(DegenerateInputError) as info:
-            predict_logits(model, tiny_dataset.test_patches)
-        assert len(raised) == 1 and info.value is raised[0][1]
-        assert len(began) - raised[0][0] <= 1  # of the 10 chunks
-        assert threading.active_count() == threads
-
-
-def test_shared_eval_has_at_most_two_chunks_in_flight(tiny_dataset, monkeypatch):
-    always_shared(monkeypatch)
-    monkeypatch.setattr(harness, "EVAL_CHUNK", 3)
-    model = build_model(tiny_config(), tiny_dataset)
-    patches = tiny_dataset.test_patches
-    encode, scorer = model.image_encoder.encode, model.head.scorer
-    lock = threading.Lock()
-    started = []  # chunk indices, in the order their encodes began
-    in_flight = peak = 0
-
-    def begin(chunk):
-        nonlocal in_flight, peak
-        index = next(i for i in range(16) if np.array_equal(chunk, patches[3 * i : 3 * i + 3]))
-        with lock:
-            started.append(index)
-            in_flight += 1
-            peak = max(peak, in_flight)
-        time.sleep(0.005)  # a slow chunk: an unbounded pass would start more meanwhile
-        return encode(chunk)
-
-    def spy_scorer(prompts):
-        score = scorer(prompts)
-
-        def end(*args, **kwargs):
-            nonlocal in_flight
-            out = score(*args, **kwargs)
-            with lock:
-                in_flight -= 1
-            return out
-
-        return end
-
-    monkeypatch.setattr(model.image_encoder, "encode", begin)
-    monkeypatch.setattr(model.head, "scorer", spy_scorer)
-    threads = threading.active_count()
-    predict_logits(model, patches)
-    assert peak <= 2
-    assert sorted(started) == list(range(16))
-    assert threading.active_count() == threads
-
-
-def test_eval_shared_under_thread_switches(tiny_dataset, monkeypatch):
-    # one-image chunks and a thread switch every microsecond: any lost
-    # update to the shared counter or the results would move or drop a row
-    always_shared(monkeypatch)
-    monkeypatch.setattr(harness, "EVAL_CHUNK", 1)
-    model = build_model(tiny_config(), tiny_dataset)
-    patches = tiny_dataset.test_patches
-    with one_cpu():
-        want = predict_logits(model, patches)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            assert predict_logits(model, patches).tobytes() == want.tobytes()
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_eval_paths_take_the_faster_path():
-    paths = harness._EvalPaths()
-    cost = {False: 1.0, True: 0.5}  # seconds per image on one thread and shared
-    picks = []
-
-    def passes(count):
-        for _ in range(count):
-            shared = paths.choose()
-            picks.append(shared)
-            paths.record(shared, cost[shared])
-
-    passes(30)
-    # alternate until each path has three times, then share but for every 10th pass
-    assert picks[:6] == [False, True] * 3
-    assert [n for n in range(7, 31) if not picks[n - 1]] == [10, 20, 30]
-    cost[True] = 2.0  # the second CPU gets busy
-    passes(30)
-    # two more shared passes move the shared median; then every 10th pass is shared
-    assert [n for n in range(31, 61) if picks[n - 1]] == [31, 32, 40, 50, 60]
-    cost[True] = 0.95  # not faster by a tenth: not worth a second thread
-    passes(40)
-    assert [n for n in range(71, 101) if picks[n - 1]] == [80, 90, 100]
-
-
-def test_eval_runs_on_one_thread_when_sharing_is_slower(tiny_dataset, monkeypatch):
-    if not two_cpus():
-        pytest.skip("the shared eval path needs two usable CPUs")
+def test_eval_passes_run_on_the_calling_thread(tiny_dataset, monkeypatch):
     monkeypatch.setattr(harness, "EVAL_CHUNK", 5)
     model = build_model(tiny_config(), tiny_dataset)
     patches = tiny_dataset.test_patches
-    want = predict_logits(build_model(tiny_config(), tiny_dataset), patches)
+    want = predict_logits(model, patches)
     encode = model.image_encoder.encode
-    caller = threading.get_ident()
+    encoded_on = []
 
-    def slow_in_the_helper(chunk):
-        if threading.get_ident() != caller:
-            time.sleep(0.02)  # a helper that hardly gets its CPU
+    def recorded(chunk):
+        encoded_on.append(threading.get_ident())
         return encode(chunk)
 
-    monkeypatch.setattr(model.image_encoder, "encode", slow_in_the_helper)
-    shared = count_shared_passes(monkeypatch)
+    monkeypatch.setattr(model.image_encoder, "encode", recorded)
+    threads = threading.active_count()
     for _ in range(25):
+        encoded_on.clear()
         assert predict_logits(model, patches).tobytes() == want.tobytes()
-    # three passes while alternating, then only the probes of passes 10 and 20
-    assert len(shared) == 5
-
-
-def test_eval_without_cpu_affinity_runs_on_one_thread(tiny_dataset, monkeypatch):
-    monkeypatch.setattr(harness, "EVAL_CHUNK", 5)
-    model = build_model(tiny_config(), tiny_dataset)
-    want = predict_logits(model, tiny_dataset.test_patches)
-    monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS and Windows
-    shared = count_shared_passes(monkeypatch)
-    assert harness._usable_cpus() == 1
-    for _ in range(3):
-        assert predict_logits(model, tiny_dataset.test_patches).tobytes() == want.tobytes()
-    assert shared == []
-
-
-def _eval_peaks(small_passes: int = 1):
-    """tracemalloc peaks of `small_passes` eval passes over the benchmark's
-    1,280-image test split and of one pass over 4x that split, and the
-    larger pass's logits."""
-    spec = {"cross_structure": True, "seed": 0}
-    ds = generate(SyntheticSpec.from_dict(spec))
-    model = build_model(TrainConfig(data_spec=spec), ds)
-    small = ds.test_patches
-    large = np.concatenate([small] * 4)
-    predict_logits(model, small)  # warm-up
-    peaks = []
-    for patches, passes in ((small, small_passes), (large, 1)):
-        tracemalloc.start()
-        try:
-            for _ in range(passes):
-                logits = predict_logits(model, patches)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    return peaks, logits
+        assert encoded_on == [threading.get_ident()] * 10  # 48 test images
+        assert threading.active_count() == threads
 
 
 def test_eval_memory_does_not_grow_with_the_split():
     # a whole-split encode of 4x the split would hold 3 x 1,280 x 16 x 64
     # float64 more (31 MB)
-    with one_cpu():
-        peaks, logits = _eval_peaks()
+    spec = {"cross_structure": True, "seed": 0}
+    ds = generate(SyntheticSpec.from_dict(spec))
+    model = build_model(TrainConfig(data_spec=spec), ds)
+    small = ds.test_patches
+    predict_logits(model, small)  # warm-up
+    peaks = []
+    for patches in (small, np.concatenate([small] * 4)):
+        tracemalloc.start()
+        try:
+            logits = predict_logits(model, patches)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
     # token features are held one chunk at a time: only the logits grow
     assert peaks[1] - peaks[0] <= logits.nbytes
-
-
-def test_shared_eval_memory_does_not_grow_with_the_split(monkeypatch):
-    always_shared(monkeypatch)
-    # at most two chunks are computed at once on either split.  How much of
-    # two chunks' buffers is alive at one time depends on timing, so the
-    # split gets four passes: as many chunks as the one pass over 4x the
-    # split.  The peak may then grow by the logits' growth plus one chunk's
-    # token features (256 x 16 x 64 float64, 2 MB)
-    peaks, logits = _eval_peaks(small_passes=4)
-    assert peaks[1] - peaks[0] <= logits.nbytes * 3 // 4 + 256 * 16 * 64 * 8
 
 
 def test_untrained_model_near_chance():

@@ -10,7 +10,6 @@ one training stays where it was pinned.
 """
 
 import contextlib
-import os
 import tracemalloc
 
 import numpy as np
@@ -62,17 +61,6 @@ def tiny_dataset():
 
 
 @contextlib.contextmanager
-def one_cpu():
-    """Pin the calling thread to one of its CPUs: eval then starts no helper thread."""
-    allowed = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(allowed)})
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, allowed)
-
-
-@contextlib.contextmanager
 def traced():
     """Trace allocations inside the block; yields the bytes held at its start."""
     tracemalloc.start()
@@ -88,7 +76,7 @@ def held() -> int:
 
 def train_peak(config: TrainConfig, dataset) -> int:
     """The traced peak of one `train`, over what was held before the call."""
-    with one_cpu(), traced() as base:
+    with traced() as base:
         train(config, dataset)
         return tracemalloc.get_traced_memory()[1] - base
 
@@ -104,7 +92,7 @@ def test_train_holds_only_the_model_through_the_test_pass(kind, reference_datase
         return evaluate(*args, **kwargs)
 
     monkeypatch.setattr(harness, "evaluate", spy)
-    with one_cpu(), traced():
+    with traced():
         model, report = train(config, reference_dataset)
         returned = held()  # the model and the report
     # the training features alone are 320 x 16 x 64 float64 (2.5 MiB), and the
@@ -131,7 +119,7 @@ def test_no_step_starts_with_the_last_steps_tape(kind, reference_dataset, monkey
 
     monkeypatch.setattr(harness.Model, "loss", spy_loss)
     monkeypatch.setattr(harness, "backward", spy_backward)
-    with one_cpu(), traced():
+    with traced():
         train(config, reference_dataset)
     assert len(at_forward) == 20
     # what a step's forward leaves for its backward: the tape
@@ -163,7 +151,7 @@ def test_an_eval_thread_drops_each_chunk_once_read(reference_dataset, monkeypatc
 
     monkeypatch.setattr(model.attention, "forward", spy_forward)
     monkeypatch.setattr(model.head, "scorer", spy_scorer)
-    with one_cpu(), traced():
+    with traced():
         predict_logits(model, reference_dataset.test_patches)
     assert len(chunks) == 5
     for c in chunks:
