@@ -322,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (XRHeadError, OSError) as e:
+    except (XRHeadError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -65,7 +65,6 @@ class TrainConfig:
     num_parts: int = 4
     ctx_len: int = 16
     feat_dim: int = 64
-    word_dim: int = 32
     epochs: int = 100
     batch_size: int = 32
     shots: int = 16
@@ -78,7 +77,7 @@ class TrainConfig:
     def validate(self) -> None:
         _CONFIG_FIELDS.check(self)
         kind = HeadKind.parse(self.head)
-        for name in ("num_parts", "ctx_len", "feat_dim", "word_dim", "batch_size", "shots"):
+        for name in ("num_parts", "ctx_len", "feat_dim", "batch_size", "shots"):
             if getattr(self, name) > MAX_EXTENT:  # refused before anything is allocated
                 raise ConfigError(f"{name} {getattr(self, name)} exceeds the limit {MAX_EXTENT}")
         if self.num_parts < 1:
@@ -86,8 +85,8 @@ class TrainConfig:
         check_head_parts(kind, self.num_parts)
         if self.ctx_len < 1:
             raise ConfigError(f"need ctx_len >= 1, got {self.ctx_len}")
-        if self.feat_dim < 1 or self.word_dim < 1:
-            raise ConfigError(f"need positive dims, got {self.feat_dim}, {self.word_dim}")
+        if self.feat_dim < 1:
+            raise ConfigError(f"need feat_dim >= 1, got {self.feat_dim}")
         if self.epochs < 1:
             raise ConfigError(f"need epochs >= 1, got {self.epochs}")
         if self.batch_size < 2:
@@ -136,9 +135,9 @@ def _seed_stream(seed_model: int, k: int) -> int:
     return seed_model * 10 + k
 
 
-def _text_encoder(config: TrainConfig) -> FrozenTextEncoder:
+def _text_encoder(config: TrainConfig, word_dim: int) -> FrozenTextEncoder:
     """The frozen text encoder over a prompt's context plus its class-name row."""
-    return FrozenTextEncoder(ENCODER_SEED, config.word_dim, config.feat_dim, config.ctx_len + 1)
+    return FrozenTextEncoder(ENCODER_SEED, word_dim, config.feat_dim, config.ctx_len + 1)
 
 
 # --- model ---------------------------------------------------------------------
@@ -159,7 +158,9 @@ class Model:
         """With seed_model None the trainable modules draw nothing and leave
         their weights unfilled, for load_model to replace with the stored
         values.  The frozen encoders are drawn either way: their checksums
-        identify the config a model was saved under."""
+        identify the config a model was saved under.  Only a model with a
+        learned prompt bank has a text encoder, as wide as the bank's class
+        embeddings."""
 
         def seed(k: int) -> int | None:
             return None if seed_model is None else _seed_stream(seed_model, k)
@@ -168,9 +169,9 @@ class Model:
         self.config = config
         self.num_classes = num_classes
         self.patch_dim = patch_dim
-        self.text_encoder = _text_encoder(config)
         self.image_encoder = FrozenImageEncoder(ENCODER_SEED + 1, patch_dim, config.feat_dim)
 
+        self.text_encoder = None
         self.bank = None
         self.manual = None
         if kind != HeadKind.MLPS:
@@ -185,17 +186,13 @@ class Model:
             else:
                 if class_embeddings is None:
                     raise ConfigError("learned prompts need class embeddings")
-                if class_embeddings.ndim != 2 or class_embeddings.shape[1] != config.word_dim:
-                    raise ConfigError(
-                        f"class embeddings {class_embeddings.shape} do not match "
-                        f"word_dim {config.word_dim}"
-                    )
                 self.bank = PromptBank(
                     class_embeddings,
                     config.num_parts,
                     config.ctx_len,
                     seed=seed(0),
                 )
+                self.text_encoder = _text_encoder(config, self.bank.word_dim)
 
         self.attention = PartAttention(config.feat_dim, config.num_parts, seed=seed(1))
         self.head = build_head(kind, num_classes, config.num_parts, config.feat_dim, seed=seed(2))
@@ -238,11 +235,9 @@ class Model:
         return [self.attention.bn] + self.head.batch_norms()
 
     def frozen_checksums(self) -> dict[str, str]:
-        out = {
-            "text_encoder": self.text_encoder.checksum(),
-            "image_encoder": self.image_encoder.checksum(),
-        }
+        out = {"image_encoder": self.image_encoder.checksum()}
         if self.bank is not None:
+            out["text_encoder"] = self.text_encoder.checksum()
             out["class_embeddings"] = checksum(self.bank.class_embeddings)
         if self.manual is not None:
             out["manual_prompts"] = checksum(self.manual.values)
@@ -270,8 +265,8 @@ def build_model(config: TrainConfig, ds: Dataset) -> Model:
 
 def class_name_embeddings(config: TrainConfig, class_embeddings: np.ndarray) -> np.ndarray:
     """Text-encode each bare class name: the embedding tiled over all positions."""
-    enc = _text_encoder(config)
     emb = np.asarray(class_embeddings, dtype=np.float64)
+    enc = _text_encoder(config, emb.shape[1])
     context = np.repeat(emb[:, None, :], config.ctx_len, axis=1)
     return enc.encode(constant(context), emb).values  # a constant context: no tape
 
@@ -559,7 +554,7 @@ def load_model(dir_path: str) -> tuple[Model, RunReport | None]:
             arrays.get("prompts.manual"),
             seed_model=None,
         )
-    except ConfigError as e:
+    except (ConfigError, ShapeMismatchError) as e:
         raise DataError(f"model file does not match its config: {e}") from e
     # the encoders are rebuilt from the config's and the metadata's shapes, so
     # only their checksums can show that e.g. patch_dim or ctx_len differ from

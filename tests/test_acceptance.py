@@ -58,7 +58,6 @@ def test_gradient_integrity():
         num_parts=2,
         ctx_len=3,
         feat_dim=8,
-        word_dim=8,
         shots=4,
         data_spec={
             "num_classes": 5,

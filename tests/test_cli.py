@@ -395,6 +395,17 @@ def test_analyze_cne_from_dataset(tiny_files, capsys):
     assert payload["mean"] > 0
 
 
+def test_analyze_cne_reports_a_failed_allocation(tiny_files, capsys):
+    # the histogram's edges would take petabytes: numpy refuses them at once
+    tmp_path, _, data_path = tiny_files
+    argv = ["analyze-cne", "--data", str(data_path), "--bins", str(10**15)]
+    assert main(argv + ["--out", str(tmp_path / "cne")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "allocate" in captured.err
+
+
 def test_analyze_cne_requires_one_source(tiny_files, capsys):
     tmp_path, _, data_path = tiny_files
     assert main(["analyze-cne"]) == 1

@@ -32,7 +32,7 @@ def make_model(kind: str, w: int, s: int, d: int, seed: int) -> Model:
     and running statistics drawn.  The statistics of CRM_FULL's classifier
     norm sit near those of its inputs over STATS_IMAGES drawn images, as a
     trained model's sit near those of its training batches."""
-    config = TrainConfig(head=kind, num_parts=s, feat_dim=d, word_dim=4, ctx_len=2)
+    config = TrainConfig(head=kind, num_parts=s, feat_dim=d, ctx_len=2)
     rng = np.random.default_rng(seed)
     model = Model(config, w, PATCH_DIM, rng.normal(size=(w, 4)), None, seed)
     for p in model.params():

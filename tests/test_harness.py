@@ -124,6 +124,7 @@ def test_config_rejects_unknown_keys():
         ("weight_decay", 1e-4),
         ("momentum", 0.9),
         ("head_hidden", None),
+        ("word_dim", 32),
     ):
         with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
             TrainConfig.from_dict({key: value})
@@ -151,7 +152,6 @@ def test_readme_config_table_names_every_field():
         {"shots": 0},
         {"seed_model": -1},
         {"seed_data": -1},
-        {"word_dim": 0},
         {"data_spec": {"num_classes": 4}, "data_file": "x.xrvd"},
         {"data_spec": {"num_classes": 1}},
         {"head": "ALIGN"},  # ALIGN is PWCS at one part, as build_head insists
@@ -180,7 +180,7 @@ def test_config_made_in_python_is_type_checked(field, value, tiny_dataset):
 
 @pytest.mark.parametrize("size", [10**30, 2**40, MAX_EXTENT + 1])
 @pytest.mark.parametrize(
-    "name", ["num_parts", "ctx_len", "feat_dim", "word_dim", "batch_size", "shots"]
+    "name", ["num_parts", "ctx_len", "feat_dim", "batch_size", "shots"]
 )
 def test_config_refuses_a_size_above_the_extent_limit(name, size, monkeypatch):
     def no_allocation(*args, **kwargs):
@@ -229,11 +229,9 @@ def test_mlps_model_has_no_prompt_side(tiny_dataset):
     assert model.bank is None
     assert model.prompt_features() is None
     assert all(p.requires_grad for p in model.params())
-
-
-def test_word_dim_mismatch_rejected(tiny_dataset):
-    with pytest.raises(ConfigError, match="word_dim"):
-        build_model(tiny_config(word_dim=48), tiny_dataset)
+    # no prompt bank, so no text encoder to draw or to checksum
+    assert model.text_encoder is None
+    assert "text_encoder" not in model.frozen_checksums()
 
 
 def test_manual_mode_loads_and_validates_features(tmp_path, tiny_dataset):
@@ -244,6 +242,9 @@ def test_manual_mode_loads_and_validates_features(tmp_path, tiny_dataset):
     feats = model.prompt_features()
     assert feats.values.shape == (6, 4, 32)
     assert not feats.requires_grad
+    # the features are given, so no text encoder runs
+    assert model.text_encoder is None
+    assert "text_encoder" not in model.frozen_checksums()
 
     bad = tmp_path / "bad.xrvf"
     save_features(str(bad), np.ones((6, 3, 32)))
@@ -341,8 +342,8 @@ PINNED_TINY_DIGESTS = {
         "3678341f6bad680d84ef99916395af067e639ae9b83de9fb0e5197847f241efb",
         "a44d41a44db5a2f4f7b07227d3d7fa35e2b0256c7725bf39521f141238e21a5b",
     ),
-    "MLPS": (
-        "e5200a6d78a7ae03226caf73dd01ef0a8ace13b22eeefa24b9c10c03542cea50",
+    "MLPS": (  # its params metadata holds no text-encoder checksum
+        "538fcdf3f6c5901da14d0fb5dc1ae2e5906b9a10bf87e7a6ff38295274d4d963",
         "dbba112529e7f28b392543fb85e65a5656f12a0fa9b9f0538662890e53391efb",
         "21565e1d78248ec5c9ba02d8f443dbed2bfa88d3229e17c8c035599690ae8019",
     ),
@@ -1206,8 +1207,9 @@ def test_reload_draws_only_the_frozen_encoders(kind, tmp_path, tiny_dataset, mon
     )
     loaded, _ = load_model(str(tmp_path))
     monkeypatch.undo()
-    w, f = cfg.word_dim, cfg.feat_dim
-    text = (cfg.ctx_len + 1) * w + w * f + f + f * f + f  # positions, w1, b1, w2, b2
+    w, f = tiny_dataset.spec.embed_dim, cfg.feat_dim
+    # positions, w1, b1, w2, b2; MLPS has no prompt bank, so no text encoder
+    text = 0 if kind == "MLPS" else (cfg.ctx_len + 1) * w + w * f + f + f * f + f
     image = tiny_dataset.spec.patch_dim * f + f  # w, b
     assert sum(drawn) == text + image
     stored = [p.values.tobytes() for p in model.params()]
@@ -1249,6 +1251,28 @@ def test_load_model_refuses_a_file_without_an_array(
         load_model(str(tmp_path))
 
 
+@pytest.mark.parametrize(
+    "stored, match",
+    [
+        (lambda emb: emb[0], "class embeddings must be"),  # 1-D
+        (lambda emb: np.concatenate([emb, emb], axis=1), "frozen"),  # twice as wide
+    ],
+    ids=["one_dim", "twice_as_wide"],
+)
+def test_load_model_refuses_class_embeddings_of_another_shape(
+    stored, match, tmp_path, tiny_dataset
+):
+    # the text encoder takes its width from the stored embeddings
+    save_model(str(tmp_path), build_model(tiny_config(), tiny_dataset))
+
+    def edit(arrays):
+        arrays["prompts.class_embeddings"] = stored(arrays["prompts.class_embeddings"])
+
+    _rewrite_params(tmp_path / "params.xrvp", edit_arrays=edit)
+    with pytest.raises(DataError, match=match):
+        load_model(str(tmp_path))
+
+
 def test_load_model_refuses_other_encoders(tmp_path, tiny_dataset):
     # the frozen encoders are rebuilt from patch_dim and the config's shapes;
     # their checksums in the params file catch an edit to either
@@ -1282,6 +1306,7 @@ def test_load_model_refuses_removed_config_keys(tmp_path, tiny_dataset):
         dict(proj_dim=None, squared_denominator=False, normalize_prompts=False),
         dict(scale=64.0, cosine_loss_scale=64.0, encoder_seed=7, prompt_mode="learned"),
         dict(lr0=2e-3, weight_decay=1e-4, momentum=0.9, head_hidden=None),
+        dict(word_dim=32),
     ):
         (tmp_path / "config.json").write_text(json.dumps({**config, **removed}))
         with pytest.raises(FormatError, match="unknown config keys"):

@@ -317,7 +317,7 @@ MODEL_CONFIG = dict(epochs=1, shots=2, batch_size=4, feat_dim=8, ctx_len=2, num_
 @pytest.fixture(scope="module", params=["CRM_FULL", "MLPS"])
 def model_dir(request, workdir):
     ds = generate(SyntheticSpec.from_dict(SMALL_SPEC))
-    cfg = TrainConfig(head=request.param, data_spec=SMALL_SPEC, word_dim=6, **MODEL_CONFIG)
+    cfg = TrainConfig(head=request.param, data_spec=SMALL_SPEC, **MODEL_CONFIG)
     model, report = train(cfg, ds)
     path = os.path.join(workdir, f"model-{request.param}")
     save_model(path, model, report)
